@@ -245,6 +245,7 @@ class VariantBase:
         rt = self.rt
         bodies = self.bodies
         P = self.P
+        ptrs_local = self.body_ptrs_local()
 
         def worker(t: int):
             for cell in reversed(self.mycelltab[t]):
@@ -258,9 +259,16 @@ class VariantBase:
                     if ch is None:
                         continue
                     if isinstance(ch, Leaf):
-                        self.charge_body_words(
-                            t, np.asarray(ch.indices), BODY_LEAF_WORDS
-                        )
+                        if len(ch.indices) == 1 and not ptrs_local:
+                            # charge_body_words of a single-body leaf
+                            rt.word_access(
+                                t, int(bodies.store[ch.indices[0]]),
+                                words=1.0, count=float(BODY_LEAF_WORDS),
+                                key="body_words")
+                        else:
+                            self.charge_body_words(
+                                t, np.asarray(ch.indices), BODY_LEAF_WORDS
+                            )
                         for b in ch.indices:
                             m = bodies.mass[b]
                             mass += m

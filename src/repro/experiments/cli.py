@@ -133,7 +133,8 @@ def main(argv: "List[str] | None" = None) -> int:
     ap.add_argument("--out", default="results", help="output directory")
     ap.add_argument("--backend", default=None, choices=backend_names(),
                     help="force backend for every run (default: "
-                         "object-tree; --trace defaults this to flat)")
+                         "object-tree, the engine whose UPC accounting "
+                         "gives the paper's numbers)")
     ap.add_argument("--distribution", default=None,
                     choices=list(distribution_names()),
                     help="initial conditions for every run "
@@ -183,9 +184,8 @@ def main(argv: "List[str] | None" = None) -> int:
     ap.add_argument("--trace", default=None, metavar="FILE",
                     help="capture wall-clock span traces of every run to "
                          "FILE (Chrome trace-event JSON; open in Perfetto). "
-                         "Unless --backend is given, switches the force "
-                         "engine to 'flat' so per-level traversal spans "
-                         "are recorded.")
+                         "Never changes the backend or any result; pass "
+                         "--backend flat for per-level traversal spans.")
     ap.add_argument("--metrics", default=None, metavar="FILE",
                     help="export the unified metrics registry (phase "
                          "times, UPC/backend counters, traversal "
@@ -196,10 +196,6 @@ def main(argv: "List[str] | None" = None) -> int:
     overrides = []
     if args.backend is not None:
         overrides.append(("force_backend", args.backend))
-    elif args.trace is not None:
-        # tracing targets the real wall-clock engine: the flat backend is
-        # the one with per-level traversal spans worth looking at
-        overrides.append(("force_backend", "flat"))
     if args.distribution is not None:
         overrides.append(("distribution", args.distribution))
     if args.flat_build is not None:

@@ -33,7 +33,8 @@ def insert(root: Cell, idx: int, positions: np.ndarray, home: int = 0,
            on_visit: Hook = None, on_alloc: Hook = None,
            on_modify: Hook = None, seq_counter: Optional[list] = None) -> None:
     """Insert body ``idx`` (position looked up in ``positions``)."""
-    pos = positions[idx]
+    # one read as Python floats: the octant tests compare the same values
+    pos = positions[idx].tolist()
     cur = root
     depth = 0
     while True:
@@ -60,7 +61,7 @@ def insert(root: Cell, idx: int, positions: np.ndarray, home: int = 0,
                 on_alloc(sub)
             if on_modify is not None:
                 on_modify(cur)
-            old_oct = sub.octant_of(positions[slot.indices[0]])
+            old_oct = sub.octant_of(positions[slot.indices[0]].tolist())
             sub.children[old_oct] = slot
             cur.children[oct_idx] = sub
             cur = sub

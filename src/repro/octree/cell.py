@@ -68,11 +68,11 @@ class Cell:
     # -- geometry -----------------------------------------------------------
     def octant_of(self, p: np.ndarray) -> int:
         """Child slot index for a position (SPLASH-2 ``subindex``)."""
-        c = self.center
+        cx, cy, cz = self.center.tolist()
         return (
-            (1 if p[0] > c[0] else 0)
-            | (2 if p[1] > c[1] else 0)
-            | (4 if p[2] > c[2] else 0)
+            (1 if p[0] > cx else 0)
+            | (2 if p[1] > cy else 0)
+            | (4 if p[2] > cz else 0)
         )
 
     def child_center(self, oct_idx: int) -> np.ndarray:

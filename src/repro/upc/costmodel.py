@@ -14,13 +14,12 @@ vector counts without numpy overhead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .params import MachineConfig
 
 
-@dataclass(frozen=True)
-class Charge:
+class Charge(NamedTuple):
     """Outcome of costing one operation.
 
     ``issuer``  -- seconds the issuing thread is busy/stalled.

@@ -9,6 +9,7 @@ aggregated requests have a single source thread" (section 5.5).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterator, List
 
@@ -16,38 +17,44 @@ import numpy as np
 
 
 class Counters:
-    """Per-thread named counters for one phase."""
+    """Per-thread named counters for one phase.
+
+    Each key holds a plain list of per-thread floats: an ``add`` is one
+    Python float addition, the same IEEE operation in the same order as
+    an element update of a float64 array, without numpy's per-element
+    overhead.  Readers get numpy results (``total`` sums pairwise, as
+    ``ndarray.sum`` always did).  The runtime's charging hot path updates
+    ``_data`` in place (see :mod:`repro.upc.runtime`); a missing key
+    starts as a row of zeros.
+    """
 
     def __init__(self, nthreads: int):
         self.nthreads = nthreads
-        self._data: Dict[str, np.ndarray] = {}
+        self._data: Dict[str, List[float]] = defaultdict(
+            lambda: [0.0] * nthreads)
 
     def add(self, tid: int, key: str, n: float = 1) -> None:
-        arr = self._data.get(key)
-        if arr is None:
-            arr = np.zeros(self.nthreads, dtype=np.float64)
-            self._data[key] = arr
-        arr[tid] += n
+        self._data[key][tid] += n
 
     def total(self, key: str) -> float:
-        arr = self._data.get(key)
-        return float(arr.sum()) if arr is not None else 0.0
+        row = self._data.get(key)
+        return float(np.array(row, dtype=np.float64).sum()) \
+            if row is not None else 0.0
 
     def per_thread(self, key: str) -> np.ndarray:
-        arr = self._data.get(key)
-        if arr is None:
+        row = self._data.get(key)
+        if row is None:
             return np.zeros(self.nthreads, dtype=np.float64)
-        return arr.copy()
+        return np.array(row, dtype=np.float64)
 
     def keys(self) -> List[str]:
         return sorted(self._data)
 
     def merged_into(self, other: "Counters") -> None:
-        for key, arr in self._data.items():
-            tgt = other._data.setdefault(
-                key, np.zeros(other.nthreads, dtype=np.float64)
-            )
-            tgt += arr
+        for key, row in self._data.items():
+            tgt = other._data[key]
+            for t, n in enumerate(row):
+                tgt[t] += n
 
 
 @dataclass

@@ -181,7 +181,7 @@ class TestExperimentsCliTelemetry:
 
         trace = tmp_path / "t.json"
         metrics = tmp_path / "m.jsonl"
-        rc = main(["table2", "--scale", "test",
+        rc = main(["table2", "--scale", "test", "--backend", "flat",
                    "--out", str(tmp_path / "res"),
                    "--trace", str(trace), "--metrics", str(metrics)])
         assert rc == 0
@@ -189,9 +189,22 @@ class TestExperimentsCliTelemetry:
         assert n > 0
         doc = json.loads(trace.read_text())
         cats = {e["cat"] for e in doc["traceEvents"]}
-        # --trace defaults the backend to flat: per-level spans present
+        # the flat backend records per-level traversal spans
         assert {"run", "step", "phase", "backend", "traversal"} <= cats
         assert read_metrics_jsonl(metrics)[0]["schema"] == "repro-metrics/1"
+
+    def test_trace_and_metrics_never_change_the_tables(self, tmp_path):
+        """table2 CSVs are byte-identical with and without telemetry: the
+        trace flag must not switch the force backend."""
+        from repro.experiments.cli import main
+
+        plain, traced = tmp_path / "plain", tmp_path / "traced"
+        assert main(["table2", "--scale", "test", "--out", str(plain)]) == 0
+        assert main(["table2", "--scale", "test", "--out", str(traced),
+                     "--trace", str(tmp_path / "t.json"),
+                     "--metrics", str(tmp_path / "m.jsonl")]) == 0
+        csv = (plain / "table2.csv").read_bytes()
+        assert csv and csv == (traced / "table2.csv").read_bytes()
 
 
 class TestBenchRegressionCheck:
