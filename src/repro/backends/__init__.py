@@ -8,7 +8,7 @@ to add a backend.
 """
 
 from .base import ForceBackend, ForceResult
-from .compiled import CompiledFlatBackend, NumbaFlatBackend
+from .compiled import CompiledFlatBackend
 from .direct import DirectBackend
 from .flat import FlatBackend
 from .object_tree import ObjectTreeBackend
@@ -28,7 +28,6 @@ __all__ = [
     "FlatBackend",
     "ForceBackend",
     "ForceResult",
-    "NumbaFlatBackend",
     "ObjectTreeBackend",
     "backend_names",
     "get_backend",

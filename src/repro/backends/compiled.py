@@ -1,24 +1,22 @@
-"""Compiled force backends: native tree walks behind the flat engine.
+"""Compiled force backend: the native tree walk behind the flat engine.
 
-:class:`CompiledFlatBackend` (``flat-c``) and :class:`NumbaFlatBackend`
-(``flat-numba``) subclass :class:`~repro.backends.flat.FlatBackend`, so
-every tree-construction path -- Morton-direct, incremental splice,
-insertion flatten, the sticky root box, carried
-``MortonBuildState`` -- is inherited unchanged.  Only
-:meth:`accelerations` differs: instead of the numpy level loop, the
-per-body walk of :mod:`repro.kernels` runs natively over the same
-``FlatTree`` arrays (bit-exact interaction counts, float64-roundoff
-accelerations; the interaction-drift regression gate of ``repro-bench
---check`` therefore applies to them identically).
+:class:`CompiledFlatBackend` (``flat-c``) subclasses
+:class:`~repro.backends.flat.FlatBackend`, so both tree-construction
+paths -- Morton-direct and insertion flatten -- are inherited
+unchanged.  Only :meth:`accelerations` differs: instead of the numpy
+level loop, the per-body walk of :mod:`repro.kernels` runs natively over
+the same ``FlatTree`` arrays (bit-exact interaction counts,
+float64-roundoff accelerations; the interaction-drift regression gate of
+``repro-bench --check`` therefore applies to it identically).
 
-Availability is a *soft* gate: both names are always registered -- so
+Availability is a *soft* gate: the name is always registered -- so
 ``BHConfig(force_backend="flat-c")`` validates everywhere -- but on a
-box with no compiler (or no numba) the constructor keeps
-``kernel = None`` and the instance serves the inherited numpy engine.
-The kernel loader has already emitted its single
-:class:`RuntimeWarning` by then; nothing raises.
+box with no compiler the constructor keeps ``kernel = None`` and the
+instance serves the inherited numpy engine.  The kernel loader has
+already emitted its single :class:`RuntimeWarning` by then; nothing
+raises.
 
-Both declare ``fallback_name = "flat"``: a faulting kernel call rides
+It declares ``fallback_name = "flat"``: a faulting kernel call rides
 the resilience degradation ladder (``flat-c -> flat -> object-tree ->
 direct``) exactly like any other backend fault.
 
@@ -30,7 +28,6 @@ thread count yields identical arrays.
 from __future__ import annotations
 
 import os
-from typing import Optional
 
 import numpy as np
 
@@ -93,67 +90,3 @@ class CompiledFlatBackend(FlatBackend):
         if traced:
             tr.end(interactions=float(work.sum()), **counters)
         return ForceResult(acc=acc, work=work, counters=counters)
-
-
-class NumbaFlatBackend(FlatBackend):
-    """Flat engine with the ``@njit(parallel=True)`` force walk."""
-
-    name = "flat-numba"
-    fallback_name = "flat"
-
-    def __init__(self, cfg, tracer=None):
-        super().__init__(cfg, tracer=tracer)
-        from ..kernels import get_numba_walk
-
-        #: compiled walk, or None (serve the inherited numpy engine)
-        self.walk = get_numba_walk()
-        if self.walk is None:
-            _warn_no_numba()
-        self.threads = int(getattr(cfg, "kernel_threads", 0) or 0)
-
-    @property
-    def kernel_active(self) -> bool:
-        return self.walk is not None
-
-    def accelerations(self, body_idx: np.ndarray,
-                      bodies: BodySoA) -> ForceResult:
-        if self.walk is None:
-            return super().accelerations(body_idx, bodies)
-        if self.tree is None:
-            raise RuntimeError(
-                f"{type(self).__name__}.accelerations called before "
-                "begin_step; the per-step tree has not been built")
-        from ..kernels import numba_gravity
-
-        tr = self.tracer
-        traced = tr.enabled
-        if traced:
-            tr.begin("flat.accelerations", "backend",
-                     nbodies=len(body_idx), kernel="numba")
-        acc, work, counters = numba_gravity(
-            self.tree, body_idx, bodies.pos, bodies.mass,
-            self.cfg.theta, self.cfg.eps,
-            open_self_cells=self.cfg.open_self_cells,
-            prepared=self._prepared,
-            threads=self.threads,
-        )
-        if traced:
-            tr.end(interactions=float(work.sum()), **counters)
-        return ForceResult(acc=acc, work=work, counters=counters)
-
-
-_NUMBA_WARNED = False
-
-
-def _warn_no_numba() -> None:
-    """One warning per process when ``flat-numba`` serves numpy."""
-    global _NUMBA_WARNED
-    if _NUMBA_WARNED:
-        return
-    _NUMBA_WARNED = True
-    import warnings
-
-    warnings.warn(
-        "numba is not importable; the 'flat-numba' backend will serve "
-        "the numpy 'flat' engine instead",
-        RuntimeWarning, stacklevel=3)

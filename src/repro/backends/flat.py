@@ -1,35 +1,22 @@
 """The flat backend: SoA octree + level-synchronous vectorized traversal.
 
-Each step, :meth:`FlatBackend.begin_step` obtains a fresh
+Each step, :meth:`FlatBackend.begin_step` builds a fresh
 :class:`~repro.octree.flat.FlatTree` (contiguous numpy arrays) over the
-current bodies.  Three build paths exist, selected by
+current bodies.  Two build paths exist, selected by
 ``BHConfig.flat_build``:
 
 * ``"morton"`` (default) -- :func:`~repro.octree.morton_build.build_flat_tree`
   constructs the CSR arrays directly from sorted octant keys, never
   touching ``Cell`` objects; the object tree the variant built for its
   simulated-communication accounting is ignored here.
-* ``"incremental"`` --
-  :func:`~repro.octree.morton_build.build_flat_tree_incremental` splices
-  subtrees whose octant runs did not change since the previous step and
-  rebuilds only dirty runs.  Requires a root box whose floats are
-  *stable across steps*, so the backend keeps its own sticky
-  :class:`RootBox` (re-derived only when a body leaves it) instead of
-  following the variant's per-step box recentering -- the tree is
-  byte-identical to a fresh Morton build over that same sticky box.
 * ``"insertion"`` -- flatten the variant's freshly built object tree via
   :meth:`FlatTree.from_cell` (the original path; structurally identical,
   kept for A/B checks and for callers that mutate ``Cell`` hooks).
 
-The Morton paths need no object tree at all: when ``begin_step`` is
-handed ``root=None`` they derive the root box from the body positions.
+The Morton path needs no object tree at all: when ``begin_step`` is
+handed ``root=None`` it derives the root box from the body positions.
 The insertion path cannot, and raises instead of silently serving a
 ``None`` tree (zero forces) as it used to.
-
-Carried-over :class:`~repro.octree.morton_build.MortonBuildState` is only
-meaningful for one body set advancing in time, so the backend resets it
-whenever it is pointed at a different ``BodySoA`` object (new run,
-restarted simulation, redistribution) -- see ``MortonBuildState.reset``.
 
 :meth:`FlatBackend.accelerations` then runs
 :func:`~repro.octree.flat.flat_gravity`, whose Python-level work scales
@@ -52,12 +39,7 @@ from ..nbody.bbox import RootBox, compute_root
 from ..nbody.bodies import BodySoA
 from ..octree.cell import Cell
 from ..octree.flat import FlatTree, flat_gravity, prepare_bodies
-from ..octree.morton_build import (
-    KEY_LEVELS,
-    MortonBuildState,
-    build_flat_tree,
-    build_flat_tree_incremental,
-)
+from ..octree.morton_build import build_flat_tree
 from .base import ForceBackend, ForceResult
 
 #: per-step tree-size samples kept for run metrics (bounds memory on
@@ -77,32 +59,14 @@ class FlatBackend(ForceBackend):
         super().__init__(cfg, tracer=tracer)
         self.tree: Optional[FlatTree] = None
         self._prepared = None
-        incremental = getattr(cfg, "flat_build", "morton") == "incremental"
-        self._morton_state = MortonBuildState() \
-            if incremental or getattr(cfg, "flat_build_reuse_order", False) \
-            else None
-        if incremental:
-            self._morton_state.keep_structure = True
-        #: sticky root box for the incremental path (None until first step)
-        self._box: Optional[RootBox] = None
-        #: body set the carried state belongs to (identity, not contents)
-        self._state_bodies: Optional[BodySoA] = None
         #: FlatTree memory footprint per step (feeds run metrics; bounded)
         self.tree_nbytes_per_step: "deque[int]" = deque(
             maxlen=TREE_NBYTES_HISTORY)
-        #: incremental builds rescued by a state-reset fresh rebuild
-        self.build_fallbacks = 0
 
     @property
     def build_path(self) -> str:
         """Configured tree construction path (see module docstring)."""
         return getattr(self.cfg, "flat_build", "morton")
-
-    @property
-    def last_reuse(self) -> Optional[dict]:
-        """Reuse telemetry of the last incremental build (None otherwise)."""
-        state = self._morton_state
-        return state.last_reuse if state is not None else None
 
     def _resolve_box(self, root: Optional[Cell],
                      bodies: BodySoA) -> RootBox:
@@ -118,87 +82,26 @@ class FlatBackend(ForceBackend):
         return compute_root(bodies.pos,
                             getattr(self.cfg, "initial_rsize", 4.0))
 
-    def _sticky_box(self, root: Optional[Cell], bodies: BodySoA) -> RootBox:
-        """Cross-step-stable root box for the incremental path.
-
-        Consecutive steps' octant keys are only comparable over
-        bit-identical box floats, so the box is kept until a body
-        leaves it; the incremental builder detects the change and falls
-        back to one fresh (snapshot-reseeding) build.
-        """
-        if self._box is None:
-            self._box = self._resolve_box(root, bodies)
-        elif not self._box.contains(bodies.pos).all():
-            self._box = compute_root(bodies.pos,
-                                     getattr(self.cfg, "initial_rsize", 4.0))
-        return self._box
-
     def _build_tree(self, root: Optional[Cell],
                     bodies: BodySoA) -> FlatTree:
-        path = self.build_path
-        if path == "insertion":
+        if self.build_path == "insertion":
             if root is None:
                 raise ValueError(
                     "flat_build='insertion' flattens the object tree, but "
                     "begin_step received root=None; build the object tree "
-                    "first or use flat_build='morton'/'incremental'")
+                    "first or use flat_build='morton'")
             return FlatTree.from_cell(root)
         tr = self.tracer
-        tr = tr if tr.enabled else None
-        if path == "incremental":
-            box = self._sticky_box(root, bodies)
-            depth = getattr(self.cfg, "flat_reuse_depth", KEY_LEVELS)
-            try:
-                return build_flat_tree_incremental(
-                    bodies.pos, bodies.mass, box, costs=bodies.cost,
-                    tracer=tr, state=self._morton_state, reuse_depth=depth)
-            except Exception:
-                # damaged splice state (first rung of the fallback
-                # ladder): drop the snapshot and rebuild fresh -- the
-                # fresh build re-seeds it, so the next step splices again
-                self._morton_state.reset()
-                self.build_fallbacks += 1
-                if tr is not None:
-                    tr.instant("build_fallback", "resilience",
-                               build="incremental->fresh")
-                return build_flat_tree_incremental(
-                    bodies.pos, bodies.mass, box, costs=bodies.cost,
-                    tracer=tr, state=self._morton_state,
-                    reuse_depth=depth)
         box = self._resolve_box(root, bodies)
         return build_flat_tree(bodies.pos, bodies.mass, box,
-                               costs=bodies.cost, tracer=tr,
-                               state=self._morton_state)
-
-    def adopt_state(self, bodies: BodySoA,
-                    box: Optional[RootBox] = None) -> None:
-        """Pin the carried-state identity to ``bodies`` (checkpoint
-        restore).
-
-        The restored run's first build is necessarily fresh (splice
-        snapshots are not serialized), but it must run over the
-        checkpointed *sticky box* floats -- not a re-derived box -- so
-        its octant keys, and therefore the whole tree, replay the
-        uninterrupted run bit-for-bit and the following steps re-enter
-        incremental reuse.
-        """
-        if self._morton_state is not None:
-            self._morton_state.reset()
-        self._state_bodies = bodies
-        self._box = box
+                               costs=bodies.cost,
+                               tracer=tr if tr.enabled else None)
 
     def begin_step(self, root: Optional[Cell], bodies: BodySoA) -> None:
         tr = self.tracer
         traced = tr.enabled
         if traced:
             tr.begin("flat.begin_step", "backend", build=self.build_path)
-        if bodies is not self._state_bodies:
-            # a different body set: the carried sorted order / structure
-            # snapshot belongs to someone else -- drop it (S1 fix)
-            if self._morton_state is not None:
-                self._morton_state.reset()
-            self._box = None
-            self._state_bodies = bodies
         self.tree = self._build_tree(root, bodies)
         # body-side arrays are shared by every thread group of the step
         self._prepared = prepare_bodies(bodies.pos, bodies.mass)

@@ -5,23 +5,22 @@ from __future__ import annotations
 from typing import Any, Dict, List, Type
 
 from .base import ForceBackend
-from .compiled import CompiledFlatBackend, NumbaFlatBackend
+from .compiled import CompiledFlatBackend
 from .direct import DirectBackend
 from .flat import FlatBackend
 from .object_tree import ObjectTreeBackend
 
 #: every selectable backend, by registry name.  The compiled flat
-#: engines are *always* registered: on a box with no C toolchain (and
-#: no numba) their constructors keep the kernel handle None and the
-#: instances serve the numpy ``flat`` engine, after the kernel loader's
-#: single RuntimeWarning -- selecting them is never an error.
+#: engine is *always* registered: on a box with no C toolchain its
+#: constructor keeps the kernel handle None and the instance serves the
+#: numpy ``flat`` engine, after the kernel loader's single
+#: RuntimeWarning -- selecting it is never an error.
 BACKENDS: Dict[str, Type[ForceBackend]] = {
     cls.name: cls
     for cls in (
         ObjectTreeBackend,
         FlatBackend,
         CompiledFlatBackend,
-        NumbaFlatBackend,
         DirectBackend,
     )
 }

@@ -124,13 +124,6 @@ class BarnesHutSimulation:
             stats["flat_tree_nbytes"] = list(nbytes)
         if self.resilience is not None:
             stats["resilience"] = self.resilience.summary()
-        backend = self.variant.force_backend
-        primary = getattr(backend, "primary", backend)
-        build_fallbacks = getattr(primary, "build_fallbacks", 0)
-        if build_fallbacks:
-            stats.setdefault("resilience", {}) \
-                .setdefault("build_fallbacks", {})[""] = \
-                float(build_fallbacks)
         telemetry = self._collect_telemetry(stats, span0)
         return RunResult(
             config=cfg,

@@ -36,32 +36,20 @@ class BHConfig:
     distribution: str = "plummer"
     #: force engine (:data:`repro.backends.BACKENDS`): "object-tree" keeps
     #: the policy-instrumented recursion the cost model meters; "flat" runs
-    #: the vectorized SoA engine; "flat-c" / "flat-numba" the compiled
-    #: per-body walks of :mod:`repro.kernels` (served by "flat" when no
-    #: toolchain / numba exists); "direct" the O(n^2) reference
+    #: the vectorized SoA engine; "flat-c" the compiled per-body walk of
+    #: :mod:`repro.kernels` (served by "flat" when no C toolchain
+    #: exists); "direct" the O(n^2) reference
     force_backend: str = DEFAULT_BACKEND
-    #: body-chunking width of the compiled kernels' thread pool
-    #: (``flat-c``: chunks dispatched to a Python thread pool with the
-    #: GIL released; ``flat-numba``: requested numba thread count);
+    #: body-chunking width of the ``flat-c`` kernel: chunks are
+    #: dispatched to a Python thread pool with the GIL released;
     #: 0 = one chunk per CPU.  Outputs are per-body independent, so any
     #: value produces bit-identical results
     kernel_threads: int = 0
     #: how the flat backend obtains its per-step :class:`FlatTree`:
     #: "morton" (default) builds CSR arrays directly from sorted octant
     #: keys (no Cell objects; see :mod:`repro.octree.morton_build`);
-    #: "insertion" flattens the variant's object tree via ``from_cell``;
-    #: "incremental" diffs consecutive sorted key arrays and splices
-    #: clean subtrees from the previous step's tree, rebuilding only
-    #: dirty octant runs (byte-identical output to "morton")
+    #: "insertion" flattens the variant's object tree via ``from_cell``
     flat_build: str = "morton"
-    #: incremental-rebuild scaffold: reuse the previous step's sorted
-    #: Morton order so the next sort runs over nearly sorted keys
-    #: (implied by ``flat_build="incremental"``)
-    flat_build_reuse_order: bool = False
-    #: maximum octant-run depth the incremental diff descends to while
-    #: classifying clean/dirty subtrees (deeper = finer-grained reuse,
-    #: slightly more classification work); clamped to KEY_LEVELS (21)
-    flat_reuse_depth: int = 21
 
     # -- section 5.5 framework parameters (paper: n1 = n2 = n3 = 4) -------
     n1: int = 4  #: working body groups processed concurrently
@@ -133,13 +121,11 @@ class BHConfig:
                 f"unknown force backend {self.force_backend!r}; "
                 f"choose from {sorted(BACKENDS)}"
             )
-        if self.flat_build not in ("morton", "insertion", "incremental"):
+        if self.flat_build not in ("morton", "insertion"):
             raise ValueError(
                 f"unknown flat build path {self.flat_build!r}; "
-                "choose from ['incremental', 'insertion', 'morton']"
+                "choose from ['insertion', 'morton']"
             )
-        if self.flat_reuse_depth < 1:
-            raise ValueError("flat_reuse_depth must be >= 1")
         if self.kernel_threads < 0:
             raise ValueError("kernel_threads must be >= 0 (0 = auto)")
         if self.checkpoint_every < 0:

@@ -41,19 +41,11 @@ from ..nbody.distributions import make_distribution
 from ..octree.build import build_tree
 from ..octree.cofm import compute_cofm
 from ..octree.flat import FlatTree, flat_gravity
-from ..octree.morton_build import (
-    MortonBuildState,
-    build_flat_tree,
-    build_flat_tree_incremental,
-)
+from ..octree.morton_build import build_flat_tree
 from ..octree.traverse import gravity_traversal
 
 #: direct summation is O(n^2); skip it above this size to keep runs short
 DIRECT_MAX_N = 4096
-
-#: leapfrog steps the flat-incremental row averages over (steady state:
-#: the first build seeds the snapshot and is excluded)
-INCREMENTAL_STEPS = 5
 
 
 def _best(fn, repeats: int) -> "tuple[float, object]":
@@ -67,93 +59,31 @@ def _best(fn, repeats: int) -> "tuple[float, object]":
     return best, out
 
 
-def _bench_incremental(n: int, distribution: str, seed: int,
-                       theta: float, eps: float, dt: float,
-                       steps: int = INCREMENTAL_STEPS) -> dict:
-    """Steady-state incremental vs fresh Morton build over one trajectory.
-
-    Unlike the static rows, reuse only exists across *moving* steps, so
-    this integrates ``steps`` leapfrog steps at ``dt`` and times both
-    builders on the same per-step positions (sticky root box, as
-    :class:`~repro.backends.flat.FlatBackend` keeps it).  Every step the
-    incremental tree is checked byte-identical to the fresh one --
-    a mismatch raises, it is never averaged away.
-    """
-    from ..nbody.integrator import advance_indices, startup_half_kick
-
-    bodies = make_distribution(distribution, n, seed=seed)
-    pos, vel, mass = bodies.pos, bodies.vel, bodies.mass
-    idx = np.arange(n)
-    state = MortonBuildState()
-    box = compute_root(pos, 4.0)
-    tree = build_flat_tree_incremental(pos, mass, box, state=state)
-    acc, work, _ = flat_gravity(tree, idx, pos, mass, theta, eps)
-    startup_half_kick(vel, acc, dt)
-    inc_s, fresh_s, reuse = [], [], []
-    force_best = float("inf")
-    max_acc_diff = 0.0
-    for _ in range(steps):
-        advance_indices(pos, vel, acc, idx, dt)
-        if not box.contains(pos).all():
-            box = compute_root(pos, 4.0)
-        t0 = time.perf_counter()
-        tree = build_flat_tree_incremental(pos, mass, box, state=state)
-        inc_s.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        fresh = build_flat_tree(pos, mass, box)
-        fresh_s.append(time.perf_counter() - t0)
-        for f in ("child", "leaf_bodies", "cofm", "mass", "center"):
-            if not np.array_equal(getattr(tree, f), getattr(fresh, f)):
-                raise AssertionError(
-                    f"incremental tree diverged from fresh build ({f})")
-        reuse.append(state.last_reuse["reused_row_fraction"])
-        t0 = time.perf_counter()
-        acc, work, _ = flat_gravity(tree, idx, pos, mass, theta, eps)
-        force_best = min(force_best, time.perf_counter() - t0)
-        acc_fresh, _, _ = flat_gravity(fresh, idx, pos, mass, theta, eps)
-        max_acc_diff = max(max_acc_diff,
-                           float(np.abs(acc - acc_fresh).max()))
-    mean_inc, mean_fresh = float(np.mean(inc_s)), float(np.mean(fresh_s))
-    return {
-        "build_s": mean_inc,
-        "fresh_build_s": mean_fresh,
-        "build_speedup_vs_fresh": mean_fresh / mean_inc,
-        "rebuild_reuse_fraction": float(np.mean(reuse)),
-        "force_s": force_best,
-        "interactions": float(work.sum()),
-        "max_abs_acc_diff_vs_fresh": max_acc_diff,
-        "steps": steps,
-        "dt": dt,
-    }
-
-
 def bench_backends(sizes: "List[int]" = (1024, 4096, 16384),
                    repeats: int = 3, seed: int = 123,
                    theta: float = DEFAULT_THETA, eps: float = DEFAULT_EPS,
-                   distribution: str = "plummer", dt: Optional[float] = None,
-                   kernel_threads: int = 4,
+                   distribution: str = "plummer", kernel_threads: int = 4,
                    verbose: bool = True, tracer=None) -> dict:
     """Time tree build + force phase per backend; return the report dict.
 
     ``tracer`` (optional :class:`repro.obs.trace.Tracer`) records one
     ``backend``-category span per timed section plus the flat engine's
-    per-level traversal spans.
+    per-level traversal spans.  Every row carries its ``distribution``,
+    so ``--check`` matches rows of multi- and single-distribution
+    reports alike.
 
-    When the compiled kernels are usable, ``flat-c`` (and ``flat-numba``
-    under an importable numba) rows time the native walk over the same
-    Morton-built tree, single-threaded (``force_s``) and chunked across
+    When the compiled kernel is usable, the ``flat-c`` rows time the
+    native walk over the same Morton-built tree, single-threaded
+    (``force_s``) and chunked across
     ``kernel_threads`` workers (``force_s_threads<T>``), with parity
     columns vs the numpy flat engine (``speedup_vs_flat``,
     ``interactions_match_flat``, ``max_abs_acc_diff_vs_flat``).  On a
-    box without them the rows are marked skipped, exactly like the
+    box without it the rows are marked skipped, exactly like the
     O(n^2) ``direct`` rows above :data:`DIRECT_MAX_N`.
     """
-    from ..nbody.constants import DEFAULT_DT
     from ..obs.metrics import get_registry
     from ..obs.trace import NULL_TRACER
 
-    if dt is None:
-        dt = DEFAULT_DT
     tr = tracer if tracer is not None else NULL_TRACER
     registry = get_registry()
     report = {
@@ -226,12 +156,7 @@ def bench_backends(sizes: "List[int]" = (1024, 4096, 16384),
         ]
         # compiled kernels: native per-body walk over the same
         # Morton-built tree (parity columns vs the numpy flat engine)
-        from ..kernels import (
-            c_kernel_available,
-            kernel_gravity,
-            numba_available,
-            numba_gravity,
-        )
+        from ..kernels import c_kernel_available, kernel_gravity
 
         if c_kernel_available():
             with tr.span("bench.force.flat-c", "backend", n=n):
@@ -264,26 +189,6 @@ def bench_backends(sizes: "List[int]" = (1024, 4096, 16384),
                          "skipped": "compiled kernel unavailable "
                                     "(no built extension, no C "
                                     "toolchain)"})
-        if numba_available():
-            nb_force_s, (nb_acc, nb_work, _) = _best(
-                lambda: numba_gravity(mtree, idx, bodies.pos,
-                                      bodies.mass, theta, eps), repeats)
-            rows.append(
-                {"n": n, "backend": "flat-numba",
-                 "build_s": morton_build_s, "force_s": nb_force_s,
-                 "interactions": float(nb_work.sum()),
-                 "speedup_vs_flat": morton_force_s / nb_force_s,
-                 "speedup_vs_object": obj_force_s / nb_force_s,
-                 "interactions_match_flat":
-                     bool(np.array_equal(nb_work, morton_work)),
-                 "max_abs_acc_diff_vs_flat":
-                     float(np.abs(morton_acc - nb_acc).max())})
-        # flat-incremental: steady-state dirty-subtree reuse over a short
-        # integrated trajectory (reuse only exists across moving steps)
-        with tr.span("bench.build.incremental", "backend", n=n):
-            inc = _bench_incremental(n, distribution, seed, theta, eps, dt)
-        rows.append({"n": n, "backend": "flat-incremental",
-                     "distribution": distribution, **inc})
         if n <= DIRECT_MAX_N:
             direct_s, direct = _best(
                 lambda: direct_acc(bodies.pos, bodies.mass, eps), repeats)
@@ -297,6 +202,8 @@ def bench_backends(sizes: "List[int]" = (1024, 4096, 16384),
         else:
             rows.append({"n": n, "backend": "direct", "skipped":
                          f"n > {DIRECT_MAX_N} (O(n^2))"})
+        for r in rows:
+            r["distribution"] = distribution
         report["results"].extend(rows)
         if registry is not None:
             for r in rows:
@@ -329,12 +236,6 @@ def bench_backends(sizes: "List[int]" = (1024, 4096, 16384),
                     extra += (f", build "
                               f"{r['build_speedup_vs_insertion']:.1f}x "
                               f"vs insertion")
-                if "rebuild_reuse_fraction" in r:
-                    extra += (f"  reuse "
-                              f"{r['rebuild_reuse_fraction']:.0%}, build "
-                              f"{r['build_speedup_vs_fresh']:.2f}x vs "
-                              f"fresh, max|da|="
-                              f"{r['max_abs_acc_diff_vs_fresh']:.1e}")
                 print(f"n={r['n']:>6} {r['backend']:<16} "
                       f"build {r['build_s']:.4f}s  "
                       f"force {r['force_s']:.4f}s{extra}")
@@ -359,11 +260,13 @@ def compare_to_baseline(current: dict, baseline: dict,
     newly added backend, size, or distribution the stored trajectory
     predates) is skipped with a :class:`UserWarning` rather than failed
     -- and never crashes the check.  Malformed rows missing the ``n`` /
-    ``backend`` match keys are likewise warned about and skipped.
+    ``backend`` match keys are likewise warned about and skipped.  A
+    report of which *no* row matched compared nothing, and is a finding.
     """
     import warnings
 
     failures: List[str] = []
+    matched = 0
     base = {}
     for r in baseline.get("results", []):
         if "force_s" not in r:
@@ -382,9 +285,8 @@ def compare_to_baseline(current: dict, baseline: dict,
                 f"current row missing match keys (n/backend), "
                 f"skipping: {sorted(r)}", stacklevel=2)
             continue
-        # rows carrying a distribution tag (flat-incremental, and any
-        # multi-distribution run) match on it; older baselines without
-        # the tag still match via the None fallback
+        # rows match on their distribution tag; baselines without the
+        # tag still match via the None fallback
         b = base.get((r["n"], r["backend"], r.get("distribution"))) \
             or base.get((r["n"], r["backend"], None))
         if b is None:
@@ -395,6 +297,7 @@ def compare_to_baseline(current: dict, baseline: dict,
                 f"(re-run without --check to refresh the baseline)",
                 stacklevel=2)
             continue
+        matched += 1
         tag = f"n={r['n']} {r['backend']}"
         for clock in ("build_s", "force_s"):
             if clock in b and clock in r and b[clock] > 0:
@@ -409,6 +312,10 @@ def compare_to_baseline(current: dict, baseline: dict,
             failures.append(
                 f"{tag}: interaction count drifted "
                 f"({b['interactions']:.0f} -> {r['interactions']:.0f})")
+    if not matched:
+        failures.append(
+            "no current row matched a baseline row on (n, backend, "
+            "distribution); nothing was compared")
     return failures
 
 
@@ -426,9 +333,6 @@ def main(argv: "Optional[List[str]]" = None) -> int:
     ap.add_argument("--distribution", nargs="+", default=["plummer"],
                     help="one or more distributions; each gets its own "
                          "set of result rows in the same report")
-    ap.add_argument("--dt", type=float, default=None,
-                    help="time-step of the flat-incremental trajectory "
-                         "(default: the paper's dt)")
     ap.add_argument("--kernel-threads", type=int, default=4, metavar="T",
                     help="worker count of the flat-c multi-threaded "
                          "timing row (default 4; the single-threaded "
@@ -459,25 +363,16 @@ def main(argv: "Optional[List[str]]" = None) -> int:
                            run_info={"tool": "repro-bench",
                                      "sizes": list(args.sizes)}
                            ) as (tracer, _):
-        report = None
-        for dist in args.distribution:
-            part = bench_backends(
-                sizes=args.sizes, repeats=args.repeats, seed=args.seed,
-                theta=args.theta, eps=args.eps,
-                distribution=dist, dt=args.dt,
-                kernel_threads=args.kernel_threads,
-                tracer=tracer if tracer.enabled else None)
-            if report is None:
-                report = part
-            else:
-                for r in part["results"]:
-                    # tag so rows of different distributions never
-                    # collide in --check matching
-                    r.setdefault("distribution", dist)
-                report["results"].extend(part["results"])
-        if len(args.distribution) > 1:
-            for r in report["results"]:
-                r.setdefault("distribution", args.distribution[0])
+        parts = [bench_backends(
+            sizes=args.sizes, repeats=args.repeats, seed=args.seed,
+            theta=args.theta, eps=args.eps, distribution=dist,
+            kernel_threads=args.kernel_threads,
+            tracer=tracer if tracer.enabled else None)
+            for dist in args.distribution]
+        report = parts[0]
+        for part in parts[1:]:
+            report["results"].extend(part["results"])
+        if len(parts) > 1:
             report["config"]["distribution"] = list(args.distribution)
 
     if args.check:

@@ -140,28 +140,16 @@ def main(argv: "List[str] | None" = None) -> int:
                     help="initial conditions for every run "
                          "(default: plummer)")
     ap.add_argument("--flat-build", default=None,
-                    choices=["morton", "insertion", "incremental"],
+                    choices=["morton", "insertion"],
                     help="tree construction path of the flat backend: "
                          "'morton' (default) builds FlatTree CSR arrays "
                          "directly from sorted octant keys, 'insertion' "
-                         "flattens the per-body-inserted object tree, "
-                         "'incremental' splices unchanged subtrees from "
-                         "the previous step and rebuilds only dirty "
-                         "octant runs")
-    ap.add_argument("--flat-reuse-depth", type=int, default=None,
-                    metavar="D",
-                    help="maximum octant-run depth the incremental diff "
-                         "classifies clean/dirty subtrees at (default 21)")
+                         "flattens the per-body-inserted object tree")
     ap.add_argument("--kernel-threads", type=int, default=None,
                     metavar="T",
-                    help="body-chunking width of the compiled kernel "
-                         "backends (flat-c thread pool / flat-numba "
-                         "thread count; 0 = one chunk per CPU; results "
+                    help="body-chunking width of the flat-c kernel's "
+                         "thread pool (0 = one chunk per CPU; results "
                          "are identical at every value)")
-    ap.add_argument("--flat-build-reuse-order", action="store_true",
-                    help="carry the sorted Morton order across steps "
-                         "(incremental-rebuild scaffold: the stable sort "
-                         "runs over nearly sorted keys)")
     ap.add_argument("--guards", action="store_true",
                     help="run the numerical-health guards after every "
                          "phase of every run (NaN/Inf scans, energy-"
@@ -200,10 +188,6 @@ def main(argv: "List[str] | None" = None) -> int:
         overrides.append(("distribution", args.distribution))
     if args.flat_build is not None:
         overrides.append(("flat_build", args.flat_build))
-    if args.flat_build_reuse_order:
-        overrides.append(("flat_build_reuse_order", True))
-    if args.flat_reuse_depth is not None:
-        overrides.append(("flat_reuse_depth", args.flat_reuse_depth))
     if args.kernel_threads is not None:
         overrides.append(("kernel_threads", args.kernel_threads))
     if args.guards:

@@ -2,21 +2,15 @@
 
 The numpy ``flat`` engine (:func:`repro.octree.flat.flat_gravity`) pays
 Python/numpy dispatch per traversal *level*; these kernels pay nothing
-per level -- one C (or numba) stack walk per body over the exact same
-contiguous CSR arrays, so the whole force phase is native code.  Two
-implementations share the semantics and the bit-exact interaction-count
-contract:
+per level -- one C stack walk per body over the exact same contiguous
+CSR arrays, so the whole force phase is native code.  The C extension
+``_bh_kernel.c`` (see :mod:`.loader` for the build-or-load story) is
+bound via ctypes so calls release the GIL and :func:`kernel_gravity`
+can chunk bodies across a thread pool.
 
-* the C extension ``_bh_kernel.c`` (see :mod:`.loader` for the
-  build-or-load story), bound via ctypes so calls release the GIL and
-  :func:`kernel_gravity` can chunk bodies across a thread pool;
-* an optional ``@njit(parallel=True)`` twin (:mod:`.numba_kernel`),
-  used when numba is importable.
-
-Importing this package never raises on a box with neither a compiler
-nor numba: the loaders memoize ``None`` and emit one
-:class:`RuntimeWarning`; the ``flat-c`` / ``flat-numba`` backends then
-serve the numpy ``flat`` engine unchanged (see
+Importing this package never raises on a box without a compiler: the
+loader memoizes ``None`` and emits one :class:`RuntimeWarning`; the
+``flat-c`` backend then serves the numpy ``flat`` engine unchanged (see
 :mod:`repro.backends.compiled`).
 """
 
@@ -33,7 +27,6 @@ from .loader import (
     load_kernel,
     reset_kernel_cache,
 )
-from .numba_kernel import get_numba_walk, numba_available, reset_numba_cache
 
 __all__ = [
     "NCOUNTERS",
@@ -42,10 +35,7 @@ __all__ = [
     "kernel_gravity",
     "kernel_status",
     "load_kernel",
-    "numba_available",
-    "numba_gravity",
     "reset_kernel_cache",
-    "reset_numba_cache",
 ]
 
 #: a chunk below this many bodies is not worth a thread hand-off
@@ -144,60 +134,6 @@ def kernel_gravity(
                        for ci, (lo, hi) in enumerate(bounds)]
             for f in futures:
                 f.result()
-    acc = np.stack([accx, accy, accz], axis=1)
-    return acc, work, _counters_dict(
-        float(rows[:, 0].sum()), float(rows[:, 1].sum()),
-        float(rows[:, 2].sum()), float(rows[:, 3].sum()),
-        float(rows[:, 4].max()))
-
-
-def numba_gravity(
-    tree,
-    body_idx: np.ndarray,
-    positions: np.ndarray,
-    masses: np.ndarray,
-    theta: float,
-    eps: float,
-    open_self_cells: bool = False,
-    prepared: Optional[Tuple[np.ndarray, ...]] = None,
-    threads: int = 0,
-) -> Tuple[np.ndarray, np.ndarray, Dict[str, float]]:
-    """Numba counterpart of :func:`kernel_gravity` (``prange`` threads).
-
-    ``threads`` > 0 requests that many numba threads (best effort);
-    0 leaves numba's own default in place.
-    """
-    walk = get_numba_walk()
-    if walk is None:
-        raise RuntimeError("numba_gravity called but numba is unavailable")
-    k = len(body_idx)
-    if k == 0 or tree is None or tree.ncells == 0:
-        return _zero_result(k)
-    ids = np.ascontiguousarray(body_idx, dtype=np.int64)
-    if prepared is None:
-        from ..octree.flat import prepare_bodies
-
-        prepared = prepare_bodies(positions, masses)
-    px, py, pz, gmass = prepared
-    if threads > 0:
-        try:
-            import numba
-
-            numba.set_num_threads(min(threads,
-                                      numba.config.NUMBA_NUM_THREADS))
-        except Exception:
-            pass
-    accx = np.empty(k)
-    accy = np.empty(k)
-    accz = np.empty(k)
-    work = np.empty(k)
-    rows = np.empty((k, NCOUNTERS))
-    walk(ids, px, py, pz, gmass,
-         tree.cx, tree.cy, tree.cz, tree.size_sq, tree.half,
-         tree.ctx, tree.cty, tree.ctz, tree.gmass,
-         tree.cell_ptr, tree.cell_data, tree.lb_ptr, tree.lb_data,
-         float(theta) * float(theta), float(eps) * float(eps),
-         int(open_self_cells), accx, accy, accz, work, rows)
     acc = np.stack([accx, accy, accz], axis=1)
     return acc, work, _counters_dict(
         float(rows[:, 0].sum()), float(rows[:, 1].sum()),

@@ -8,7 +8,7 @@ from .cofm import compute_cofm, merge_cofm
 from .costzones import costzones, zone_costs
 from .flat import EMPTY, FlatTree, check_flat_tree, flat_gravity, prepare_bodies
 from .morton import bodies_in_order, leaves_in_order, morton_key, morton_keys
-from .morton_build import MortonBuildState, build_flat_tree, octant_keys
+from .morton_build import build_flat_tree, octant_keys
 from .traverse import TraversalPolicy, gravity_traversal
 from .validate import TreeInvariantError, check_tree
 
@@ -18,7 +18,6 @@ __all__ = [
     "FlatTree",
     "Leaf",
     "MAX_DEPTH",
-    "MortonBuildState",
     "NSUB",
     "build_flat_tree",
     "octant_keys",

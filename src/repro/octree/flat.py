@@ -218,23 +218,12 @@ class FlatTree:
                     box: RootBox,
                     costs: Optional[np.ndarray] = None) -> "FlatTree":
         """Build a tree over all bodies via per-body insertion, then
-        flatten it (the reference path; see :meth:`from_morton` for the
+        flatten it (the reference path; see
+        :func:`repro.octree.morton_build.build_flat_tree` for the
         vectorized direct construction)."""
         root = build_tree(positions, box)
         compute_cofm(root, positions, masses, costs)
         return cls.from_cell(root)
-
-    @classmethod
-    def from_morton(cls, positions: np.ndarray, masses: np.ndarray,
-                    box: RootBox, costs: Optional[np.ndarray] = None,
-                    tracer=None, state=None) -> "FlatTree":
-        """Vectorized Morton-direct construction -- same tree as
-        :meth:`from_bodies`, no ``Cell`` objects on the hot path (see
-        :mod:`repro.octree.morton_build`)."""
-        from .morton_build import build_flat_tree
-
-        return build_flat_tree(positions, masses, box, costs=costs,
-                               tracer=tracer, state=state)
 
 
 def check_flat_tree(tree: FlatTree, positions: np.ndarray,

@@ -11,24 +11,16 @@ identically to an uninterrupted one:
   for bit-identity, not just for accounting);
 * the integrator position in time (last completed step; the startup
   half-kick only happens at step 0, which a resumed run never re-enters);
-* the flat backend's *sticky root box* when the incremental Morton path
-  is active -- consecutive steps' octant keys are only comparable over
-  bit-identical box floats;
 * the fault injector's fired-set and RNG state, when injection is armed;
 * the full :class:`~repro.core.config.BHConfig` and the variant /
   thread-count pair, so ``restore_simulation`` needs nothing but the
   file.
 
-Carried :class:`~repro.octree.morton_build.MortonBuildState` splice
-snapshots are **deliberately not serialized**: by the incremental
-builder's contract its output is byte-identical to a fresh Morton build
-over the same sticky box, so a restored run's first (fresh, snapshot
-re-seeding) build produces the identical tree and every later step
-re-enters incremental reuse.  Restoring instead *resets* the state
-(bumping its generation, per its invalidation semantics), which keeps
-the checkpoint small and the format stable.
+No tree state is saved: every backend builds its tree from scratch each
+step over a root box derived from the restored positions, so the
+restored run's trees replay the uninterrupted run's exactly.
 
-Format: a single ``.npz`` (version tag ``repro-checkpoint/1``) holding
+Format: a single ``.npz`` (version tag ``repro-checkpoint/2``) holding
 the body arrays plus a JSON header; writes are atomic (tmp + rename) so
 a kill mid-write can never leave a truncated "latest" checkpoint.
 """
@@ -44,7 +36,7 @@ from typing import List, Optional
 import numpy as np
 
 #: on-disk format tag; bump on any incompatible layout change
-CHECKPOINT_VERSION = "repro-checkpoint/1"
+CHECKPOINT_VERSION = "repro-checkpoint/2"
 
 #: filename pattern -- sortable by step
 _FILE_FMT = "ckpt_step{step:06d}.npz"
@@ -60,7 +52,6 @@ class Checkpoint:
     variant: str
     nthreads: int
     arrays: dict              #: name -> np.ndarray (BodySoA fields)
-    flat_box: Optional[dict]  #: sticky root box {center, rsize} or None
     injector_state: Optional[dict]
 
     @property
@@ -71,27 +62,11 @@ class Checkpoint:
 _BODY_FIELDS = ("pos", "vel", "mass", "acc", "cost", "store", "assign")
 
 
-def _flat_primary(backend):
-    """The FlatBackend inside ``backend`` (unwraps degradation), or None."""
-    for candidate in (backend, getattr(backend, "primary", None)):
-        if candidate is not None and hasattr(candidate, "_morton_state") \
-                and hasattr(candidate, "_box"):
-            return candidate
-    return None
-
-
 def snapshot_simulation(sim, step: int) -> Checkpoint:
     """Build a :class:`Checkpoint` from a live simulation after ``step``."""
     bodies = sim.bodies
     arrays = {f: np.ascontiguousarray(getattr(bodies, f))
               for f in _BODY_FIELDS}
-    flat_box = None
-    primary = _flat_primary(sim.variant.force_backend)
-    if primary is not None and primary._box is not None:
-        flat_box = {
-            "center": [float(c) for c in primary._box.center],
-            "rsize": float(primary._box.rsize),
-        }
     manager = getattr(sim, "resilience", None)
     injector = getattr(manager, "injector", None) if manager else None
     return Checkpoint(
@@ -101,7 +76,6 @@ def snapshot_simulation(sim, step: int) -> Checkpoint:
         variant=sim.variant.name,
         nthreads=int(sim.rt.nthreads),
         arrays=arrays,
-        flat_box=flat_box,
         injector_state=injector.state() if injector is not None else None,
     )
 
@@ -116,7 +90,6 @@ def save_checkpoint(path, ckpt: Checkpoint) -> Path:
         "config": ckpt.config,
         "variant": ckpt.variant,
         "nthreads": ckpt.nthreads,
-        "flat_box": ckpt.flat_box,
         "injector_state": ckpt.injector_state,
     }
     tmp = path.with_name(path.name + ".tmp")
@@ -157,7 +130,6 @@ def load_checkpoint(path) -> Checkpoint:
         variant=header["variant"],
         nthreads=int(header["nthreads"]),
         arrays=arrays,
-        flat_box=header.get("flat_box"),
         injector_state=header.get("injector_state"),
     )
 
@@ -169,7 +141,6 @@ def restore_simulation(path, machine=None, tracer=None):
     """
     from ..core.app import BarnesHutSimulation  # lazy: avoids cycle
     from ..core.config import BHConfig
-    from ..nbody.bbox import RootBox
     from ..nbody.bodies import BodySoA
 
     ckpt = path if isinstance(path, Checkpoint) else load_checkpoint(path)
@@ -195,15 +166,6 @@ def restore_simulation(path, machine=None, tracer=None):
     # the checkpointed ones are the trajectory-bearing truth
     sim.bodies.store[:] = a["store"]
     sim.bodies.assign[:] = a["assign"]
-    primary = _flat_primary(sim.variant.force_backend)
-    if primary is not None:
-        box = None
-        if ckpt.flat_box is not None:
-            box = RootBox(
-                center=np.array(ckpt.flat_box["center"],
-                                dtype=np.float64),
-                rsize=float(ckpt.flat_box["rsize"]))
-        primary.adopt_state(sim.bodies, box=box)
     manager = getattr(sim, "resilience", None)
     if manager is not None and manager.injector is not None \
             and ckpt.injector_state is not None:

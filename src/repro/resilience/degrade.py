@@ -9,7 +9,7 @@ from the next rung of the ladder declared by the backends themselves
 
 The wrapper proxies every attribute to the primary engine -- ``name``
 included, so ``VariantBase.backend_force_active`` and the flat-specific
-telemetry (``tree_nbytes_per_step``, ``last_reuse``) keep working -- and
+telemetry (``tree_nbytes_per_step``) keeps working -- and
 only interposes on ``begin_step`` / ``accelerations``.  The primary is
 re-tried at the next step's ``begin_step`` (transient-fault model) until
 ``BHConfig.max_backend_fallbacks`` degraded steps have been served, after

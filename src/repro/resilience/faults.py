@@ -22,8 +22,7 @@ CAUSE_ENERGY_DRIFT = "energy-drift"
 CAUSE_ESCAPE = "escape"
 #: an affinity map (``assign``/``store``) points outside [0, THREADS)
 CAUSE_BAD_AFFINITY = "bad-affinity"
-#: tree construction failed (including incremental splice-state damage
-#: that survived the fresh-build fallback)
+#: tree construction failed
 CAUSE_BUILD = "build"
 #: the force traversal failed on every rung of the backend ladder
 CAUSE_TRAVERSAL = "traversal"

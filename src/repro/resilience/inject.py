@@ -229,16 +229,6 @@ class FaultInjector:
                 root.center = np.asarray(root.center,
                                          dtype=np.float64).copy()
                 root.center[int(self.rng.integers(0, 3))] = np.nan
-            # scramble any carried Morton splice state too, so the
-            # incremental builder's validation/fallback path is exercised
-            backend = getattr(variant, "force_backend", None)
-            state = getattr(backend, "_morton_state", None) \
-                if backend is not None else None
-            if state is None and backend is not None:
-                primary = getattr(backend, "primary", None)
-                state = getattr(primary, "_morton_state", None)
-            if state is not None and state.sorted_keys is not None:
-                state.sorted_keys = state.sorted_keys[:-1]
 
 
 def _jsonable(obj):

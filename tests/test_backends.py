@@ -24,6 +24,7 @@ from repro.backends import (
     get_backend,
     make_backend,
 )
+from repro.backends.flat import TREE_NBYTES_HISTORY
 from repro.nbody.bbox import compute_root
 from repro.nbody.distributions import (
     DISTRIBUTIONS,
@@ -32,6 +33,7 @@ from repro.nbody.distributions import (
 )
 from repro.octree.build import build_tree
 from repro.octree.cofm import compute_cofm
+from repro.octree.morton_build import build_flat_tree
 
 
 def _tree_for(bodies):
@@ -50,7 +52,7 @@ def _forces(backend_cls, cfg, root, bodies, idx):
 class TestRegistry:
     def test_names(self):
         assert backend_names() == ["direct", "flat", "flat-c",
-                                   "flat-numba", "object-tree"]
+                                   "object-tree"]
         assert DEFAULT_BACKEND == "object-tree"
         assert BHConfig().force_backend == DEFAULT_BACKEND
 
@@ -222,3 +224,55 @@ class TestSimulationWiring:
         res = ForceResult(acc=np.zeros((2, 3)),
                           work=np.array([3.0, 4.0]))
         assert res.interactions == 7.0
+
+
+class TestRootNoneRegression:
+    """The Morton path needs no object tree; insertion does."""
+
+    def test_morton_path_accepts_root_none(self):
+        cfg = BHConfig(force_backend="flat", flat_build="morton")
+        be = FlatBackend(cfg)
+        bodies = make_distribution("plummer", 200, seed=6)
+        be.begin_step(None, bodies)
+        assert be.tree is not None
+        fresh = build_flat_tree(bodies.pos, bodies.mass,
+                                compute_root(bodies.pos,
+                                             cfg.initial_rsize))
+        assert np.array_equal(be.tree.child, fresh.child)
+        res = be.accelerations(np.arange(200), bodies)
+        assert np.isfinite(res.acc).all()
+
+    def test_insertion_path_rejects_root_none(self):
+        cfg = BHConfig(force_backend="flat", flat_build="insertion")
+        be = FlatBackend(cfg)
+        bodies = make_distribution("plummer", 64, seed=6)
+        with pytest.raises(ValueError, match="insertion"):
+            be.begin_step(None, bodies)
+
+    def test_accelerations_before_begin_step_raises(self):
+        cfg = BHConfig(force_backend="flat")
+        be = FlatBackend(cfg)
+        bodies = make_distribution("plummer", 64, seed=6)
+        with pytest.raises(RuntimeError, match="begin_step"):
+            be.accelerations(np.arange(64), bodies)
+
+
+class TestNbytesHistoryCap:
+    """Bounded per-step tree-size history."""
+
+    def test_history_is_capped(self):
+        cfg = BHConfig(force_backend="flat")
+        be = FlatBackend(cfg)
+        hist = be.tree_nbytes_per_step
+        assert hist.maxlen == TREE_NBYTES_HISTORY
+        hist.extend(range(TREE_NBYTES_HISTORY + 500))
+        assert len(hist) == TREE_NBYTES_HISTORY
+
+    def test_run_metrics_output_unchanged(self):
+        cfg = BHConfig(nbodies=128, nsteps=3, warmup_steps=1,
+                       force_backend="flat")
+        res = run_variant("baseline", cfg, 4)
+        nbytes = res.variant_stats["flat_tree_nbytes"]
+        assert isinstance(nbytes, list)
+        assert len(nbytes) == 3
+        assert all(b > 0 for b in nbytes)

@@ -23,24 +23,21 @@ from repro.backends import (
     BACKENDS,
     CompiledFlatBackend,
     FlatBackend,
-    NumbaFlatBackend,
     backend_names,
     get_backend,
     make_backend,
 )
 from repro.kernels import c_kernel_available, kernel_gravity
-from repro.kernels.numba_kernel import numba_available
 from repro.nbody.bbox import compute_root
 from repro.nbody.distributions import make_distribution
+from repro.octree.build import build_tree
+from repro.octree.cofm import compute_cofm
 from repro.octree.flat import flat_gravity
 from repro.octree.morton_build import build_flat_tree
 
 needs_kernel = pytest.mark.skipif(
     not c_kernel_available(),
     reason="no compiled kernel (no built extension, no C toolchain)")
-
-needs_numba = pytest.mark.skipif(
-    not numba_available(), reason="numba not importable")
 
 
 def _tree_and_bodies(dist, n, seed=42):
@@ -53,16 +50,13 @@ def _tree_and_bodies(dist, n, seed=42):
 class TestRegistry:
     def test_compiled_backends_registered(self):
         assert backend_names() == ["direct", "flat", "flat-c",
-                                   "flat-numba", "object-tree"]
+                                   "object-tree"]
         assert get_backend("flat-c") is CompiledFlatBackend
-        assert get_backend("flat-numba") is NumbaFlatBackend
-        # both inherit every FlatTree build path from the flat engine
+        # it inherits every FlatTree build path from the flat engine
         assert issubclass(CompiledFlatBackend, FlatBackend)
-        assert issubclass(NumbaFlatBackend, FlatBackend)
 
     def test_ladder_rung_is_flat(self):
         assert CompiledFlatBackend.fallback_name == "flat"
-        assert NumbaFlatBackend.fallback_name == "flat"
         # the full ladder bottoms out: flat-c -> flat -> object-tree ->
         # direct -> None
         chain = []
@@ -75,7 +69,7 @@ class TestRegistry:
 
     def test_config_accepts_compiled_names(self):
         assert BHConfig(force_backend="flat-c").force_backend == "flat-c"
-        assert BHConfig(force_backend="flat-numba").kernel_threads == 0
+        assert BHConfig(force_backend="flat-c").kernel_threads == 0
         with pytest.raises(ValueError, match="kernel_threads"):
             BHConfig(kernel_threads=-1)
 
@@ -195,17 +189,19 @@ class TestCompiledBackend:
     def test_inherits_all_build_paths(self):
         bodies = make_distribution("plummer", 256, seed=42)
         idx = np.arange(256)
+        root = build_tree(bodies.pos, compute_root(bodies.pos, 4.0))
+        compute_cofm(root, bodies.pos, bodies.mass, bodies.cost)
         results = {}
-        for build in ("morton", "incremental"):
+        for build in ("morton", "insertion"):
             cfg = BHConfig(nbodies=256, force_backend="flat-c",
                            flat_build=build)
             b = make_backend("flat-c", cfg)
-            b.begin_step(None, bodies)
+            b.begin_step(root, bodies)
             results[build] = b.accelerations(idx, bodies)
         assert np.array_equal(results["morton"].work,
-                              results["incremental"].work)
+                              results["insertion"].work)
         assert np.array_equal(results["morton"].acc,
-                              results["incremental"].acc)
+                              results["insertion"].acc)
 
     def test_accelerations_before_begin_step_raises(self):
         b = make_backend("flat-c", BHConfig(nbodies=64))
@@ -303,20 +299,6 @@ class TestGracefulDegradation:
         res = b.accelerations(np.arange(64), bodies)
         assert np.isfinite(res.acc).all()
 
-    def test_numba_backend_serves_flat_without_numba(self):
-        if numba_available():
-            pytest.skip("numba present: the gate is exercised for real")
-        cfg = BHConfig(nbodies=128, force_backend="flat-numba")
-        b = make_backend("flat-numba", cfg)
-        assert not b.kernel_active
-        bodies = make_distribution("plummer", 128, seed=42)
-        idx = np.arange(128)
-        b.begin_step(None, bodies)
-        flat = make_backend("flat", cfg.with_(force_backend="flat"))
-        flat.begin_step(None, bodies)
-        assert np.array_equal(b.accelerations(idx, bodies).acc,
-                              flat.accelerations(idx, bodies).acc)
-
 
 @needs_kernel
 class TestResilienceLadder:
@@ -357,19 +339,3 @@ class TestResilienceLadder:
         assert np.isfinite(res.bodies.pos).all()
         counts = sim.resilience.counts
         assert counts.get(("backend_fallbacks", "flat-c->flat")) == 1
-
-
-@needs_numba
-class TestNumbaParity:
-    def test_bit_exact_interactions(self):
-        from repro.kernels import numba_gravity
-
-        tree, bodies = _tree_and_bodies("plummer", 384)
-        idx = np.arange(384)
-        ref_acc, ref_work, ref_c = flat_gravity(
-            tree, idx, bodies.pos, bodies.mass, 1.0, 0.05)
-        acc, work, c = numba_gravity(tree, idx, bodies.pos, bodies.mass,
-                                     1.0, 0.05)
-        assert np.array_equal(work, ref_work)
-        assert c == ref_c
-        assert np.abs(acc - ref_acc).max() <= 1e-12

@@ -21,7 +21,6 @@ from repro.octree.flat import FlatTree, check_flat_tree, flat_gravity
 from repro.octree.morton import morton_key, morton_keys
 from repro.octree.morton_build import (
     KEY_LEVELS,
-    MortonBuildState,
     build_flat_tree,
     octant_keys,
 )
@@ -191,41 +190,6 @@ class TestEdgeCases:
         assert np.array_equal(w_ref, w_got)
         assert np.abs(a_ref - a_got).max() <= 1e-13
 
-    def test_from_morton_classmethod(self, bodies256):
-        box = compute_root(bodies256.pos)
-        a = FlatTree.from_morton(bodies256.pos, bodies256.mass, box)
-        b = build_flat_tree(bodies256.pos, bodies256.mass, box)
-        _assert_same_tree(a, b)
-
-
-class TestOrderReuse:
-    def test_state_reuse_equals_fresh_build(self, bodies256):
-        box = compute_root(bodies256.pos)
-        state = MortonBuildState()
-        first = build_flat_tree(bodies256.pos, bodies256.mass, box,
-                                state=state)
-        assert state.order is not None
-        # perturb positions a little (bodies mostly keep their prefix)
-        pos = bodies256.pos + 1e-4
-        box2 = compute_root(pos)
-        again = build_flat_tree(pos, bodies256.mass, box2, state=state)
-        fresh = build_flat_tree(pos, bodies256.mass, box2)
-        _assert_same_tree(again, fresh)
-        _assert_same_tree(first,
-                          build_flat_tree(bodies256.pos, bodies256.mass,
-                                          box))
-
-    def test_state_invalidated_on_size_change(self, bodies256):
-        box = compute_root(bodies256.pos)
-        state = MortonBuildState()
-        build_flat_tree(bodies256.pos, bodies256.mass, box, state=state)
-        pos = bodies256.pos[:100]
-        got = build_flat_tree(pos, bodies256.mass[:100],
-                              compute_root(pos), state=state)
-        ref = _reference(pos, bodies256.mass[:100], compute_root(pos))
-        _assert_same_tree(got, ref)
-        assert len(state.order) == 100
-
 
 class TestBuildTelemetry:
     def test_per_level_build_spans(self, bodies256):
@@ -252,16 +216,14 @@ class TestBuildTelemetry:
 class TestSimulationWiring:
     def test_default_flat_build_is_morton(self):
         assert BHConfig().flat_build == "morton"
-        assert BHConfig().flat_build_reuse_order is False
-        with pytest.raises(ValueError, match="unknown flat build path"):
-            BHConfig(flat_build="hash")
+        for path in ("hash", "incremental"):
+            with pytest.raises(ValueError, match="unknown flat build path"):
+                BHConfig(flat_build=path)
 
-    @pytest.mark.parametrize("reuse", [False, True])
-    def test_morton_build_preserves_trajectories(self, tiny_cfg, reuse):
+    def test_morton_build_preserves_trajectories(self, tiny_cfg):
         base = tiny_cfg.with_(force_backend="flat",
                               flat_build="insertion")
-        cfg = tiny_cfg.with_(force_backend="flat", flat_build="morton",
-                             flat_build_reuse_order=reuse)
+        cfg = tiny_cfg.with_(force_backend="flat", flat_build="morton")
         res_ins = run_variant("subspace", base, 4)
         res_mor = run_variant("subspace", cfg, 4)
         assert res_mor.counter("interactions") \

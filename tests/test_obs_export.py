@@ -260,11 +260,46 @@ class TestBenchRegressionCheck:
         assert compare_to_baseline(cur, self.BASE) == []
 
     def test_missing_rows_ignored(self):
+        cur = self._current()
+        cur["results"].append({"n": 9999, "backend": "flat",
+                               "build_s": 1.0, "force_s": 1.0,
+                               "interactions": 5.0})
+        with pytest.warns(UserWarning, match="n=9999"):
+            assert compare_to_baseline(cur, self.BASE) == []
+
+    def test_zero_matches_fails(self):
         cur = {"schema": "repro-bench-backends/1",
                "results": [{"n": 9999, "backend": "flat",
                             "build_s": 1.0, "force_s": 1.0,
                             "interactions": 5.0}]}
-        assert compare_to_baseline(cur, self.BASE) == []
+        with pytest.warns(UserWarning):
+            failures = compare_to_baseline(cur, self.BASE)
+        assert len(failures) == 1 and "no current row matched" in failures[0]
+
+    def test_single_distribution_matches_committed_baseline(self):
+        # every committed row carries a distribution tag, so a default
+        # (single-distribution) report must carry one too or nothing
+        # matches; wall time is not gated here, interaction counts are
+        from pathlib import Path
+
+        from repro.experiments.bench_backends import bench_backends
+
+        committed = json.loads(
+            (Path(__file__).resolve().parents[1]
+             / "BENCH_backends.json").read_text())
+        report = bench_backends(sizes=[1024], repeats=1, verbose=False)
+        assert all(r["distribution"] == "plummer"
+                   for r in report["results"])
+        assert compare_to_baseline(report, committed,
+                                   tolerance=float("inf")) == []
+        for row in report["results"]:
+            if row["backend"] == "flat-morton":
+                row["interactions"] += 1
+        failures = compare_to_baseline(report, committed,
+                                       tolerance=float("inf"))
+        assert len(failures) == 1
+        assert "n=1024 flat-morton: interaction count drifted" \
+            in failures[0]
 
     def test_bench_cli_check_mode(self, tmp_path, capsys):
         from repro.experiments.bench_backends import main

@@ -11,6 +11,7 @@ degradation ladder, and the two satellite bugfixes (config validation,
 ``repro-bench --check`` warn-and-skip).
 """
 
+import json
 import warnings
 
 import numpy as np
@@ -32,6 +33,8 @@ from repro.core.phases import (
     REDISTRIBUTION,
     TREEBUILD,
 )
+from repro.core.variants.registry import VARIANTS
+from repro.nbody.distributions import distribution_names
 from repro.resilience import (
     CHECKPOINT_VERSION,
     FaultInjector,
@@ -52,7 +55,7 @@ from repro.resilience.faults import (
 THREADS = 2
 
 BASE = dict(nbodies=128, nsteps=3, warmup_steps=1, seed=7,
-            force_backend="flat", flat_build="incremental")
+            force_backend="flat", flat_build="morton")
 
 
 def run_sim(variant="baseline", threads=THREADS, kill_at_step=None,
@@ -316,8 +319,7 @@ def test_resilience_counters_reach_metrics():
 # checkpoint -> kill -> restore                                         #
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("backend,build", [
-    ("flat", "incremental"), ("flat", "morton"),
-    ("object-tree", "morton"),
+    ("flat", "morton"), ("object-tree", "morton"),
 ])
 def test_kill_restore_bit_identical(tmp_path, backend, build):
     # 15 steps; killed after 7 with checkpoints every 5 -> restore from
@@ -335,6 +337,31 @@ def test_kill_restore_bit_identical(tmp_path, backend, build):
     res = sim.run()
     assert np.array_equal(res.bodies.pos, ref.bodies.pos)
     assert np.array_equal(res.bodies.vel, ref.bodies.vel)
+
+
+def _kill_restore_matches(tmp_path, **kw):
+    _, ref = run_sim(**kw)
+    ck = tmp_path / "ck"
+    with pytest.raises(SimulationKilled):
+        run_sim(checkpoint_every=2, checkpoint_dir=str(ck),
+                kill_at_step=4, **kw)
+    sim = restore_simulation(latest_checkpoint(ck))
+    assert sim.start_step == 4
+    res = sim.run()
+    assert np.array_equal(res.bodies.pos, ref.bodies.pos)
+    assert np.array_equal(res.bodies.vel, ref.bodies.vel)
+
+
+@pytest.mark.parametrize("dist", distribution_names())
+def test_kill_restore_bit_identical_every_distribution(tmp_path, dist):
+    # no tree state is checkpointed: the fresh Morton build over the
+    # restored positions must replay the uninterrupted run exactly
+    _kill_restore_matches(tmp_path, nsteps=8, distribution=dist)
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_kill_restore_bit_identical_every_variant(tmp_path, variant):
+    _kill_restore_matches(tmp_path, nsteps=8, variant=variant)
 
 
 def test_restore_preserves_pending_injections(tmp_path):
@@ -363,12 +390,34 @@ def test_checkpoint_format_versioned(tmp_path):
     assert ckpt.step == 1 and ckpt.resume_step == 2
     assert set(ckpt.arrays) == {"pos", "vel", "mass", "acc", "cost",
                                 "store", "assign"}
-    assert ckpt.flat_box is not None  # incremental path: sticky box saved
     # a foreign npz is rejected, not misread
     bogus = tmp_path / "bogus.npz"
     np.savez(bogus, pos=np.zeros((3, 3)))
     with pytest.raises(ValueError, match="header"):
         load_checkpoint(bogus)
+
+
+def test_v1_checkpoint_is_refused(tmp_path):
+    # a v1 header still carries the removed flat_box field and BHConfig
+    # fields; the version check must reject it before BHConfig(**config)
+    ck = tmp_path / "ck"
+    with pytest.raises(SimulationKilled):
+        run_sim(checkpoint_every=2, checkpoint_dir=str(ck),
+                kill_at_step=1)
+    path = latest_checkpoint(ck)
+    with np.load(path) as data:
+        arrays = {k: np.array(data[k]) for k in data.files}
+    header = json.loads(bytes(arrays.pop("header")).decode("utf-8"))
+    header["version"] = "repro-checkpoint/1"
+    header["flat_box"] = {"center": [0.0, 0.0, 0.0], "rsize": 4.0}
+    header["config"]["flat_reuse_depth"] = 21
+    old = tmp_path / "v1.npz"
+    np.savez(old, header=np.frombuffer(json.dumps(header).encode("utf-8"),
+                                       dtype=np.uint8), **arrays)
+    with pytest.raises(ValueError, match="unsupported checkpoint version"):
+        load_checkpoint(old)
+    with pytest.raises(ValueError, match="repro-checkpoint/2"):
+        restore_simulation(old)
 
 
 def test_latest_checkpoint_empty_dir(tmp_path):
@@ -442,59 +491,6 @@ def test_resilient_backend_ladder_bottom_is_structured():
     with pytest.raises(SimulationFault) as ei:
         wrapped.accelerations(np.arange(32), bodies)
     assert "no rung" in ei.value.detail
-
-
-def test_flat_incremental_build_fallback(monkeypatch):
-    """A splice failure inside the incremental builder is absorbed by a
-    state-reset fresh rebuild (first rung of the ladder)."""
-    import repro.backends.flat as flat_mod
-    from repro.backends import make_backend
-    from repro.nbody.distributions import make_distribution
-
-    cfg = BHConfig(nbodies=96, force_backend="flat",
-                   flat_build="incremental")
-    bodies = make_distribution("plummer", 96, seed=3)
-    backend = make_backend("flat", cfg)
-    backend.begin_step(None, bodies)          # seeds the snapshot
-    reference = backend.tree
-
-    real = flat_mod.build_flat_tree_incremental
-    calls = {"n": 0}
-
-    def flaky(*args, **kw):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            raise RuntimeError("splice state damaged")
-        return real(*args, **kw)
-
-    monkeypatch.setattr(flat_mod, "build_flat_tree_incremental", flaky)
-    backend.begin_step(None, bodies)          # same positions
-    assert backend.build_fallbacks == 1
-    assert np.array_equal(backend.tree.child, reference.child)
-    assert np.array_equal(backend.tree.cofm, reference.cofm)
-
-
-def test_damaged_morton_snapshot_falls_back_fresh():
-    from repro.nbody.bbox import compute_root
-    from repro.nbody.distributions import make_distribution
-    from repro.octree.morton_build import (
-        MortonBuildState,
-        build_flat_tree,
-        build_flat_tree_incremental,
-    )
-
-    bodies = make_distribution("plummer", 96, seed=3)
-    box = compute_root(bodies.pos, 4.0)
-    state = MortonBuildState()
-    build_flat_tree_incremental(bodies.pos, bodies.mass, box, state=state)
-    assert state.consistent()
-    state.sorted_keys = state.sorted_keys[:-1]   # corruption
-    assert not state.consistent()
-    tree = build_flat_tree_incremental(bodies.pos, bodies.mass, box,
-                                       state=state)
-    assert state.last_reuse["fresh_fallback"]
-    fresh = build_flat_tree(bodies.pos, bodies.mass, box)
-    assert np.array_equal(tree.child, fresh.child)
 
 
 # --------------------------------------------------------------------- #
