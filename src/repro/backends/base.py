@@ -3,8 +3,8 @@
 A *backend* is an interchangeable engine that turns the current tree (or
 the raw bodies) into accelerations for a set of body indices.  Backends are
 deliberately independent of the UPC cost model: the simulated-communication
-accounting of the variants stays attached to the ``object-tree`` backend's
-:class:`~repro.octree.traverse.TraversalPolicy` hooks, while alternative
+accounting of the variants stays attached to the ``object-tree`` engine's
+per-cell open counts (:mod:`repro.backends.object_tree`), while alternative
 engines report aggregate counters through :class:`ForceResult` so the
 :class:`~repro.upc.stats.StatsLog` still sees what they did.
 
@@ -67,6 +67,11 @@ class ForceBackend:
         #: telemetry session is active) tracer when not given.  Callers may
         #: reassign after construction (BarnesHutSimulation does).
         self.tracer = tracer if tracer is not None else get_tracer()
+
+    @property
+    def served_by(self) -> str:
+        """The engine that actually computes this backend's forces."""
+        return self.name
 
     def begin_step(self, root: Optional[Cell], bodies: BodySoA) -> None:
         """Per-step preparation; called once after the tree is finished."""

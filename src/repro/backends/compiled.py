@@ -63,6 +63,10 @@ class CompiledFlatBackend(FlatBackend):
         """Whether force calls actually run the native kernel."""
         return self.kernel is not None
 
+    @property
+    def served_by(self) -> str:
+        return self.name if self.kernel_active else "flat (numpy fallback)"
+
     def accelerations(self, body_idx: np.ndarray,
                       bodies: BodySoA) -> ForceResult:
         if self.kernel is None:

@@ -109,6 +109,7 @@ class BarnesHutSimulation:
         measured = list(range(cfg.warmup_steps, cfg.nsteps))
         pt = PhaseTimes.from_log(self.rt.log, measured)
         stats = {
+            "force_engine": self.variant.force_engine,
             "migration_fractions": list(self.variant.migration_fractions),
             "treebuild_subphases": list(self.variant.treebuild_subphases),
         }

@@ -35,7 +35,7 @@ class BHConfig:
     #: any name in :data:`repro.nbody.distributions.DISTRIBUTIONS`
     distribution: str = "plummer"
     #: force engine (:data:`repro.backends.BACKENDS`): "object-tree" keeps
-    #: the policy-instrumented recursion the cost model meters; "flat" runs
+    #: the slot walk whose open counts the cost model meters; "flat" runs
     #: the vectorized SoA engine; "flat-c" the compiled per-body walk of
     #: :mod:`repro.kernels` (served by "flat" when no C toolchain
     #: exists); "direct" the O(n^2) reference

@@ -1,9 +1,9 @@
 """Barnes-Hut optimization-level variants (paper sections 4-6)."""
 
 from .async_agg import AsyncAgg
-from .base import Baseline, BaselineForcePolicy, VariantBase
+from .base import Baseline, VariantBase
 from .cache_merged import CacheMerged
-from .cache_tree import CachedForcePolicy, CacheTree
+from .cache_tree import CacheTree
 from .local_build import LocalBuild
 from .redistribute import Redistribute
 from .registry import LADDER_SECTIONS, OPT_LADDER, VARIANTS, get_variant
@@ -13,10 +13,8 @@ from .subspace import Subspace
 __all__ = [
     "AsyncAgg",
     "Baseline",
-    "BaselineForcePolicy",
     "CacheMerged",
     "CacheTree",
-    "CachedForcePolicy",
     "LADDER_SECTIONS",
     "LocalBuild",
     "OPT_LADDER",

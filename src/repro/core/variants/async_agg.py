@@ -58,3 +58,4 @@ class AsyncAgg(LocalBuild):
             step_stats.append(stats)
         bodies.cost = new_cost
         self.frontier_stats.append(step_stats)
+        self.force_engine = "frontier"

@@ -14,6 +14,11 @@ by one, are:
 * the force traversal dereferences every cell with fine-grained remote
   reads -- no caching, no aggregation, no overlap.
 
+The object-tree force phase computes forces with one slot-order walk per
+body (:mod:`repro.backends.object_tree`) and charges every variant's UPC
+traffic afterwards from the walk's per-cell open counts
+(:meth:`VariantBase.charge_force_walk`).
+
 Subclasses override the phase methods and/or flip the class flags.
 """
 
@@ -24,13 +29,16 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ...backends import make_backend
+from ...backends.object_tree import SlotTree, slot_walk
 from ...nbody.bbox import RootBox, compute_root
 from ...nbody.bodies import BodySoA
 from ...nbody.integrator import advance_indices, startup_half_kick
 from ...octree.build import insert, new_root
 from ...octree.cell import Cell, Leaf
 from ...octree.costzones import costzones
-from ...octree.traverse import TraversalPolicy, gravity_traversal
+# the per-group recursion the slot walk reproduces; kept importable where
+# the force phase lives, since bench/layers.py attributes time to it here
+from ...octree.traverse import gravity_traversal  # noqa: F401
 from ...upc.locks import UpcLock
 from ...upc.memory import SharedArray
 from ...upc.runtime import UpcRuntime
@@ -99,10 +107,13 @@ class VariantBase:
         self.step_index = 0
         #: cells in the current global tree (set by each build)
         self.ncells = 1
-        #: force engine; "object-tree" keeps the policy-instrumented call
-        #: path below, any other backend takes over the force phase
+        #: force engine; "object-tree" keeps the UPC-metered slot walk
+        #: below, any other backend takes over the force phase
         self.force_backend = make_backend(cfg.force_backend, cfg,
                                           tracer=rt.tracer)
+        #: engine that served the latest force phase (RunResult's
+        #: ``variant_stats["force_engine"]``)
+        self.force_engine: Optional[str] = None
         #: resilience mediation (a ResilienceManager, attached by
         #: BarnesHutSimulation when the config enables any of it; None
         #: keeps the unmediated phase loop below)
@@ -322,12 +333,6 @@ class VariantBase:
     # ------------------------------------------------------------------ #
     # phase: force computation                                           #
     # ------------------------------------------------------------------ #
-    def make_force_policy(self, tid: int) -> "BaselineForcePolicy":
-        return BaselineForcePolicy(self, tid)
-
-    def force_root(self, tid: int):
-        return self.root
-
     def backend_force_active(self) -> bool:
         """True when a non-default backend replaces the force engine."""
         return self.force_backend.name != "object-tree"
@@ -335,10 +340,10 @@ class VariantBase:
     def phase_force_backend(self) -> None:
         """Force phase through the pluggable backend.
 
-        The UPC traversal accounting (TraversalPolicy hooks) only makes
-        sense for the object-tree engine; here the backend's aggregate
-        counters are recorded into the StatsLog (``backend_*`` keys) and
-        the interaction work is charged as local computation.
+        The UPC traversal accounting only exists for the object-tree
+        engine; here the backend's aggregate counters are recorded into
+        the StatsLog (``backend_*`` keys) and the interaction work is
+        charged as local computation.
         """
         rt = self.rt
         bodies = self.bodies
@@ -358,6 +363,7 @@ class VariantBase:
             for key, val in res.counters.items():
                 rt.count(t, f"backend_{key}", float(val))
         bodies.cost = new_cost
+        self.force_engine = backend.served_by
 
     def phase_force(self) -> None:
         if self.backend_force_active():
@@ -367,24 +373,21 @@ class VariantBase:
         bodies = self.bodies
         tr = rt.tracer
         traced = tr.enabled
+        tree = SlotTree(self.root, bodies, self.cfg)
+        self.force_engine = tree.engine
         new_cost = bodies.cost.copy()
         for t in range(self.P):
             idx = self.assigned(t)
             if len(idx) == 0:
                 continue
             self.charge_body_words(t, idx, BODY_FORCE_WORDS)
-            policy = self.make_force_policy(t)
             if traced:
                 tr.begin("object-tree.traversal", "backend", tid=t,
                          nbodies=len(idx))
-            acc, work = gravity_traversal(
-                self.force_root(t), idx, bodies.pos, bodies.mass,
-                self.cfg.theta, self.cfg.eps, policy,
-                open_self_cells=self.cfg.open_self_cells,
-            )
+            acc, work, opens = slot_walk(tree, idx)
             if traced:
                 tr.end(interactions=float(work.sum()))
-            policy.flush()
+            self.charge_force_walk(t, tree, opens, len(idx))
             bodies.acc[idx] = acc
             new_cost[idx] = np.maximum(work, 1.0)
             rt.charge_compute(
@@ -392,6 +395,49 @@ class VariantBase:
             )
             rt.count(t, "interactions", float(work.sum()))
         bodies.cost = new_cost
+
+    def charge_force_walk(self, tid: int, tree: SlotTree,
+                          opens: np.ndarray, k: int) -> None:
+        """The baseline's fine-grained force traffic for ``k`` bodies of
+        thread ``tid``, from the walk's per-cell open counts.
+
+        Every opening test reads the cell's cofm/mass/size fields *and*
+        the shared scalar ``tol`` from thread 0; every opened cell reads
+        its child pointers; every interaction reads ``eps`` from thread 0
+        (section 5.1 explains why this murders scalability).  Words are
+        aggregated per owner thread and charged once per traversal.  All
+        totals are integer-valued floats far below 2**53, so they equal
+        the per-node sums of the group recursion exactly.
+        """
+        rt = self.rt
+        tests = tree.tests(opens, k)
+        opened = opens.astype(np.float64)
+        leaf = tree.leaf_visits(opens)
+        words_to = np.bincount(
+            tree.flat.home,
+            weights=CELL_TEST_WORDS * tests + CELL_OPEN_WORDS * opened,
+            minlength=self.P)
+        words_to += np.bincount(
+            self.bodies.store[tree.flat.leaf_bodies],
+            weights=BODY_LEAF_WORDS * leaf, minlength=self.P)
+        for owner in np.flatnonzero(words_to > 0):
+            rt.word_access(tid, int(owner), words=1.0,
+                           count=float(words_to[owner]), key="force_words")
+        if not self.replicate_scalars:
+            # tol per test, eps per cell accept and per leaf interaction
+            scalar_reads = float(2.0 * tests.sum() - opened.sum()
+                                 + leaf.sum())
+            if scalar_reads > 0:
+                rt.word_access(tid, 0, words=1.0, count=scalar_reads,
+                               key="scalar_reads")
+
+    def local_force_words(self, tree: SlotTree, opens: np.ndarray,
+                          k: int) -> float:
+        """Words a fully local (cached or LET) traversal touches: cell
+        fields per test, child pointers per open, leaf bodies per visit."""
+        return float(CELL_TEST_WORDS * tree.tests(opens, k).sum()
+                     + CELL_OPEN_WORDS * opens.sum()
+                     + BODY_LEAF_WORDS * tree.leaf_visits(opens).sum())
 
     # ------------------------------------------------------------------ #
     # phase: body advance + new bounding box                             #
@@ -420,57 +466,6 @@ class VariantBase:
             from ...upc.collectives import broadcast
 
             broadcast(rt, rt.machine.word_nbytes)
-
-
-class BaselineForcePolicy(TraversalPolicy):
-    """Charges the baseline's fine-grained remote traffic, aggregated per
-    owner thread and flushed once per traversal.
-
-    Every opening test reads the cell's cofm/mass/size fields *and* the
-    shared scalar ``tol`` from thread 0; every interaction reads ``eps``
-    from thread 0 (section 5.1 explains why this murders scalability).
-    """
-
-    def __init__(self, variant: VariantBase, tid: int):
-        self.v = variant
-        self.tid = tid
-        P = variant.P
-        self.words_to = [0.0] * P  # fine-grained words per owner
-        self.scalar_reads = 0.0  # words read from thread 0 (tol/eps)
-        self.local_words = 0.0
-
-    def on_test(self, cell: Cell, n_active: int) -> None:
-        self.words_to[cell.home] += CELL_TEST_WORDS * n_active
-        if not self.v.replicate_scalars:
-            self.scalar_reads += n_active  # tol
-
-    def on_accept(self, cell: Cell, n_far: int) -> None:
-        if not self.v.replicate_scalars:
-            self.scalar_reads += n_far  # eps
-
-    def on_open(self, cell: Cell, n_near: int) -> None:
-        self.words_to[cell.home] += CELL_OPEN_WORDS * n_near
-
-    def on_leaf(self, leaf: Leaf, n_active: int) -> None:
-        store = self.v.bodies.store
-        for b in leaf.indices:
-            self.words_to[store[b]] += BODY_LEAF_WORDS * n_active
-        if not self.v.replicate_scalars:
-            self.scalar_reads += n_active * len(leaf.indices)  # eps
-
-    def flush(self) -> None:
-        rt = self.v.rt
-        for owner, words in enumerate(self.words_to):
-            if words > 0:
-                rt.word_access(self.tid, owner, words=1.0, count=words,
-                               key="force_words")
-        if self.scalar_reads > 0:
-            rt.word_access(self.tid, 0, words=1.0, count=self.scalar_reads,
-                           key="scalar_reads")
-        if self.local_words > 0:
-            rt.charge_compute(
-                self.tid, self.local_words * rt.machine.local_word_cost
-            )
 
 
 class Baseline(VariantBase):

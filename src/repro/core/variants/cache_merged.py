@@ -10,7 +10,7 @@ our ablation bench confirms the same shape.
 
 from __future__ import annotations
 
-from .cache_tree import CachedForcePolicy, CacheTree
+from .cache_tree import CacheTree
 
 
 class CacheMerged(CacheTree):
@@ -18,6 +18,4 @@ class CacheMerged(CacheTree):
 
     name = "cache-merged"
     ladder_level = 3  # alternative at the same ladder position
-
-    def make_force_policy(self, tid: int) -> CachedForcePolicy:
-        return CachedForcePolicy(self, tid, merged=True)
+    cache_mode = "merged"

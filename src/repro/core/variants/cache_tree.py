@@ -10,44 +10,8 @@ because global pointers are replaced by local ones.
 
 from __future__ import annotations
 
-from ...octree.cell import Cell, Leaf
-from ...octree.traverse import TraversalPolicy
 from ..cache import CellCache
-from .base import (
-    BODY_LEAF_WORDS,
-    CELL_OPEN_WORDS,
-    CELL_TEST_WORDS,
-)
 from .redistribute import Redistribute
-
-
-class CachedForcePolicy(TraversalPolicy):
-    """Traversal hooks backed by a :class:`CellCache`."""
-
-    def __init__(self, variant, tid: int, merged: bool):
-        self.v = variant
-        self.tid = tid
-        self.cache = CellCache(variant.rt, tid, variant.bodies.store, merged)
-        self.cache.localize_root(variant.root)
-        self.local_words = 0.0
-
-    def on_test(self, cell: Cell, n_active: int) -> None:
-        self.local_words += CELL_TEST_WORDS * n_active
-
-    def on_open(self, cell: Cell, n_near: int) -> None:
-        self.cache.ensure_children(cell)
-        self.local_words += CELL_OPEN_WORDS * n_near
-
-    def on_leaf(self, leaf: Leaf, n_active: int) -> None:
-        self.local_words += BODY_LEAF_WORDS * n_active * len(leaf.indices)
-
-    def flush(self) -> None:
-        rt = self.v.rt
-        rt.charge_compute(self.tid,
-                          self.local_words * rt.machine.local_word_cost)
-        rt.count(self.tid, "cache_misses", self.cache.misses)
-        rt.count(self.tid, "cache_hits", self.cache.hits)
-        rt.count(self.tid, "cache_local_copies", self.cache.local_copies)
 
 
 class CacheTree(Redistribute):
@@ -57,5 +21,18 @@ class CacheTree(Redistribute):
     ladder_level = 3
     cache_mode = "separate"
 
-    def make_force_policy(self, tid: int) -> CachedForcePolicy:
-        return CachedForcePolicy(self, tid, merged=False)
+    def charge_force_walk(self, tid, tree, opens, k) -> None:
+        """Replay the walk's first opens through a :class:`CellCache`
+        (one bulk get per remote child on first open), then charge the
+        now-local cell and body reads as local words."""
+        rt = self.rt
+        cache = CellCache(rt, tid, self.bodies.store,
+                          merged=self.cache_mode == "merged")
+        cache.localize_root(self.root)
+        for cell in tree.open_order(opens):
+            cache.ensure_children(cell)
+        rt.charge_compute(tid, self.local_force_words(tree, opens, k)
+                          * rt.machine.local_word_cost)
+        rt.count(tid, "cache_misses", cache.misses)
+        rt.count(tid, "cache_hits", cache.hits)
+        rt.count(tid, "cache_local_copies", cache.local_copies)

@@ -33,15 +33,14 @@ import numpy as np
 from ...octree.build import insert, new_root
 from ...octree.cell import Cell, Leaf
 from ...octree.cofm import compute_cofm
-from ...octree.traverse import TraversalPolicy, gravity_traversal
+# see the note in base.py: bench/layers.py times this name here
+from ...octree.traverse import gravity_traversal  # noqa: F401
 from ...upc.collectives import allreduce_vector, alltoallv
 from .base import (
     BODY_POS_WORDS,
     CELL_COMPUTE,
-    CELL_OPEN_WORDS,
-    CELL_TEST_WORDS,
-    BODY_LEAF_WORDS,
     CELL_VISIT_WORDS,
+    VariantBase,
 )
 from .async_agg import AsyncAgg
 
@@ -75,29 +74,6 @@ def let_count(local_root: Optional[Cell], lo: np.ndarray, hi: np.ndarray,
                 if ch is not None:
                     stack.append(ch)
     return cells, bodies
-
-
-class LetLocalPolicy(TraversalPolicy):
-    """Force traversal on LET data: everything is a plain local access."""
-
-    def __init__(self, variant, tid: int):
-        self.v = variant
-        self.tid = tid
-        self.local_words = 0.0
-
-    def on_test(self, cell: Cell, n_active: int) -> None:
-        self.local_words += CELL_TEST_WORDS * n_active
-
-    def on_open(self, cell: Cell, n_near: int) -> None:
-        self.local_words += CELL_OPEN_WORDS * n_near
-
-    def on_leaf(self, leaf: Leaf, n_active: int) -> None:
-        self.local_words += BODY_LEAF_WORDS * n_active * len(leaf.indices)
-
-    def flush(self) -> None:
-        rt = self.v.rt
-        rt.charge_compute(self.tid,
-                          self.local_words * rt.machine.local_word_cost)
 
 
 class MpiLet(AsyncAgg):
@@ -241,35 +217,13 @@ class MpiLet(AsyncAgg):
         ]
 
     # ------------------------------------------------------------------ #
-    def phase_force(self) -> None:
-        if self.backend_force_active():
-            self.phase_force_backend()
-            return
+    #: the blocking slot walk over the (communication-free) LET data, not
+    #: AsyncAgg's frontier engine
+    phase_force = VariantBase.phase_force
+
+    def charge_force_walk(self, tid, tree, opens, k) -> None:
+        """Force traversal on LET data: everything is a plain local
+        access."""
         rt = self.rt
-        bodies = self.bodies
-        tr = rt.tracer
-        traced = tr.enabled
-        new_cost = bodies.cost.copy()
-        for t in range(self.P):
-            idx = self.assigned(t)
-            if len(idx) == 0:
-                continue
-            self.charge_body_words(t, idx, BODY_POS_WORDS * 2)
-            policy = LetLocalPolicy(self, t)
-            if traced:
-                tr.begin("mpi-let.traversal", "backend", tid=t,
-                         nbodies=len(idx))
-            acc, work = gravity_traversal(
-                self.root, idx, bodies.pos, bodies.mass,
-                self.cfg.theta, self.cfg.eps, policy,
-                open_self_cells=self.cfg.open_self_cells,
-            )
-            if traced:
-                tr.end(interactions=float(work.sum()))
-            policy.flush()
-            bodies.acc[idx] = acc
-            new_cost[idx] = np.maximum(work, 1.0)
-            rt.charge_compute(
-                t, float(work.sum()) * rt.machine.interaction_cost)
-            rt.count(t, "interactions", float(work.sum()))
-        bodies.cost = new_cost
+        rt.charge_compute(tid, self.local_force_words(tree, opens, k)
+                          * rt.machine.local_word_cost)

@@ -184,6 +184,11 @@ def main(argv: "List[str] | None" = None) -> int:
     overrides = []
     if args.backend is not None:
         overrides.append(("force_backend", args.backend))
+        if args.backend != "object-tree":
+            print(f"warning: --backend {args.backend} charges force "
+                  "interactions as local compute, without the object "
+                  "tree's UPC accounting; its force times do not "
+                  "reproduce the paper's", file=sys.stderr)
     if args.distribution is not None:
         overrides.append(("distribution", args.distribution))
     if args.flat_build is not None:

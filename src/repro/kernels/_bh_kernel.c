@@ -1,8 +1,14 @@
-/* Iterative Barnes-Hut force walk over FlatTree's CSR arrays.
+/* Iterative Barnes-Hut force walks over FlatTree arrays.
  *
- * This is the compiled twin of repro.octree.flat.flat_gravity: for each
- * requested body it runs a stack-based depth-first walk over the same
- * contiguous arrays the numpy level loop reads (per-component cofm and
+ * Two entry points, one stack DFS per body each:
+ *
+ *   - bh_force_walk, the compiled twin of repro.octree.flat.flat_gravity
+ *     (the flat-c backend);
+ *   - bh_slot_walk, the compiled twin of
+ *     repro.octree.traverse.gravity_traversal (the object-tree force
+ *     phase): bit-identical to it, plus per-cell open counts.
+ *
+ * bh_force_walk walks the same contiguous arrays the numpy level loop reads (per-component cofm and
  * geometric centers, premultiplied size^2 and G*mass, compacted children
  * CSR cell_ptr/cell_data, fused cell->leaf-body spans lb_ptr/lb_data).
  * The opening criterion, the self-exclusion rule, and therefore the
@@ -30,7 +36,7 @@
 #include <stdint.h>
 
 /* ABI version checked by the loader; bump on any signature change. */
-#define BH_ABI_VERSION 1
+#define BH_ABI_VERSION 2
 
 /* Deepest possible walk: MAX_DEPTH (30) levels, each pushing at most
  * 8 children while popping one -- 4096 is an order of magnitude above
@@ -176,6 +182,112 @@ int bh_force_walk(
     counters[BH_C_OPENS] = opens;
     counters[BH_C_LEAF] = leaf;
     counters[BH_C_MAXDEPTH] = (double)maxdepth;
+    return BH_OK;
+}
+
+/* The object-tree force walk, bit-identical to gravity_traversal.
+ *
+ * For each body a stack DFS over the canonical child slots: every
+ * non-empty slot of an opened cell -- cell (v >= 0) or leaf (v <= -2) --
+ * is pushed in slot order 0..7 and popped in reverse.  That is the pop
+ * order of gravity_traversal's group stack restricted to one body, so
+ * each body's acceleration sums the same terms in the same order.
+ *
+ * Every float operation mirrors the numpy expression it replaces:
+ * np.einsum("ij,ij->i", d, d) sums a 3-vector as (x*x + z*z) + y*y
+ * (numpy's SIMD sum-of-products loop; repro.backends.object_tree checks the
+ * running numpy at first use), the leaf softening is added after the
+ * dot product, and the self term is multiplied by 0.0 rather than
+ * skipped, exactly as the numpy mask does.
+ *
+ * ids[k]                  body indices to evaluate
+ * px/py/pz/gmass[n]       per-component positions, G * body mass
+ * cx..cgmass[C]           per-cell arrays as in bh_force_walk
+ * child[C * 8]            FlatTree.child (EMPTY = -1, leaf = -(id + 2))
+ * leaf_ptr[L+1], leaf_bodies   leaf body spans, in Leaf.indices order
+ * acc[k * 3]              row-major accelerations (overwritten)
+ * work[k]                 interaction counts (overwritten)
+ * opens[C]                incremented once per (body, opened cell)
+ */
+int bh_slot_walk(
+    int64_t k, const int64_t *ids,
+    const double *px, const double *py, const double *pz,
+    const double *gmass,
+    const double *cx, const double *cy, const double *cz,
+    const double *size_sq, const double *half,
+    const double *ctx, const double *cty, const double *ctz,
+    const double *cgmass,
+    const int64_t *child, const int64_t *leaf_ptr,
+    const int64_t *leaf_bodies,
+    double theta_sq, double eps_sq, int open_self,
+    double *acc, double *work, int64_t *opens)
+{
+    int64_t stack[BH_STACK_CAP];
+
+    for (int64_t i = 0; i < k; i++) {
+        const int64_t id = ids[i];
+        const double gx = px[id], gy = py[id], gz = pz[id];
+        double ax = 0.0, ay = 0.0, az = 0.0, w = 0.0;
+        int64_t sp = 0;
+        stack[sp++] = 0;
+
+        while (sp > 0) {
+            const int64_t node = stack[--sp];
+            if (node < 0) {
+                const int64_t leaf = -node - 2;
+                for (int64_t j = leaf_ptr[leaf]; j < leaf_ptr[leaf + 1];
+                     j++) {
+                    const int64_t src = leaf_bodies[j];
+                    const double dx = px[src] - gx;
+                    const double dy = py[src] - gy;
+                    const double dz = pz[src] - gz;
+                    const double dsq = ((dx * dx + dz * dz) + dy * dy)
+                                       + eps_sq;
+                    const double notself = src != id ? 1.0 : 0.0;
+                    const double inv =
+                        gmass[src] / (dsq * sqrt(dsq)) * notself;
+                    ax += dx * inv;
+                    ay += dy * inv;
+                    az += dz * inv;
+                    w += notself;
+                }
+                continue;
+            }
+
+            const double dx = cx[node] - gx;
+            const double dy = cy[node] - gy;
+            const double dz = cz[node] - gz;
+            const double dsq = (dx * dx + dz * dz) + dy * dy;
+            int far = size_sq[node] < theta_sq * dsq;
+            if (far && open_self) {
+                const double h = half[node];
+                if (fabs(gx - ctx[node]) <= h &&
+                    fabs(gy - cty[node]) <= h &&
+                    fabs(gz - ctz[node]) <= h)
+                    far = 0;
+            }
+            if (far) {
+                const double dq = dsq + eps_sq;
+                const double inv = cgmass[node] / (dq * sqrt(dq));
+                ax += dx * inv;
+                ay += dy * inv;
+                az += dz * inv;
+                w += 1.0;
+                continue;
+            }
+            opens[node] += 1;
+            if (sp + 8 > BH_STACK_CAP)
+                return BH_ERR_STACK_OVERFLOW;
+            const int64_t *slots = child + node * 8;
+            for (int s = 0; s < 8; s++)
+                if (slots[s] != -1)
+                    stack[sp++] = slots[s];
+        }
+        acc[3 * i] = ax;
+        acc[3 * i + 1] = ay;
+        acc[3 * i + 2] = az;
+        work[i] = w;
+    }
     return BH_OK;
 }
 

@@ -14,9 +14,10 @@ Two artifact sources, tried in order:
 
 Both paths funnel through :func:`load_kernel`, which returns a bound
 :class:`CKernel` or ``None``.  Failure is never an exception: a box with
-no compiler gets **one** :class:`RuntimeWarning` and the registry keeps
+no compiler gets **one** :class:`RuntimeWarning`; the registry keeps
 serving the numpy ``flat`` engine (see
-:class:`repro.backends.compiled.CompiledFlatBackend`).
+:class:`repro.backends.compiled.CompiledFlatBackend`) and the object-tree
+force phase its Python traversal (see :mod:`repro.backends.object_tree`).
 
 Environment knobs (all read at load time):
 
@@ -28,7 +29,9 @@ Environment knobs (all read at load time):
 
 ``-ffp-contract=off`` is passed on every build: FMA contraction inside
 the opening test could flip a far/near decision against the numpy
-traversal and break the bit-exact interaction-count contract.
+traversal and break the bit-exact interaction-count contract, and any
+contraction in ``bh_slot_walk`` would break its bit-identity with
+``gravity_traversal``.
 """
 
 from __future__ import annotations
@@ -48,12 +51,12 @@ from typing import List, Optional
 import numpy as np
 
 #: ABI this loader binds; must match BH_ABI_VERSION in ``_bh_kernel.c``
-ABI_VERSION = 1
+ABI_VERSION = 2
 
 #: aggregate-counter slots filled by ``bh_force_walk`` (see the C file)
 NCOUNTERS = 5
 
-#: nonzero return codes of ``bh_force_walk``
+#: nonzero return codes of ``bh_force_walk`` and ``bh_slot_walk``
 ERR_STACK_OVERFLOW = 1
 
 #: flags shared by both build paths (the ext build adds them through
@@ -79,6 +82,7 @@ class CKernel:
         try:
             abi = lib.bh_abi_version
             walk = lib.bh_force_walk
+            slot = lib.bh_slot_walk
         except AttributeError as exc:
             raise KernelUnavailable(
                 f"{path}: missing kernel symbols ({exc})") from None
@@ -98,6 +102,16 @@ class CKernel:
             + [_F64] * 5                      # accx accy accz work counters
         )
         self._walk = walk
+        slot.restype = ctypes.c_int
+        slot.argtypes = (
+            [ctypes.c_int64, _I64]            # k, ids
+            + [_F64] * 4                      # px py pz gmass
+            + [_F64] * 9                      # cx cy cz size_sq half ctx cty ctz cgmass
+            + [_I64] * 3                      # child leaf_ptr leaf_bodies
+            + [ctypes.c_double, ctypes.c_double, ctypes.c_int]
+            + [_F64] * 2 + [_I64]             # acc work opens
+        )
+        self._slot = slot
 
     def force_walk(self, ids: np.ndarray,
                    px: np.ndarray, py: np.ndarray, pz: np.ndarray,
@@ -132,12 +146,45 @@ class CKernel:
             accz.ctypes.data_as(_F64), work.ctypes.data_as(_F64),
             counters.ctypes.data_as(_F64),
         )
-        if rc == ERR_STACK_OVERFLOW:
-            raise RuntimeError(
-                "bh_force_walk: traversal stack overflow (tree deeper "
-                "than the MAX_DEPTH bound -- malformed tree)")
-        if rc != 0:
-            raise RuntimeError(f"bh_force_walk failed with code {rc}")
+        _check("bh_force_walk", rc)
+
+    def slot_walk(self, ids: np.ndarray,
+                  px: np.ndarray, py: np.ndarray, pz: np.ndarray,
+                  gmass: np.ndarray, tree,
+                  theta_sq: float, eps_sq: float, open_self: bool,
+                  acc: np.ndarray, work: np.ndarray,
+                  opens: np.ndarray) -> None:
+        """The object-tree walk: fill ``acc`` ((k, 3), C order) and
+        ``work`` (k), and add each body's cell opens into ``opens``
+        (int64, one slot per FlatTree row)."""
+        rc = self._slot(
+            len(ids), ids.ctypes.data_as(_I64),
+            px.ctypes.data_as(_F64), py.ctypes.data_as(_F64),
+            pz.ctypes.data_as(_F64), gmass.ctypes.data_as(_F64),
+            tree.cx.ctypes.data_as(_F64), tree.cy.ctypes.data_as(_F64),
+            tree.cz.ctypes.data_as(_F64),
+            tree.size_sq.ctypes.data_as(_F64),
+            tree.half.ctypes.data_as(_F64),
+            tree.ctx.ctypes.data_as(_F64), tree.cty.ctypes.data_as(_F64),
+            tree.ctz.ctypes.data_as(_F64),
+            tree.gmass.ctypes.data_as(_F64),
+            tree.child.ctypes.data_as(_I64),
+            tree.leaf_ptr.ctypes.data_as(_I64),
+            tree.leaf_bodies.ctypes.data_as(_I64),
+            theta_sq, eps_sq, int(open_self),
+            acc.ctypes.data_as(_F64), work.ctypes.data_as(_F64),
+            opens.ctypes.data_as(_I64),
+        )
+        _check("bh_slot_walk", rc)
+
+
+def _check(name: str, rc: int) -> None:
+    if rc == ERR_STACK_OVERFLOW:
+        raise RuntimeError(
+            f"{name}: traversal stack overflow (tree deeper than the "
+            "MAX_DEPTH bound -- malformed tree)")
+    if rc != 0:
+        raise RuntimeError(f"{name} failed with code {rc}")
 
 
 def _built_extension_path() -> Optional[str]:
@@ -253,7 +300,8 @@ def load_kernel() -> Optional[CKernel]:
         _WARNED = True
         warnings.warn(
             "compiled force kernel unavailable; the 'flat-c' backend "
-            "will serve the numpy 'flat' engine instead "
+            "will serve the numpy 'flat' engine and the object tree "
+            "its Python traversal instead "
             f"({'; '.join(notes) or 'no load path succeeded'})",
             RuntimeWarning, stacklevel=2)
     return kernel

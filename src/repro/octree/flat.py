@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -170,6 +170,13 @@ class FlatTree:
         BFS order puts each level contiguously in memory, which is what
         the level-synchronous traversal touches together.
         """
+        return cls.from_cell_rows(root)[0]
+
+    @classmethod
+    def from_cell_rows(cls, root: Cell) -> Tuple["FlatTree", List[Cell]]:
+        """:meth:`from_cell` plus the ``Cell`` of every row, in row order
+        (the object-tree force phase charges its UPC accounting to them).
+        """
         order = [root]
         child_rows = []
         leaf_lists = []
@@ -177,11 +184,11 @@ class FlatTree:
         while i < len(order):
             cell = order[i]
             i += 1
-            row = np.empty(NSUB, dtype=np.int64)
+            row = [EMPTY] * NSUB
             for slot, ch in enumerate(cell.children):
                 if ch is None:
-                    row[slot] = EMPTY
-                elif isinstance(ch, Leaf):
+                    continue
+                if isinstance(ch, Leaf):
                     row[slot] = encode_leaf(len(leaf_lists))
                     leaf_lists.append(ch.indices)
                 else:
@@ -198,7 +205,7 @@ class FlatTree:
             (b for ix in leaf_lists for b in ix),
             dtype=np.int64, count=int(leaf_ptr[-1]),
         )
-        return cls(
+        tree = cls(
             center=np.array([c.center for c in order], dtype=np.float64
                             ).reshape(ncells, 3),
             size=np.array([c.size for c in order], dtype=np.float64),
@@ -208,10 +215,11 @@ class FlatTree:
             nbodies=np.array([c.nbodies for c in order], dtype=np.int64),
             cost=np.array([c.cost for c in order], dtype=np.float64),
             home=np.array([c.home for c in order], dtype=np.int32),
-            child=np.stack(child_rows),
+            child=np.array(child_rows, dtype=np.int64),
             leaf_ptr=leaf_ptr,
             leaf_bodies=leaf_bodies,
         )
+        return tree, order
 
     @classmethod
     def from_bodies(cls, positions: np.ndarray, masses: np.ndarray,

@@ -8,11 +8,15 @@ vectorized, so the per-body interaction sets -- and therefore every force --
 are identical to the scalar recursion, while Python-level work scales with
 the number of visited nodes rather than interactions.
 
-The ``TraversalPolicy`` hooks are where the UPC variants differ: the
-baseline charges fine-grained remote reads per (cell, active body); the
-caching variants of section 5.3 pay a bulk get on first touch and swizzle
-children to local copies; the section-5.5 variant replaces this engine with
-the frontier framework in :mod:`repro.core.frontier`.
+The simulation's object-tree force phase no longer calls this engine
+directly: :mod:`repro.backends.object_tree` serves it with a compiled
+per-body walk that is bit-identical to this recursion (same pop order,
+same float expressions) and charges the UPC accounting from per-cell open
+counts.  This function remains the oracle for that walk and its path on a
+box without a C compiler, where a ``TraversalPolicy`` records the open
+counts.  The ``TraversalPolicy`` hooks report every per-node aggregate
+(tests, accepts, opens, leaf visits); the tests use them as the oracle
+for the variants' accounting.
 """
 
 from __future__ import annotations

@@ -61,6 +61,13 @@ class ResilientBackend:
     # ------------------------------------------------------------------ #
     # ForceBackend surface                                               #
     # ------------------------------------------------------------------ #
+    @property
+    def served_by(self) -> str:
+        """The engine serving the current step (a fallback when degraded)."""
+        serving = self._serving if self._serving is not None \
+            else self.primary
+        return serving.served_by
+
     def begin_step(self, root, bodies: BodySoA) -> None:
         self._root, self._bodies = root, bodies
         if self.permanent:

@@ -197,6 +197,26 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "abl-cache.md").exists()
 
+    def test_non_object_tree_backend_warns_once(self, tmp_path, capsys):
+        from repro.experiments.common import SCALES
+
+        rc = cli_main(["table2", "--scale", "test", "--backend", "flat",
+                       "--out", str(tmp_path / "cli")])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        assert err.count("warning: --backend flat") == 1
+        assert "UPC accounting" in err and "warning" not in out
+        # the warning is stderr only: the table is what the runner writes
+        scale = SCALES["test"].with_(overrides=(("force_backend", "flat"),))
+        TABLE_RUNNERS["table2"](scale).to_csv(tmp_path / "direct.csv")
+        assert (tmp_path / "cli" / "table2.csv").read_bytes() \
+            == (tmp_path / "direct.csv").read_bytes()
+
+    def test_object_tree_backend_does_not_warn(self, tmp_path, capsys):
+        assert cli_main(["abl-cache", "--scale", "test", "--backend",
+                         "object-tree", "--out", str(tmp_path)]) == 0
+        assert "warning" not in capsys.readouterr().err
+
     def test_cli_unknown_id(self, tmp_path):
         with pytest.raises(SystemExit):
             cli_main(["--out", str(tmp_path), "table99"])
