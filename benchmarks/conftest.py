@@ -1,9 +1,10 @@
 """Benchmark fixtures: workload scales and a cross-bench table cache.
 
 Every benchmark regenerates one table or figure of the paper at BENCH scale
-(4096 bodies, the paper's thread counts; see DESIGN.md section 2 for the
-scaling substitution).  Figures 5/6 reuse the tables produced by the table
-benches through a session cache so the suite doesn't recompute them.
+(4096 bodies, the paper's thread counts; see
+``repro.experiments.common.Scale`` for the scaling substitution).  Figures
+5/6 reuse the tables produced by the table benches through a session cache
+so the suite doesn't recompute them.
 
 Run with ``pytest benchmarks/ --benchmark-only``; add ``-s`` to see the
 reproduced tables printed next to the paper's values.  Markdown/CSV copies

@@ -1,4 +1,4 @@
-"""Benches: design-choice ablations (DESIGN.md section 5).
+"""Benches: design-choice ablations (paper sections 5.5 and 6).
 
 * n1/n2/n3 sensitivity (paper: insensitive, good even at 1),
 * subspace alpha sweep (paper: alpha=2/3, bound (1+alpha)Cost/P),

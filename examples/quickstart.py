@@ -14,7 +14,7 @@ from repro.nbody import energy_report, plummer
 
 def main() -> None:
     cfg = BHConfig(
-        nbodies=2048,   # paper: 2M (scaled down; see DESIGN.md)
+        nbodies=2048,   # paper: 2M (scaled down, as experiments.common.Scale)
         theta=1.0,      # SPLASH-2 default opening parameter
         dt=0.025,       # SPLASH-2 default time-step
         nsteps=4,       # paper protocol: 4 steps...

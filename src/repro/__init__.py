@@ -1,7 +1,7 @@
 """repro -- reproduction of "Optimizing the Barnes-Hut Algorithm in UPC"
 (Zhang, Behzad, Snir; 2011).
 
-Layers (see DESIGN.md):
+Layers (``docs/`` has a page per cross-cutting subsystem):
 
 * :mod:`repro.upc`    -- simulated PGAS/UPC runtime (virtual clocks, cost model)
 * :mod:`repro.nbody`  -- physics substrate (Plummer, kernels, integrator)

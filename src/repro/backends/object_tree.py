@@ -128,11 +128,15 @@ class SlotTree:
                 stack.extend(kids[r])
         return order
 
-    # -- engines ---------------------------------------------------------
-    def _walk_c(self, idx: np.ndarray, opens: np.ndarray):
+    def prepared_bodies(self) -> Tuple[np.ndarray, ...]:
+        """``prepare_bodies`` of the phase's bodies, computed once."""
         if self._prepared is None:
             self._prepared = prepare_bodies(self.positions, self.masses)
-        px, py, pz, gmass = self._prepared
+        return self._prepared
+
+    # -- engines ---------------------------------------------------------
+    def _walk_c(self, idx: np.ndarray, opens: np.ndarray):
+        px, py, pz, gmass = self.prepared_bodies()
         k = len(idx)
         acc = np.empty((k, 3))
         work = np.empty(k)

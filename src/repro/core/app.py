@@ -113,9 +113,10 @@ class BarnesHutSimulation:
             "migration_fractions": list(self.variant.migration_fractions),
             "treebuild_subphases": list(self.variant.treebuild_subphases),
         }
-        eng = getattr(self.variant, "async_engine", None)
-        if eng is not None:
-            stats["gather_source_fractions"] = eng.source_fractions()
+        if getattr(self.variant, "async_engine", None) is not None:
+            stats["gather_source_fractions"] = \
+                self.variant.gather_source_fractions()
+            stats["frontier"] = dict(self.variant.frontier_totals)
         if hasattr(self.variant, "subspace_counts"):
             stats["subspace_counts"] = list(self.variant.subspace_counts)
             stats["level_counts"] = list(self.variant.level_counts)

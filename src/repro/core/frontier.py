@@ -16,27 +16,54 @@ on its oldest handle -- otherwise computation continues and latency hides.
 
 The physics (per-body interaction sets, accelerations) is identical to the
 blocking traversal in :mod:`repro.octree.traverse`.
+
+Two engines serve :func:`frontier_force`, with bit-identical outputs and
+charges (``docs/compiled-kernels.md``):
+
+* ``"c-frontier"`` -- ``bh_frontier_walk`` in :mod:`repro.kernels`, one C
+  call per thread over the force phase's flattened tree, calling back into
+  :class:`AsyncEngine` only to issue gathers;
+* ``"frontier"`` -- :func:`_walk_py`, the loop below: the oracle of the
+  compiled loop, and the engine of a box without a compiler (or when the
+  compiled loop declines its workspace).
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from typing import Deque, Dict, List, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..backends.object_tree import SlotTree, slot_kernel
+from ..kernels.loader import FRONTIER_MAX_GROUP, ISSUE_FN
 from ..nbody.constants import G
 from ..octree.cell import Cell, Leaf
-from ..upc.nonblocking import AsyncEngine
+from ..upc.nonblocking import AsyncEngine, Handle
 from .variants.base import (
     BODY_LEAF_WORDS,
     CELL_OPEN_WORDS,
     CELL_TEST_WORDS,
 )
 
-#: bodies per working group -- the vectorization granularity standing in for
-#: one of the paper's "working bodies" (documented in DESIGN.md)
+#: bodies per working group -- the vectorization granularity standing in
+#: for one of the paper's "working bodies"; the compiled loop holds a
+#: group's active set in a 32-bit mask
 GROUP_BODIES = 32
+if GROUP_BODIES > FRONTIER_MAX_GROUP:
+    raise ValueError(f"GROUP_BODIES must be <= {FRONTIER_MAX_GROUP}")
+
+#: engine names recorded in ``RunResult.variant_stats["force_engine"]``
+C_ENGINE = "c-frontier"
+PY_ENGINE = "frontier"
+
+#: workspace bytes the compiled loop may allocate per call (0: no limit);
+#: above it the call declines and the Python loop serves
+C_WORKSPACE_CAP = 0
+
+_WORDS = np.array([CELL_TEST_WORDS, CELL_OPEN_WORDS, BODY_LEAF_WORDS],
+                  dtype=np.int64)
 
 
 class _Group:
@@ -49,32 +76,129 @@ class _Group:
 
 
 class FrontierStats:
-    """Per-call measurements used by tests and the source-count ablation."""
+    """Per-call measurements used by tests and the source-count ablation,
+    and the engine that served the call."""
+
+    #: the measured fields (equal whichever engine served)
+    FIELDS = ("gathers", "forced_gathers", "waits", "cells_requested")
 
     def __init__(self) -> None:
         self.gathers = 0
         self.forced_gathers = 0
         self.waits = 0
         self.cells_requested = 0
+        self.engine = PY_ENGINE
+
+    def counts(self) -> Dict[str, int]:
+        return {f: getattr(self, f) for f in self.FIELDS}
 
 
 def frontier_force(variant, engine: AsyncEngine, tid: int,
-                   idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray,
-                                             FrontierStats]:
-    """Force computation for thread ``tid``'s bodies, overlap-enabled."""
+                   idx: np.ndarray, tree: Optional[SlotTree] = None
+                   ) -> Tuple[np.ndarray, np.ndarray, FrontierStats]:
+    """Force computation for thread ``tid``'s bodies, overlap-enabled.
+
+    ``tree`` is the force phase's flattened tree, shared by its threads;
+    without one, a tree is flattened here when the kernel can serve.
+    """
+    rt = variant.rt
+    m = rt.machine
+    root = variant.root
+    stats = FrontierStats()
+    k = len(idx)
+    acc = np.zeros((k, 3), dtype=np.float64)
+    work = np.zeros(k, dtype=np.float64)
+    if k == 0 or root is None:
+        return acc, work, stats
+
+    # L_root: localize the root struct itself
+    if root.home != tid:
+        rt.memget(tid, root.home, m.cell_nbytes, key="cache_fetch")
+    else:
+        rt.charge_compute(tid, 4 * m.local_word_cost)
+
+    if tree is None and slot_kernel() is not None:
+        tree = SlotTree(root, variant.bodies, variant.cfg)
+    if tree is not None and tree.kernel is not None \
+            and _walk_c(variant, engine, tid, idx, tree, acc, work, stats):
+        stats.engine = C_ENGINE
+    else:
+        _walk_py(variant, engine, tid, idx, acc, work, stats)
+    return acc, work, stats
+
+
+def _walk_c(variant, engine: AsyncEngine, tid: int, idx: np.ndarray,
+            tree: SlotTree, acc: np.ndarray, work: np.ndarray,
+            stats: FrontierStats) -> bool:
+    """:func:`_walk_py` as one ``bh_frontier_walk`` call; False, with
+    nothing touched, when the kernel declines."""
+    rt = variant.rt
+    cfg = variant.cfg
+    m = rt.machine
+    flat = tree.flat
+    px, py, pz, gmass = tree.prepared_bodies()
+    leaf_owner = variant.bodies.store[flat.leaf_bodies].astype(np.int64)
+    counters = rt._counters
+    stall_row = None if counters is None \
+        else counters._data.get("waitsync_stall")
+    stall = np.array([0.0 if stall_row is None else stall_row[tid]])
+    handles: Deque[Handle] = deque()
+    errors: List[BaseException] = []
+    nbytes = m.cell_nbytes
+
+    def issue(retired: int, npairs: int, src, n) -> float:
+        try:
+            for _ in range(retired):
+                engine._retire(tid, handles.popleft())
+            h = engine.memget_vlist_async(
+                tid, {src[i]: n[i] for i in range(npairs)}, nbytes)
+            handles.append(h)
+            return h.complete_at
+        except BaseException as exc:  # re-raised after the C call
+            errors.append(exc)
+            return math.nan
+
+    callback = ISSUE_FN(issue)  # referenced until the call returns
+    out = np.zeros(7, dtype=np.int64)
+    try:
+        served = tree.kernel.frontier_walk(
+            np.ascontiguousarray(idx, dtype=np.int64), tid, rt.nthreads,
+            GROUP_BODIES, px, py, pz, gmass, flat, leaf_owner,
+            cfg.theta * cfg.theta, cfg.eps * cfg.eps, cfg.open_self_cells,
+            _WORDS, cfg.n1, cfg.n2, cfg.n3, m.local_word_cost,
+            m.interaction_cost, rt.cost.compute(1.0),  # the factor
+            m.cpu_overhead * 0.25, rt.clock, stall, callback,
+            acc, work, out, ws_cap=C_WORKSPACE_CAP)
+    except RuntimeError:
+        if errors:
+            raise errors[0]
+        raise
+    if not served:
+        return False
+    while handles:  # every gather was synced; mirror it in the engine
+        engine._retire(tid, handles.popleft())
+    (stats.gathers, stats.forced_gathers, stats.waits,
+     stats.cells_requested, interactions, interaction_adds,
+     stall_adds) = out.tolist()
+    if interaction_adds:
+        rt.count(tid, "interactions", interactions)
+    if stall_adds and counters is not None:
+        counters._data["waitsync_stall"][tid] = float(stall[0])
+    return True
+
+
+def _walk_py(variant, engine: AsyncEngine, tid: int, idx: np.ndarray,
+             acc: np.ndarray, work: np.ndarray,
+             stats: FrontierStats) -> None:
+    """The frontier loop in Python: the oracle of ``bh_frontier_walk``
+    and the engine of a box without the kernel."""
     rt = variant.rt
     cfg = variant.cfg
     m = rt.machine
     bodies = variant.bodies
     store = bodies.store
     root = variant.root
-    stats = FrontierStats()
-
     k = len(idx)
-    acc = np.zeros((k, 3), dtype=np.float64)
-    work = np.zeros(k, dtype=np.float64)
-    if k == 0 or root is None:
-        return acc, work, stats
     pos = bodies.pos[idx]
     ids = np.asarray(idx, dtype=np.int64)
     eps_sq = cfg.eps * cfg.eps
@@ -83,12 +207,6 @@ def frontier_force(variant, engine: AsyncEngine, tid: int,
 
     local_word = m.local_word_cost
     interaction = m.interaction_cost
-
-    # L_root: localize the root struct itself
-    if root.home != tid:
-        rt.memget(tid, root.home, m.cell_nbytes, key="cache_fetch")
-    else:
-        rt.charge_compute(tid, 4 * local_word)
 
     localized: set = set()
     parked: Dict[int, Tuple[Cell, List[Tuple[_Group, np.ndarray]]]] = {}
@@ -288,5 +406,3 @@ def frontier_force(variant, engine: AsyncEngine, tid: int,
             issue(chunk, forced=True)
         else:  # pragma: no cover - would be a bookkeeping bug
             raise RuntimeError("frontier force deadlock")
-
-    return acc, work, stats

@@ -9,10 +9,13 @@ force computation of other working bodies (n1 of them in flight).
 
 from __future__ import annotations
 
+from typing import Dict
+
 import numpy as np
 
-from ...upc.nonblocking import AsyncEngine
-from ..frontier import frontier_force
+from ...backends.object_tree import SlotTree, slot_kernel
+from ...upc.nonblocking import AsyncEngine, source_fractions
+from ..frontier import C_ENGINE, PY_ENGINE, FrontierStats, frontier_force
 from .base import BODY_FORCE_WORDS
 from .local_build import LocalBuild
 
@@ -26,9 +29,12 @@ class AsyncAgg(LocalBuild):
 
     def __init__(self, rt, bodies, cfg):
         super().__init__(rt, bodies, cfg)
-        #: engine of the most recent force phase (stats live here)
+        #: engine of the most recent force phase
         self.async_engine: "AsyncEngine | None" = None
-        self.frontier_stats = []
+        #: gathers by number of source threads, over the measured steps
+        self.source_histogram: Dict[int, int] = {}
+        #: FrontierStats fields summed over the measured steps
+        self.frontier_totals = dict.fromkeys(FrontierStats.FIELDS, 0)
 
     def phase_force(self) -> None:
         if self.backend_force_active():
@@ -38,7 +44,11 @@ class AsyncAgg(LocalBuild):
         bodies = self.bodies
         engine = AsyncEngine(rt)
         self.async_engine = engine
-        step_stats = []
+        # one flattened tree for every thread, when the kernel serves
+        tree = SlotTree(self.root, bodies, self.cfg) \
+            if self.root is not None and slot_kernel() is not None else None
+        measured = self.step_index >= self.cfg.warmup_steps
+        compiled = tree is not None
         new_cost = bodies.cost.copy()
         for t in range(self.P):
             idx = self.assigned(t)
@@ -49,13 +59,24 @@ class AsyncAgg(LocalBuild):
             if tr.enabled:
                 tr.begin("async.frontier_force", "backend", tid=t,
                          nbodies=len(idx))
-                acc, work, stats = frontier_force(self, engine, t, idx)
+                acc, work, stats = frontier_force(self, engine, t, idx, tree)
                 tr.end(interactions=float(work.sum()))
             else:
-                acc, work, stats = frontier_force(self, engine, t, idx)
+                acc, work, stats = frontier_force(self, engine, t, idx, tree)
             bodies.acc[idx] = acc
             new_cost[idx] = np.maximum(work, 1.0)
-            step_stats.append(stats)
+            compiled &= stats.engine == C_ENGINE
+            if measured:
+                for key, val in stats.counts().items():
+                    self.frontier_totals[key] += val
         bodies.cost = new_cost
-        self.frontier_stats.append(step_stats)
-        self.force_engine = "frontier"
+        if measured:
+            for nsrc, n in engine.source_histogram.items():
+                self.source_histogram[nsrc] = \
+                    self.source_histogram.get(nsrc, 0) + n
+        self.force_engine = C_ENGINE if compiled else PY_ENGINE
+
+    def gather_source_fractions(self) -> Dict[int, float]:
+        """Fraction of the measured steps' gathers by number of distinct
+        source threads (the paper's section-5.5 ">95% single source")."""
+        return source_fractions(self.source_histogram)

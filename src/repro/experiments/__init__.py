@@ -1,6 +1,6 @@
 """Evaluation harness: one runner per table and figure of the paper.
 
-See DESIGN.md section 4 for the experiment index.  The CLI
+``python -m repro.experiments --help`` lists the experiment ids.  The CLI
 (``python -m repro.experiments --all``) regenerates everything into
 ``results/``.
 """

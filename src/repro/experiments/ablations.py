@@ -1,4 +1,4 @@
-"""Ablations of the paper's design choices (DESIGN.md section 5).
+"""Ablations of the paper's design choices (paper sections 5.5 and 6).
 
 * ``n1 = n2 = n3`` sensitivity -- the paper: "results are not very
   sensitive to that choice, and performance is good even with

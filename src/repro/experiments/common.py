@@ -1,7 +1,7 @@
 """Shared experiment machinery: scaling presets, table runners, rendering.
 
 Every experiment runs at a :class:`Scale` -- the paper's 2M-body, 112-node
-workloads are scaled down (DESIGN.md section 2) but keep the paper's thread
+workloads are scaled down (:class:`Scale` below) but keep the paper's thread
 counts, because threads are simulated.  ``TEST`` is for the test suite,
 ``BENCH`` for the pytest-benchmark harness and the CLI default, ``FULL`` for
 slower, higher-fidelity runs.

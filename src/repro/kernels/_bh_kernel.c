@@ -1,12 +1,16 @@
 /* Iterative Barnes-Hut force walks over FlatTree arrays.
  *
- * Two entry points, one stack DFS per body each:
+ * Three entry points:
  *
  *   - bh_force_walk, the compiled twin of repro.octree.flat.flat_gravity
- *     (the flat-c backend);
+ *     (the flat-c backend), one stack DFS per body;
  *   - bh_slot_walk, the compiled twin of
  *     repro.octree.traverse.gravity_traversal (the object-tree force
- *     phase): bit-identical to it, plus per-cell open counts.
+ *     phase): bit-identical to it, plus per-cell open counts;
+ *   - bh_frontier_walk, the compiled twin of the section-5.5 frontier
+ *     loop in repro.core.frontier: per-group stacks, pooled misses and
+ *     outstanding gathers, bit-identical in forces and in every
+ *     simulated charge.
  *
  * bh_force_walk walks the same contiguous arrays the numpy level loop reads (per-component cofm and
  * geometric centers, premultiplied size^2 and G*mass, compacted children
@@ -34,9 +38,10 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 /* ABI version checked by the loader; bump on any signature change. */
-#define BH_ABI_VERSION 2
+#define BH_ABI_VERSION 3
 
 /* Deepest possible walk: MAX_DEPTH (30) levels, each pushing at most
  * 8 children while popping one -- 4096 is an order of magnitude above
@@ -55,6 +60,9 @@
 /* error codes */
 #define BH_OK 0
 #define BH_ERR_STACK_OVERFLOW 1
+#define BH_ERR_DECLINED 2
+#define BH_ERR_CALLBACK 3
+#define BH_ERR_DEADLOCK 4
 
 int64_t bh_abi_version(void) { return BH_ABI_VERSION; }
 
@@ -289,6 +297,511 @@ int bh_slot_walk(
         work[i] = w;
     }
     return BH_OK;
+}
+
+/* ------------------------------------------------------------------ */
+/* The section-5.5 frontier loop, bit-identical to frontier._walk_py.   */
+/* ------------------------------------------------------------------ */
+
+/* most bodies per working group: an active set is a uint32 bitmask */
+#define BH_MAX_GROUP 32
+/* stack-item flag on a cell row: ("expand", cell), its children arrived */
+#define BH_EXPAND ((int32_t)1 << 30)
+
+/* Gather issue, the walk's only call back into Python: retire the
+ * call's `retired` oldest handles, then engine.memget_vlist_async over
+ * the (src[i], n[i]) pairs.  Returns the new handle's complete_at, or
+ * NaN when the Python side raised. */
+typedef double (*bh_issue_fn)(int64_t retired, int64_t npairs,
+                              const int64_t *src, const int64_t *n);
+
+/* one work item of a group: tree node and its active bodies */
+typedef struct { int32_t node; uint32_t mask; } bh_item;
+/* one parked item, in its frontier cell's FIFO list */
+typedef struct { int32_t slot; uint32_t mask; int32_t next; } bh_park;
+
+typedef struct {
+    /* tree, bodies and the thread's assignment */
+    int64_t tid, group, cap;
+    const int64_t *ids, *child, *leaf_ptr, *leaf_bodies, *leaf_owner;
+    const int32_t *home;
+    const double *px, *py, *pz, *gmass;
+    const double *cx, *cy, *cz, *size_sq, *half, *ctx, *cty, *ctz,
+        *cgmass;
+    double theta_sq, eps_sq;
+    int open_self;
+    /* listing 3 and the charges */
+    int64_t n2, n3, w_test, w_open, w_leaf;
+    double local_word, interaction, factor, sync_cost;
+    double *clock, *stall, *acc, *work;
+    bh_issue_fn issue;
+    /* per cell: children local or gathered; parked FIFO (head, tail) */
+    uint8_t *open_ok;
+    int32_t *park_head, *park_tail;
+    bh_park *parks;
+    int32_t park_free;
+    /* frontier cells in pooling order; a gather is a pool span */
+    int32_t *pool, *gath_lo, *gath_hi;
+    double *gath_done;
+    int64_t pool_head, pool_len, pool_nodes, gath_head, gath_tail;
+    int64_t *src_cnt, *src_order, *src_n;
+    /* per working-group slot */
+    bh_item *stacks;
+    int64_t *sp;
+    int32_t *parked, *slot_group;
+    /* handles retired since the last issue; results */
+    int64_t retired, gathers, forced, waits, cells_requested,
+        interactions, interaction_adds, stall_adds;
+} bh_frontier;
+
+static int fw_nchildren(const bh_frontier *f, int32_t cell)
+{
+    const int64_t *slots = f->child + (int64_t)cell * 8;
+    int n = 0;
+    for (int j = 0; j < 8; j++)
+        n += slots[j] != -1;
+    return n;
+}
+
+/* CostModel.compute of an integer count times a unit cost */
+static void fw_charge(bh_frontier *f, int64_t count, double unit)
+{
+    *f->clock += ((double)count * unit) * f->factor;
+}
+
+static int fw_push(bh_frontier *f, int64_t s, int32_t node, uint32_t mask)
+{
+    if (f->sp[s] == f->cap)
+        return BH_ERR_STACK_OVERFLOW;
+    f->stacks[s * f->cap + f->sp[s]++] = (bh_item){node, mask};
+    return BH_OK;
+}
+
+static int fw_open(bh_frontier *f, int64_t s, int32_t cell, uint32_t mask)
+{
+    const int64_t *slots = f->child + (int64_t)cell * 8;
+    fw_charge(f, f->w_open * __builtin_popcount(mask), f->local_word);
+    for (int j = 0; j < 8; j++)
+        if (slots[j] != -1 && fw_push(f, s, (int32_t)slots[j], mask))
+            return BH_ERR_STACK_OVERFLOW;
+    return BH_OK;
+}
+
+static void fw_leaf(bh_frontier *f, int64_t lo, int32_t node,
+                    uint32_t mask)
+{
+    const int64_t leaf = -(int64_t)node - 2;
+    const int64_t b0 = f->leaf_ptr[leaf], b1 = f->leaf_ptr[leaf + 1];
+    int64_t n_int = 0;
+    fw_charge(f, f->w_leaf * __builtin_popcount(mask) * (b1 - b0),
+              f->local_word);
+    for (int64_t j = b0; j < b1; j++) {
+        const int64_t src = f->leaf_bodies[j];
+        for (uint32_t m = mask; m; m &= m - 1) {
+            const int64_t row = lo + __builtin_ctz(m);
+            const int64_t id = f->ids[row];
+            const double dx = f->px[src] - f->px[id];
+            const double dy = f->py[src] - f->py[id];
+            const double dz = f->pz[src] - f->pz[id];
+            const double dsq = ((dx * dx + dz * dz) + dy * dy) + f->eps_sq;
+            const double notself = src != id ? 1.0 : 0.0;
+            const double inv = f->gmass[src] / (dsq * sqrt(dsq)) * notself;
+            f->acc[3 * row] += dx * inv;
+            f->acc[3 * row + 1] += dy * inv;
+            f->acc[3 * row + 2] += dz * inv;
+            f->work[row] += notself;
+            n_int += src != id;
+        }
+    }
+    fw_charge(f, n_int, f->interaction);
+    f->interactions += n_int;
+    f->interaction_adds++;
+}
+
+/* one popped item (the Python loop's process()) */
+static int fw_process(bh_frontier *f, int64_t s, bh_item it)
+{
+    const int64_t lo = (int64_t)f->slot_group[s] * f->group;
+    if (it.node >= BH_EXPAND)
+        return fw_open(f, s, it.node - BH_EXPAND, it.mask);
+    if (it.node < 0) {
+        fw_leaf(f, lo, it.node, it.mask);
+        return BH_OK;
+    }
+
+    const int32_t c = it.node;
+    double dx[BH_MAX_GROUP], dy[BH_MAX_GROUP], dz[BH_MAX_GROUP],
+        dsq[BH_MAX_GROUP];
+    uint32_t far = 0;
+    fw_charge(f, f->w_test * __builtin_popcount(it.mask), f->local_word);
+    for (uint32_t m = it.mask; m; m &= m - 1) {
+        const int i = __builtin_ctz(m);
+        const int64_t id = f->ids[lo + i];
+        dx[i] = f->cx[c] - f->px[id];
+        dy[i] = f->cy[c] - f->py[id];
+        dz[i] = f->cz[c] - f->pz[id];
+        dsq[i] = (dx[i] * dx[i] + dz[i] * dz[i]) + dy[i] * dy[i];
+        if (f->size_sq[c] < f->theta_sq * dsq[i])
+            far |= 1u << i;
+    }
+    if (f->open_self && far) {
+        const double h = f->half[c];
+        for (uint32_t m = far; m; m &= m - 1) {
+            const int i = __builtin_ctz(m);
+            const int64_t id = f->ids[lo + i];
+            if (fabs(f->px[id] - f->ctx[c]) <= h &&
+                fabs(f->py[id] - f->cty[c]) <= h &&
+                fabs(f->pz[id] - f->ctz[c]) <= h)
+                far &= ~(1u << i);
+        }
+    }
+    if (far) {
+        for (uint32_t m = far; m; m &= m - 1) {
+            const int i = __builtin_ctz(m);
+            const int64_t row = lo + i;
+            const double dq = dsq[i] + f->eps_sq;
+            const double inv = f->cgmass[c] / (dq * sqrt(dq));
+            f->acc[3 * row] += dx[i] * inv;
+            f->acc[3 * row + 1] += dy[i] * inv;
+            f->acc[3 * row + 2] += dz[i] * inv;
+            f->work[row] += 1.0;
+        }
+        fw_charge(f, __builtin_popcount(far), f->interaction);
+        f->interactions += __builtin_popcount(far);
+        f->interaction_adds++;
+    }
+    const uint32_t near = it.mask & ~far;
+    if (!near)
+        return BH_OK;
+    if (f->open_ok[c])
+        return fw_open(f, s, c, near);
+
+    /* frontier cell: park the item, pool the cell on its first park */
+    const int32_t r = f->park_free;
+    if (r < 0)
+        return BH_ERR_STACK_OVERFLOW;
+    f->park_free = f->parks[r].next;
+    f->parks[r] = (bh_park){(int32_t)s, near, -1};
+    if (f->park_head[c] < 0) {
+        f->park_head[c] = r;
+        f->pool[f->pool_len++] = c;
+        f->pool_nodes += fw_nchildren(f, c);
+    } else {
+        f->parks[f->park_tail[c]].next = r;
+    }
+    f->park_tail[c] = r;
+    f->parked[s]++;
+    return BH_OK;
+}
+
+static void fw_source(bh_frontier *f, int64_t owner, int64_t *npairs)
+{
+    if (f->src_cnt[owner]++ == 0)
+        f->src_order[(*npairs)++] = owner;
+}
+
+/* one bupc_memget_vlist_async over the children of pool[lo:hi] */
+static int fw_issue(bh_frontier *f, int64_t lo, int64_t hi, int forced)
+{
+    int64_t npairs = 0;
+    for (int64_t p = lo; p < hi; p++) {
+        const int64_t *slots = f->child + (int64_t)f->pool[p] * 8;
+        for (int j = 0; j < 8; j++) {
+            const int64_t v = slots[j];
+            if (v >= 0) {
+                if (f->home[v] != f->tid)
+                    fw_source(f, f->home[v], &npairs);
+            } else if (v <= -2) {
+                const int64_t leaf = -v - 2;
+                for (int64_t b = f->leaf_ptr[leaf]; b < f->leaf_ptr[leaf + 1];
+                     b++)
+                    if (f->leaf_owner[b] != f->tid)
+                        fw_source(f, f->leaf_owner[b], &npairs);
+            }
+        }
+    }
+    for (int64_t i = 0; i < npairs; i++) {
+        f->src_n[i] = f->src_cnt[f->src_order[i]];
+        f->src_cnt[f->src_order[i]] = 0;
+    }
+    const double done = f->issue(f->retired, npairs, f->src_order,
+                                 f->src_n);
+    f->retired = 0;
+    if (done != done)
+        return BH_ERR_CALLBACK;
+    f->gath_lo[f->gath_tail] = (int32_t)lo;
+    f->gath_hi[f->gath_tail] = (int32_t)hi;
+    f->gath_done[f->gath_tail++] = done;
+    f->gathers++;
+    f->cells_requested += hi - lo;
+    f->forced += forced;
+    return BH_OK;
+}
+
+/* issue gathers while >= n3 nodes are pending and < n2 are in flight */
+static int fw_issue_ready(bh_frontier *f)
+{
+    while (f->pool_nodes >= f->n3 && f->gath_tail - f->gath_head < f->n2) {
+        const int64_t lo = f->pool_head;
+        int64_t cnt = 0;
+        while (f->pool_head < f->pool_len && cnt < f->n3)
+            cnt += fw_nchildren(f, f->pool[f->pool_head++]);
+        f->pool_nodes -= cnt;
+        const int rc = fw_issue(f, lo, f->pool_head, 0);
+        if (rc)
+            return rc;
+    }
+    return BH_OK;
+}
+
+/* the oldest gather arrived: its cells are local, parked items resume */
+static int fw_complete(bh_frontier *f)
+{
+    const int64_t h = f->gath_head++;
+    f->retired++;
+    for (int64_t p = f->gath_lo[h]; p < f->gath_hi[h]; p++) {
+        const int32_t c = f->pool[p];
+        f->open_ok[c] = 1;
+        for (int32_t r = f->park_head[c], next; r >= 0; r = next) {
+            const int32_t s = f->parks[r].slot;
+            next = f->parks[r].next;
+            if (fw_push(f, s, c + BH_EXPAND, f->parks[r].mask))
+                return BH_ERR_STACK_OVERFLOW;
+            f->parked[s]--;
+            f->parks[r].next = f->park_free;
+            f->park_free = r;
+        }
+        f->park_head[c] = -1;
+    }
+    return BH_OK;
+}
+
+static void fw_activate(bh_frontier *f, int64_t s, int64_t g, int64_t k)
+{
+    const int64_t n = k - g * f->group < f->group ? k - g * f->group
+                                                  : f->group;
+    f->slot_group[s] = (int32_t)g;
+    f->parked[s] = 0;
+    f->sp[s] = 0;
+    fw_push(f, s, 0, n == 32 ? 0xffffffffu : (1u << n) - 1u);
+}
+
+/* Listing 3 for k bodies of thread tid, one call (frontier._walk_py).
+ *
+ * ids[k], px..gmass[n], cx..cgmass[C], child, leaf_ptr, leaf_bodies
+ *                      as in bh_slot_walk; child rows in BFS order
+ * group                bodies per working group (1..BH_MAX_GROUP)
+ * home[C]              FlatTree.home (owning thread of each cell)
+ * leaf_owner[B]        bodies.store[leaf_bodies]
+ * words[3]             CELL_TEST, CELL_OPEN, BODY_LEAF word counts
+ * n1, n2, n3           the section-5.5 parameters
+ * local_word, interaction, factor
+ *                      unit costs and CostModel's compute factor
+ * sync_cost            clock charge of one trysync / waitsync
+ * clock                &rt.clock[tid], charged in place
+ * stall                in/out running waitsync_stall value
+ * issue                gather callback (see bh_issue_fn)
+ * ws_cap               workspace byte limit, 0 = none
+ * acc[k * 3], work[k]  accumulated in place (pass zeros)
+ * out[7]               gathers, forced gathers, waits, cells requested,
+ *                      interactions, interaction adds, stall adds
+ *
+ * Returns BH_ERR_DECLINED, before any side effect, when the workspace
+ * cannot be allocated (or exceeds ws_cap) or an input is out of range;
+ * the caller then runs the Python loop.  Every buffer is sized up front
+ * from the tree depth and its frontier cell count, so no later step
+ * allocates.  BH_ERR_CALLBACK (the issue callback raised) and
+ * BH_ERR_DEADLOCK are the only other returns after a side effect.
+ */
+int bh_frontier_walk(
+    int64_t k, const int64_t *ids, int64_t tid, int64_t nthreads,
+    int64_t group,
+    const double *px, const double *py, const double *pz,
+    const double *gmass,
+    const double *cx, const double *cy, const double *cz,
+    const double *size_sq, const double *half,
+    const double *ctx, const double *cty, const double *ctz,
+    const double *cgmass,
+    int64_t ncells, const int64_t *child, const int64_t *leaf_ptr,
+    const int64_t *leaf_bodies, const int32_t *home,
+    const int64_t *leaf_owner,
+    double theta_sq, double eps_sq, int open_self,
+    const int64_t *words, int64_t n1, int64_t n2, int64_t n3,
+    double local_word, double interaction, double factor,
+    double sync_cost, double *clock, double *stall, bh_issue_fn issue,
+    int64_t ws_cap, double *acc, double *work, int64_t *out)
+{
+    if (k <= 0 || group < 1 || group > BH_MAX_GROUP || n1 < 1 ||
+        ncells < 1 || ncells >= BH_EXPAND)
+        return BH_ERR_DECLINED;
+    const int64_t ngroups = (k + group - 1) / group;
+    const int64_t nact = n1 < ngroups ? n1 : ngroups;
+
+    /* per-cell arrays; park_head holds cell depths until the loop */
+    const size_t cell_bytes = (size_t)ncells * (1 + 2 * sizeof(int32_t));
+    if (ws_cap > 0 && cell_bytes > (size_t)ws_cap)
+        return BH_ERR_DECLINED;
+    uint8_t *cell_ws = malloc(cell_bytes);
+    if (!cell_ws)
+        return BH_ERR_DECLINED;
+    int32_t *park_head = (int32_t *)cell_ws;
+    int32_t *park_tail = park_head + ncells;
+    uint8_t *open_ok = (uint8_t *)(park_tail + ncells);
+    int64_t nfront = 0, maxdepth = 0;
+    park_head[0] = 0;
+    for (int64_t r = 0; r < ncells; r++) {
+        const int64_t *slots = child + r * 8;
+        uint8_t ok = 1;
+        for (int j = 0; j < 8; j++) {
+            const int64_t v = slots[j];
+            if (v >= 0) {
+                park_head[v] = park_head[r] + 1; /* rows are BFS order */
+                ok &= home[v] == tid;
+            } else if (v <= -2) {
+                for (int64_t b = leaf_ptr[-v - 2]; b < leaf_ptr[-v - 1]; b++)
+                    ok &= leaf_owner[b] == tid;
+            }
+        }
+        if (park_head[r] > maxdepth)
+            maxdepth = park_head[r];
+        open_ok[r] = ok;
+        nfront += !ok;
+    }
+
+    /* a group stack holds its parked resumes plus one DFS: <= 8 per
+     * level; a slot parks at most once per frontier cell */
+    const int64_t nf = nfront > 0 ? nfront : 1;
+    const int64_t cap = nf + 8 * (maxdepth + 2);
+    const size_t bytes =
+        (size_t)nact * cap * sizeof(bh_item)
+        + (size_t)nact * nf * sizeof(bh_park)
+        + (size_t)nf * 3 * sizeof(int32_t) + (size_t)nf * sizeof(double)
+        + (size_t)nthreads * 3 * sizeof(int64_t)
+        + (size_t)nact * (sizeof(int64_t) + 4 * sizeof(int32_t));
+    uint8_t *ws = NULL;
+    if (ws_cap <= 0 || cell_bytes + bytes <= (size_t)ws_cap)
+        ws = malloc(bytes);
+    if (!ws) {
+        free(cell_ws);
+        return BH_ERR_DECLINED;
+    }
+
+    bh_frontier F = {
+        .tid = tid, .group = group, .cap = cap, .ids = ids, .child = child,
+        .leaf_ptr = leaf_ptr, .leaf_bodies = leaf_bodies,
+        .leaf_owner = leaf_owner, .home = home,
+        .px = px, .py = py, .pz = pz, .gmass = gmass,
+        .cx = cx, .cy = cy, .cz = cz, .size_sq = size_sq, .half = half,
+        .ctx = ctx, .cty = cty, .ctz = ctz, .cgmass = cgmass,
+        .theta_sq = theta_sq, .eps_sq = eps_sq, .open_self = open_self,
+        .n2 = n2, .n3 = n3, .w_test = words[0], .w_open = words[1],
+        .w_leaf = words[2], .local_word = local_word,
+        .interaction = interaction, .factor = factor,
+        .sync_cost = sync_cost, .clock = clock, .stall = stall,
+        .acc = acc, .work = work, .issue = issue, .open_ok = open_ok,
+        .park_head = park_head, .park_tail = park_tail,
+    };
+    bh_frontier *f = &F;
+    uint8_t *w = ws;
+    f->stacks = (bh_item *)w;          w += (size_t)nact * cap * sizeof(bh_item);
+    f->parks = (bh_park *)w;           w += (size_t)nact * nf * sizeof(bh_park);
+    f->gath_done = (double *)w;        w += (size_t)nf * sizeof(double);
+    f->src_cnt = (int64_t *)w;         w += (size_t)nthreads * sizeof(int64_t);
+    f->src_order = (int64_t *)w;       w += (size_t)nthreads * sizeof(int64_t);
+    f->src_n = (int64_t *)w;           w += (size_t)nthreads * sizeof(int64_t);
+    f->sp = (int64_t *)w;              w += (size_t)nact * sizeof(int64_t);
+    f->pool = (int32_t *)w;            w += (size_t)nf * sizeof(int32_t);
+    f->gath_lo = (int32_t *)w;         w += (size_t)nf * sizeof(int32_t);
+    f->gath_hi = (int32_t *)w;         w += (size_t)nf * sizeof(int32_t);
+    f->parked = (int32_t *)w;          w += (size_t)nact * sizeof(int32_t);
+    f->slot_group = (int32_t *)w;      w += (size_t)nact * sizeof(int32_t);
+    /* active slots in deque order, and a sweep's snapshot of them */
+    int32_t *active = (int32_t *)w, *snap = active + nact;
+    for (int64_t r = 0; r < ncells; r++)
+        park_head[r] = -1;
+    for (int64_t r = 0; r < nact * nf; r++)
+        f->parks[r].next = r + 1 < nact * nf ? (int32_t)(r + 1) : -1;
+    for (int64_t t = 0; t < nthreads; t++)
+        f->src_cnt[t] = 0;
+
+    /* groups 0..nact-1 start in slots 0..nact-1 */
+    int64_t nactive = nact, next_group = nact, finished = 0;
+    int rc = BH_OK;
+    for (int64_t s = 0; s < nact; s++) {
+        active[s] = (int32_t)s;
+        fw_activate(f, s, s, k);
+    }
+    while (rc == BH_OK && finished < ngroups) {
+        int progressed = 0;
+        const int64_t nsnap = nactive;
+        for (int64_t i = 0; i < nsnap; i++)
+            snap[i] = active[i];
+        for (int64_t i = 0; i < nsnap && rc == BH_OK; i++) {
+            const int64_t s = snap[i];
+            while (f->sp[s] > 0 && rc == BH_OK) {
+                const bh_item it = f->stacks[s * cap + --f->sp[s]];
+                rc = fw_process(f, s, it);
+                progressed = 1;
+                if (rc == BH_OK)
+                    rc = fw_issue_ready(f);
+            }
+            if (rc != BH_OK || f->parked[s] != 0 || f->sp[s] != 0)
+                continue;
+            /* group done: leave the deque, the next group queues last */
+            finished++;
+            int64_t j = 0;
+            while (active[j] != s)
+                j++;
+            for (; j + 1 < nactive; j++)
+                active[j] = active[j + 1];
+            nactive--;
+            if (next_group < ngroups) {
+                fw_activate(f, s, next_group++, k);
+                active[nactive++] = (int32_t)s;
+            }
+            progressed = 1;
+        }
+        /* bupc_trysync on the oldest handles, in order */
+        while (rc == BH_OK && f->gath_head < f->gath_tail) {
+            *f->clock += f->sync_cost;
+            if (!(*f->clock >= f->gath_done[f->gath_head]))
+                break;
+            rc = fw_complete(f);
+            progressed = 1;
+        }
+        if (rc != BH_OK || progressed)
+            continue;
+        /* stalled: wait on the oldest handle, else gather the pool */
+        if (f->gath_head < f->gath_tail) {
+            const double done = f->gath_done[f->gath_head];
+            if (done > *f->clock) {
+                *f->stall += done - *f->clock;
+                f->stall_adds++;
+                *f->clock = done;
+            }
+            *f->clock += f->sync_cost;
+            f->waits++;
+            rc = fw_complete(f);
+        } else if (f->pool_head < f->pool_len) {
+            const int64_t lo = f->pool_head;
+            f->pool_head = f->pool_len;
+            f->pool_nodes = 0;
+            rc = fw_issue(f, lo, f->pool_len, 1);
+        } else {
+            rc = BH_ERR_DEADLOCK;
+        }
+    }
+
+    out[0] = f->gathers;
+    out[1] = f->forced;
+    out[2] = f->waits;
+    out[3] = f->cells_requested;
+    out[4] = f->interactions;
+    out[5] = f->interaction_adds;
+    out[6] = f->stall_adds;
+    free(ws);
+    free(cell_ws);
+    return rc;
 }
 
 #ifdef BH_BUILD_PYEXT

@@ -16,8 +16,10 @@ Both paths funnel through :func:`load_kernel`, which returns a bound
 :class:`CKernel` or ``None``.  Failure is never an exception: a box with
 no compiler gets **one** :class:`RuntimeWarning`; the registry keeps
 serving the numpy ``flat`` engine (see
-:class:`repro.backends.compiled.CompiledFlatBackend`) and the object-tree
-force phase its Python traversal (see :mod:`repro.backends.object_tree`).
+:class:`repro.backends.compiled.CompiledFlatBackend`), the object-tree
+force phase its Python traversal (see :mod:`repro.backends.object_tree`)
+and the frontier force phase its Python loop (see
+:mod:`repro.core.frontier`).
 
 Environment knobs (all read at load time):
 
@@ -30,8 +32,8 @@ Environment knobs (all read at load time):
 ``-ffp-contract=off`` is passed on every build: FMA contraction inside
 the opening test could flip a far/near decision against the numpy
 traversal and break the bit-exact interaction-count contract, and any
-contraction in ``bh_slot_walk`` would break its bit-identity with
-``gravity_traversal``.
+contraction in ``bh_slot_walk`` or ``bh_frontier_walk`` would break
+their bit-identity with ``gravity_traversal`` and the frontier loop.
 """
 
 from __future__ import annotations
@@ -51,13 +53,19 @@ from typing import List, Optional
 import numpy as np
 
 #: ABI this loader binds; must match BH_ABI_VERSION in ``_bh_kernel.c``
-ABI_VERSION = 2
+ABI_VERSION = 3
 
 #: aggregate-counter slots filled by ``bh_force_walk`` (see the C file)
 NCOUNTERS = 5
 
-#: nonzero return codes of ``bh_force_walk`` and ``bh_slot_walk``
+#: nonzero return codes of the entry points (``BH_ERR_*`` in the C file)
 ERR_STACK_OVERFLOW = 1
+ERR_DECLINED = 2
+ERR_CALLBACK = 3
+ERR_DEADLOCK = 4
+
+#: most bodies per ``bh_frontier_walk`` working group (a uint32 bitmask)
+FRONTIER_MAX_GROUP = 32
 
 #: flags shared by both build paths (the ext build adds them through
 #: ``extra_compile_args`` in setup.py)
@@ -67,6 +75,11 @@ _SOURCE = Path(__file__).with_name("_bh_kernel.c")
 
 _F64 = ctypes.POINTER(ctypes.c_double)
 _I64 = ctypes.POINTER(ctypes.c_int64)
+_I32 = ctypes.POINTER(ctypes.c_int32)
+
+#: ``bh_issue_fn``: (retired, npairs, src, n) -> complete_at, NaN on error
+ISSUE_FN = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_int64,
+                            ctypes.c_int64, _I64, _I64)
 
 
 class KernelUnavailable(Exception):
@@ -83,6 +96,7 @@ class CKernel:
             abi = lib.bh_abi_version
             walk = lib.bh_force_walk
             slot = lib.bh_slot_walk
+            frontier = lib.bh_frontier_walk
         except AttributeError as exc:
             raise KernelUnavailable(
                 f"{path}: missing kernel symbols ({exc})") from None
@@ -112,6 +126,21 @@ class CKernel:
             + [_F64] * 2 + [_I64]             # acc work opens
         )
         self._slot = slot
+        frontier.restype = ctypes.c_int
+        frontier.argtypes = (
+            [ctypes.c_int64, _I64]            # k, ids
+            + [ctypes.c_int64] * 3            # tid nthreads group
+            + [_F64] * 4                      # px py pz gmass
+            + [_F64] * 9                      # cx cy cz size_sq half ctx cty ctz cgmass
+            + [ctypes.c_int64] + [_I64] * 3   # ncells child leaf_ptr leaf_bodies
+            + [_I32, _I64]                    # home leaf_owner
+            + [ctypes.c_double, ctypes.c_double, ctypes.c_int]
+            + [_I64] + [ctypes.c_int64] * 3   # words n1 n2 n3
+            + [ctypes.c_double] * 4           # local_word interaction factor sync
+            + [_F64, _F64, ISSUE_FN]          # clock stall issue
+            + [ctypes.c_int64, _F64, _F64, _I64]  # ws_cap acc work out
+        )
+        self._frontier = frontier
 
     def force_walk(self, ids: np.ndarray,
                    px: np.ndarray, py: np.ndarray, pz: np.ndarray,
@@ -177,12 +206,64 @@ class CKernel:
         )
         _check("bh_slot_walk", rc)
 
+    def frontier_walk(self, ids: np.ndarray, tid: int, nthreads: int,
+                      group: int, px: np.ndarray, py: np.ndarray,
+                      pz: np.ndarray, gmass: np.ndarray, tree,
+                      leaf_owner: np.ndarray, theta_sq: float,
+                      eps_sq: float, open_self: bool, words: np.ndarray,
+                      n1: int, n2: int, n3: int, local_word: float,
+                      interaction: float, factor: float, sync_cost: float,
+                      clock: np.ndarray, stall: np.ndarray, issue,
+                      acc: np.ndarray, work: np.ndarray, out: np.ndarray,
+                      ws_cap: int = 0) -> bool:
+        """The section-5.5 frontier loop for thread ``tid``'s bodies.
+
+        Charges ``clock[tid]`` in place, adds waitsync stalls to
+        ``stall[0]``, accumulates into ``acc`` ((k, 3)) and ``work``, and
+        fills ``out`` (7 int64 results, see the C file).  ``issue`` is an
+        :data:`ISSUE_FN`.  Returns False, having touched nothing, when
+        the kernel declines (workspace unavailable or above ``ws_cap``
+        bytes).
+        """
+        rc = self._frontier(
+            len(ids), ids.ctypes.data_as(_I64), tid, nthreads, group,
+            px.ctypes.data_as(_F64), py.ctypes.data_as(_F64),
+            pz.ctypes.data_as(_F64), gmass.ctypes.data_as(_F64),
+            tree.cx.ctypes.data_as(_F64), tree.cy.ctypes.data_as(_F64),
+            tree.cz.ctypes.data_as(_F64),
+            tree.size_sq.ctypes.data_as(_F64),
+            tree.half.ctypes.data_as(_F64),
+            tree.ctx.ctypes.data_as(_F64), tree.cty.ctypes.data_as(_F64),
+            tree.ctz.ctypes.data_as(_F64),
+            tree.gmass.ctypes.data_as(_F64),
+            tree.ncells, tree.child.ctypes.data_as(_I64),
+            tree.leaf_ptr.ctypes.data_as(_I64),
+            tree.leaf_bodies.ctypes.data_as(_I64),
+            tree.home.ctypes.data_as(_I32),
+            leaf_owner.ctypes.data_as(_I64),
+            theta_sq, eps_sq, int(open_self),
+            words.ctypes.data_as(_I64), n1, n2, n3,
+            local_word, interaction, factor, sync_cost,
+            clock[tid:].ctypes.data_as(_F64), stall.ctypes.data_as(_F64),
+            issue, ws_cap,
+            acc.ctypes.data_as(_F64), work.ctypes.data_as(_F64),
+            out.ctypes.data_as(_I64),
+        )
+        if rc == ERR_DECLINED:
+            return False
+        _check("bh_frontier_walk", rc)
+        return True
+
 
 def _check(name: str, rc: int) -> None:
     if rc == ERR_STACK_OVERFLOW:
         raise RuntimeError(
             f"{name}: traversal stack overflow (tree deeper than the "
             "MAX_DEPTH bound -- malformed tree)")
+    if rc == ERR_CALLBACK:
+        raise RuntimeError(f"{name}: the gather callback raised")
+    if rc == ERR_DEADLOCK:
+        raise RuntimeError(f"{name}: frontier deadlock (bookkeeping bug)")
     if rc != 0:
         raise RuntimeError(f"{name} failed with code {rc}")
 

@@ -1,6 +1,7 @@
 """Simulated UPC/PGAS runtime substrate.
 
-See DESIGN.md section 2 for what is real versus modeled.  Public surface:
+See :mod:`repro.upc.runtime` ("Execution model") for what is real versus
+modeled.  Public surface:
 
 * :class:`MachineConfig` -- the modeled cluster,
 * :class:`UpcRuntime` -- virtual clocks, phases, charged operations,

@@ -107,7 +107,12 @@ class AsyncEngine:
         Used to check the paper's section-5.5 measurement: with 32 threads
         more than 95% of the requests had a single source thread.
         """
-        total = sum(self.source_histogram.values())
-        if total == 0:
-            return {}
-        return {k: v / total for k, v in sorted(self.source_histogram.items())}
+        return source_fractions(self.source_histogram)
+
+
+def source_fractions(histogram: Dict[int, int]) -> Dict[int, float]:
+    """A gathers-by-source-count histogram, normalized to fractions."""
+    total = sum(histogram.values())
+    if total == 0:
+        return {}
+    return {k: v / total for k, v in sorted(histogram.items())}

@@ -351,7 +351,9 @@ class TestForceEngineStat:
         assert self._engine() == PY_ENGINE
 
     def test_frontier_variants(self):
-        assert self._engine("subspace") == "frontier"
+        want = "c-frontier" if slot_kernel() is not None else "frontier"
+        assert self._engine("subspace") == want
+        assert self._engine("async") == want
 
     def test_flat_c_without_kernel(self, no_kernel):
         assert self._engine(backend="flat-c") == "flat (numpy fallback)"
