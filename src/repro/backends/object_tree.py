@@ -34,7 +34,7 @@ import numpy as np
 
 from ..nbody.bodies import BodySoA
 from ..octree.cell import Cell
-from ..octree.flat import FlatTree, decode_leaf, prepare_bodies
+from ..octree.flat import CellRows, FlatTree, decode_leaf, prepare_bodies
 from ..octree.traverse import TraversalPolicy, gravity_traversal
 from .base import ForceBackend, ForceResult
 
@@ -69,12 +69,14 @@ class SlotTree:
     ``flat`` holds the BFS-ordered arrays and ``cells[r]`` the ``Cell`` of
     row ``r``; ``parent[r]`` is the row of its parent (0 for the root) and
     ``leaf_parent[j]`` the row of the cell whose leaf holds
-    ``flat.leaf_bodies[j]``.
+    ``flat.leaf_bodies[j]``.  ``rows`` is :func:`cell_rows` of ``root``
+    when the caller already flattened it.
     """
 
-    def __init__(self, root: Cell, bodies: BodySoA, cfg):
+    def __init__(self, root: Cell, bodies: BodySoA, cfg,
+                 rows: Optional[CellRows] = None):
         self.root = root
-        self.flat, self.cells = FlatTree.from_cell_rows(root)
+        self.flat, self.cells = FlatTree.from_cell_rows(root, rows)
         flat = self.flat
         C = flat.ncells
         self.parent = np.zeros(C, dtype=np.int64)

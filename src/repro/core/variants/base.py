@@ -17,14 +17,18 @@ by one, are:
 The object-tree force phase computes forces with one slot-order walk per
 body (:mod:`repro.backends.object_tree`) and charges every variant's UPC
 traffic afterwards from the walk's per-cell open counts
-(:meth:`VariantBase.charge_force_walk`).
+(:meth:`VariantBase.charge_force_walk`).  The tree build's and c-of-m
+phase's charges are replayed by the compiled kernel from a recorded
+insertion trace (:mod:`repro.core.build_replay`); the hook-driven
+phases here are its oracle and its no-compiler path.
 
 Subclasses override the phase methods and/or flip the class flags.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+import math
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,12 +40,22 @@ from ...nbody.integrator import advance_indices, startup_half_kick
 from ...octree.build import insert, new_root
 from ...octree.cell import Cell, Leaf
 from ...octree.costzones import costzones
+from ...octree.flat import CellRows, cell_rows
 # the per-group recursion the slot walk reproduces; kept importable where
 # the force phase lives, since bench/layers.py attributes time to it here
 from ...octree.traverse import gravity_traversal  # noqa: F401
 from ...upc.locks import UpcLock
 from ...upc.memory import SharedArray
 from ...upc.runtime import UpcRuntime
+from ..build_replay import (
+    C_BUILD,
+    C_COFM,
+    PY_BUILD,
+    PY_COFM,
+    replay_build,
+    replay_cofm,
+    replay_kernel,
+)
 from ..config import BHConfig
 from ..phases import (
     ADVANCE,
@@ -100,6 +114,12 @@ class VariantBase:
         self.root: Optional[Cell] = None
         self.mycelltab: List[List[Cell]] = [[] for _ in range(self.P)]
         self._locks: Dict[int, UpcLock] = {}
+        #: per step: the tree build's lock (acquires, contended acquires,
+        #: sorted nonzero waits); see :meth:`treebuild_locks`
+        self.lock_stats: Dict[int, Tuple[int, int, List[float]]] = {}
+        #: the c-of-m replay's flatten of ``root`` (octree.flat.cell_rows),
+        #: taken by the force phase's SlotTree (:meth:`slot_tree`)
+        self.tree_rows: Optional[CellRows] = None
         #: per-step migration fraction (section 5.2 claim)
         self.migration_fractions: List[float] = []
         #: per-step (local, merge) per-thread seconds (figure 8)
@@ -114,6 +134,10 @@ class VariantBase:
         #: engine that served the latest force phase (RunResult's
         #: ``variant_stats["force_engine"]``)
         self.force_engine: Optional[str] = None
+        #: engines of the latest baseline tree build and c-of-m phase
+        #: (:mod:`repro.core.build_replay`); None when the phase never ran
+        self.treebuild_engine: Optional[str] = None
+        self.cofm_engine: Optional[str] = None
         #: resilience mediation (a ResilienceManager, attached by
         #: BarnesHutSimulation when the config enables any of it; None
         #: keeps the unmediated phase loop below)
@@ -157,6 +181,38 @@ class VariantBase:
     def assigned(self, tid: int) -> np.ndarray:
         return np.nonzero(self.bodies.assign == tid)[0]
 
+    def record_treebuild_locks(self, acquires: Sequence[int],
+                               contended: Sequence[int],
+                               waits: Sequence[float]) -> None:
+        """Keep this step's tree-build ``upc_lock`` statistics (a
+        retried build replaces its failed attempt's)."""
+        self.lock_stats[self.step_index] = (
+            int(sum(acquires)), int(sum(contended)),
+            sorted(float(w) for w in waits if w))
+
+    def record_upc_locks(self) -> None:
+        """:meth:`record_treebuild_locks` of every lock in ``_locks``."""
+        locks = list(self._locks.values())
+        self.record_treebuild_locks(
+            [lk.acquires for lk in locks],
+            [lk.contended_acquires for lk in locks],
+            [lk.total_wait for lk in locks])
+
+    def treebuild_locks(self) -> Optional[dict]:
+        """Tree-build lock statistics summed over the measured steps
+        (section 5.4's contention), or None when no build took locks.
+        ``total_wait`` is an exact ``math.fsum``, so it does not depend
+        on the order the waits were recorded in."""
+        steps = [v for k, v in sorted(self.lock_stats.items())
+                 if k >= self.cfg.warmup_steps]
+        if not steps:
+            return None
+        return {
+            "acquires": sum(s[0] for s in steps),
+            "contended_acquires": sum(s[1] for s in steps),
+            "total_wait": math.fsum(w for s in steps for w in s[2]),
+        }
+
     # -- body access helpers -------------------------------------------------
     def body_ptrs_local(self) -> bool:
         """True when each thread's bodies live in its own shared memory and
@@ -196,13 +252,59 @@ class VariantBase:
     # phase: tree build (baseline: global insertion under locks)         #
     # ------------------------------------------------------------------ #
     def phase_treebuild(self) -> None:
-        rt = self.rt
         bodies = self.bodies
+        idx_lists = []
+        for t in range(self.P):
+            idx = self.assigned(t)
+            idx_lists.append(idx)
+            if self.replicate_scalars:
+                # one myrsize copy per thread per phase (section 5.1)
+                self.read_shared_scalar(t, 1)
+            else:
+                self.read_shared_scalar(t, float(len(idx)))  # rsize/insert
+            self.charge_body_words(t, idx, BODY_POS_WORDS)
+        order, tids = _round_robin(idx_lists)
+        kernel = replay_kernel()
+        if kernel is not None:
+            # build once recording the visits; the kernel replays the
+            # charges (repro.core.build_replay)
+            seq = self._new_tree()
+            trace: List[Cell] = []
+            visit = trace.append
+            for i, t in zip(order, tids):
+                insert(self.root, i, bodies.pos, home=t, on_visit=visit,
+                       seq_counter=seq)
+            done = replay_build(self, kernel, trace, tids, seq[0])
+            if done is not None:
+                cells, locks = done
+                self._set_tree(cells)
+                self.record_treebuild_locks(*locks)
+                self.treebuild_engine = C_BUILD
+                return
+        self._build_with_hooks(order, tids)
+        self.treebuild_engine = PY_BUILD
+
+    def _new_tree(self) -> List[int]:
+        """Start an empty global tree; its creation-sequence counter (the
+        root is cell 0)."""
         self.root = new_root(self.box, home=0)
         self._locks.clear()
-        self.ncells = 1
+        self.tree_rows = None
+        return [1]
+
+    def _set_tree(self, cells: List[Cell]) -> None:
+        """Adopt a finished build's cells, in creation order."""
+        self.ncells = len(cells)
         self.mycelltab = [[] for _ in range(self.P)]
-        self.mycelltab[0].append(self.root)
+        for cell in cells:
+            self.mycelltab[cell.home].append(cell)
+
+    def _build_with_hooks(self, order: List[int], tids: List[int]) -> None:
+        """The insertion build with every UPC charge made by its hooks:
+        the oracle of :func:`~repro.core.build_replay.replay_build`."""
+        rt = self.rt
+        seq = self._new_tree()
+        cells = [self.root]
 
         def make_hooks(t: int):
             def on_visit(cell: Cell) -> None:
@@ -212,8 +314,7 @@ class VariantBase:
             def on_alloc(cell: Cell) -> None:
                 rt.heap.upc_alloc(t, rt.machine.cell_nbytes, cell)
                 rt.charge_compute(t, CELL_COMPUTE)
-                self.mycelltab[t].append(cell)
-                self.ncells += 1
+                cells.append(cell)
                 rt.count(t, "cells_alloc")
 
             def on_modify(cell: Cell) -> None:
@@ -225,34 +326,31 @@ class VariantBase:
             return on_visit, on_alloc, on_modify
 
         hooks = [make_hooks(t) for t in range(self.P)]
-        idx_lists = []
-        for t in range(self.P):
-            idx = self.assigned(t)
-            idx_lists.append(idx)
-            if self.replicate_scalars:
-                # one myrsize copy per thread per phase (section 5.1)
-                self.read_shared_scalar(t, 1)
-            else:
-                self.read_shared_scalar(t, float(len(idx)))  # rsize/insert
-            self.charge_body_words(t, idx, BODY_POS_WORDS)
-        # Threads insert concurrently on the real machine; interleave the
-        # insertions round-robin so cell creation (and hence cell affinity
-        # and lock contention) is spread across threads the way a parallel
-        # build spreads it, instead of thread 0 winning every top cell.
-        longest = max((len(x) for x in idx_lists), default=0)
-        for k in range(longest):
-            for t in range(self.P):
-                idx = idx_lists[t]
-                if k < len(idx):
-                    on_visit, on_alloc, on_modify = hooks[t]
-                    insert(self.root, int(idx[k]), bodies.pos, home=t,
-                           on_visit=on_visit, on_alloc=on_alloc,
-                           on_modify=on_modify)
+        for i, t in zip(order, tids):
+            on_visit, on_alloc, on_modify = hooks[t]
+            insert(self.root, i, self.bodies.pos, home=t,
+                   on_visit=on_visit, on_alloc=on_alloc,
+                   on_modify=on_modify, seq_counter=seq)
+        self._set_tree(cells)
+        self.record_upc_locks()
 
     # ------------------------------------------------------------------ #
     # phase: center of mass (baseline: spin on done flags)               #
     # ------------------------------------------------------------------ #
     def phase_cofm(self) -> None:
+        kernel = replay_kernel()
+        if kernel is not None:
+            rows = cell_rows(self.root)
+            if replay_cofm(self, kernel, rows) is not None:
+                self.tree_rows = rows
+                self.cofm_engine = C_COFM
+                return
+        self._cofm_waiting()
+        self.cofm_engine = PY_COFM
+
+    def _cofm_waiting(self) -> None:
+        """The c-of-m spin under :meth:`UpcRuntime.run_waiting`: the
+        oracle of :func:`~repro.core.build_replay.replay_cofm`."""
         rt = self.rt
         bodies = self.bodies
         P = self.P
@@ -365,6 +463,14 @@ class VariantBase:
         bodies.cost = new_cost
         self.force_engine = backend.served_by
 
+    def slot_tree(self) -> SlotTree:
+        """The force phase's :class:`SlotTree` of ``root``, reusing the
+        c-of-m replay's flatten when it is of this tree."""
+        rows, self.tree_rows = self.tree_rows, None
+        if rows is not None and rows[0][0] is not self.root:
+            rows = None
+        return SlotTree(self.root, self.bodies, self.cfg, rows)
+
     def phase_force(self) -> None:
         if self.backend_force_active():
             self.phase_force_backend()
@@ -373,7 +479,7 @@ class VariantBase:
         bodies = self.bodies
         tr = rt.tracer
         traced = tr.enabled
-        tree = SlotTree(self.root, bodies, self.cfg)
+        tree = self.slot_tree()
         self.force_engine = tree.engine
         new_cost = bodies.cost.copy()
         for t in range(self.P):
@@ -466,6 +572,23 @@ class VariantBase:
             from ...upc.collectives import broadcast
 
             broadcast(rt, rt.machine.word_nbytes)
+
+
+def _round_robin(idx_lists: List[np.ndarray]) -> Tuple[List[int], List[int]]:
+    """(body, thread) lists of the build's insertions: the k-th body of
+    every thread in thread order, then every thread's (k+1)-th.
+
+    Threads insert concurrently on the real machine; interleaving the
+    insertions round-robin spreads cell creation (and hence cell
+    affinity and lock contention) across threads the way a parallel
+    build spreads it, instead of thread 0 winning every top cell.
+    """
+    lengths = [len(idx) for idx in idx_lists]
+    tids = np.repeat(np.arange(len(idx_lists)), lengths)
+    rank = np.concatenate([np.arange(n) for n in lengths])
+    order = np.lexsort((tids, rank))
+    return (np.concatenate(idx_lists)[order].tolist(),
+            tids[order].tolist())
 
 
 class Baseline(VariantBase):

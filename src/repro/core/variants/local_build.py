@@ -118,6 +118,7 @@ class LocalBuild(CacheTree):
         self.treebuild_subphases.append(
             {"local": local_times, "merge": merge_times}
         )
+        self.record_upc_locks()
 
     # ------------------------------------------------------------------ #
     def _merge_tree(self, t: int, g: Cell, l: Cell) -> None:

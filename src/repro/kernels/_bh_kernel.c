@@ -1,6 +1,7 @@
-/* Iterative Barnes-Hut force walks over FlatTree arrays.
+/* Iterative Barnes-Hut force walks over FlatTree arrays, and the
+ * baseline's tree-build and c-of-m accounting replays.
  *
- * Three entry points:
+ * Five entry points:
  *
  *   - bh_force_walk, the compiled twin of repro.octree.flat.flat_gravity
  *     (the flat-c backend), one stack DFS per body;
@@ -10,7 +11,13 @@
  *   - bh_frontier_walk, the compiled twin of the section-5.5 frontier
  *     loop in repro.core.frontier: per-group stacks, pooled misses and
  *     outstanding gathers, bit-identical in forces and in every
- *     simulated charge.
+ *     simulated charge;
+ *   - bh_build_replay and bh_cofm_replay, the compiled twins of the
+ *     section-4 baseline's insertion hooks and c-of-m spin in
+ *     repro.core.variants.base: every UPC charge of the tree build,
+ *     replayed from the recorded insertion trace, and the whole
+ *     run_waiting schedule of the c-of-m phase, bit-identical in every
+ *     clock, NIC time and counter.
  *
  * bh_force_walk walks the same contiguous arrays the numpy level loop reads (per-component cofm and
  * geometric centers, premultiplied size^2 and G*mass, compacted children
@@ -41,7 +48,7 @@
 #include <stdlib.h>
 
 /* ABI version checked by the loader; bump on any signature change. */
-#define BH_ABI_VERSION 3
+#define BH_ABI_VERSION 4
 
 /* Deepest possible walk: MAX_DEPTH (30) levels, each pushing at most
  * 8 children while popping one -- 4096 is an order of magnitude above
@@ -801,6 +808,467 @@ int bh_frontier_walk(
     out[6] = f->stall_adds;
     free(ws);
     free(cell_ws);
+    return rc;
+}
+
+/* ------------------------------------------------------------------ */
+/* The baseline's tree-build and c-of-m accounting, replayed.           */
+/* ------------------------------------------------------------------ */
+
+/* Charge kinds of the relation-class tables (UpcRuntime.class_tables):
+ * word accesses of 1, 2 and 4 words (runtime.CLASS_WORDS), lock acquire
+ * and lock release.  tab[(kind * BH_NCLASSES + class) * 2 + {0, 1}] is
+ * the (issuer, nic) pair of CostModel for any (issuer, target) pair of
+ * that class, and cls[issuer * nthreads + target] is the pair's class. */
+#define BH_K_WORD1 0
+#define BH_K_ACQUIRE 3
+#define BH_K_RELEASE 4
+#define BH_NCLASSES 4
+
+/* the word-access kind of a width, or -1 when no table holds it */
+static int rp_word_kind(int64_t words)
+{
+    switch (words) {
+    case 1: return 0;
+    case 2: return 1;
+    case 4: return 2;
+    default: return -1;
+    }
+}
+
+/* per-thread totals of bh_build_replay, in this order */
+#define BH_B_VISITS 0
+#define BH_B_WRITES 1
+#define BH_B_REMOTE 2
+#define BH_B_LOCKS 3
+#define BH_B_ALLOCS 4
+#define BH_B_NTOTALS 5
+
+/* per-thread totals of bh_cofm_replay, in this order */
+#define BH_F_SLOTS 0
+#define BH_F_BODY 1
+#define BH_F_CHILD 2
+#define BH_F_REMOTE 3
+#define BH_F_NTOTALS 4
+
+typedef struct {
+    int64_t nthreads;
+    const int64_t *node_of;
+    const uint8_t *cls;
+    const double *tab;
+    double *clock, *nic;
+} bh_charges;
+
+static const double *rp_entry(const bh_charges *c, int kind, int64_t t,
+                              int64_t target)
+{
+    return c->tab
+        + (kind * BH_NCLASSES + c->cls[t * c->nthreads + target]) * 2;
+}
+
+/* UpcRuntime.word_access(t, owner, words, count): the issuer charge,
+ * then the NIC add under the same > 0 guard */
+static void rp_word(const bh_charges *c, int kind, int64_t t,
+                    int64_t owner, double count)
+{
+    const double *e = rp_entry(c, kind, t, owner);
+    c->clock[t] += e[0] * count;
+    const double nic = e[1] * count;
+    if (nic > 0.0)
+        c->nic[c->node_of[owner]] += nic;
+}
+
+/* UpcRuntime._add_nic: nothing for a non-positive charge */
+static void rp_nic(const bh_charges *c, int64_t owner, double seconds)
+{
+    if (!(seconds <= 0.0))
+        c->nic[c->node_of[owner]] += seconds;
+}
+
+/* Replay the UPC charges of the baseline's insertion build.
+ *
+ * visits[nvisits]   Cell.seq of every cell the insertions visited, in
+ *                   the order they visited them.  Each insertion starts
+ *                   at the root (seq 0); a seq one above the highest so
+ *                   far is a cell the current insertion created.
+ * ins_tid[ninserts] inserting thread of each insertion, in order
+ * ncells            cells in the tree, root included
+ * node_of[P], cls[P * P], tab[5 * 4 * 2]
+ *                   the relation-class charge tables (see above)
+ * visit_words       CELL_VISIT_WORDS (1, 2 or 4)
+ * alloc_cost        CostModel.compute(CELL_COMPUTE)
+ * clock[P], nic[N]  rt.clock and rt._nic, charged in place
+ * first[ncells]     trace position of each cell's first visit (out;
+ *                   first[0] is 0)
+ * acquires[ncells], contended[ncells], total_wait[ncells]
+ *                   per-cell UpcLock statistics (out)
+ * totals[P * 5]     per-thread integer totals: cell visits, cell
+ *                   writes, remote words, lock acquires, allocations
+ *
+ * The events follow from the trace: a visit charges visit_words words
+ * at the cell's home; before a new cell's visit come its
+ * allocation and then a locked 1-word write to the previous cell; every
+ * insertion ends with a locked write to its last visited cell.  Each
+ * charge does the float operations of the Python hooks in their order.
+ *
+ * Returns BH_ERR_DECLINED, before any side effect, when an input is
+ * malformed or the workspace cannot be allocated.
+ */
+int bh_build_replay(
+    int64_t nvisits, const int64_t *visits, int64_t ninserts,
+    const int64_t *ins_tid, int64_t ncells, int64_t nthreads,
+    const int64_t *node_of, const uint8_t *cls, const double *tab,
+    int64_t visit_words, double alloc_cost, double *clock, double *nic,
+    int64_t *first, int64_t *acquires, int64_t *contended,
+    double *total_wait, int64_t *totals)
+{
+    const int visit_kind = rp_word_kind(visit_words);
+    if (ncells < 1 || nthreads < 1 || nvisits < 0 || ninserts < 0
+        || visit_kind < 0)
+        return BH_ERR_DECLINED;
+    /* validate the whole trace first: no failure after a side effect */
+    int64_t created = 1, inserts = 0;
+    for (int64_t i = 0; i < nvisits; i++) {
+        const int64_t v = visits[i];
+        if (v < 0 || v > created || (i == 0 && v != 0))
+            return BH_ERR_DECLINED;
+        if (v == 0)
+            inserts++;
+        else if (v == created)
+            created++;
+    }
+    if (created != ncells || inserts != ninserts)
+        return BH_ERR_DECLINED;
+    for (int64_t j = 0; j < ninserts; j++)
+        if (ins_tid[j] < 0 || ins_tid[j] >= nthreads)
+            return BH_ERR_DECLINED;
+    uint8_t *ws = malloc((size_t)ncells * (sizeof(int64_t) + sizeof(double)));
+    if (!ws)
+        return BH_ERR_DECLINED;
+    int64_t *home = (int64_t *)ws;
+    double *free_at = (double *)(home + ncells);
+
+    const bh_charges C = {nthreads, node_of, cls, tab, clock, nic};
+    const bh_charges *c = &C;
+    for (int64_t r = 0; r < ncells; r++) {
+        acquires[r] = contended[r] = 0;
+        total_wait[r] = free_at[r] = 0.0;
+    }
+    for (int64_t r = 0; r < nthreads * BH_B_NTOTALS; r++)
+        totals[r] = 0;
+    home[0] = 0;
+    first[0] = 0;
+    created = 1;
+    int64_t t = 0, ins = 0, prev = -1;
+    for (int64_t i = 0; i <= nvisits; i++) {
+        const int64_t v = i < nvisits ? visits[i] : 0;
+        const int new_cell = v == created;
+        if (prev >= 0 && (v == 0 || new_cell)) {
+            if (new_cell) {
+                /* on_alloc: upc_alloc, CELL_COMPUTE, cells_alloc */
+                home[v] = t;
+                first[v] = i;
+                created++;
+                clock[t] += alloc_cost;
+                totals[t * BH_B_NTOTALS + BH_B_ALLOCS]++;
+            }
+            /* on_modify(prev): lock, 1-word write, unlock */
+            const int64_t h = home[prev];
+            const double *acq = rp_entry(c, BH_K_ACQUIRE, t, h);
+            const double now = clock[t];
+            const double grant = (free_at[prev] > now ? free_at[prev] : now)
+                                 + acq[0];
+            const double wait = grant - now - acq[0];
+            acquires[prev]++;
+            if (wait > 1e-12) {
+                contended[prev]++;
+                total_wait[prev] += wait;
+            }
+            if (grant > free_at[prev])
+                free_at[prev] = grant;
+            clock[t] = grant;
+            rp_nic(c, h, acq[1]);
+            rp_word(c, BH_K_WORD1, t, h, 1.0);
+            const double *rel = rp_entry(c, BH_K_RELEASE, t, h);
+            const double done = clock[t] + rel[0];
+            if (done > free_at[prev])
+                free_at[prev] = done;
+            clock[t] = done;
+            rp_nic(c, h, rel[1]);
+            totals[t * BH_B_NTOTALS + BH_B_WRITES]++;
+            totals[t * BH_B_NTOTALS + BH_B_LOCKS]++;
+            totals[t * BH_B_NTOTALS + BH_B_REMOTE] += h != t;
+        }
+        if (i == nvisits)
+            break;
+        if (v == 0)
+            t = ins_tid[ins++];
+        /* on_visit: visit_words at the cell's home */
+        rp_word(c, visit_kind, t, home[v], 1.0);
+        totals[t * BH_B_NTOTALS + BH_B_VISITS]++;
+        totals[t * BH_B_NTOTALS + BH_B_REMOTE] +=
+            visit_words * (home[v] != t);
+        prev = v;
+    }
+    free(ws);
+    return BH_OK;
+}
+
+/* one thread's c-of-m worker: its next cell, slot and partial sums */
+typedef struct {
+    int64_t cell, slot, nb, waiting;
+    double mass, cofm[3], cost;
+} bh_cofm_worker;
+
+typedef struct {
+    bh_charges ch;
+    int64_t ptrs_local, leaf_words, child_words;
+    int child_kind;
+    const int64_t *home, *child, *leaf_ptr, *leaf_bodies, *store;
+    const double *center, *bmass, *bpos, *bcost;
+    double leaf_word_cost, factor, cell_cost;
+    double *mass, *cofm, *cost, *done_at;
+    int64_t *nbodies, *totals, *prev_same, *owner_cnt;
+    uint8_t *done;
+} bh_cofm;
+
+/* A leaf's body reads (charge_body_words of BODY_LEAF_WORDS words, or
+ * the single-body shortcut), then its bodies' sums in index order. */
+static void cf_leaf(bh_cofm *f, int64_t t, bh_cofm_worker *w, int64_t leaf)
+{
+    const bh_charges *c = &f->ch;
+    const int64_t b0 = f->leaf_ptr[leaf], b1 = f->leaf_ptr[leaf + 1];
+    int64_t *tot = f->totals + t * BH_F_NTOTALS;
+    if (f->ptrs_local) {
+        c->clock[t] += ((double)((b1 - b0) * f->leaf_words)
+                        * f->leaf_word_cost) * f->factor;
+    } else if (b1 - b0 == 1) {
+        const int64_t o = f->store[f->leaf_bodies[b0]];
+        rp_word(c, BH_K_WORD1, t, o, (double)f->leaf_words);
+        tot[BH_F_BODY] += f->leaf_words;
+        tot[BH_F_REMOTE] += f->leaf_words * (o != t);
+    } else {
+        /* np.bincount over the owners, charged in ascending order */
+        for (int64_t j = b0; j < b1; j++)
+            f->owner_cnt[f->store[f->leaf_bodies[j]]]++;
+        for (int64_t o = 0; o < c->nthreads; o++) {
+            const int64_t n = f->owner_cnt[o];
+            if (!n)
+                continue;
+            f->owner_cnt[o] = 0;
+            rp_word(c, BH_K_WORD1, t, o, (double)n * (double)f->leaf_words);
+            tot[BH_F_BODY] += n * f->leaf_words;
+            tot[BH_F_REMOTE] += n * f->leaf_words * (o != t);
+        }
+    }
+    for (int64_t j = b0; j < b1; j++) {
+        const int64_t b = f->leaf_bodies[j];
+        const double m = f->bmass[b];
+        w->mass += m;
+        for (int d = 0; d < 3; d++)
+            w->cofm[d] += m * f->bpos[3 * b + d];
+        w->nb++;
+        w->cost += f->bcost[b];
+    }
+}
+
+/* Run thread t's worker until it blocks on an unfinished child
+ * (returns 1, w->waiting set) or has finished every cell (returns 0). */
+static int cf_run(bh_cofm *f, int64_t t, bh_cofm_worker *w)
+{
+    const bh_charges *c = &f->ch;
+    int64_t *tot = f->totals + t * BH_F_NTOTALS;
+    while (w->cell >= 0) {
+        const int64_t cell = w->cell, h = f->home[cell];
+        const int64_t *slots = f->child + cell * 8;
+        for (; w->slot < 8; w->slot++) {
+            const int64_t code = slots[w->slot];
+            if (w->waiting < 0) {
+                rp_word(c, BH_K_WORD1, t, h, 1.0);
+                tot[BH_F_SLOTS]++;
+                tot[BH_F_REMOTE] += h != t;
+                if (code == -1)
+                    continue;
+                if (code <= -2) {
+                    cf_leaf(f, t, w, -code - 2);
+                    continue;
+                }
+                if (!f->done[code]) {
+                    w->waiting = code; /* spin until the child is done */
+                    return 1;
+                }
+            }
+            w->waiting = -1;
+            const int64_t ho = f->home[code];
+            rp_word(c, f->child_kind, t, ho, 1.0);
+            tot[BH_F_CHILD]++;
+            tot[BH_F_REMOTE] += f->child_words * (ho != t);
+            const double m = f->mass[code];
+            w->mass += m;
+            for (int d = 0; d < 3; d++)
+                w->cofm[d] += m * f->cofm[3 * code + d];
+            w->nb += f->nbodies[code];
+            w->cost += f->cost[code];
+        }
+        c->clock[t] += f->cell_cost;
+        f->mass[cell] = w->mass;
+        for (int d = 0; d < 3; d++)
+            f->cofm[3 * cell + d] = w->mass > 0 ? w->cofm[d] / w->mass
+                                                : f->center[3 * cell + d];
+        f->nbodies[cell] = w->nb;
+        f->cost[cell] = w->cost;
+        f->done_at[cell] = c->clock[t];
+        f->done[cell] = 1;
+        /* the next cell down the thread's creation order */
+        w->cell = f->prev_same[cell];
+        w->slot = 0;
+        w->nb = 0;
+        w->mass = w->cost = 0.0;
+        w->cofm[0] = w->cofm[1] = w->cofm[2] = 0.0;
+    }
+    return 0;
+}
+
+/* The baseline's c-of-m phase: every thread's worker over its cells in
+ * reverse creation order, under UpcRuntime.run_waiting's schedule.
+ *
+ * ncells, nthreads       cells (FlatTree rows) and threads
+ * seq[C]                 creation rank of each cell (Cell.seq): a
+ *                        permutation of 0 .. C-1
+ * home[C]                owning (creating) thread of each cell
+ * child[C * 8]           FlatTree.child (EMPTY = -1, leaf = -(id + 2))
+ * leaf_ptr[L+1], leaf_bodies   leaf body spans, in Leaf.indices order
+ * center[C * 3]          geometric centers (the cofm of a massless cell)
+ * store[n]               bodies.store (owning thread of each body)
+ * bmass[n], bpos[n * 3], bcost[n]   body mass, position, cost
+ * ptrs_local             bodies are local and cast (sections 5.2+)
+ * leaf_words             BODY_LEAF_WORDS
+ * child_words            COFM_CHILD_WORDS (1, 2 or 4)
+ * leaf_word_cost, factor machine.local_word_cost, CostModel's factor
+ * cell_cost              CostModel.compute(CELL_COMPUTE)
+ * node_of, cls, tab, clock, nic   as in bh_build_replay
+ * mass[C], cofm[C * 3], nbodies[C], cost[C], done_at[C]   outputs
+ * totals[P * 4]          per-thread integer totals: slot reads, body
+ *                        words, child reads, remote words
+ *
+ * The scheduler is run_waiting's: the runnable thread with the least
+ * (clock, tid) runs until it blocks or finishes; then every thread
+ * blocked on a finished cell wakes at max(clock, done_at).  Each
+ * runnable thread is keyed by its own clock, so the order of wakes does
+ * not matter.  A worker tests a child's done flag before it yields, so
+ * it never resumes on a finished token and no poll cost is charged.
+ *
+ * Returns BH_ERR_DECLINED, before any side effect, on malformed input
+ * or when the workspace cannot be allocated, and BH_ERR_DEADLOCK if
+ * every live thread is blocked.
+ */
+int bh_cofm_replay(
+    int64_t ncells, int64_t nthreads, const int64_t *seq,
+    const int64_t *home, const int64_t *child, int64_t nleaves,
+    const int64_t *leaf_ptr, const int64_t *leaf_bodies, const double *center,
+    int64_t nbodies_all, const int64_t *store, const double *bmass,
+    const double *bpos, const double *bcost, int64_t ptrs_local,
+    int64_t leaf_words, int64_t child_words, double leaf_word_cost,
+    double factor, double cell_cost, const int64_t *node_of,
+    const uint8_t *cls, const double *tab, double *clock, double *nic,
+    double *mass, double *cofm, int64_t *nbodies, double *cost,
+    double *done_at, int64_t *totals)
+{
+    const int child_kind = rp_word_kind(child_words);
+    if (ncells < 1 || nthreads < 1 || nleaves < 0 || leaf_ptr[0] != 0
+        || child_kind < 0)
+        return BH_ERR_DECLINED;
+    for (int64_t r = 0; r < ncells; r++) {
+        if (home[r] < 0 || home[r] >= nthreads || seq[r] < 0
+            || seq[r] >= ncells)
+            return BH_ERR_DECLINED;
+        for (int j = 0; j < 8; j++) {
+            const int64_t v = child[r * 8 + j];
+            if (v >= ncells || (v <= -2 && -v - 2 >= nleaves))
+                return BH_ERR_DECLINED;
+        }
+    }
+    for (int64_t l = 0; l < nleaves; l++)
+        if (leaf_ptr[l] >= leaf_ptr[l + 1])
+            return BH_ERR_DECLINED;
+    for (int64_t j = 0; j < leaf_ptr[nleaves]; j++) {
+        const int64_t b = leaf_bodies[j];
+        if (b < 0 || b >= nbodies_all || store[b] < 0 || store[b] >= nthreads)
+            return BH_ERR_DECLINED;
+    }
+    uint8_t *ws = malloc(
+        (size_t)ncells * (2 * sizeof(int64_t) + 1)
+        + (size_t)nthreads * (sizeof(bh_cofm_worker) + sizeof(int64_t) + 1));
+    if (!ws)
+        return BH_ERR_DECLINED;
+    bh_cofm_worker *workers = (bh_cofm_worker *)ws;
+    int64_t *prev_same = (int64_t *)(workers + nthreads);
+    int64_t *by_seq = prev_same + ncells;
+    int64_t *owner_cnt = by_seq + ncells;
+    uint8_t *done = (uint8_t *)(owner_cnt + nthreads);
+    uint8_t *runnable = done + ncells;
+    /* the cells in creation order; a repeated rank is malformed */
+    for (int64_t s = 0; s < ncells; s++)
+        by_seq[s] = -1;
+    for (int64_t r = 0; r < ncells; r++) {
+        if (by_seq[seq[r]] >= 0) {
+            free(ws);
+            return BH_ERR_DECLINED;
+        }
+        by_seq[seq[r]] = r;
+    }
+
+    bh_cofm F = {
+        .ch = {nthreads, node_of, cls, tab, clock, nic},
+        .ptrs_local = ptrs_local, .leaf_words = leaf_words,
+        .child_words = child_words, .child_kind = child_kind,
+        .home = home, .child = child, .leaf_ptr = leaf_ptr,
+        .leaf_bodies = leaf_bodies, .store = store, .center = center,
+        .bmass = bmass, .bpos = bpos, .bcost = bcost,
+        .leaf_word_cost = leaf_word_cost, .factor = factor,
+        .cell_cost = cell_cost, .mass = mass, .cofm = cofm, .cost = cost,
+        .done_at = done_at, .nbodies = nbodies, .totals = totals,
+        .prev_same = prev_same, .owner_cnt = owner_cnt, .done = done,
+    };
+    for (int64_t t = 0; t < nthreads; t++) {
+        workers[t] = (bh_cofm_worker){.cell = -1, .waiting = -1};
+        owner_cnt[t] = 0;
+        runnable[t] = 1;
+    }
+    for (int64_t r = 0; r < nthreads * BH_F_NTOTALS; r++)
+        totals[r] = 0;
+    /* mycelltab[t] is thread t's cells in creation order: walk it back */
+    for (int64_t s = 0; s < ncells; s++) {
+        const int64_t r = by_seq[s];
+        prev_same[r] = workers[home[r]].cell;
+        workers[home[r]].cell = r;
+        done[r] = 0;
+    }
+
+    int64_t live = nthreads;
+    int rc = BH_OK;
+    while (live > 0) {
+        int64_t t = -1;
+        for (int64_t u = 0; u < nthreads; u++)
+            if (runnable[u] && (t < 0 || clock[u] < clock[t]))
+                t = u;
+        if (t < 0) {
+            rc = BH_ERR_DEADLOCK;
+            break;
+        }
+        runnable[t] = 0;
+        if (!cf_run(&F, t, &workers[t]))
+            live--;
+        for (int64_t u = 0; u < nthreads; u++) {
+            const int64_t tok = workers[u].waiting;
+            if (runnable[u] || tok < 0 || !done[tok])
+                continue;
+            if (done_at[tok] > clock[u])
+                clock[u] = done_at[tok];
+            runnable[u] = 1;
+        }
+    }
+    free(ws);
     return rc;
 }
 

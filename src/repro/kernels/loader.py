@@ -17,9 +17,10 @@ Both paths funnel through :func:`load_kernel`, which returns a bound
 no compiler gets **one** :class:`RuntimeWarning`; the registry keeps
 serving the numpy ``flat`` engine (see
 :class:`repro.backends.compiled.CompiledFlatBackend`), the object-tree
-force phase its Python traversal (see :mod:`repro.backends.object_tree`)
-and the frontier force phase its Python loop (see
-:mod:`repro.core.frontier`).
+force phase its Python traversal (see :mod:`repro.backends.object_tree`),
+the frontier force phase its Python loop (see
+:mod:`repro.core.frontier`) and the baseline's tree build and c-of-m
+phase their Python hooks (see :mod:`repro.core.build_replay`).
 
 Environment knobs (all read at load time):
 
@@ -53,7 +54,7 @@ from typing import List, Optional
 import numpy as np
 
 #: ABI this loader binds; must match BH_ABI_VERSION in ``_bh_kernel.c``
-ABI_VERSION = 3
+ABI_VERSION = 4
 
 #: aggregate-counter slots filled by ``bh_force_walk`` (see the C file)
 NCOUNTERS = 5
@@ -76,6 +77,7 @@ _SOURCE = Path(__file__).with_name("_bh_kernel.c")
 _F64 = ctypes.POINTER(ctypes.c_double)
 _I64 = ctypes.POINTER(ctypes.c_int64)
 _I32 = ctypes.POINTER(ctypes.c_int32)
+_U8 = ctypes.POINTER(ctypes.c_uint8)
 
 #: ``bh_issue_fn``: (retired, npairs, src, n) -> complete_at, NaN on error
 ISSUE_FN = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_int64,
@@ -97,6 +99,8 @@ class CKernel:
             walk = lib.bh_force_walk
             slot = lib.bh_slot_walk
             frontier = lib.bh_frontier_walk
+            build = lib.bh_build_replay
+            cofm = lib.bh_cofm_replay
         except AttributeError as exc:
             raise KernelUnavailable(
                 f"{path}: missing kernel symbols ({exc})") from None
@@ -141,6 +145,30 @@ class CKernel:
             + [ctypes.c_int64, _F64, _F64, _I64]  # ws_cap acc work out
         )
         self._frontier = frontier
+        build.restype = ctypes.c_int
+        build.argtypes = (
+            [ctypes.c_int64, _I64] * 2        # nvisits visits ninserts ins_tid
+            + [ctypes.c_int64] * 2            # ncells nthreads
+            + [_I64, _U8, _F64]               # node_of classes table
+            + [ctypes.c_int64]                # visit_words
+            + [ctypes.c_double, _F64, _F64]   # alloc_cost clock nic
+            + [_I64] * 3 + [_F64, _I64]       # first acquires contended
+                                              # total_wait totals
+        )
+        self._build = build
+        cofm.restype = ctypes.c_int
+        cofm.argtypes = (
+            [ctypes.c_int64] * 2              # ncells nthreads
+            + [_I64] * 3                      # seq home child
+            + [ctypes.c_int64] + [_I64] * 2   # nleaves leaf_ptr leaf_bodies
+            + [_F64]                          # center
+            + [ctypes.c_int64, _I64] + [_F64] * 3     # n store mass pos cost
+            + [ctypes.c_int64] * 3            # ptrs_local leaf/child words
+            + [ctypes.c_double] * 3           # leaf_word_cost factor cell
+            + [_I64, _U8, _F64, _F64, _F64]   # node_of classes table clock nic
+            + [_F64] * 2 + [_I64] + [_F64] * 2 + [_I64]
+        )
+        self._cofm = cofm
 
     def force_walk(self, ids: np.ndarray,
                    px: np.ndarray, py: np.ndarray, pz: np.ndarray,
@@ -255,6 +283,76 @@ class CKernel:
         return True
 
 
+    def build_replay(self, visits: np.ndarray, ins_tid: np.ndarray,
+                     ncells: int, node_of: np.ndarray, classes: np.ndarray,
+                     table: np.ndarray, visit_words: int,
+                     alloc_cost: float, clock: np.ndarray, nic: np.ndarray,
+                     first: np.ndarray, acquires: np.ndarray,
+                     contended: np.ndarray, total_wait: np.ndarray,
+                     totals: np.ndarray) -> bool:
+        """Replay the baseline insertion build's charges from its visit
+        trace (``visits``: ``Cell.seq`` per visit; ``ins_tid``: thread
+        per insertion), charging ``clock`` and ``nic`` in place and
+        filling the per-cell and per-thread outputs (see the C file).
+        Returns False, having touched nothing, when the kernel declines.
+        """
+        rc = self._build(
+            len(visits), visits.ctypes.data_as(_I64),
+            len(ins_tid), ins_tid.ctypes.data_as(_I64),
+            ncells, len(clock), node_of.ctypes.data_as(_I64),
+            classes.ctypes.data_as(_U8), table.ctypes.data_as(_F64),
+            visit_words, alloc_cost, clock.ctypes.data_as(_F64),
+            nic.ctypes.data_as(_F64), first.ctypes.data_as(_I64),
+            acquires.ctypes.data_as(_I64), contended.ctypes.data_as(_I64),
+            total_wait.ctypes.data_as(_F64), totals.ctypes.data_as(_I64),
+        )
+        if rc == ERR_DECLINED:
+            return False
+        _check("bh_build_replay", rc)
+        return True
+
+    def cofm_replay(self, seq: np.ndarray, home: np.ndarray,
+                    child: np.ndarray, leaf_ptr: np.ndarray,
+                    leaf_bodies: np.ndarray, center: np.ndarray,
+                    store: np.ndarray, bmass: np.ndarray, bpos: np.ndarray,
+                    bcost: np.ndarray, ptrs_local: bool, leaf_words: int,
+                    child_words: int, leaf_word_cost: float, factor: float,
+                    cell_cost: float, node_of: np.ndarray,
+                    classes: np.ndarray, table: np.ndarray,
+                    clock: np.ndarray, nic: np.ndarray,
+                    mass: np.ndarray, cofm: np.ndarray, nbodies: np.ndarray,
+                    cost: np.ndarray, done_at: np.ndarray,
+                    totals: np.ndarray) -> bool:
+        """The baseline's c-of-m phase under ``run_waiting``'s schedule
+        over the rows of a flattened tree (``seq``: each row's creation
+        rank), charging ``clock`` and ``nic`` in place and filling the
+        per-cell and per-thread outputs (see the C file).  Returns False,
+        having touched nothing, when the kernel declines; raises on a
+        deadlock, as ``run_waiting`` does.
+        """
+        rc = self._cofm(
+            len(home), len(clock), seq.ctypes.data_as(_I64),
+            home.ctypes.data_as(_I64), child.ctypes.data_as(_I64),
+            len(leaf_ptr) - 1, leaf_ptr.ctypes.data_as(_I64),
+            leaf_bodies.ctypes.data_as(_I64),
+            center.ctypes.data_as(_F64), len(store),
+            store.ctypes.data_as(_I64), bmass.ctypes.data_as(_F64),
+            bpos.ctypes.data_as(_F64), bcost.ctypes.data_as(_F64),
+            int(ptrs_local), leaf_words, child_words, leaf_word_cost,
+            factor, cell_cost, node_of.ctypes.data_as(_I64),
+            classes.ctypes.data_as(_U8),
+            table.ctypes.data_as(_F64), clock.ctypes.data_as(_F64),
+            nic.ctypes.data_as(_F64), mass.ctypes.data_as(_F64),
+            cofm.ctypes.data_as(_F64), nbodies.ctypes.data_as(_I64),
+            cost.ctypes.data_as(_F64),
+            done_at.ctypes.data_as(_F64), totals.ctypes.data_as(_I64),
+        )
+        if rc == ERR_DECLINED:
+            return False
+        _check("bh_cofm_replay", rc)
+        return True
+
+
 def _check(name: str, rc: int) -> None:
     if rc == ERR_STACK_OVERFLOW:
         raise RuntimeError(
@@ -263,7 +361,7 @@ def _check(name: str, rc: int) -> None:
     if rc == ERR_CALLBACK:
         raise RuntimeError(f"{name}: the gather callback raised")
     if rc == ERR_DEADLOCK:
-        raise RuntimeError(f"{name}: frontier deadlock (bookkeeping bug)")
+        raise RuntimeError(f"{name}: deadlock (every live thread blocked)")
     if rc != 0:
         raise RuntimeError(f"{name} failed with code {rc}")
 

@@ -220,6 +220,14 @@ def collect_run_metrics(registry: MetricsRegistry, log,
     if variant_stats:
         for frac in variant_stats.get("migration_fractions", ()):
             registry.histogram("migration_fraction").observe(frac)
+        locks = variant_stats.get("treebuild_locks")
+        if locks:
+            registry.counter("treebuild_lock_acquires_total") \
+                .add(locks["acquires"])
+            registry.counter("treebuild_lock_contended_total") \
+                .add(locks["contended_acquires"])
+            registry.counter("treebuild_lock_wait_seconds_total") \
+                .add(locks["total_wait"])
         for nbytes in variant_stats.get("flat_tree_nbytes", ()):
             registry.gauge("flat_tree_nbytes").set(nbytes)
             registry.histogram("flat_tree_nbytes_per_step").observe(nbytes)

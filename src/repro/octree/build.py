@@ -9,6 +9,9 @@ bucket).  Callers that need communication accounting pass hooks:
 ``on_alloc(cell)``  -- invoked when a new cell is created (``upc_alloc``);
 ``on_modify(cell)`` -- invoked when a child slot of ``cell`` is written
                        (the baseline wraps this in a upc_lock).
+
+``seq_counter`` (a one-element list) numbers created cells: each takes its
+value as ``Cell.seq`` and increments it.
 """
 
 from __future__ import annotations

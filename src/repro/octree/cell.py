@@ -61,8 +61,9 @@ class Cell:
         #: section 5.3.2: shadow child pointers (merged local tree)
         self.shadow: Optional[list] = None
         self.nbodies = 0
-        #: creation sequence number (per home thread) -- the baseline's
-        #: mycelltab ordering that the c-of-m phase walks in reverse.
+        #: creation sequence number across one build (the root is 0):
+        #: orders the baseline's mycelltab, which the c-of-m phase walks
+        #: in reverse, and names cells in the compiled replay's trace
         self.seq = 0
 
     # -- geometry -----------------------------------------------------------

@@ -63,6 +63,51 @@ def decode_leaf(value: "int | np.ndarray") -> "int | np.ndarray":
     return -value - 2
 
 
+#: :func:`cell_rows` of a linked tree: ``(cells, child, leaf_ptr,
+#: leaf_bodies)``
+CellRows = Tuple[List[Cell], np.ndarray, np.ndarray, np.ndarray]
+
+
+def cell_rows(root: Cell) -> CellRows:
+    """The structure of a linked tree, flattened breadth-first.
+
+    ``cells[r]`` is the ``Cell`` of row ``r`` (the root is row 0);
+    ``child`` ((C, 8) int64) holds the canonical slot codes, and leaf
+    ``i`` (numbered in row, then slot order) holds
+    ``leaf_bodies[leaf_ptr[i]:leaf_ptr[i + 1]]`` in ``Leaf.indices``
+    order.  Only child pointers and leaf indices are read, so the result
+    stays valid while the tree's shape does.
+    """
+    order = [root]
+    child_rows = []
+    leaf_lists = []
+    i = 0
+    while i < len(order):
+        cell = order[i]
+        i += 1
+        row = [EMPTY] * NSUB
+        for slot, ch in enumerate(cell.children):
+            if ch is None:
+                continue
+            if isinstance(ch, Leaf):
+                row[slot] = encode_leaf(len(leaf_lists))
+                leaf_lists.append(ch.indices)
+            else:
+                row[slot] = len(order)
+                order.append(ch)
+        child_rows.append(row)
+
+    counts = np.fromiter((len(ix) for ix in leaf_lists),
+                         dtype=np.int64, count=len(leaf_lists))
+    leaf_ptr = np.zeros(len(leaf_lists) + 1, dtype=np.int64)
+    np.cumsum(counts, out=leaf_ptr[1:])
+    leaf_bodies = np.fromiter(
+        (b for ix in leaf_lists for b in ix),
+        dtype=np.int64, count=int(leaf_ptr[-1]),
+    )
+    return order, np.array(child_rows, dtype=np.int64), leaf_ptr, leaf_bodies
+
+
 def _ranges(base: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenated ``arange(base[i], base[i] + counts[i])`` spans."""
     total = int(counts.sum())
@@ -173,38 +218,17 @@ class FlatTree:
         return cls.from_cell_rows(root)[0]
 
     @classmethod
-    def from_cell_rows(cls, root: Cell) -> Tuple["FlatTree", List[Cell]]:
+    def from_cell_rows(cls, root: Cell, rows: Optional["CellRows"] = None
+                       ) -> Tuple["FlatTree", List[Cell]]:
         """:meth:`from_cell` plus the ``Cell`` of every row, in row order
         (the object-tree force phase charges its UPC accounting to them).
-        """
-        order = [root]
-        child_rows = []
-        leaf_lists = []
-        i = 0
-        while i < len(order):
-            cell = order[i]
-            i += 1
-            row = [EMPTY] * NSUB
-            for slot, ch in enumerate(cell.children):
-                if ch is None:
-                    continue
-                if isinstance(ch, Leaf):
-                    row[slot] = encode_leaf(len(leaf_lists))
-                    leaf_lists.append(ch.indices)
-                else:
-                    row[slot] = len(order)
-                    order.append(ch)
-            child_rows.append(row)
 
+        ``rows`` is :func:`cell_rows` of ``root`` when the caller already
+        has it; the per-cell fields are read from the cells either way.
+        """
+        order, child, leaf_ptr, leaf_bodies = \
+            rows if rows is not None else cell_rows(root)
         ncells = len(order)
-        counts = np.fromiter((len(ix) for ix in leaf_lists),
-                             dtype=np.int64, count=len(leaf_lists))
-        leaf_ptr = np.zeros(len(leaf_lists) + 1, dtype=np.int64)
-        np.cumsum(counts, out=leaf_ptr[1:])
-        leaf_bodies = np.fromiter(
-            (b for ix in leaf_lists for b in ix),
-            dtype=np.int64, count=int(leaf_ptr[-1]),
-        )
         tree = cls(
             center=np.array([c.center for c in order], dtype=np.float64
                             ).reshape(ncells, 3),
@@ -215,7 +239,7 @@ class FlatTree:
             nbodies=np.array([c.nbodies for c in order], dtype=np.int64),
             cost=np.array([c.cost for c in order], dtype=np.float64),
             home=np.array([c.home for c in order], dtype=np.int32),
-            child=np.array(child_rows, dtype=np.int64),
+            child=child,
             leaf_ptr=leaf_ptr,
             leaf_bodies=leaf_bodies,
         )

@@ -15,7 +15,10 @@ captured by three mechanisms:
 2. **Lock free-times** -- see :mod:`repro.upc.locks`.
 3. **A dependency event loop** (:meth:`UpcRuntime.run_waiting`) for phases
    where threads spin on flags set by other threads (the center-of-mass
-   ``done`` flags of section 5.4).
+   ``done`` flags of section 5.4).  The baseline's c-of-m phase normally
+   runs as a compiled replay of this loop (:mod:`repro.core.build_replay`);
+   ``run_waiting`` is that replay's oracle, and serves when no kernel
+   does.
 
 A phase ends with an implicit ``upc_barrier``: its duration is
 ``max(max_i thread_busy_i, max_node nic_demand_node) + barrier`` and all
@@ -41,10 +44,19 @@ pairs (one per distinct cost: local, same-node, remote), never a fresh
 object per entry, so a table costs one pointer per (issuer, target) slot.
 Widths outside :data:`TABLE_WORDS` are costed directly, keeping the number
 of tables bounded.
+
+The compiled replays of the baseline's tree build and c-of-m phase take
+their charges from :meth:`UpcRuntime.class_tables` instead.  Every charge
+they make depends only on the *relation class* of the (issuer, target)
+pair: the thread itself, a same-node pair on the shared-memory path, a
+same-node pair through the adapter, or a remote pair.  One entry per
+class and kind, costed at a representative pair, replaces a P x P row
+fill.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 from contextlib import contextmanager
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple
@@ -62,6 +74,13 @@ from .stats import Counters, PhaseRecord, StatsLog
 #: width the variants charge (``core/variants/base.py``); any other width
 #: is costed directly
 TABLE_WORDS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0)
+
+#: relation classes of an (issuer, target) pair (:meth:`class_tables`)
+REL_SELF, REL_SHM, REL_NODE, REL_REMOTE = range(4)
+#: word widths of the class tables, in the kind order of the compiled
+#: replays (``rp_word_kind`` in ``_bh_kernel.c``); lock acquire and
+#: release follow them
+CLASS_WORDS = (1.0, 2.0, 4.0)
 
 
 class UpcRuntime:
@@ -98,6 +117,7 @@ class UpcRuntime:
         self._acquire_rows: List[Optional[list]] = [None] * nthreads
         self._release_rows: List[Optional[list]] = [None] * nthreads
         self._pairs: Dict[Tuple[float, float], Tuple[float, float]] = {}
+        self._class_tables: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------ #
     # phases                                                             #
@@ -198,6 +218,43 @@ class UpcRuntime:
             pair = (ch.issuer, ch.nic)
             pair = row[target] = self._pairs.setdefault(pair, pair)
         return pair
+
+    def class_tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(classes, table)``: the charges by relation class.
+
+        ``classes[s, d]`` (uint8, P x P) is the class of the pair:
+        :data:`REL_SELF`, :data:`REL_SHM`, :data:`REL_NODE` or
+        :data:`REL_REMOTE`.  ``table[k, c]`` is the cost model's
+        ``(issuer, nic)`` for every pair of class ``c`` and kind ``k``: a
+        word access of each width in :data:`CLASS_WORDS`, then lock
+        acquire, then lock release.  The classes come from
+        ``MachineConfig.shared_memory_path`` and ``same_node``, the
+        predicates the cost model prices by.  Each entry is costed at the
+        first pair of its class; a class without pairs holds zeros.
+        """
+        if self._class_tables is None:
+            m = self.machine
+            P = self.nthreads
+            classes = np.array(
+                [[REL_SELF if s == d
+                  else REL_SHM if m.shared_memory_path(s, d)
+                  else REL_NODE if m.same_node(s, d)
+                  else REL_REMOTE for d in range(P)] for s in range(P)],
+                dtype=np.uint8).reshape(P, P)
+            cost = self.cost
+            kinds = [functools.partial(cost.word_access, words=w)
+                     for w in CLASS_WORDS]
+            kinds += [cost.lock_acquire, cost.lock_release]
+            table = np.zeros((len(kinds), REL_REMOTE + 1, 2))
+            for c in range(REL_REMOTE + 1):
+                pairs = np.argwhere(classes == c)
+                if len(pairs):
+                    s, d = pairs[0].tolist()
+                    for k, fn in enumerate(kinds):
+                        ch = fn(s, d)
+                        table[k, c] = ch.issuer, ch.nic
+            self._class_tables = (classes, table)
+        return self._class_tables
 
     def word_access(self, tid: int, owner: int, words: float = 1.0,
                     count: float = 1.0, key: str = "word_access") -> None:

@@ -26,7 +26,7 @@ from repro.upc.params import (
     paper_section5_machine,
     paper_section6_machine,
 )
-from repro.upc.runtime import TABLE_WORDS, UpcRuntime
+from repro.upc.runtime import CLASS_WORDS, TABLE_WORDS, UpcRuntime
 from repro.upc.stats import Counters
 
 P = 8
@@ -83,6 +83,35 @@ def test_lock_rows_equal_cost_model(machine):
             assert rt._release_rows[src][home] == (rel.issuer, rel.nic)
 
 
+#: the machines of tests/golden_sim.py
+GOLDEN_MACHINES = {
+    "section5": paper_section5_machine(),
+    "section6-tpn4": paper_section6_machine(4),
+}
+
+
+@pytest.mark.parametrize("nthreads", [1, 4, 16, 112])
+@pytest.mark.parametrize("name", sorted(GOLDEN_MACHINES))
+def test_class_tables_equal_cost_model(name, nthreads):
+    """Every (issuer, target) lookup through the relation-class tables
+    of the compiled replays is the cost model's charge, exactly."""
+    rt = UpcRuntime(nthreads, GOLDEN_MACHINES[name])
+    classes, table = rt.class_tables()
+    cost = rt.cost
+    kinds = [lambda s, d, w=w: cost.word_access(s, d, w) for w in CLASS_WORDS]
+    kinds += [cost.lock_acquire, cost.lock_release]
+    assert table.shape == (len(kinds), 4, 2)
+    assert classes.shape == (nthreads, nthreads)
+    assert classes.dtype == np.uint8
+    for s in range(nthreads):
+        for d in range(nthreads):
+            for k, cost_fn in enumerate(kinds):
+                ch = cost_fn(s, d)
+                issuer, nic = table[k, classes[s, d]]
+                assert issuer == ch.issuer and nic == ch.nic, (s, d, k)
+    assert rt.class_tables() is rt.class_tables()  # costed once
+
+
 def test_table_charge_matches_fresh_costing(machine):
     """Clock, NIC and counters move exactly as costing each call afresh."""
     rt = UpcRuntime(P, machine)
@@ -124,8 +153,14 @@ def test_untabled_widths_cost_directly():
         == want.log.records[-1].thread_times[0]
 
 
-def test_rows_share_few_pairs_at_scale():
-    """One baseline step at P=112 fills rows from a handful of pairs."""
+def test_rows_share_few_pairs_at_scale(monkeypatch):
+    """One baseline step at P=112 fills rows from a handful of pairs.
+
+    Run without the kernel: its replays of the tree build and c-of-m
+    phase charge through :meth:`UpcRuntime.class_tables`, so only the
+    hook-driven phases fill the visit and child-read rows.
+    """
+    monkeypatch.setattr("repro.kernels.load_kernel", lambda: None)
     cfg = BHConfig(nbodies=448, nsteps=1, warmup_steps=0)
     sim = BarnesHutSimulation(cfg, 112, machine=paper_section5_machine(),
                               variant="baseline")
