@@ -1,10 +1,9 @@
-"""Pluggable force backends.
+"""Standalone force backends.
 
-Selecting an engine is orthogonal to selecting an optimization-ladder
-variant: the variant decides *how the simulated UPC program communicates*,
-the backend decides *which engine computes the accelerations*.  See
-``README.md`` in this directory for the layout of the flat engine and how
-to add a backend.
+No variant calls these: every variant's force phase is the UPC-metered
+object-tree walk.  The engines are test oracles and standalone force
+evaluators.  See ``README.md`` in this directory for the layout of the
+flat engine and how to add a backend.
 """
 
 from .base import ForceBackend, ForceResult

@@ -1,12 +1,14 @@
 """The force-backend contract.
 
-A *backend* is an interchangeable engine that turns the current tree (or
-the raw bodies) into accelerations for a set of body indices.  Backends are
-deliberately independent of the UPC cost model: the simulated-communication
-accounting of the variants stays attached to the ``object-tree`` engine's
-per-cell open counts (:mod:`repro.backends.object_tree`), while alternative
-engines report aggregate counters through :class:`ForceResult` so the
-:class:`~repro.upc.stats.StatsLog` still sees what they did.
+A *backend* is a standalone engine that turns the current tree (or the
+raw bodies) into accelerations for a set of body indices.  Backends know
+nothing of the UPC cost model, and no variant calls them: every variant's
+force phase is the UPC-metered slot walk of
+:mod:`repro.backends.object_tree`.  The engines serve as test oracles
+(``direct`` for accuracy, ``flat``/``flat-c`` for interaction counts that
+share no traversal code with the slot walk) and as fast force evaluators
+outside the simulated machine.  Each reports aggregate traversal counters
+through :class:`ForceResult`.
 
 Lifecycle per time-step::
 
@@ -56,10 +58,6 @@ class ForceBackend:
     name: ClassVar[str] = "?"
     #: False for engines that ignore the octree entirely (direct summation)
     needs_tree: ClassVar[bool] = True
-    #: next rung of the degradation ladder (registry name of the engine
-    #: that serves a step when this one faults; None = last resort).  See
-    #: :class:`repro.resilience.degrade.ResilientBackend`.
-    fallback_name: ClassVar[Optional[str]] = None
 
     def __init__(self, cfg: Any, tracer=None):
         self.cfg = cfg

@@ -1,33 +1,20 @@
 """Compiled force backend: the native tree walk behind the flat engine.
 
 :class:`CompiledFlatBackend` (``flat-c``) subclasses
-:class:`~repro.backends.flat.FlatBackend`, so both tree-construction
-paths -- Morton-direct and insertion flatten -- are inherited
-unchanged.  Only :meth:`accelerations` differs: instead of the numpy
+:class:`~repro.backends.flat.FlatBackend`, so it builds the same
+Morton tree.  Only :meth:`accelerations` differs: instead of the numpy
 level loop, the per-body walk of :mod:`repro.kernels` runs natively over
 the same ``FlatTree`` arrays (bit-exact interaction counts,
-float64-roundoff accelerations; the interaction-drift regression gate of
-``repro-bench --check`` therefore applies to it identically).
+float64-roundoff accelerations).
 
-Availability is a *soft* gate: the name is always registered -- so
-``BHConfig(force_backend="flat-c")`` validates everywhere -- but on a
+Availability is a *soft* gate: the name is always registered, but on a
 box with no compiler the constructor keeps ``kernel = None`` and the
 instance serves the inherited numpy engine.  The kernel loader has
 already emitted its single :class:`RuntimeWarning` by then; nothing
 raises.
-
-It declares ``fallback_name = "flat"``: a faulting kernel call rides
-the resilience degradation ladder (``flat-c -> flat -> object-tree ->
-direct``) exactly like any other backend fault.
-
-``BHConfig.kernel_threads`` sets the body-chunking width of the C path
-(0 = one chunk per CPU); outputs are per-body independent, so every
-thread count yields identical arrays.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -36,17 +23,10 @@ from .base import ForceResult
 from .flat import FlatBackend
 
 
-def _auto_threads() -> int:
-    return os.cpu_count() or 1
-
-
 class CompiledFlatBackend(FlatBackend):
     """Flat engine with the C force walk (``_bh_kernel.c``)."""
 
     name = "flat-c"
-    #: degradation rung: the numpy flat engine computes the same physics
-    #: from the same tree
-    fallback_name = "flat"
 
     def __init__(self, cfg, tracer=None):
         super().__init__(cfg, tracer=tracer)
@@ -54,9 +34,6 @@ class CompiledFlatBackend(FlatBackend):
 
         #: bound C kernel, or None (serve the inherited numpy engine)
         self.kernel = load_kernel()
-        threads = int(getattr(cfg, "kernel_threads", 0) or 0)
-        #: body-chunking width of the thread pool
-        self.threads = threads if threads > 0 else _auto_threads()
 
     @property
     def kernel_active(self) -> bool:
@@ -81,14 +58,12 @@ class CompiledFlatBackend(FlatBackend):
         traced = tr.enabled
         if traced:
             tr.begin("flat.accelerations", "backend",
-                     nbodies=len(body_idx), kernel="c",
-                     threads=self.threads)
+                     nbodies=len(body_idx), kernel="c")
         acc, work, counters = kernel_gravity(
             self.tree, body_idx, bodies.pos, bodies.mass,
             self.cfg.theta, self.cfg.eps,
             open_self_cells=self.cfg.open_self_cells,
             prepared=self._prepared,
-            threads=self.threads,
             kernel=self.kernel,
         )
         if traced:

@@ -24,8 +24,6 @@ class DirectBackend(ForceBackend):
 
     name = "direct"
     needs_tree = False
-    #: bottom of the degradation ladder: nothing simpler to fall back to
-    fallback_name = None
 
     def __init__(self, cfg, tracer=None):
         super().__init__(cfg, tracer=tracer)

@@ -1,7 +1,9 @@
 """The object-tree force engine: one slot-order walk per body.
 
 Every variant that meters its force phase on the linked ``Cell``/``Leaf``
-tree (baseline through local-build, and mpi-let) computes forces here.
+tree (baseline through local-build, and mpi-let) computes forces here;
+the section-5.5 variants walk the same flattened tree in
+:mod:`repro.core.frontier`.
 Once per force phase the tree is flattened into a :class:`SlotTree`
 (:meth:`FlatTree.from_cell_rows`, keeping the row -> ``Cell`` list);
 :func:`slot_walk` then maps a group of bodies to ``(acc, work, opens)``,
@@ -21,8 +23,8 @@ Two engines serve :func:`slot_walk`, with bit-identical outputs:
   a policy that records ``opens``, used when no kernel is loaded.
 
 :class:`ObjectTreeBackend` serves the same function behind the uniform
-:class:`~repro.backends.base.ForceBackend` interface (parity tests, and
-the ``flat -> object-tree -> direct`` degradation ladder).
+:class:`~repro.backends.base.ForceBackend` interface, for the parity
+tests against the standalone engines.
 """
 
 from __future__ import annotations
@@ -188,8 +190,6 @@ class ObjectTreeBackend(ForceBackend):
     """The object-tree engine behind the uniform backend interface."""
 
     name = "object-tree"
-    #: degradation rung: exact but O(n^2) -- survival over speed
-    fallback_name = "direct"
 
     def __init__(self, cfg, tracer=None):
         super().__init__(cfg, tracer=tracer)

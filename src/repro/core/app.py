@@ -82,16 +82,11 @@ class BarnesHutSimulation:
         #: loop then takes its original unmediated path)
         self.resilience = None
         if kill_at_step is not None or cfg.resilience_enabled:
-            from ..resilience.degrade import ResilientBackend
             from ..resilience.policy import ResilienceManager
 
             self.resilience = ResilienceManager(cfg, tracer=self.tracer,
                                                 kill_at_step=kill_at_step)
             self.variant.resilience = self.resilience
-            if self.variant.backend_force_active():
-                self.variant.force_backend = ResilientBackend(
-                    self.variant.force_backend, cfg, tracer=self.tracer,
-                    manager=self.resilience)
 
     def run(self) -> RunResult:
         """Run all steps; phase times cover only the measured steps."""
@@ -99,8 +94,7 @@ class BarnesHutSimulation:
         tr = self.tracer
         span0 = len(tr.spans) if tr.enabled else 0
         with tr.span("run", "run", variant=self.variant.name,
-                     nthreads=self.rt.nthreads, nbodies=cfg.nbodies,
-                     backend=cfg.force_backend):
+                     nthreads=self.rt.nthreads, nbodies=cfg.nbodies):
             for step in range(self.start_step, cfg.nsteps):
                 with tr.span("step", "step", step=step):
                     self.variant.step(step)
@@ -123,10 +117,6 @@ class BarnesHutSimulation:
         if hasattr(self.variant, "subspace_counts"):
             stats["subspace_counts"] = list(self.variant.subspace_counts)
             stats["level_counts"] = list(self.variant.level_counts)
-        nbytes = getattr(self.variant.force_backend,
-                         "tree_nbytes_per_step", None)
-        if nbytes:
-            stats["flat_tree_nbytes"] = list(nbytes)
         if self.resilience is not None:
             stats["resilience"] = self.resilience.summary()
         telemetry = self._collect_telemetry(stats, span0)

@@ -34,22 +34,11 @@ class BHConfig:
     seed: int = 123
     #: any name in :data:`repro.nbody.distributions.DISTRIBUTIONS`
     distribution: str = "plummer"
-    #: force engine (:data:`repro.backends.BACKENDS`): "object-tree" keeps
-    #: the slot walk whose open counts the cost model meters; "flat" runs
-    #: the vectorized SoA engine; "flat-c" the compiled per-body walk of
-    #: :mod:`repro.kernels` (served by "flat" when no C toolchain
-    #: exists); "direct" the O(n^2) reference
+    #: a name in :data:`repro.backends.BACKENDS`, validated but read by no
+    #: variant: every variant's force phase is the UPC-metered object-tree
+    #: walk, whatever this says.  The standalone engines are built with
+    #: :func:`repro.backends.make_backend`
     force_backend: str = DEFAULT_BACKEND
-    #: body-chunking width of the ``flat-c`` kernel: chunks are
-    #: dispatched to a Python thread pool with the GIL released;
-    #: 0 = one chunk per CPU.  Outputs are per-body independent, so any
-    #: value produces bit-identical results
-    kernel_threads: int = 0
-    #: how the flat backend obtains its per-step :class:`FlatTree`:
-    #: "morton" (default) builds CSR arrays directly from sorted octant
-    #: keys (no Cell objects; see :mod:`repro.octree.morton_build`);
-    #: "insertion" flattens the variant's object tree via ``from_cell``
-    flat_build: str = "morton"
 
     # -- section 5.5 framework parameters (paper: n1 = n2 = n3 = 4) -------
     n1: int = 4  #: working body groups processed concurrently
@@ -82,8 +71,6 @@ class BHConfig:
     guard_escape_factor: float = 64.0
     #: bounded replays of a value-idempotent phase per fault
     max_phase_retries: int = 2
-    #: degraded steps served before the backend ladder pins the fallback
-    max_backend_fallbacks: int = 3
     #: deterministic fault-injection specs, ``PHASE[:STEP[:KIND]]`` each
     #: (see :func:`repro.resilience.inject.parse_spec`)
     inject: Tuple[str, ...] = ()
@@ -121,13 +108,6 @@ class BHConfig:
                 f"unknown force backend {self.force_backend!r}; "
                 f"choose from {sorted(BACKENDS)}"
             )
-        if self.flat_build not in ("morton", "insertion"):
-            raise ValueError(
-                f"unknown flat build path {self.flat_build!r}; "
-                "choose from ['insertion', 'morton']"
-            )
-        if self.kernel_threads < 0:
-            raise ValueError("kernel_threads must be >= 0 (0 = auto)")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
         if self.checkpoint_every > 0 and not self.checkpoint_dir:
@@ -141,8 +121,6 @@ class BHConfig:
             raise ValueError("guard_escape_factor must be > 1")
         if self.max_phase_retries < 0:
             raise ValueError("max_phase_retries must be >= 0")
-        if self.max_backend_fallbacks < 1:
-            raise ValueError("max_backend_fallbacks must be >= 1")
         if self.inject:
             # registry-style validation, same pattern as distributions:
             # reject malformed specs at construction, not mid-run (lazy

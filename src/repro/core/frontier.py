@@ -21,8 +21,10 @@ Two engines serve :func:`frontier_force`, with bit-identical outputs and
 charges (``docs/compiled-kernels.md``):
 
 * ``"c-frontier"`` -- ``bh_frontier_walk`` in :mod:`repro.kernels`, one C
-  call per thread over the force phase's flattened tree, calling back into
-  :class:`AsyncEngine` only to issue gathers;
+  call per thread over the force phase's flattened tree.  It issues the
+  gathers itself, with :class:`AsyncEngine`'s charges read from
+  :meth:`UpcRuntime.gather_table`, and calls back into the cost model
+  only for a piece larger than :data:`GATHER_TABLE_N` elements;
 * ``"frontier"`` -- :func:`_walk_py`, the loop below: the oracle of the
   compiled loop, and the engine of a box without a compiler (or when the
   compiled loop declines its workspace).
@@ -37,10 +39,10 @@ from typing import Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..backends.object_tree import SlotTree, slot_kernel
-from ..kernels.loader import FRONTIER_MAX_GROUP, ISSUE_FN
+from ..kernels.loader import CHARGE_FN, FRONTIER_MAX_GROUP
 from ..nbody.constants import G
 from ..octree.cell import Cell, Leaf
-from ..upc.nonblocking import AsyncEngine, Handle
+from ..upc.nonblocking import AsyncEngine
 from .variants.base import (
     BODY_LEAF_WORDS,
     CELL_OPEN_WORDS,
@@ -61,6 +63,14 @@ PY_ENGINE = "frontier"
 #: workspace bytes the compiled loop may allocate per call (0: no limit);
 #: above it the call declines and the Python loop serves
 C_WORKSPACE_CAP = 0
+
+#: elements per source a gather's charge table covers; the compiled
+#: loop asks the cost model for a larger piece.  A gather brings the
+#: children of about ``n3`` cells, so no piece above 64 was measured on
+#: the benchmark's subspace workloads (n3 = 4) or the n1 = n2 = n3 sweep
+#: up to 16; the callback is for a larger ``n3`` (it has no upper bound)
+#: and for the many-body leaf buckets of coincident bodies
+GATHER_TABLE_N = 64
 
 _WORDS = np.array([CELL_TEST_WORDS, CELL_OPEN_WORDS, BODY_LEAF_WORDS],
                   dtype=np.int64)
@@ -142,24 +152,22 @@ def _walk_c(variant, engine: AsyncEngine, tid: int, idx: np.ndarray,
     stall_row = None if counters is None \
         else counters._data.get("waitsync_stall")
     stall = np.array([0.0 if stall_row is None else stall_row[tid]])
-    handles: Deque[Handle] = deque()
     errors: List[BaseException] = []
     nbytes = m.cell_nbytes
 
-    def issue(retired: int, npairs: int, src, n) -> float:
+    def charge(src: int, n: int, nic) -> float:
         try:
-            for _ in range(retired):
-                engine._retire(tid, handles.popleft())
-            h = engine.memget_vlist_async(
-                tid, {src[i]: n[i] for i in range(npairs)}, nbytes)
-            handles.append(h)
-            return h.complete_at
+            ch = rt.cost.gather_ilist(tid, src, n, nbytes)
+            nic[0] = ch.nic
+            return ch.complete
         except BaseException as exc:  # re-raised after the C call
             errors.append(exc)
             return math.nan
 
-    callback = ISSUE_FN(issue)  # referenced until the call returns
-    out = np.zeros(7, dtype=np.int64)
+    callback = CHARGE_FN(charge)  # referenced until the call returns
+    classes, _ = rt.class_tables()
+    hist = np.zeros(rt.nthreads + 1, dtype=np.int64)
+    out = np.zeros(8, dtype=np.int64)
     try:
         served = tree.kernel.frontier_walk(
             np.ascontiguousarray(idx, dtype=np.int64), tid, rt.nthreads,
@@ -167,19 +175,27 @@ def _walk_c(variant, engine: AsyncEngine, tid: int, idx: np.ndarray,
             cfg.theta * cfg.theta, cfg.eps * cfg.eps, cfg.open_self_cells,
             _WORDS, cfg.n1, cfg.n2, cfg.n3, m.local_word_cost,
             m.interaction_cost, rt.cost.compute(1.0),  # the factor
-            m.cpu_overhead * 0.25, rt.clock, stall, callback,
-            acc, work, out, ws_cap=C_WORKSPACE_CAP)
+            m.cpu_overhead * 0.25, rt.clock, stall, rt.cost.async_issue(),
+            classes[tid], rt.gather_table(nbytes, GATHER_TABLE_N),
+            np.asarray(rt._node_of, dtype=np.int64), rt._nic, hist,
+            callback, acc, work, out, ws_cap=C_WORKSPACE_CAP)
     except RuntimeError:
         if errors:
             raise errors[0]
         raise
     if not served:
         return False
-    while handles:  # every gather was synced; mirror it in the engine
-        engine._retire(tid, handles.popleft())
     (stats.gathers, stats.forced_gathers, stats.waits,
      stats.cells_requested, interactions, interaction_adds,
-     stall_adds) = out.tolist()
+     stall_adds, elems) = out.tolist()
+    # the engine's per-gather bookkeeping, added once (exact integers)
+    for nsrc in np.flatnonzero(hist).tolist():
+        engine.source_histogram[nsrc] = \
+            engine.source_histogram.get(nsrc, 0) + int(hist[nsrc])
+    issued = int(hist.sum())
+    if issued:
+        rt.count(tid, "async_gathers", issued)
+        rt.count(tid, "async_elems", elems)
     if interaction_adds:
         rt.count(tid, "interactions", interactions)
     if stall_adds and counters is not None:

@@ -285,6 +285,7 @@ def build_subforest_and_hook(variant, tree: SubspaceTree,
         lo = hi
 
     local_times = np.zeros(P)
+    subtrees = set()  # hooked subtree roots, c-of-m already computed
     for t in range(P):
         start = float(rt.clock[t])
         my_leaves = tree.leaves[leaf_owner == t]
@@ -325,6 +326,7 @@ def build_subforest_and_hook(variant, tree: SubspaceTree,
                                  0, nc[0] + 1))
                 rt.charge_compute(t, ncells[0] * CELL_COMPUTE)
                 node = cell
+                subtrees.add(cell)
             if leaf == 0:
                 # degenerate: the root itself is a leaf subspace
                 root_cell.children = node.children
@@ -351,7 +353,8 @@ def build_subforest_and_hook(variant, tree: SubspaceTree,
     for src, cnt in per_source.items():
         rt.memget_ilist(0, src, cnt, m.cell_nbytes, key="top_cofm_gathers")
     rt.charge_compute(0, (len(top) + nchildren) * CELL_COMPUTE)
-    compute_cofm(root_cell, bodies.pos, bodies.mass, bodies.cost)
+    compute_cofm(root_cell, bodies.pos, bodies.mass, bodies.cost,
+                 done=subtrees)
     variant.treebuild_subphases.append(
         {"local": local_times, "merge": np.zeros(P)}
     )

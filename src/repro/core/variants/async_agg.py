@@ -37,9 +37,6 @@ class AsyncAgg(LocalBuild):
         self.frontier_totals = dict.fromkeys(FrontierStats.FIELDS, 0)
 
     def phase_force(self) -> None:
-        if self.backend_force_active():
-            self.phase_force_backend()
-            return
         rt = self.rt
         bodies = self.bodies
         engine = AsyncEngine(rt)

@@ -32,7 +32,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...backends import make_backend
 from ...backends.object_tree import SlotTree, slot_walk
 from ...nbody.bbox import RootBox, compute_root
 from ...nbody.bodies import BodySoA
@@ -127,10 +126,6 @@ class VariantBase:
         self.step_index = 0
         #: cells in the current global tree (set by each build)
         self.ncells = 1
-        #: force engine; "object-tree" keeps the UPC-metered slot walk
-        #: below, any other backend takes over the force phase
-        self.force_backend = make_backend(cfg.force_backend, cfg,
-                                          tracer=rt.tracer)
         #: engine that served the latest force phase (RunResult's
         #: ``variant_stats["force_engine"]``)
         self.force_engine: Optional[str] = None
@@ -431,38 +426,6 @@ class VariantBase:
     # ------------------------------------------------------------------ #
     # phase: force computation                                           #
     # ------------------------------------------------------------------ #
-    def backend_force_active(self) -> bool:
-        """True when a non-default backend replaces the force engine."""
-        return self.force_backend.name != "object-tree"
-
-    def phase_force_backend(self) -> None:
-        """Force phase through the pluggable backend.
-
-        The UPC traversal accounting only exists for the object-tree
-        engine; here the backend's aggregate counters are recorded into
-        the StatsLog (``backend_*`` keys) and the interaction work is
-        charged as local computation.
-        """
-        rt = self.rt
-        bodies = self.bodies
-        backend = self.force_backend
-        backend.begin_step(self.root if backend.needs_tree else None, bodies)
-        new_cost = bodies.cost.copy()
-        for t in range(self.P):
-            idx = self.assigned(t)
-            if len(idx) == 0:
-                continue
-            self.charge_body_words(t, idx, BODY_FORCE_WORDS)
-            res = backend.accelerations(idx, bodies)
-            bodies.acc[idx] = res.acc
-            new_cost[idx] = np.maximum(res.work, 1.0)
-            rt.charge_compute(t, res.interactions * rt.machine.interaction_cost)
-            rt.count(t, "interactions", res.interactions)
-            for key, val in res.counters.items():
-                rt.count(t, f"backend_{key}", float(val))
-        bodies.cost = new_cost
-        self.force_engine = backend.served_by
-
     def slot_tree(self) -> SlotTree:
         """The force phase's :class:`SlotTree` of ``root``, reusing the
         c-of-m replay's flatten when it is of this tree."""
@@ -472,9 +435,6 @@ class VariantBase:
         return SlotTree(self.root, self.bodies, self.cfg, rows)
 
     def phase_force(self) -> None:
-        if self.backend_force_active():
-            self.phase_force_backend()
-            return
         rt = self.rt
         bodies = self.bodies
         tr = rt.tracer

@@ -88,17 +88,11 @@ def run_cache_ablation(scale: Scale = BENCH, nthreads: int = 32) -> Dict:
 
 def run_source_histogram(scale: Scale = BENCH,
                          nthreads: int = 32) -> Dict[int, float]:
-    """Fraction of aggregated gathers per source-thread count.
-
-    Only the object-tree backend routes forces through the section-5.5
-    frontier engine, so a campaign pinned to another backend (CLI
-    ``--backend``) has no gathers to histogram; return empty then
-    instead of dying mid ``--all`` run.
-    """
+    """Fraction of aggregated gathers per source-thread count."""
     cfg = scale.config()
     res = run_variant("async", cfg, nthreads,
                       machine=paper_section5_machine())
-    return res.variant_stats.get("gather_source_fractions", {})
+    return res.variant_stats["gather_source_fractions"]
 
 
 def run_buffer_ablation(scale: Scale = BENCH, nthreads: int = 16,

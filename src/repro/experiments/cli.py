@@ -124,32 +124,16 @@ def main(argv: "List[str] | None" = None) -> int:
         prog="python -m repro.experiments",
         description="Regenerate the paper's tables and figures "
                     "(simulated-time reproduction).")
-    from ..backends import backend_names
     from ..nbody.distributions import distribution_names
 
     ap.add_argument("ids", nargs="*", help=f"experiment ids: {ALL_IDS}")
     ap.add_argument("--all", action="store_true", help="run everything")
     ap.add_argument("--scale", default="bench", choices=list(SCALES))
     ap.add_argument("--out", default="results", help="output directory")
-    ap.add_argument("--backend", default=None, choices=backend_names(),
-                    help="force backend for every run (default: "
-                         "object-tree, the engine whose UPC accounting "
-                         "gives the paper's numbers)")
     ap.add_argument("--distribution", default=None,
                     choices=list(distribution_names()),
                     help="initial conditions for every run "
                          "(default: plummer)")
-    ap.add_argument("--flat-build", default=None,
-                    choices=["morton", "insertion"],
-                    help="tree construction path of the flat backend: "
-                         "'morton' (default) builds FlatTree CSR arrays "
-                         "directly from sorted octant keys, 'insertion' "
-                         "flattens the per-body-inserted object tree")
-    ap.add_argument("--kernel-threads", type=int, default=None,
-                    metavar="T",
-                    help="body-chunking width of the flat-c kernel's "
-                         "thread pool (0 = one chunk per CPU; results "
-                         "are identical at every value)")
     ap.add_argument("--guards", action="store_true",
                     help="run the numerical-health guards after every "
                          "phase of every run (NaN/Inf scans, energy-"
@@ -158,7 +142,7 @@ def main(argv: "List[str] | None" = None) -> int:
                     metavar="SPEC",
                     help="arm a deterministic fault at a phase boundary "
                          "(PHASE[:STEP[:KIND]], repeatable; kinds: "
-                         "raise, corrupt, delay, backend)")
+                         "raise, corrupt, delay)")
     ap.add_argument("--checkpoint-every", type=int, default=None,
                     metavar="N",
                     help="write a resilience checkpoint every N steps "
@@ -172,29 +156,16 @@ def main(argv: "List[str] | None" = None) -> int:
     ap.add_argument("--trace", default=None, metavar="FILE",
                     help="capture wall-clock span traces of every run to "
                          "FILE (Chrome trace-event JSON; open in Perfetto). "
-                         "Never changes the backend or any result; pass "
-                         "--backend flat for per-level traversal spans.")
+                         "Never changes any result.")
     ap.add_argument("--metrics", default=None, metavar="FILE",
                     help="export the unified metrics registry (phase "
-                         "times, UPC/backend counters, traversal "
-                         "profiles) as JSONL to FILE")
+                         "times, UPC counters) as JSONL to FILE")
     args = ap.parse_args(argv)
 
     scale = SCALES[args.scale]
     overrides = []
-    if args.backend is not None:
-        overrides.append(("force_backend", args.backend))
-        if args.backend != "object-tree":
-            print(f"warning: --backend {args.backend} charges force "
-                  "interactions as local compute, without the object "
-                  "tree's UPC accounting; its force times do not "
-                  "reproduce the paper's", file=sys.stderr)
     if args.distribution is not None:
         overrides.append(("distribution", args.distribution))
-    if args.flat_build is not None:
-        overrides.append(("flat_build", args.flat_build))
-    if args.kernel_threads is not None:
-        overrides.append(("kernel_threads", args.kernel_threads))
     if args.guards:
         overrides.append(("guards", True))
     if args.inject:

@@ -36,8 +36,8 @@ class Scale:
     weak_thread_counts: Sequence[int]
     seed: int = 123
     #: extra BHConfig fields applied to every run of the campaign, e.g.
-    #: (("force_backend", "flat"), ("distribution", "disk")) -- how the CLI
-    #: retargets all experiments onto another backend/scenario
+    #: (("distribution", "disk"), ("guards", True)) -- how the CLI
+    #: retargets all experiments onto another scenario or arms resilience
     overrides: Sequence = ()
 
     def config(self, **kw) -> BHConfig:

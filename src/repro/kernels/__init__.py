@@ -5,8 +5,9 @@ Python/numpy dispatch per traversal *level*; these kernels pay nothing
 per level -- one C stack walk per body over the exact same contiguous
 CSR arrays, so the whole force phase is native code.  The C extension
 ``_bh_kernel.c`` (see :mod:`.loader` for the build-or-load story) is
-bound via ctypes so calls release the GIL and :func:`kernel_gravity`
-can chunk bodies across a thread pool.
+bound via ctypes.  The same extension carries the compiled walks of the
+paper path (slot walk, frontier walk, build and c-of-m replays; see
+``docs/compiled-kernels.md``).
 
 Importing this package never raises on a box without a compiler: the
 loader memoizes ``None`` and emits one :class:`RuntimeWarning`; the
@@ -38,9 +39,6 @@ __all__ = [
     "reset_kernel_cache",
 ]
 
-#: a chunk below this many bodies is not worth a thread hand-off
-MIN_CHUNK = 1024
-
 
 def c_kernel_available() -> bool:
     return load_kernel() is not None
@@ -61,12 +59,6 @@ def _counters_dict(tests: float, accepts: float, opens: float,
             "levels": maxdepth + 1.0 if maxdepth >= 0 else 0.0}
 
 
-def _chunk_bounds(k: int, threads: int) -> "list[Tuple[int, int]]":
-    nchunks = min(max(1, threads), max(1, -(-k // MIN_CHUNK)))
-    step = -(-k // nchunks)
-    return [(lo, min(lo + step, k)) for lo in range(0, k, step)]
-
-
 def kernel_gravity(
     tree,
     body_idx: np.ndarray,
@@ -76,16 +68,13 @@ def kernel_gravity(
     eps: float,
     open_self_cells: bool = False,
     prepared: Optional[Tuple[np.ndarray, ...]] = None,
-    threads: int = 1,
     kernel: Optional[CKernel] = None,
 ) -> Tuple[np.ndarray, np.ndarray, Dict[str, float]]:
     """C-kernel counterpart of :func:`repro.octree.flat.flat_gravity`.
 
     Same signature contract and counter keys; interaction counts are
     bit-exact vs the numpy traversal, accelerations agree to float64
-    round-off (per-body summation order differs).  ``threads`` > 1
-    chunks ``body_idx`` across a thread pool -- outputs are per-body
-    independent, so any thread count produces identical arrays.
+    round-off (per-body summation order differs).
 
     Raises :class:`RuntimeError` if no kernel is loaded; callers gate on
     :func:`c_kernel_available` (the backends fall back to numpy).
@@ -111,31 +100,9 @@ def kernel_gravity(
     accy = np.empty(k)
     accz = np.empty(k)
     work = np.empty(k)
-    bounds = _chunk_bounds(k, threads)
-    if len(bounds) == 1:
-        counters = np.empty(NCOUNTERS)
-        kernel.force_walk(ids, px, py, pz, gmass, tree,
-                          theta_sq, eps_sq, open_self_cells,
-                          accx, accy, accz, work, counters)
-        rows = counters[None, :]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        rows = np.empty((len(bounds), NCOUNTERS))
-
-        def run(ci: int, lo: int, hi: int) -> None:
-            kernel.force_walk(ids[lo:hi], px, py, pz, gmass, tree,
-                              theta_sq, eps_sq, open_self_cells,
-                              accx[lo:hi], accy[lo:hi], accz[lo:hi],
-                              work[lo:hi], rows[ci])
-
-        with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-            futures = [pool.submit(run, ci, lo, hi)
-                       for ci, (lo, hi) in enumerate(bounds)]
-            for f in futures:
-                f.result()
+    counters = np.empty(NCOUNTERS)
+    kernel.force_walk(ids, px, py, pz, gmass, tree,
+                      theta_sq, eps_sq, open_self_cells,
+                      accx, accy, accz, work, counters)
     acc = np.stack([accx, accy, accz], axis=1)
-    return acc, work, _counters_dict(
-        float(rows[:, 0].sum()), float(rows[:, 1].sum()),
-        float(rows[:, 2].sum()), float(rows[:, 3].sum()),
-        float(rows[:, 4].max()))
+    return acc, work, _counters_dict(*(float(c) for c in counters))

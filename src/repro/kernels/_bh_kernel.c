@@ -38,9 +38,8 @@
  *     needed): the load-or-compile-on-first-use path for editable
  *     installs and source checkouts.
  *
- * All entry points are plain C with int64/double arguments so ctypes
- * calls release the GIL, letting the Python-side thread pool chunk
- * bodies across cores.
+ * All entry points are plain C with int64/double arguments, bound by
+ * ctypes.
  */
 
 #include <math.h>
@@ -48,7 +47,7 @@
 #include <stdlib.h>
 
 /* ABI version checked by the loader; bump on any signature change. */
-#define BH_ABI_VERSION 4
+#define BH_ABI_VERSION 5
 
 /* Deepest possible walk: MAX_DEPTH (30) levels, each pushing at most
  * 8 children while popping one -- 4096 is an order of magnitude above
@@ -315,12 +314,10 @@ int bh_slot_walk(
 /* stack-item flag on a cell row: ("expand", cell), its children arrived */
 #define BH_EXPAND ((int32_t)1 << 30)
 
-/* Gather issue, the walk's only call back into Python: retire the
- * call's `retired` oldest handles, then engine.memget_vlist_async over
- * the (src[i], n[i]) pairs.  Returns the new handle's complete_at, or
- * NaN when the Python side raised. */
-typedef double (*bh_issue_fn)(int64_t retired, int64_t npairs,
-                              const int64_t *src, const int64_t *n);
+/* The walk's only call back into Python, for a gather piece the charge
+ * table does not hold (n > gmax): CostModel.gather_ilist(tid, src, n)'s
+ * complete time, its nic time stored in *nic.  NaN when Python raised. */
+typedef double (*bh_charge_fn)(int64_t src, int64_t n, double *nic);
 
 /* one work item of a group: tree node and its active bodies */
 typedef struct { int32_t node; uint32_t mask; } bh_item;
@@ -341,7 +338,18 @@ typedef struct {
     int64_t n2, n3, w_test, w_open, w_leaf;
     double local_word, interaction, factor, sync_cost;
     double *clock, *stall, *acc, *work;
-    bh_issue_fn issue;
+    /* AsyncEngine.memget_vlist_async's charges: issue cost per source,
+     * per-source relation class, gtab[class][n] = (complete, nic) for
+     * n <= gmax, the runtime's NIC times by node, and the histogram of
+     * gathers by source count */
+    double issue_cost;
+    const uint8_t *gcls;
+    const double *gtab;
+    int64_t gmax;
+    const int64_t *node_of;
+    double *nic;
+    int64_t *hist;
+    bh_charge_fn charge;
     /* per cell: children local or gathered; parked FIFO (head, tail) */
     uint8_t *open_ok;
     int32_t *park_head, *park_tail;
@@ -351,14 +359,14 @@ typedef struct {
     int32_t *pool, *gath_lo, *gath_hi;
     double *gath_done;
     int64_t pool_head, pool_len, pool_nodes, gath_head, gath_tail;
-    int64_t *src_cnt, *src_order, *src_n;
+    int64_t *src_cnt, *src_order;
     /* per working-group slot */
     bh_item *stacks;
     int64_t *sp;
     int32_t *parked, *slot_group;
-    /* handles retired since the last issue; results */
-    int64_t retired, gathers, forced, waits, cells_requested,
-        interactions, interaction_adds, stall_adds;
+    /* results */
+    int64_t gathers, forced, waits, cells_requested, interactions,
+        interaction_adds, stall_adds, elems;
 } bh_frontier;
 
 static int fw_nchildren(const bh_frontier *f, int32_t cell)
@@ -507,7 +515,8 @@ static void fw_source(bh_frontier *f, int64_t owner, int64_t *npairs)
         f->src_order[(*npairs)++] = owner;
 }
 
-/* one bupc_memget_vlist_async over the children of pool[lo:hi] */
+/* one bupc_memget_vlist_async over the children of pool[lo:hi]: the
+ * sources in first-request order, charged as AsyncEngine's issue does */
 static int fw_issue(bh_frontier *f, int64_t lo, int64_t hi, int forced)
 {
     int64_t npairs = 0;
@@ -527,15 +536,34 @@ static int fw_issue(bh_frontier *f, int64_t lo, int64_t hi, int forced)
             }
         }
     }
-    for (int64_t i = 0; i < npairs; i++) {
-        f->src_n[i] = f->src_cnt[f->src_order[i]];
-        f->src_cnt[f->src_order[i]] = 0;
+    double done = *f->clock;
+    if (npairs > 0) {
+        *f->clock += f->issue_cost * (double)npairs;
+        const double now = *f->clock;
+        done = now;
+        for (int64_t i = 0; i < npairs; i++) {
+            const int64_t src = f->src_order[i], n = f->src_cnt[src];
+            f->src_cnt[src] = 0;
+            double complete, nic;
+            if (n <= f->gmax) {
+                const double *e =
+                    f->gtab + ((int64_t)f->gcls[src] * (f->gmax + 1) + n) * 2;
+                complete = e[0];
+                nic = e[1];
+            } else {
+                complete = f->charge(src, n, &nic);
+                if (complete != complete)
+                    return BH_ERR_CALLBACK;
+            }
+            const double at = now + complete;
+            if (at > done)
+                done = at;
+            if (nic > 0.0)
+                f->nic[f->node_of[src]] += nic;
+            f->elems += n;
+        }
+        f->hist[npairs]++;
     }
-    const double done = f->issue(f->retired, npairs, f->src_order,
-                                 f->src_n);
-    f->retired = 0;
-    if (done != done)
-        return BH_ERR_CALLBACK;
     f->gath_lo[f->gath_tail] = (int32_t)lo;
     f->gath_hi[f->gath_tail] = (int32_t)hi;
     f->gath_done[f->gath_tail++] = done;
@@ -565,7 +593,6 @@ static int fw_issue_ready(bh_frontier *f)
 static int fw_complete(bh_frontier *f)
 {
     const int64_t h = f->gath_head++;
-    f->retired++;
     for (int64_t p = f->gath_lo[h]; p < f->gath_hi[h]; p++) {
         const int32_t c = f->pool[p];
         f->open_ok[c] = 1;
@@ -607,17 +634,23 @@ static void fw_activate(bh_frontier *f, int64_t s, int64_t g, int64_t k)
  * sync_cost            clock charge of one trysync / waitsync
  * clock                &rt.clock[tid], charged in place
  * stall                in/out running waitsync_stall value
- * issue                gather callback (see bh_issue_fn)
+ * issue_cost          CostModel.async_issue (charged per source)
+ * gcls[nthreads]       relation class of (tid, src), 0..3
+ * gtab[4 * (gmax+1) * 2]  gather (complete, nic) by class and count
+ * node_of[nthreads], nic   the runtime's node map and NIC times
+ * hist[nthreads + 1]   += gathers by number of sources (pass zeros)
+ * charge               callback for a count above gmax (bh_charge_fn)
  * ws_cap               workspace byte limit, 0 = none
  * acc[k * 3], work[k]  accumulated in place (pass zeros)
- * out[7]               gathers, forced gathers, waits, cells requested,
- *                      interactions, interaction adds, stall adds
+ * out[8]               gathers, forced gathers, waits, cells requested,
+ *                      interactions, interaction adds, stall adds,
+ *                      gathered elements
  *
  * Returns BH_ERR_DECLINED, before any side effect, when the workspace
  * cannot be allocated (or exceeds ws_cap) or an input is out of range;
  * the caller then runs the Python loop.  Every buffer is sized up front
  * from the tree depth and its frontier cell count, so no later step
- * allocates.  BH_ERR_CALLBACK (the issue callback raised) and
+ * allocates.  BH_ERR_CALLBACK (the charge callback raised) and
  * BH_ERR_DEADLOCK are the only other returns after a side effect.
  */
 int bh_frontier_walk(
@@ -635,12 +668,18 @@ int bh_frontier_walk(
     double theta_sq, double eps_sq, int open_self,
     const int64_t *words, int64_t n1, int64_t n2, int64_t n3,
     double local_word, double interaction, double factor,
-    double sync_cost, double *clock, double *stall, bh_issue_fn issue,
-    int64_t ws_cap, double *acc, double *work, int64_t *out)
+    double sync_cost, double *clock, double *stall, double issue_cost,
+    const uint8_t *gcls, const double *gtab, int64_t gmax,
+    const int64_t *node_of, double *nic, int64_t *hist,
+    bh_charge_fn charge, int64_t ws_cap, double *acc, double *work,
+    int64_t *out)
 {
     if (k <= 0 || group < 1 || group > BH_MAX_GROUP || n1 < 1 ||
-        ncells < 1 || ncells >= BH_EXPAND)
+        ncells < 1 || ncells >= BH_EXPAND || gmax < 0)
         return BH_ERR_DECLINED;
+    for (int64_t t = 0; t < nthreads; t++)
+        if (gcls[t] > 3)
+            return BH_ERR_DECLINED;
     const int64_t ngroups = (k + group - 1) / group;
     const int64_t nact = n1 < ngroups ? n1 : ngroups;
 
@@ -683,7 +722,7 @@ int bh_frontier_walk(
         (size_t)nact * cap * sizeof(bh_item)
         + (size_t)nact * nf * sizeof(bh_park)
         + (size_t)nf * 3 * sizeof(int32_t) + (size_t)nf * sizeof(double)
-        + (size_t)nthreads * 3 * sizeof(int64_t)
+        + (size_t)nthreads * 2 * sizeof(int64_t)
         + (size_t)nact * (sizeof(int64_t) + 4 * sizeof(int32_t));
     uint8_t *ws = NULL;
     if (ws_cap <= 0 || cell_bytes + bytes <= (size_t)ws_cap)
@@ -705,7 +744,9 @@ int bh_frontier_walk(
         .w_leaf = words[2], .local_word = local_word,
         .interaction = interaction, .factor = factor,
         .sync_cost = sync_cost, .clock = clock, .stall = stall,
-        .acc = acc, .work = work, .issue = issue, .open_ok = open_ok,
+        .acc = acc, .work = work, .issue_cost = issue_cost, .gcls = gcls,
+        .gtab = gtab, .gmax = gmax, .node_of = node_of, .nic = nic,
+        .hist = hist, .charge = charge, .open_ok = open_ok,
         .park_head = park_head, .park_tail = park_tail,
     };
     bh_frontier *f = &F;
@@ -715,7 +756,6 @@ int bh_frontier_walk(
     f->gath_done = (double *)w;        w += (size_t)nf * sizeof(double);
     f->src_cnt = (int64_t *)w;         w += (size_t)nthreads * sizeof(int64_t);
     f->src_order = (int64_t *)w;       w += (size_t)nthreads * sizeof(int64_t);
-    f->src_n = (int64_t *)w;           w += (size_t)nthreads * sizeof(int64_t);
     f->sp = (int64_t *)w;              w += (size_t)nact * sizeof(int64_t);
     f->pool = (int32_t *)w;            w += (size_t)nf * sizeof(int32_t);
     f->gath_lo = (int32_t *)w;         w += (size_t)nf * sizeof(int32_t);
@@ -806,6 +846,7 @@ int bh_frontier_walk(
     out[4] = f->interactions;
     out[5] = f->interaction_adds;
     out[6] = f->stall_adds;
+    out[7] = f->elems;
     free(ws);
     free(cell_ws);
     return rc;

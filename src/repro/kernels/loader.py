@@ -54,7 +54,7 @@ from typing import List, Optional
 import numpy as np
 
 #: ABI this loader binds; must match BH_ABI_VERSION in ``_bh_kernel.c``
-ABI_VERSION = 4
+ABI_VERSION = 5
 
 #: aggregate-counter slots filled by ``bh_force_walk`` (see the C file)
 NCOUNTERS = 5
@@ -79,9 +79,9 @@ _I64 = ctypes.POINTER(ctypes.c_int64)
 _I32 = ctypes.POINTER(ctypes.c_int32)
 _U8 = ctypes.POINTER(ctypes.c_uint8)
 
-#: ``bh_issue_fn``: (retired, npairs, src, n) -> complete_at, NaN on error
-ISSUE_FN = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_int64,
-                            ctypes.c_int64, _I64, _I64)
+#: ``bh_charge_fn``: (src, n, nic out) -> complete, NaN on error
+CHARGE_FN = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_int64,
+                             ctypes.c_int64, _F64)
 
 
 class KernelUnavailable(Exception):
@@ -141,7 +141,10 @@ class CKernel:
             + [ctypes.c_double, ctypes.c_double, ctypes.c_int]
             + [_I64] + [ctypes.c_int64] * 3   # words n1 n2 n3
             + [ctypes.c_double] * 4           # local_word interaction factor sync
-            + [_F64, _F64, ISSUE_FN]          # clock stall issue
+            + [_F64, _F64]                    # clock stall
+            + [ctypes.c_double, _U8, _F64, ctypes.c_int64]
+                                              # issue_cost gcls gtab gmax
+            + [_I64, _F64, _I64, CHARGE_FN]   # node_of nic hist charge
             + [ctypes.c_int64, _F64, _F64, _I64]  # ws_cap acc work out
         )
         self._frontier = frontier
@@ -176,12 +179,11 @@ class CKernel:
                    theta_sq: float, eps_sq: float, open_self: bool,
                    accx: np.ndarray, accy: np.ndarray, accz: np.ndarray,
                    work: np.ndarray, counters: np.ndarray) -> None:
-        """One chunk: fill ``accx``/``accy``/``accz``/``work`` (length
-        ``len(ids)``) and ``counters`` (length :data:`NCOUNTERS`).
+        """Fill ``accx``/``accy``/``accz``/``work`` (length ``len(ids)``)
+        and ``counters`` (length :data:`NCOUNTERS`).
 
-        The ctypes call releases the GIL, so concurrent chunk calls from
-        a thread pool genuinely overlap.  All array arguments must be
-        C-contiguous float64/int64 (the FlatTree arrays already are).
+        All array arguments must be C-contiguous float64/int64 (the
+        FlatTree arrays already are).
         """
         rc = self._walk(
             len(ids), ids.ctypes.data_as(_I64),
@@ -241,17 +243,23 @@ class CKernel:
                       eps_sq: float, open_self: bool, words: np.ndarray,
                       n1: int, n2: int, n3: int, local_word: float,
                       interaction: float, factor: float, sync_cost: float,
-                      clock: np.ndarray, stall: np.ndarray, issue,
+                      clock: np.ndarray, stall: np.ndarray,
+                      issue_cost: float, gcls: np.ndarray,
+                      gtab: np.ndarray, node_of: np.ndarray,
+                      nic: np.ndarray, hist: np.ndarray, charge,
                       acc: np.ndarray, work: np.ndarray, out: np.ndarray,
                       ws_cap: int = 0) -> bool:
         """The section-5.5 frontier loop for thread ``tid``'s bodies.
 
-        Charges ``clock[tid]`` in place, adds waitsync stalls to
-        ``stall[0]``, accumulates into ``acc`` ((k, 3)) and ``work``, and
-        fills ``out`` (7 int64 results, see the C file).  ``issue`` is an
-        :data:`ISSUE_FN`.  Returns False, having touched nothing, when
-        the kernel declines (workspace unavailable or above ``ws_cap``
-        bytes).
+        Charges ``clock[tid]`` and the gathers' ``nic`` times in place,
+        adds waitsync stalls to ``stall[0]``, counts gathers by source
+        count into ``hist``, accumulates into ``acc`` ((k, 3)) and
+        ``work``, and fills ``out`` (8 int64 results, see the C file).
+        ``gtab`` ((4, gmax + 1, 2)) holds the gather charges by relation
+        class (``gcls``, one per source thread) and element count;
+        ``charge`` (a :data:`CHARGE_FN`) prices a larger count.  Returns
+        False, having touched nothing, when the kernel declines
+        (workspace unavailable or above ``ws_cap`` bytes).
         """
         rc = self._frontier(
             len(ids), ids.ctypes.data_as(_I64), tid, nthreads, group,
@@ -273,7 +281,10 @@ class CKernel:
             words.ctypes.data_as(_I64), n1, n2, n3,
             local_word, interaction, factor, sync_cost,
             clock[tid:].ctypes.data_as(_F64), stall.ctypes.data_as(_F64),
-            issue, ws_cap,
+            issue_cost, gcls.ctypes.data_as(_U8), gtab.ctypes.data_as(_F64),
+            gtab.shape[1] - 1, node_of.ctypes.data_as(_I64),
+            nic.ctypes.data_as(_F64), hist.ctypes.data_as(_I64), charge,
+            ws_cap,
             acc.ctypes.data_as(_F64), work.ctypes.data_as(_F64),
             out.ctypes.data_as(_I64),
         )

@@ -1,14 +1,14 @@
 """Counters, gauges, and histograms behind one registry.
 
-The run already *produces* plenty of measurements -- ``ForceResult.counters``
-from the backends, :class:`repro.upc.stats.Counters` per phase, per-level
-frontier sizes inside ``flat_gravity``, ``FlatTree`` memory footprints,
-migration fractions -- but they live in scattered per-layer structures.
+The run already *produces* plenty of measurements --
+:class:`repro.upc.stats.Counters` per phase, tree-build lock statistics,
+migration fractions, and per-level frontier sizes inside the standalone
+``flat_gravity`` -- but they live in scattered per-layer structures.
 The registry is the unification point: :func:`collect_run_metrics` folds a
-finished run's :class:`~repro.upc.stats.StatsLog` (which already absorbs
-backend counters under ``backend_*`` keys) and variant stats into named
-metrics, and :func:`collect_span_metrics` folds a tracer's spans (wall-clock
-phase times, per-level traversal profiles) into the same registry.
+finished run's :class:`~repro.upc.stats.StatsLog` and variant stats into
+named metrics, and :func:`collect_span_metrics` folds a tracer's spans
+(wall-clock phase times, per-level traversal profiles) into the same
+registry.
 
 Naming follows the Prometheus convention loosely: ``snake_case`` names,
 ``_total`` suffix on monotonic counters, labels as ``name{k=v}``.  Exact
@@ -199,9 +199,7 @@ def collect_run_metrics(registry: MetricsRegistry, log,
     Walks records chronologically -- the same order
     ``StatsLog.counter_total`` sums in -- so ``upc_<key>_total`` equals
     ``log.counter_total(key)`` exactly (bit-for-bit float equality), and
-    likewise per phase under the ``phase=`` label.  Backend counters arrive
-    with their existing ``backend_`` prefix (``upc_backend_cell_tests_total``
-    and friends).
+    likewise per phase under the ``phase=`` label.
     """
     for rec in log:
         registry.counter("phase_sim_seconds_total", phase=rec.name) \
@@ -228,12 +226,9 @@ def collect_run_metrics(registry: MetricsRegistry, log,
                 .add(locks["contended_acquires"])
             registry.counter("treebuild_lock_wait_seconds_total") \
                 .add(locks["total_wait"])
-        for nbytes in variant_stats.get("flat_tree_nbytes", ()):
-            registry.gauge("flat_tree_nbytes").set(nbytes)
-            registry.histogram("flat_tree_nbytes_per_step").observe(nbytes)
         # resilience mediation counts: {counter name: {label: total}}
-        # (labels vary by counter -- phase for retries, cause for faults,
-        # ladder edge for backend fallbacks -- folded under one "key")
+        # (labels vary by counter -- phase for retries, cause for faults
+        # -- folded under one "key")
         for name, by_label in variant_stats.get("resilience", {}).items():
             for label, val in by_label.items():
                 labels = {"key": label} if label else {}
@@ -271,8 +266,8 @@ def collect_span_metrics(registry: MetricsRegistry,
             registry.counter("step_wall_seconds_total").add(sp.wall_dur)
             registry.counter("steps_total").add(1)
         elif sp.cat == "resilience":
-            # zero-duration mediation markers (retries, fallbacks,
-            # checkpoints) dropped by the resilience layer
+            # zero-duration mediation markers (retries, checkpoints)
+            # dropped by the resilience layer
             registry.counter("resilience_events_total",
                              event=sp.name).add(1)
     return registry

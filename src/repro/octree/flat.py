@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -79,33 +80,28 @@ def cell_rows(root: Cell) -> CellRows:
     stays valid while the tree's shape does.
     """
     order = [root]
-    child_rows = []
+    codes = []  # the child slot codes, row-major
     leaf_lists = []
-    i = 0
-    while i < len(order):
-        cell = order[i]
-        i += 1
-        row = [EMPTY] * NSUB
-        for slot, ch in enumerate(cell.children):
+    # the loop also visits the cells it appends: a breadth-first walk
+    for cell in order:
+        for ch in cell.children:
             if ch is None:
-                continue
-            if isinstance(ch, Leaf):
-                row[slot] = encode_leaf(len(leaf_lists))
+                codes.append(EMPTY)
+            elif isinstance(ch, Leaf):
+                codes.append(encode_leaf(len(leaf_lists)))
                 leaf_lists.append(ch.indices)
             else:
-                row[slot] = len(order)
+                codes.append(len(order))
                 order.append(ch)
-        child_rows.append(row)
 
-    counts = np.fromiter((len(ix) for ix in leaf_lists),
-                         dtype=np.int64, count=len(leaf_lists))
+    counts = np.fromiter(map(len, leaf_lists), dtype=np.int64,
+                         count=len(leaf_lists))
     leaf_ptr = np.zeros(len(leaf_lists) + 1, dtype=np.int64)
     np.cumsum(counts, out=leaf_ptr[1:])
-    leaf_bodies = np.fromiter(
-        (b for ix in leaf_lists for b in ix),
-        dtype=np.int64, count=int(leaf_ptr[-1]),
-    )
-    return order, np.array(child_rows, dtype=np.int64), leaf_ptr, leaf_bodies
+    leaf_bodies = np.fromiter(chain.from_iterable(leaf_lists),
+                              dtype=np.int64, count=int(leaf_ptr[-1]))
+    child = np.array(codes, dtype=np.int64).reshape(len(order), NSUB)
+    return order, child, leaf_ptr, leaf_bodies
 
 
 def _ranges(base: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Resilient stepping: checkpoint/restore, health guards, degradation.
+"""Resilient stepping: checkpoint/restore, health guards, phase retries.
 
 The subsystem has four cooperating parts (see ``docs/resilience.md``):
 
@@ -6,8 +6,7 @@ The subsystem has four cooperating parts (see ``docs/resilience.md``):
   everything the trajectory depends on; restore is bit-identical.
 * :mod:`~repro.resilience.guards` -- per-phase numerical-health
   validators raising a structured :class:`SimulationFault`.
-* :mod:`~repro.resilience.policy` / :mod:`~repro.resilience.degrade` --
-  bounded phase retries and the force-backend fallback ladder.
+* :mod:`~repro.resilience.policy` -- bounded phase retries.
 * :mod:`~repro.resilience.inject` -- deterministic seeded fault points
   at every phase boundary, so all of the above is exercised in CI.
 
@@ -26,7 +25,6 @@ from .checkpoint import (
     save_checkpoint,
     snapshot_simulation,
 )
-from .degrade import ResilientBackend
 from .faults import (
     ALL_CAUSES,
     InjectedFault,
@@ -48,7 +46,6 @@ __all__ = [
     "HealthGuards",
     "InjectedFault",
     "ResilienceManager",
-    "ResilientBackend",
     "SimulationFault",
     "SimulationKilled",
     "latest_checkpoint",

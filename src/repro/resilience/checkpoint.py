@@ -16,11 +16,11 @@ identically to an uninterrupted one:
   thread-count pair, so ``restore_simulation`` needs nothing but the
   file.
 
-No tree state is saved: every backend builds its tree from scratch each
+No tree state is saved: every variant builds its tree from scratch each
 step over a root box derived from the restored positions, so the
 restored run's trees replay the uninterrupted run's exactly.
 
-Format: a single ``.npz`` (version tag ``repro-checkpoint/2``) holding
+Format: a single ``.npz`` (version tag ``repro-checkpoint/3``) holding
 the body arrays plus a JSON header; writes are atomic (tmp + rename) so
 a kill mid-write can never leave a truncated "latest" checkpoint.
 """
@@ -36,7 +36,7 @@ from typing import List, Optional
 import numpy as np
 
 #: on-disk format tag; bump on any incompatible layout change
-CHECKPOINT_VERSION = "repro-checkpoint/2"
+CHECKPOINT_VERSION = "repro-checkpoint/3"
 
 #: filename pattern -- sortable by step
 _FILE_FMT = "ckpt_step{step:06d}.npz"

@@ -57,7 +57,6 @@ def _cmd_run(args) -> int:
         nbodies=args.nbodies, nsteps=args.steps,
         warmup_steps=min(args.warmup, args.steps - 1),
         seed=args.seed, distribution=args.distribution,
-        force_backend=args.backend,
         checkpoint_every=args.checkpoint_every,
         checkpoint_dir=args.checkpoint_dir,
         guards=args.guards, inject=tuple(args.inject),
@@ -132,8 +131,6 @@ def main(argv: "Optional[List[str]]" = None) -> int:
     run.add_argument("--threads", type=int, default=4)
     run.add_argument("--variant", default="baseline")
     run.add_argument("--distribution", default="plummer")
-    run.add_argument("--backend", default="flat",
-                     help="force backend (default: flat)")
     run.add_argument("--checkpoint-every", type=int, default=0,
                      metavar="N")
     run.add_argument("--checkpoint-dir", default=None, metavar="DIR")

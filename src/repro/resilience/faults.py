@@ -5,9 +5,9 @@ Every failure the resilience layer detects or mediates is surfaced as a
 ``cause`` slug from the ``CAUSE_*`` constants below), instead of a bare
 ``ValueError`` deep inside a numpy kernel or -- worse -- silent NaN
 propagation through ten more steps.  The policy engine
-(:mod:`repro.resilience.policy`) catches these to drive bounded retries
-and backend fallbacks; anything it cannot recover is re-raised so the
-caller sees one well-formed error at the faulting phase boundary.
+(:mod:`repro.resilience.policy`) catches these to drive bounded retries;
+anything it cannot recover is re-raised so the caller sees one
+well-formed error at the faulting phase boundary.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ CAUSE_ESCAPE = "escape"
 CAUSE_BAD_AFFINITY = "bad-affinity"
 #: tree construction failed
 CAUSE_BUILD = "build"
-#: the force traversal failed on every rung of the backend ladder
+#: the force traversal failed
 CAUSE_TRAVERSAL = "traversal"
 #: a deterministic injected fault (see :mod:`repro.resilience.inject`)
 CAUSE_INJECTED = "injected"

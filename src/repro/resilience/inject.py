@@ -2,7 +2,7 @@
 
 Recovery code that only runs when the universe misbehaves is aspirational
 code.  This harness arms *seeded, reproducible* faults at phase
-boundaries so the fallback ladder and the guards are exercised in CI on
+boundaries so the phase retries and the guards are exercised in CI on
 every change, with bit-identical fault placement across runs.
 
 Spec grammar (``BHConfig.inject`` / ``--inject``, repeatable)::
@@ -22,11 +22,7 @@ Spec grammar (``BHConfig.inject`` / ``--inject``, repeatable)::
     aggregates, scrambled Morton splice state) at a seeded index --
     only the numerical-health guards can see this one;
   - ``delay``: sleep a few milliseconds at the before boundary (models
-    a stall; must be absorbed with zero trajectory effect);
-  - ``backend``: arm a one-shot exception inside the *primary force
-    backend's* ``accelerations`` call, so the graceful-degradation
-    wrapper (:mod:`repro.resilience.degrade`) must catch it and serve
-    the step from the fallback engine.
+    a stall; must be absorbed with zero trajectory effect).
 
 Each spec fires **once per matching (phase, step) boundary** and never on
 retry attempts, so a recovered run re-executes the phase body against the
@@ -58,8 +54,7 @@ from .faults import InjectedFault
 KIND_RAISE = "raise"
 KIND_CORRUPT = "corrupt"
 KIND_DELAY = "delay"
-KIND_BACKEND = "backend"
-ALL_KINDS = (KIND_RAISE, KIND_CORRUPT, KIND_DELAY, KIND_BACKEND)
+ALL_KINDS = (KIND_RAISE, KIND_CORRUPT, KIND_DELAY)
 
 #: stall length of a ``delay`` injection (wall clock; trajectory-neutral)
 DELAY_SECONDS = 0.002
@@ -120,11 +115,9 @@ class FaultInjector:
     """Fires parsed :class:`FaultSpec` directives at phase boundaries.
 
     The manager calls :meth:`before_phase` / :meth:`after_phase` around
-    each phase body (first attempt only) and the degradation wrapper
-    polls :meth:`take_backend_fault` inside the primary backend call.
-    ``fired`` records every delivered injection as ``(spec, phase,
-    step)`` strings -- checkpointed so a restored run neither re-fires
-    nor forgets a fault.
+    each phase body (first attempt only).  ``fired`` records every
+    delivered injection as ``(spec, phase, step)`` strings --
+    checkpointed so a restored run neither re-fires nor forgets a fault.
     """
 
     def __init__(self, specs: Sequence[FaultSpec], seed: int = 0):
@@ -132,8 +125,6 @@ class FaultInjector:
         self.seed = int(seed)
         self.rng = np.random.default_rng(self.seed)
         self.fired: Set[str] = set()
-        self._backend_armed: bool = False
-        self._armed_point: str = ""
 
     @classmethod
     def from_specs(cls, texts: Sequence[str],
@@ -172,12 +163,9 @@ class FaultInjector:
         return hits
 
     def before_phase(self, phase: str, step: int) -> None:
-        """Fire ``delay``/``backend``/``raise`` points, in that order."""
+        """Fire ``delay`` then ``raise`` points."""
         for _ in self._take(phase, step, (KIND_DELAY,)):
             time.sleep(DELAY_SECONDS)
-        if self._take(phase, step, (KIND_BACKEND,)):
-            self._backend_armed = True
-            self._armed_point = f"{phase}:{step}"
         for spec in self._take(phase, step, (KIND_RAISE,)):
             raise InjectedFault(f"{phase}.before [{spec}]", step)
 
@@ -189,18 +177,6 @@ class FaultInjector:
             self._corrupt(phase, variant)
             corrupted = True
         return corrupted
-
-    def take_backend_fault(self) -> bool:
-        """Consume an armed backend fault (polled by the degradation
-        wrapper inside the primary engine's call)."""
-        if self._backend_armed:
-            self._backend_armed = False
-            return True
-        return False
-
-    @property
-    def backend_fault_point(self) -> str:
-        return self._armed_point
 
     # -- corruption models ---------------------------------------------- #
     def _corrupt(self, phase: str, variant) -> None:

@@ -1,4 +1,4 @@
-"""The retry/fallback policy engine behind resilient stepping.
+"""The retry policy engine behind resilient stepping.
 
 :class:`ResilienceManager` is the single coordination point the step loop
 talks to.  :meth:`run_phase` wraps each phase body with, in order: the
@@ -19,7 +19,7 @@ boundary is retryable for any phase, since the body never ran.  Retries
 are bounded by ``BHConfig.max_phase_retries``; exhaustion re-raises the
 structured fault.
 
-Every mediation (retry, fallback, checkpoint, detected fault) increments
+Every mediation (retry, checkpoint, detected fault) increments
 a named counter -- folded into run metrics as ``resilience_*_total`` --
 and, when tracing is on, drops a zero-duration ``resilience``-category
 marker into the span stream.
@@ -69,9 +69,6 @@ class ResilienceManager:
         self.kill_at_step = kill_at_step
         #: (counter name, label) -> total; see :meth:`summary`
         self.counts: Dict[Tuple[str, str], float] = {}
-        #: phase/step currently executing (read by the degrade wrapper)
-        self.current_phase: str = ""
-        self.current_step: int = -1
 
     # ------------------------------------------------------------------ #
     # counters                                                           #
@@ -100,7 +97,6 @@ class ResilienceManager:
         exactly one record per (step, phase) and retry attempts are
         charged to the phase they repair.
         """
-        self.current_phase, self.current_step = phase, step
         inj = self.injector
         attempts = 0
         with variant.rt.phase(phase):
@@ -116,11 +112,6 @@ class ResilienceManager:
                     if inj is not None:
                         if inj.after_phase(phase, step, variant):
                             self.bump("injected_corruptions", phase)
-                        if inj.take_backend_fault():
-                            # armed but no wrapped backend consumed it
-                            # (the instrumented object-tree path): model
-                            # it as a transient traversal error instead
-                            raise InjectedFault(f"{phase}.backend", step)
                     if self.guards is not None:
                         self.guards.check_phase(phase, step, variant)
                     return

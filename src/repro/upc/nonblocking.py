@@ -43,6 +43,11 @@ class AsyncEngine:
         Returns a handle whose ``complete_at`` is the virtual time when all
         pieces have arrived.  NIC demand is charged at issue (the transfer
         happens in the background regardless of when the caller syncs).
+
+        ``fw_issue`` in ``kernels/_bh_kernel.c`` (the compiled frontier
+        loop of :mod:`repro.core.frontier`) mirrors these charges and
+        counts in the same order; a change here must be made there too,
+        and ``tests/test_frontier_c.py`` checks that the two agree.
         """
         rt = self.rt
         per_source = {s: n for s, n in per_source.items() if n > 0}

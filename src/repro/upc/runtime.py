@@ -118,6 +118,7 @@ class UpcRuntime:
         self._release_rows: List[Optional[list]] = [None] * nthreads
         self._pairs: Dict[Tuple[float, float], Tuple[float, float]] = {}
         self._class_tables: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._gather_tables: Dict[Tuple[int, int], np.ndarray] = {}
 
     # ------------------------------------------------------------------ #
     # phases                                                             #
@@ -255,6 +256,27 @@ class UpcRuntime:
                         table[k, c] = ch.issuer, ch.nic
             self._class_tables = (classes, table)
         return self._class_tables
+
+    def gather_table(self, elem_nbytes: int, nmax: int) -> np.ndarray:
+        """``table[c, n]``: the cost model's ``(complete, nic)`` for an
+        ``n``-element indexed gather of ``elem_nbytes``-byte elements
+        (:meth:`CostModel.gather_ilist`), for every pair of relation class
+        ``c`` (:meth:`class_tables`) and ``n`` in ``1..nmax``; row 0 is
+        zeros.  Each entry is costed at the first pair of its class."""
+        key = (elem_nbytes, nmax)
+        table = self._gather_tables.get(key)
+        if table is None:
+            classes, _ = self.class_tables()
+            table = np.zeros((REL_REMOTE + 1, nmax + 1, 2))
+            for c in range(REL_REMOTE + 1):
+                pairs = np.argwhere(classes == c)
+                if len(pairs):
+                    s, d = pairs[0].tolist()
+                    for n in range(1, nmax + 1):
+                        ch = self.cost.gather_ilist(s, d, n, elem_nbytes)
+                        table[c, n] = ch.complete, ch.nic
+            self._gather_tables[key] = table
+        return table
 
     def word_access(self, tid: int, owner: int, words: float = 1.0,
                     count: float = 1.0, key: str = "word_access") -> None:

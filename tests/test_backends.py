@@ -1,4 +1,4 @@
-"""Force-backend subsystem: registry, parity matrix, simulation wiring.
+"""Standalone force backends: registry, parity matrix, wiring.
 
 Parity contract (the tentpole guarantee):
 
@@ -24,7 +24,6 @@ from repro.backends import (
     get_backend,
     make_backend,
 )
-from repro.backends.flat import TREE_NBYTES_HISTORY
 from repro.nbody.bbox import compute_root
 from repro.nbody.distributions import (
     DISTRIBUTIONS,
@@ -175,50 +174,63 @@ class TestBackendParity:
 
 
 class TestSimulationWiring:
+    """No variant calls a backend: ``force_backend`` is validated and
+    inert.  The standalone engines are called directly."""
+
     @pytest.mark.parametrize("variant", ["baseline", "subspace", "async",
                                          "mpi-let"])
     def test_flat_backend_preserves_trajectories(self, tiny_cfg, variant):
         res_obj = run_variant(variant, tiny_cfg, 4)
         res_flat = run_variant(
             variant, tiny_cfg.with_(force_backend="flat"), 4)
-        assert np.abs(res_obj.bodies.pos - res_flat.bodies.pos).max() < 1e-9
+        assert np.array_equal(res_obj.bodies.pos, res_flat.bodies.pos)
+        assert np.array_equal(res_obj.bodies.vel, res_flat.bodies.vel)
         assert (res_flat.counter("interactions")
-                == pytest.approx(res_obj.counter("interactions")))
+                == res_obj.counter("interactions"))
+        # the standalone flat engine on the run's final bodies keeps the
+        # object tree's interaction sets
+        bodies = res_obj.bodies
+        idx = np.arange(len(bodies))
+        obj = _forces(ObjectTreeBackend, tiny_cfg, _tree_for(bodies),
+                      bodies, idx)
+        flat = _forces(FlatBackend, tiny_cfg, None, bodies, idx)
+        assert np.array_equal(obj.work, flat.work)
+        assert np.abs(obj.acc - flat.acc).max() < 1e-10
 
-    def test_flat_backend_reports_counters(self, tiny_cfg):
-        res = run_variant("subspace",
-                          tiny_cfg.with_(force_backend="flat"), 4)
-        assert res.counter("backend_cell_tests") > 0
-        assert res.counter("backend_leaf_interactions") > 0
-        assert res.counter("backend_levels") > 0
+    def test_flat_backend_reports_counters(self, bodies256):
+        res = _forces(FlatBackend, BHConfig(nbodies=256), None, bodies256,
+                      np.arange(256))
+        assert res.counters["cell_tests"] > 0
+        assert res.counters["leaf_interactions"] > 0
+        assert res.counters["levels"] > 0
+        assert res.interactions == float(res.work.sum()) > 0
 
-    def test_direct_backend_runs(self, tiny_cfg):
-        res = run_variant("baseline",
-                          tiny_cfg.with_(force_backend="direct"), 4)
-        n = tiny_cfg.nbodies
-        # per measured+warmup step: every body against all others
-        assert res.counter("interactions") == pytest.approx(
-            tiny_cfg.nsteps * n * (n - 1))
+    def test_direct_backend_runs(self, bodies256):
+        res = _forces(DirectBackend, BHConfig(nbodies=256), None, bodies256,
+                      np.arange(256))
+        # every body against all others
+        assert res.interactions == 256 * 255
 
-    def test_disk_scenario_runs_on_every_backend(self, tiny_cfg):
-        for backend in backend_names():
-            cfg = tiny_cfg.with_(distribution="disk",
-                                 force_backend=backend)
-            res = run_variant("subspace", cfg, 4)
-            assert res.total_time > 0
-            assert np.isfinite(res.bodies.pos).all()
+    def test_disk_scenario_runs_on_every_backend(self):
+        bodies = make_distribution("disk", 256, seed=9)
+        cfg = BHConfig(nbodies=256, distribution="disk")
+        root = _tree_for(bodies)
+        idx = np.arange(256)
+        for name in backend_names():
+            res = _forces(get_backend(name), cfg, root, bodies, idx)
+            assert np.isfinite(res.acc).all(), name
+            assert res.interactions > 0, name
 
     def test_scale_overrides_reach_config(self):
         from repro.experiments import SCALES
 
         scale = SCALES["test"].with_(
-            overrides=(("force_backend", "flat"),
-                       ("distribution", "disk")))
+            overrides=(("theta", 0.5), ("distribution", "disk")))
         cfg = scale.config()
-        assert cfg.force_backend == "flat"
+        assert cfg.theta == 0.5
         assert cfg.distribution == "disk"
         # explicit kwargs still beat campaign overrides
-        assert scale.config(force_backend="direct").force_backend == "direct"
+        assert scale.config(theta=0.7).theta == 0.7
 
     def test_force_result_interactions_property(self):
         res = ForceResult(acc=np.zeros((2, 3)),
@@ -227,10 +239,10 @@ class TestSimulationWiring:
 
 
 class TestRootNoneRegression:
-    """The Morton path needs no object tree; insertion does."""
+    """The flat engine's Morton build needs no object tree."""
 
     def test_morton_path_accepts_root_none(self):
-        cfg = BHConfig(force_backend="flat", flat_build="morton")
+        cfg = BHConfig()
         be = FlatBackend(cfg)
         bodies = make_distribution("plummer", 200, seed=6)
         be.begin_step(None, bodies)
@@ -242,37 +254,8 @@ class TestRootNoneRegression:
         res = be.accelerations(np.arange(200), bodies)
         assert np.isfinite(res.acc).all()
 
-    def test_insertion_path_rejects_root_none(self):
-        cfg = BHConfig(force_backend="flat", flat_build="insertion")
-        be = FlatBackend(cfg)
-        bodies = make_distribution("plummer", 64, seed=6)
-        with pytest.raises(ValueError, match="insertion"):
-            be.begin_step(None, bodies)
-
     def test_accelerations_before_begin_step_raises(self):
-        cfg = BHConfig(force_backend="flat")
-        be = FlatBackend(cfg)
+        be = FlatBackend(BHConfig())
         bodies = make_distribution("plummer", 64, seed=6)
         with pytest.raises(RuntimeError, match="begin_step"):
             be.accelerations(np.arange(64), bodies)
-
-
-class TestNbytesHistoryCap:
-    """Bounded per-step tree-size history."""
-
-    def test_history_is_capped(self):
-        cfg = BHConfig(force_backend="flat")
-        be = FlatBackend(cfg)
-        hist = be.tree_nbytes_per_step
-        assert hist.maxlen == TREE_NBYTES_HISTORY
-        hist.extend(range(TREE_NBYTES_HISTORY + 500))
-        assert len(hist) == TREE_NBYTES_HISTORY
-
-    def test_run_metrics_output_unchanged(self):
-        cfg = BHConfig(nbodies=128, nsteps=3, warmup_steps=1,
-                       force_backend="flat")
-        res = run_variant("baseline", cfg, 4)
-        nbytes = res.variant_stats["flat_tree_nbytes"]
-        assert isinstance(nbytes, list)
-        assert len(nbytes) == 3
-        assert all(b > 0 for b in nbytes)

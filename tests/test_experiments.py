@@ -197,25 +197,19 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "abl-cache.md").exists()
 
-    def test_non_object_tree_backend_warns_once(self, tmp_path, capsys):
-        from repro.experiments.common import SCALES
-
-        rc = cli_main(["table2", "--scale", "test", "--backend", "flat",
-                       "--out", str(tmp_path / "cli")])
-        assert rc == 0
-        out, err = capsys.readouterr()
-        assert err.count("warning: --backend flat") == 1
-        assert "UPC accounting" in err and "warning" not in out
-        # the warning is stderr only: the table is what the runner writes
-        scale = SCALES["test"].with_(overrides=(("force_backend", "flat"),))
-        TABLE_RUNNERS["table2"](scale).to_csv(tmp_path / "direct.csv")
-        assert (tmp_path / "cli" / "table2.csv").read_bytes() \
-            == (tmp_path / "direct.csv").read_bytes()
-
-    def test_object_tree_backend_does_not_warn(self, tmp_path, capsys):
-        assert cli_main(["abl-cache", "--scale", "test", "--backend",
-                         "object-tree", "--out", str(tmp_path)]) == 0
-        assert "warning" not in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", [("--backend", "flat"),
+                                      ("--flat-build", "morton"),
+                                      ("--kernel-threads", "2")],
+                             ids=lambda f: f[0])
+    def test_cli_rejects_removed_flags(self, tmp_path, capsys, flag):
+        # every run takes the object-tree force path; the flags that
+        # selected or tuned another engine are gone
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["table2", "--scale", "test", *flag,
+                      "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "table2.csv").exists()
 
     def test_cli_unknown_id(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -58,7 +58,7 @@ def _bodies_from(pos):
 class TestFreshBuildEveryStep:
     @pytest.mark.parametrize("dist", distribution_names())
     def test_backend_tree_is_fresh_build_over_drift_steps(self, dist):
-        cfg = BHConfig(force_backend="flat", flat_build="morton")
+        cfg = BHConfig()
         be = FlatBackend(cfg)
         bodies = make_distribution(dist, 400, seed=7)
         rng = np.random.default_rng(99)
@@ -83,7 +83,7 @@ class TestFreshBuildEveryStep:
 
     def test_root_box_shrinks_with_the_bodies(self):
         # a sticky box would keep the first step's (larger) root
-        cfg = BHConfig(force_backend="flat")
+        cfg = BHConfig()
         be = FlatBackend(cfg)
         bodies = make_distribution("plummer", 200, seed=6)
         be.begin_step(None, bodies)
@@ -95,7 +95,7 @@ class TestFreshBuildEveryStep:
         _assert_bitwise_same(be.tree, _fresh(bodies, cfg))
 
     def test_root_box_follows_translated_bodies(self):
-        cfg = BHConfig(force_backend="flat")
+        cfg = BHConfig()
         be = FlatBackend(cfg)
         bodies = make_distribution("uniform", 200, seed=6)
         be.begin_step(None, bodies)
@@ -108,7 +108,7 @@ class TestFreshBuildEveryStep:
 
     def test_root_cell_box_is_reused_exactly(self):
         # with an object tree at hand the Morton path keys over its box
-        cfg = BHConfig(force_backend="flat")
+        cfg = BHConfig()
         be = FlatBackend(cfg)
         bodies = make_distribution("disk", 256, seed=2)
         root = build_tree(bodies.pos, compute_root(bodies.pos, 4.0))
@@ -123,7 +123,7 @@ class TestFreshBuildEveryStep:
         pos = rng.uniform(-1, 1, size=(200, 3))
         pos[50:58] = pos[40]          # 9-body coincident cluster
         bodies = _bodies_from(pos)
-        cfg = BHConfig(force_backend="flat")
+        cfg = BHConfig()
         be = FlatBackend(cfg)
         be.begin_step(None, bodies)
         bodies.pos[0] += 1e-3         # move one body elsewhere
@@ -143,7 +143,7 @@ class TestFreshBuildEveryStep:
         pos_a[:, 0] = np.linspace(1.0, -1.0, n)
         a = _bodies_from(pos_a)
         b = _bodies_from(np.full((n, 3), 0.25))
-        cfg = BHConfig(force_backend=backend)
+        cfg = BHConfig()
         be = make_backend(backend, cfg)
         be.begin_step(None, a)
         be.begin_step(None, b)
@@ -199,6 +199,18 @@ class TestRemovedSurface:
         with pytest.raises(TypeError, match=field):
             BHConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("flat_build", "insertion"),
+        ("kernel_threads", 2),
+        ("max_backend_fallbacks", 3),
+    ])
+    def test_config_drops_detour_fields(self, field, value):
+        # knobs that only tuned a non-object-tree force phase in the
+        # variants, or the fallback ladder around it
+        assert not hasattr(BHConfig(), field)
+        with pytest.raises(TypeError, match=field):
+            BHConfig(**{field: value})
+
     def test_config_rejects_flat_numba(self):
         with pytest.raises(ValueError, match="unknown force backend"):
             BHConfig(force_backend="flat-numba")
@@ -218,11 +230,31 @@ class TestRemovedSurface:
         ("repro.octree.morton_build", "MortonBuildState"),
         ("repro.backends", "NumbaFlatBackend"),
         ("repro.kernels", "numba_gravity"),
+        ("repro.kernels", "MIN_CHUNK"),
+        ("repro.kernels", "_chunk_bounds"),
+        ("repro.backends.flat", "TREE_NBYTES_HISTORY"),
+        ("repro.resilience", "ResilientBackend"),
     ])
     def test_removed_names_are_gone(self, module, name):
         import importlib
 
         assert not hasattr(importlib.import_module(module), name)
+
+    @pytest.mark.parametrize("name", ["force_backend", "backend_force_active",
+                                      "phase_force_backend"])
+    def test_variants_hold_no_backend(self, name):
+        from repro import BarnesHutSimulation
+
+        sim = BarnesHutSimulation(BHConfig(nbodies=16, nsteps=1,
+                                           warmup_steps=0,
+                                           force_backend="flat"), 2)
+        assert not hasattr(sim.variant, name)
+
+    def test_backends_declare_no_fallback(self):
+        from repro.backends import BACKENDS
+
+        assert not any(hasattr(cls, "fallback_name")
+                       for cls in BACKENDS.values())
 
     def test_flat_tree_has_no_from_morton(self):
         assert not hasattr(FlatTree, "from_morton")
@@ -252,31 +284,26 @@ class TestRemovedSurface:
         assert ei.value.code == 2
         assert "--flat-build" in capsys.readouterr().err
 
-    def test_bench_cli_drops_dt(self, capsys):
-        from repro.experiments.bench_backends import main
+    @pytest.mark.parametrize("module", ["repro.experiments.bench_backends",
+                                        "repro.resilience.degrade"])
+    def test_removed_modules_are_gone(self, module):
+        import importlib
+
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+
+    def test_resilience_cli_drops_backend(self, capsys):
+        from repro.resilience.cli import main
 
         with pytest.raises(SystemExit) as ei:
-            main(["--dt", "0.01"])
+            main(["run", "--backend", "flat"])
         assert ei.value.code == 2
-        assert "--dt" in capsys.readouterr().err
+        assert "--backend" in capsys.readouterr().err
 
-    def test_bench_has_no_incremental_rows(self):
-        from repro.experiments.bench_backends import bench_backends
-
-        report = bench_backends(sizes=[256], repeats=1, verbose=False)
-        backends = {r["backend"] for r in report["results"]}
-        assert "flat-morton" in backends
-        assert not any("incremental" in b or "numba" in b
-                       for b in backends)
-
-    def test_committed_baseline_has_no_incremental_rows(self):
-        import json
+    def test_isolated_backend_bench_is_gone(self):
         from pathlib import Path
 
-        committed = json.loads(
-            (Path(__file__).resolve().parents[1]
-             / "BENCH_backends.json").read_text())
-        rows = committed["results"]
-        assert rows
-        assert all("distribution" in r for r in rows)
-        assert not any("incremental" in r["backend"] for r in rows)
+        root = Path(__file__).resolve().parents[1]
+        assert not (root / "BENCH_backends.json").exists()
+        assert not (root / "benchmarks" / "bench_backends.py").exists()
+        assert "repro-bench" not in (root / "pyproject.toml").read_text()

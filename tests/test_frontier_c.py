@@ -170,16 +170,26 @@ class TestCompiledMatchesOracle:
         got = _assert_identical(v, monkeypatch)
         assert {s.engine for _, _, s in got} == {frontier.PY_ENGINE}
 
-    def test_callback_error_propagates(self):
+    def test_callback_error_propagates(self, monkeypatch):
+        # with no table every gather piece is priced by the callback
         v = _at_force_phase("async", 16)
+        monkeypatch.setattr(frontier, "GATHER_TABLE_N", 0)
 
-        class Boom(AsyncEngine):
-            def memget_vlist_async(self, tid, per_source, nb):
-                raise KeyError("boom")
+        def boom(*args):
+            raise KeyError("boom")
 
+        monkeypatch.setattr(v.rt.cost, "gather_ilist", boom)
         tree = SlotTree(v.root, v.bodies, v.cfg)
         with pytest.raises(KeyError, match="boom"):
-            frontier_force(v, Boom(v.rt), 3, v.assigned(3), tree)
+            frontier_force(v, AsyncEngine(v.rt), 3, v.assigned(3), tree)
+
+    @pytest.mark.parametrize("table_n", [0, 1])
+    def test_pieces_beyond_the_charge_table(self, monkeypatch, table_n):
+        # the cost-model callback prices what the table does not hold
+        monkeypatch.setattr(frontier, "GATHER_TABLE_N", table_n)
+        v = _at_force_phase("subspace", 16, n123=(2, 8, 4))
+        got = _assert_identical(v, monkeypatch)
+        assert sum(s.gathers for _, _, s in got) > 0
 
     def test_force_engine_stat(self):
         cfg = BHConfig(nbodies=128, nsteps=2, warmup_steps=1)

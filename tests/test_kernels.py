@@ -1,12 +1,12 @@
-"""Compiled force-kernel subsystem: loader, parity, chunking, degradation.
+"""Compiled force-kernel subsystem: loader, parity, splitting, degradation.
 
 The parity contract mirrors the flat-vs-object-tree matrix: the C walk
 must visit exactly the numpy traversal's interaction sets (bit-exact
 ``work`` arrays and aggregate counters) with accelerations differing
 only in summation order (<= 1e-12 absolute), across every registered
-distribution, both theta values, and both opening rules.  Thread-count
-invariance is exact: chunking is per-body independent, so any worker
-count must produce bit-identical arrays.
+distribution, both theta values, and both opening rules.  The walk is
+per-body independent: however the bodies are split over calls (one call
+per simulated thread, say), the arrays are bit-identical.
 
 Everything that needs a loaded kernel is skipped on a box where neither
 the built extension nor a C compiler exists -- the degradation tests
@@ -18,9 +18,8 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import BHConfig, BarnesHutSimulation, run_variant
+from repro import BHConfig, run_variant
 from repro.backends import (
-    BACKENDS,
     CompiledFlatBackend,
     FlatBackend,
     backend_names,
@@ -55,23 +54,10 @@ class TestRegistry:
         # it inherits every FlatTree build path from the flat engine
         assert issubclass(CompiledFlatBackend, FlatBackend)
 
-    def test_ladder_rung_is_flat(self):
-        assert CompiledFlatBackend.fallback_name == "flat"
-        # the full ladder bottoms out: flat-c -> flat -> object-tree ->
-        # direct -> None
-        chain = []
-        cls = CompiledFlatBackend
-        while cls is not None:
-            chain.append(cls.name)
-            nxt = cls.fallback_name
-            cls = BACKENDS[nxt] if nxt is not None else None
-        assert chain == ["flat-c", "flat", "object-tree", "direct"]
-
     def test_config_accepts_compiled_names(self):
         assert BHConfig(force_backend="flat-c").force_backend == "flat-c"
-        assert BHConfig(force_backend="flat-c").kernel_threads == 0
-        with pytest.raises(ValueError, match="kernel_threads"):
-            BHConfig(kernel_threads=-1)
+        with pytest.raises(TypeError, match="kernel_threads"):
+            BHConfig(kernel_threads=1)
 
     def test_selection_never_errors_without_kernel(self):
         # soft availability gate: construction works on every box; the
@@ -148,36 +134,30 @@ class TestParityMatrix:
 class TestThreadChunking:
     @pytest.mark.parametrize("threads", [2, 4, 7])
     def test_thread_count_invariance_is_exact(self, threads):
+        # one call over every body == one call per thread's share
         tree, bodies = _tree_and_bodies("plummer", 2048)
         idx = np.arange(2048)
         acc1, work1, c1 = kernel_gravity(
-            tree, idx, bodies.pos, bodies.mass, 1.0, 0.05, threads=1)
-        accT, workT, cT = kernel_gravity(
-            tree, idx, bodies.pos, bodies.mass, 1.0, 0.05,
-            threads=threads)
-        assert np.array_equal(acc1, accT)
-        assert np.array_equal(work1, workT)
-        assert c1 == cT
-
-    def test_small_groups_stay_single_chunk(self):
-        from repro.kernels import _chunk_bounds
-
-        # below MIN_CHUNK a thread hand-off is never worth it
-        assert _chunk_bounds(100, 8) == [(0, 100)]
-        bounds = _chunk_bounds(5000, 4)
-        assert bounds[0][0] == 0 and bounds[-1][1] == 5000
-        assert all(a < b for a, b in bounds)
-        assert [b for _, b in bounds[:-1]] == [a for a, _ in bounds[1:]]
+            tree, idx, bodies.pos, bodies.mass, 1.0, 0.05)
+        parts = [kernel_gravity(tree, part, bodies.pos, bodies.mass,
+                                1.0, 0.05)
+                 for part in np.array_split(idx, threads)]
+        assert np.array_equal(acc1, np.concatenate([p[0] for p in parts]))
+        assert np.array_equal(work1, np.concatenate([p[1] for p in parts]))
+        for key in ("cell_tests", "cell_accepts", "cell_opens",
+                    "leaf_interactions"):
+            assert c1[key] == sum(p[2][key] for p in parts)
+        assert c1["levels"] == max(p[2]["levels"] for p in parts)
 
 
 @needs_kernel
 class TestCompiledBackend:
     def test_matches_flat_backend_through_contract(self):
-        cfg = BHConfig(nbodies=512, force_backend="flat-c")
+        cfg = BHConfig(nbodies=512)
         bodies = make_distribution("plummer", 512, seed=42)
         idx = np.arange(512)
         compiled = make_backend("flat-c", cfg)
-        flat = make_backend("flat", cfg.with_(force_backend="flat"))
+        flat = make_backend("flat", cfg)
         compiled.begin_step(None, bodies)
         flat.begin_step(None, bodies)
         res_c = compiled.accelerations(idx, bodies)
@@ -187,21 +167,23 @@ class TestCompiledBackend:
         assert np.abs(res_c.acc - res_f.acc).max() <= 1e-12
 
     def test_inherits_all_build_paths(self):
+        # with a root cell (its box) and without (a box from positions)
         bodies = make_distribution("plummer", 256, seed=42)
         idx = np.arange(256)
         root = build_tree(bodies.pos, compute_root(bodies.pos, 4.0))
         compute_cofm(root, bodies.pos, bodies.mass, bodies.cost)
-        results = {}
-        for build in ("morton", "insertion"):
-            cfg = BHConfig(nbodies=256, force_backend="flat-c",
-                           flat_build=build)
-            b = make_backend("flat-c", cfg)
-            b.begin_step(root, bodies)
-            results[build] = b.accelerations(idx, bodies)
-        assert np.array_equal(results["morton"].work,
-                              results["insertion"].work)
-        assert np.array_equal(results["morton"].acc,
-                              results["insertion"].acc)
+        cfg = BHConfig(nbodies=256)
+        for given in (root, None):
+            compiled = make_backend("flat-c", cfg)
+            flat = make_backend("flat", cfg)
+            compiled.begin_step(given, bodies)
+            flat.begin_step(given, bodies)
+            assert np.array_equal(compiled.tree.child, flat.tree.child)
+            assert np.array_equal(compiled.tree.center, flat.tree.center)
+            res_c = compiled.accelerations(idx, bodies)
+            res_f = flat.accelerations(idx, bodies)
+            assert np.array_equal(res_c.work, res_f.work)
+            assert np.abs(res_c.acc - res_f.acc).max() <= 1e-12
 
     def test_accelerations_before_begin_step_raises(self):
         b = make_backend("flat-c", BHConfig(nbodies=64))
@@ -212,7 +194,7 @@ class TestCompiledBackend:
     def test_telemetry_spans_match_flat(self):
         from repro.obs.trace import Tracer
 
-        cfg = BHConfig(nbodies=128, force_backend="flat-c")
+        cfg = BHConfig(nbodies=128)
         bodies = make_distribution("plummer", 128, seed=42)
         tracer = Tracer()
         b = make_backend("flat-c", cfg, tracer=tracer)
@@ -227,13 +209,17 @@ class TestCompiledBackend:
         assert span.args.get("interactions") > 0
 
     def test_run_variant_end_to_end_parity(self):
-        cfg = BHConfig(nbodies=384, nsteps=3, warmup_steps=1,
-                       force_backend="flat-c")
-        res_c = run_variant("baseline", cfg, 4)
-        res_f = run_variant("baseline",
-                            cfg.with_(force_backend="flat"), 4)
-        assert res_c.counter("interactions") \
-            == res_f.counter("interactions")
+        # the variant's step-0 interactions (object-tree walk) equal the
+        # standalone compiled engine's over the same initial bodies
+        cfg = BHConfig(nbodies=384, nsteps=3, warmup_steps=1)
+        res = run_variant("baseline", cfg, 4)
+        step0 = sum(rec.counters.total("interactions") for rec in res.log
+                    if rec.name == "force" and rec.step == 0)
+        bodies = make_distribution("plummer", 384, seed=cfg.seed)
+        b = make_backend("flat-c", cfg)
+        b.begin_step(None, bodies)
+        assert b.accelerations(np.arange(384), bodies).interactions \
+            == step0
 
 
 class TestGracefulDegradation:
@@ -253,7 +239,7 @@ class TestGracefulDegradation:
     def test_env_disable_serves_flat_with_single_warning(
             self, fresh_loader, monkeypatch):
         monkeypatch.setenv("REPRO_DISABLE_KERNELS", "1")
-        cfg = BHConfig(nbodies=128, force_backend="flat-c")
+        cfg = BHConfig(nbodies=128)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             b1 = make_backend("flat-c", cfg)
@@ -269,7 +255,7 @@ class TestGracefulDegradation:
         bodies = make_distribution("plummer", 128, seed=42)
         idx = np.arange(128)
         b1.begin_step(None, bodies)
-        flat = make_backend("flat", cfg.with_(force_backend="flat"))
+        flat = make_backend("flat", cfg)
         flat.begin_step(None, bodies)
         res = b1.accelerations(idx, bodies)
         ref = flat.accelerations(idx, bodies)
@@ -292,50 +278,8 @@ class TestGracefulDegradation:
                    for w in caught)
         assert fresh_loader.kernel_status()  # diagnostics recorded
         # the full selection path still works
-        b = make_backend("flat-c", BHConfig(nbodies=64,
-                                            force_backend="flat-c"))
+        b = make_backend("flat-c", BHConfig(nbodies=64))
         bodies = make_distribution("plummer", 64, seed=1)
         b.begin_step(None, bodies)
         res = b.accelerations(np.arange(64), bodies)
         assert np.isfinite(res.acc).all()
-
-
-@needs_kernel
-class TestResilienceLadder:
-    def test_kernel_fault_degrades_to_flat(self):
-        from repro.resilience.degrade import ResilientBackend
-
-        cfg = BHConfig(nbodies=192, force_backend="flat-c")
-        bodies = make_distribution("plummer", 192, seed=3)
-        idx = np.arange(192)
-        primary = make_backend("flat-c", cfg)
-        assert primary.kernel_active
-
-        class BrokenKernel:
-            def force_walk(self, *a, **kw):
-                raise RuntimeError("injected kernel fault")
-
-        primary.kernel = BrokenKernel()
-        wrapped = ResilientBackend(primary, cfg)
-        wrapped.begin_step(None, bodies)
-        res = wrapped.accelerations(idx, bodies)
-        assert wrapped.fallback is not None
-        assert wrapped.fallback.name == "flat"
-        assert wrapped.fallbacks_served == 1
-        # the rung below computes the same physics from the same tree
-        ref = make_backend("flat", cfg.with_(force_backend="flat"))
-        ref.begin_step(None, bodies)
-        ref_res = ref.accelerations(idx, bodies)
-        assert np.array_equal(res.work, ref_res.work)
-        assert np.abs(res.acc - ref_res.acc).max() <= 1e-12
-
-    def test_injected_backend_fault_recovers_in_full_run(self):
-        # the fault-injection harness covers flat-c like any backend
-        cfg = BHConfig(nbodies=256, nsteps=4, warmup_steps=1,
-                       force_backend="flat-c",
-                       inject=("force:2:backend",))
-        sim = BarnesHutSimulation(cfg, 4, variant="baseline")
-        res = sim.run()
-        assert np.isfinite(res.bodies.pos).all()
-        counts = sim.resilience.counts
-        assert counts.get(("backend_fallbacks", "flat-c->flat")) == 1

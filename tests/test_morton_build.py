@@ -10,7 +10,6 @@ every registered distribution and the MAX_DEPTH bucket degradation.
 import numpy as np
 import pytest
 
-from repro import BHConfig, run_variant
 from repro.nbody.bbox import RootBox, compute_root
 from repro.nbody.distributions import distribution_names, make_distribution
 from repro.obs.trace import Tracer
@@ -214,41 +213,34 @@ class TestBuildTelemetry:
 
 
 class TestSimulationWiring:
-    def test_default_flat_build_is_morton(self):
-        assert BHConfig().flat_build == "morton"
-        for path in ("hash", "incremental"):
-            with pytest.raises(ValueError, match="unknown flat build path"):
-                BHConfig(flat_build=path)
-
     def test_morton_build_preserves_trajectories(self, tiny_cfg):
-        base = tiny_cfg.with_(force_backend="flat",
-                              flat_build="insertion")
-        cfg = tiny_cfg.with_(force_backend="flat", flat_build="morton")
-        res_ins = run_variant("subspace", base, 4)
-        res_mor = run_variant("subspace", cfg, 4)
-        assert res_mor.counter("interactions") \
-            == res_ins.counter("interactions")
-        assert np.abs(res_mor.bodies.pos
-                      - res_ins.bodies.pos).max() < 1e-12
-
-    def test_backend_reports_build_path(self, tiny_cfg):
+        # leapfrog over the standalone flat engine (a fresh Morton build
+        # per step) against the object-tree engine over an insertion
+        # build: the same interactions, positions to float64 round-off
         from repro.backends import make_backend
+        from repro.nbody.integrator import advance_indices, \
+            startup_half_kick
 
-        assert make_backend(
-            "flat", tiny_cfg.with_(force_backend="flat")).build_path \
-            == "morton"
-        assert make_backend(
-            "flat", tiny_cfg.with_(force_backend="flat",
-                                   flat_build="insertion")).build_path \
-            == "insertion"
-
-    def test_bench_reports_morton_rows(self):
-        from repro.experiments.bench_backends import bench_backends
-
-        report = bench_backends(sizes=[256], repeats=1, verbose=False)
-        rows = {r["backend"]: r for r in report["results"]}
-        assert "flat-morton" in rows
-        m = rows["flat-morton"]
-        assert m["interactions"] == rows["flat"]["interactions"]
-        assert m["max_abs_acc_diff_vs_object"] <= 1e-13
-        assert m["build_speedup_vs_insertion"] > 0
+        runs = {}
+        for name in ("flat", "object-tree"):
+            bodies = make_distribution("plummer", tiny_cfg.nbodies,
+                                       seed=tiny_cfg.seed)
+            be = make_backend(name, tiny_cfg)
+            idx = np.arange(len(bodies))
+            interactions = 0.0
+            for step in range(tiny_cfg.nsteps):
+                root = build_tree(bodies.pos, compute_root(bodies.pos, 4.0))
+                compute_cofm(root, bodies.pos, bodies.mass, bodies.cost)
+                be.begin_step(root if name == "object-tree" else None,
+                              bodies)
+                res = be.accelerations(idx, bodies)
+                interactions += res.interactions
+                bodies.acc[:] = res.acc
+                if step == 0:
+                    startup_half_kick(bodies.vel, bodies.acc, tiny_cfg.dt)
+                advance_indices(bodies.pos, bodies.vel, bodies.acc, idx,
+                                tiny_cfg.dt)
+            runs[name] = (interactions, bodies.pos.copy())
+        assert runs["flat"][0] == runs["object-tree"][0]
+        assert np.abs(runs["flat"][1] - runs["object-tree"][1]).max() \
+            < 1e-12

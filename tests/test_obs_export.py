@@ -1,14 +1,16 @@
-"""Exporters: Chrome trace-event schema, metrics JSONL, CLI/bench wiring."""
+"""Exporters: Chrome trace-event schema, metrics JSONL, CLI wiring."""
 
 from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.backends import make_backend
 from repro.core.app import run_variant
 from repro.core.config import BHConfig
-from repro.experiments.bench_backends import compare_to_baseline
+from repro.nbody.distributions import make_distribution
 from repro.obs import telemetry_session
 from repro.obs.export import (
     chrome_trace,
@@ -24,17 +26,26 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span, Tracer
 
 
-def _traced_run(backend="flat", variant="baseline", nbodies=128):
+def _traced_run(variant="baseline", nbodies=128):
     tr = Tracer()
-    cfg = BHConfig(nbodies=nbodies, nsteps=2, warmup_steps=1,
-                   force_backend=backend)
+    cfg = BHConfig(nbodies=nbodies, nsteps=2, warmup_steps=1)
     run_variant(variant, cfg, 2, tracer=tr)
     return tr
+
+
+def _traced_flat_call(tr, nbodies=128):
+    """Per-level ``traversal`` spans: a standalone flat-engine call (no
+    variant runs the flat engine)."""
+    bodies = make_distribution("plummer", nbodies, seed=3)
+    be = make_backend("flat", BHConfig(nbodies=nbodies), tracer=tr)
+    be.begin_step(None, bodies)
+    be.accelerations(np.arange(nbodies), bodies)
 
 
 class TestChromeTraceExport:
     def test_events_schema_and_validation(self, tmp_path):
         tr = _traced_run()
+        _traced_flat_call(tr)
         path = write_chrome_trace(tmp_path / "t.json", tr,
                                   metadata={"who": "test"})
         n = load_and_validate_chrome_trace(path)
@@ -44,7 +55,7 @@ class TestChromeTraceExport:
         by_cat = {}
         for ev in doc["traceEvents"]:
             by_cat.setdefault(ev["cat"], []).append(ev)
-        # the full hierarchy is present
+        # the run hierarchy and the flat engine's levels are present
         for cat in ("run", "step", "phase", "backend", "traversal"):
             assert cat in by_cat, cat
         # phase events carry simulated time in args
@@ -69,7 +80,7 @@ class TestChromeTraceExport:
         assert len(seen) == 10
 
     def test_ts_relative_and_sorted(self):
-        tr = _traced_run(backend="object-tree")
+        tr = _traced_run()
         events = chrome_trace_events(tr)
         assert events[0]["ts"] == 0.0
         assert all(e["ts"] >= 0 for e in events)
@@ -132,7 +143,7 @@ class TestMetricsJsonl:
 
 class TestPhaseSummary:
     def test_markdown_table(self):
-        tr = _traced_run(backend="object-tree")
+        tr = _traced_run()
         md = phase_summary_markdown(tr, title="T")
         assert md.startswith("### T")
         for label in ("treebuild", "force", "advance", "Total"):
@@ -143,8 +154,7 @@ class TestTelemetrySession:
     def test_writes_both_files(self, tmp_path):
         trace = tmp_path / "t.json"
         metrics = tmp_path / "m.jsonl"
-        cfg = BHConfig(nbodies=96, nsteps=2, warmup_steps=1,
-                       force_backend="flat")
+        cfg = BHConfig(nbodies=96, nsteps=2, warmup_steps=1)
         with telemetry_session(trace=str(trace), metrics=str(metrics),
                                run_info={"k": 1}) as (tracer, registry):
             res = run_variant("baseline", cfg, 2)
@@ -181,7 +191,7 @@ class TestExperimentsCliTelemetry:
 
         trace = tmp_path / "t.json"
         metrics = tmp_path / "m.jsonl"
-        rc = main(["table2", "--scale", "test", "--backend", "flat",
+        rc = main(["table2", "--scale", "test",
                    "--out", str(tmp_path / "res"),
                    "--trace", str(trace), "--metrics", str(metrics)])
         assert rc == 0
@@ -189,13 +199,11 @@ class TestExperimentsCliTelemetry:
         assert n > 0
         doc = json.loads(trace.read_text())
         cats = {e["cat"] for e in doc["traceEvents"]}
-        # the flat backend records per-level traversal spans
-        assert {"run", "step", "phase", "backend", "traversal"} <= cats
+        assert {"run", "step", "phase", "backend"} <= cats
         assert read_metrics_jsonl(metrics)[0]["schema"] == "repro-metrics/1"
 
     def test_trace_and_metrics_never_change_the_tables(self, tmp_path):
-        """table2 CSVs are byte-identical with and without telemetry: the
-        trace flag must not switch the force backend."""
+        """table2 CSVs are byte-identical with and without telemetry."""
         from repro.experiments.cli import main
 
         plain, traced = tmp_path / "plain", tmp_path / "traced"
@@ -205,129 +213,3 @@ class TestExperimentsCliTelemetry:
                      "--metrics", str(tmp_path / "m.jsonl")]) == 0
         csv = (plain / "table2.csv").read_bytes()
         assert csv and csv == (traced / "table2.csv").read_bytes()
-
-
-class TestBenchRegressionCheck:
-    BASE = {
-        "schema": "repro-bench-backends/1",
-        "results": [
-            {"n": 1024, "backend": "flat", "build_s": 0.10,
-             "force_s": 0.20, "interactions": 1000.0},
-            {"n": 1024, "backend": "direct", "build_s": 0.0,
-             "force_s": 0.05, "interactions": 2000.0},
-            {"n": 4096, "backend": "direct",
-             "skipped": "n > ... (O(n^2))"},
-        ],
-    }
-
-    def _current(self, **patch):
-        cur = json.loads(json.dumps(self.BASE))
-        for row in cur["results"]:
-            if (row.get("n"), row.get("backend")) == \
-                    (patch.get("n"), patch.get("backend")):
-                row.update(patch.get("set", {}))
-        return cur
-
-    def test_clean_comparison(self):
-        assert compare_to_baseline(self.BASE, self.BASE) == []
-
-    def test_within_tolerance_passes(self):
-        cur = self._current(n=1024, backend="flat",
-                            set={"force_s": 0.24})  # +20% < 25%
-        assert compare_to_baseline(cur, self.BASE) == []
-
-    def test_wall_clock_regression_fails(self):
-        cur = self._current(n=1024, backend="flat",
-                            set={"force_s": 0.26})  # +30%
-        failures = compare_to_baseline(cur, self.BASE)
-        assert len(failures) == 1 and "force_s regressed" in failures[0]
-
-    def test_build_regression_detected(self):
-        cur = self._current(n=1024, backend="flat",
-                            set={"build_s": 0.2})
-        assert any("build_s regressed" in f
-                   for f in compare_to_baseline(cur, self.BASE))
-
-    def test_interaction_drift_fails(self):
-        cur = self._current(n=1024, backend="flat",
-                            set={"interactions": 1001.0})
-        failures = compare_to_baseline(cur, self.BASE)
-        assert len(failures) == 1 and "drifted" in failures[0]
-
-    def test_speedup_never_fails(self):
-        cur = self._current(n=1024, backend="flat",
-                            set={"force_s": 0.01, "build_s": 0.01})
-        assert compare_to_baseline(cur, self.BASE) == []
-
-    def test_missing_rows_ignored(self):
-        cur = self._current()
-        cur["results"].append({"n": 9999, "backend": "flat",
-                               "build_s": 1.0, "force_s": 1.0,
-                               "interactions": 5.0})
-        with pytest.warns(UserWarning, match="n=9999"):
-            assert compare_to_baseline(cur, self.BASE) == []
-
-    def test_zero_matches_fails(self):
-        cur = {"schema": "repro-bench-backends/1",
-               "results": [{"n": 9999, "backend": "flat",
-                            "build_s": 1.0, "force_s": 1.0,
-                            "interactions": 5.0}]}
-        with pytest.warns(UserWarning):
-            failures = compare_to_baseline(cur, self.BASE)
-        assert len(failures) == 1 and "no current row matched" in failures[0]
-
-    def test_single_distribution_matches_committed_baseline(self):
-        # every committed row carries a distribution tag, so a default
-        # (single-distribution) report must carry one too or nothing
-        # matches; wall time is not gated here, interaction counts are
-        from pathlib import Path
-
-        from repro.experiments.bench_backends import bench_backends
-
-        committed = json.loads(
-            (Path(__file__).resolve().parents[1]
-             / "BENCH_backends.json").read_text())
-        report = bench_backends(sizes=[1024], repeats=1, verbose=False)
-        assert all(r["distribution"] == "plummer"
-                   for r in report["results"])
-        assert compare_to_baseline(report, committed,
-                                   tolerance=float("inf")) == []
-        for row in report["results"]:
-            if row["backend"] == "flat-morton":
-                row["interactions"] += 1
-        failures = compare_to_baseline(report, committed,
-                                       tolerance=float("inf"))
-        assert len(failures) == 1
-        assert "n=1024 flat-morton: interaction count drifted" \
-            in failures[0]
-
-    def test_bench_cli_check_mode(self, tmp_path, capsys):
-        from repro.experiments.bench_backends import main
-
-        baseline = tmp_path / "base.json"
-        # produce a real (tiny) baseline, then check against itself:
-        # wall-clock jitters but stays far inside 25%; interactions are
-        # deterministic, so the self-check must pass
-        rc = main(["--sizes", "256", "--repeats", "1",
-                   "--out", str(baseline)])
-        assert rc == 0 and baseline.exists()
-        rc = main(["--sizes", "256", "--repeats", "1",
-                   "--baseline", str(baseline), "--check"])
-        out = capsys.readouterr().out
-        assert "drifted" not in out
-        # drift injection must flip the exit code
-        doc = json.loads(baseline.read_text())
-        for row in doc["results"]:
-            if "interactions" in row:
-                row["interactions"] += 1
-        baseline.write_text(json.dumps(doc))
-        rc = main(["--sizes", "256", "--repeats", "1",
-                   "--baseline", str(baseline), "--check"])
-        assert rc == 1
-        assert "REGRESSION CHECK FAILED" in capsys.readouterr().out
-
-    def test_check_requires_baseline(self):
-        from repro.experiments.bench_backends import main
-
-        with pytest.raises(SystemExit):
-            main(["--check"])

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends import make_backend
 from repro.core.app import run_variant
 from repro.core.config import BHConfig
-from repro.nbody.bbox import compute_root
 from repro.nbody.plummer import plummer
 from repro.obs.metrics import (
     Counter,
@@ -20,7 +20,6 @@ from repro.obs.metrics import (
     use_registry,
 )
 from repro.obs.trace import Tracer
-from repro.octree.flat import FlatTree
 
 
 class TestRegistry:
@@ -88,14 +87,13 @@ class TestRegistry:
 
 class TestCollectRunMetrics:
     @pytest.fixture(scope="class")
-    def flat_result(self):
-        cfg = BHConfig(nbodies=192, nsteps=2, warmup_steps=1,
-                       force_backend="flat")
+    def run_result(self):
+        cfg = BHConfig(nbodies=192, nsteps=2, warmup_steps=1)
         return run_variant("redistribute", cfg, 4)
 
-    def test_upc_counter_totals_exact(self, flat_result):
+    def test_upc_counter_totals_exact(self, run_result):
         """Every StatsLog counter key must round-trip bit-for-bit."""
-        res = flat_result
+        res = run_result
         metrics = res.telemetry.metrics
         keys = set()
         for rec in res.log:
@@ -110,17 +108,8 @@ class TestCollectRunMetrics:
                 assert metrics.value(f"upc_{key}_total", phase=rec.name) \
                     == res.log.counter_total(key, phase=rec.name)
 
-    def test_backend_counters_surface(self, flat_result):
-        """ForceResult counters (backend_*) land in the registry exactly."""
-        res = flat_result
-        metrics = res.telemetry.metrics
-        for key in ("backend_cell_tests", "backend_leaf_interactions",
-                    "backend_cell_accepts"):
-            assert metrics.value(f"upc_{key}_total") \
-                == res.counter(key) > 0
-
-    def test_interactions_bytes_migrations_exact(self, flat_result):
-        res = flat_result
+    def test_interactions_bytes_migrations_exact(self, run_result):
+        res = run_result
         m = res.telemetry.metrics
         assert m.value("upc_interactions_total") \
             == res.counter("interactions") > 0
@@ -132,26 +121,13 @@ class TestCollectRunMetrics:
         assert migr.sum == pytest.approx(
             sum(res.variant_stats["migration_fractions"]))
 
-    def test_phase_sim_seconds_match_statslog(self, flat_result):
-        res = flat_result
+    def test_phase_sim_seconds_match_statslog(self, run_result):
+        res = run_result
         m = res.telemetry.metrics
         for name in {rec.name for rec in res.log}:
             assert m.value("phase_sim_seconds_total", phase=name) \
                 == res.log.phase_time(name)
         assert m.value("sim_seconds_total") == res.log.total_time()
-
-    def test_flat_tree_footprint_collected(self, flat_result):
-        res = flat_result
-        sizes = res.variant_stats["flat_tree_nbytes"]
-        assert len(sizes) == res.config.nsteps
-        bodies = plummer(192, seed=123)
-        box = compute_root(bodies.pos)
-        standalone = FlatTree.from_bodies(bodies.pos, bodies.mass, box)
-        assert standalone.nbytes > 0
-        assert all(s > 0 for s in sizes)
-        m = res.telemetry.metrics
-        assert m.value("flat_tree_nbytes") == sizes[-1]
-        assert m.get("flat_tree_nbytes_per_step").count == len(sizes)
 
     def test_ambient_registry_accumulates_across_runs(self):
         cfg = BHConfig(nbodies=96, nsteps=2, warmup_steps=1)
@@ -169,9 +145,15 @@ class TestCollectRunMetrics:
 class TestCollectSpanMetrics:
     def test_wall_clock_and_traversal_profile(self):
         tr = Tracer()
-        cfg = BHConfig(nbodies=128, nsteps=2, warmup_steps=1,
-                       force_backend="flat")
+        cfg = BHConfig(nbodies=128, nsteps=2, warmup_steps=1)
         res = run_variant("baseline", cfg, 2, tracer=tr)
+        # the run walks the object tree: no per-level traversal spans
+        assert res.telemetry.metrics.get("traversal_frontier_size") is None
+        # a standalone flat-engine call records them
+        bodies = plummer(128, seed=123)
+        flat = make_backend("flat", cfg, tracer=tr)
+        flat.begin_step(None, bodies)
+        flat.accelerations(np.arange(128), bodies)
         reg = MetricsRegistry()
         collect_span_metrics(reg, tr.spans)
         for name in {s.name for s in tr.by_cat("phase")}:
@@ -182,11 +164,11 @@ class TestCollectSpanMetrics:
         front = reg.get("traversal_frontier_size")
         assert front.count == len(levels)
         assert front.sum == sum(s.args["frontier"] for s in levels)
+        assert front.count > 0
         assert reg.value("backend_calls_total",
-                         call="flat.accelerations") > 0
-        # run's own telemetry already folded the same spans
-        assert res.telemetry.metrics.get("traversal_frontier_size").count \
-            == len(levels)
+                         call="flat.accelerations") == 1
+        assert reg.value("backend_calls_total",
+                         call="object-tree.traversal") > 0
 
     def test_metric_lookup_helper(self):
         cfg = BHConfig(nbodies=96, nsteps=2, warmup_steps=1)

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.backends import make_backend
 from repro.core.app import run_variant
 from repro.core.config import BHConfig
 from repro.nbody.bbox import compute_root
@@ -19,6 +20,8 @@ from repro.obs.trace import (
     set_tracer,
     use_tracer,
 )
+from repro.octree.build import build_tree
+from repro.octree.cofm import compute_cofm
 from repro.octree.flat import FlatTree, flat_gravity
 from repro.upc.params import MachineConfig
 from repro.upc.runtime import UpcRuntime
@@ -70,8 +73,7 @@ class TestSpanNesting:
     def test_strict_nesting_over_a_run(self):
         """Every span of a traced run nests inside its parent's interval."""
         tr = Tracer()
-        cfg = BHConfig(nbodies=128, nsteps=2, warmup_steps=1,
-                       force_backend="flat")
+        cfg = BHConfig(nbodies=128, nsteps=2, warmup_steps=1)
         run_variant("redistribute", cfg, 4, tracer=tr)
         assert tr.open_depth == 0
         stack = []
@@ -143,23 +145,34 @@ class TestRunSpans:
                    for sp in phases)
 
     def test_backend_call_spans_all_backends(self):
+        # a run's force phase is the object-tree walk, whatever
+        # force_backend names; each standalone engine spans its calls
+        bodies = plummer(96, seed=4)
         for backend, expect in (
             ("flat", "flat.accelerations"),
+            ("flat-c", "flat.accelerations"),
             ("direct", "direct.accelerations"),
-            ("object-tree", "object-tree.traversal"),
+            ("object-tree", "object-tree.accelerations"),
         ):
             tr = Tracer()
             cfg = BHConfig(nbodies=96, nsteps=2, warmup_steps=1,
                            force_backend=backend)
             run_variant("baseline", cfg, 2, tracer=tr)
             names = {s.name for s in tr.by_cat("backend")}
+            assert names == {"object-tree.traversal"}, (backend, names)
+            be = make_backend(backend, cfg, tracer=tr)
+            be.begin_step(_root(bodies) if be.needs_tree else None, bodies)
+            be.accelerations(np.arange(96), bodies)
+            names = {s.name for s in tr.by_cat("backend")}
             assert expect in names, (backend, names)
 
     def test_flat_backend_emits_traversal_level_spans(self):
         tr = Tracer()
-        cfg = BHConfig(nbodies=128, nsteps=2, warmup_steps=1,
-                       force_backend="flat")
-        run_variant("baseline", cfg, 2, tracer=tr)
+        bodies = plummer(128, seed=6)
+        be = make_backend("flat", BHConfig(nbodies=128), tracer=tr)
+        be.begin_step(None, bodies)
+        be.accelerations(np.arange(64), bodies)
+        be.accelerations(np.arange(64, 128), bodies)
         levels = tr.by_cat("traversal")
         assert levels, "flat backend must emit per-level spans"
         for sp in levels:
@@ -168,7 +181,14 @@ class TestRunSpans:
             assert sp.args["level"] >= 0
             assert "accepts" in sp.args and "leaf_interactions" in sp.args
         # level indices restart at 0 for every accelerations call
-        assert min(sp.args["level"] for sp in levels) == 0
+        starts = [sp for sp in levels if sp.args["level"] == 0]
+        assert len(starts) == 2
+
+
+def _root(bodies):
+    root = build_tree(bodies.pos, compute_root(bodies.pos))
+    compute_cofm(root, bodies.pos, bodies.mass, bodies.cost)
+    return root
 
 
 class TestZeroOverheadPath:

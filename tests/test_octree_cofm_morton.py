@@ -56,6 +56,60 @@ class TestCofm:
     def test_nbodies_counts(self, tree256):
         assert tree256.nbodies == 256
 
+    @staticmethod
+    def _vector_cofm(root, pos, mass, costs):
+        """The 3-vector update order compute_cofm's scalar sums follow."""
+        for c in reversed(list(root.iter_cells())):
+            m_c, cofm, cost = 0.0, np.zeros(3), 0.0
+            for ch in c.children:
+                if isinstance(ch, Leaf):
+                    for i in ch.indices:
+                        m_c += mass[i]
+                        cofm += mass[i] * pos[i]
+                        cost += costs[i]
+                elif ch is not None:
+                    m_c += ch.mass
+                    cofm += ch.mass * ch.cofm
+                    cost += ch.cost
+            c.mass, c.cost = m_c, cost
+            c.cofm = cofm / m_c if m_c > 0 else c.center.copy()
+
+    @staticmethod
+    def _bits(root):
+        return [(float(c.mass).hex(), float(c.cost).hex(),
+                 [float(v).hex() for v in c.cofm]) for c in root.iter_cells()]
+
+    def test_bits_match_the_vector_update(self, bodies256):
+        pos = bodies256.pos.copy()
+        pos[:5] = pos[0]  # a coincident-body bucket leaf
+        costs = np.random.default_rng(3).random(256)
+        box = compute_root(pos)
+        root = build_tree(pos, box)
+        assert any(isinstance(ch, Leaf) and len(ch.indices) > 1
+                   for c in root.iter_cells() for ch in c.children)
+        compute_cofm(root, pos, bodies256.mass, costs)
+        got = self._bits(root)
+        self._vector_cofm(root, pos, bodies256.mass, costs)
+        assert got == self._bits(root)
+
+    def test_done_cells_are_read_not_recomputed(self, bodies256):
+        box = compute_root(bodies256.pos)
+        root = build_tree(bodies256.pos, box)
+        compute_cofm(root, bodies256.pos, bodies256.mass)
+        want = self._bits(root)
+        sub = next(ch for ch in root.children
+                   if ch is not None and not isinstance(ch, Leaf))
+        inside = {id(c) for c in sub.iter_cells()}
+        seen = []
+        compute_cofm(root, bodies256.pos, bodies256.mass,
+                     on_cell=seen.append, done={sub})
+        assert seen and not inside & {id(c) for c in seen}
+        assert self._bits(root) == want
+        # the parent sums what the done cell holds
+        sub.mass += 1.0
+        compute_cofm(root, bodies256.pos, bodies256.mass, done={sub})
+        assert root.mass == pytest.approx(bodies256.mass.sum() + 1.0)
+
 
 class TestMergeCofm:
     def test_weighted_average(self):

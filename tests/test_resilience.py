@@ -1,18 +1,16 @@
-"""Resilient stepping: injection matrix, checkpoint/restore, degradation.
+"""Resilient stepping: injection matrix, checkpoint/restore, guards.
 
 The heart of this file is the fault matrix: every phase crossed with
 every injection kind must either *recover with exact force parity*
-against an uninjected run (value-idempotent phases replay; the backend
-ladder absorbs engine faults) or surface one structured
-:class:`SimulationFault` with phase/step/cause -- never a bare numpy
-error, never silent corruption.  Plus: the checkpoint -> kill -> restore
-roundtrip is bit-identical over 10 further steps, guards units, the
-degradation ladder, and the two satellite bugfixes (config validation,
-``repro-bench --check`` warn-and-skip).
+against an uninjected run (value-idempotent phases replay) or surface
+one structured :class:`SimulationFault` with phase/step/cause -- never a
+bare numpy error, never silent corruption.  The ``backend`` kind of the
+deleted force-engine fallback ladder is refused at construction.  Plus:
+the checkpoint -> kill -> restore roundtrip is bit-identical over 10
+further steps, guards units, and config validation.
 """
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -39,7 +37,6 @@ from repro.resilience import (
     CHECKPOINT_VERSION,
     FaultInjector,
     HealthGuards,
-    ResilientBackend,
     latest_checkpoint,
     load_checkpoint,
     parse_spec,
@@ -54,8 +51,7 @@ from repro.resilience.faults import (
 
 THREADS = 2
 
-BASE = dict(nbodies=128, nsteps=3, warmup_steps=1, seed=7,
-            force_backend="flat", flat_build="morton")
+BASE = dict(nbodies=128, nsteps=3, warmup_steps=1, seed=7)
 
 
 def run_sim(variant="baseline", threads=THREADS, kill_at_step=None,
@@ -79,11 +75,12 @@ def run_sim(variant="baseline", threads=THREADS, kill_at_step=None,
     ("guard_energy_factor", 1.0),
     ("guard_escape_factor", 0.5),
     ("max_phase_retries", -1),
-    ("max_backend_fallbacks", 0),
+    ("n1", 0),
     ("distribution", "nope"),
     ("inject", ("force:1:nope",)),
     ("inject", ("notaphase",)),
     ("inject", ("force:-3",)),
+    ("inject", ("force:1:backend",)),
 ])
 def test_config_rejects_nonsense(field, value):
     with pytest.raises(ValueError):
@@ -102,45 +99,9 @@ def test_config_resilience_disabled_by_default():
     sim = BarnesHutSimulation(cfg.with_(nbodies=64, nsteps=1,
                                         warmup_steps=0), THREADS,
                               variant="baseline")
-    # zero-overhead path: no manager, no wrapped backend
+    # zero-overhead path: no manager
     assert sim.resilience is None
     assert sim.variant.resilience is None
-    assert not isinstance(sim.variant.force_backend, ResilientBackend)
-
-
-# --------------------------------------------------------------------- #
-# satellite: repro-bench --check warn-and-skip                          #
-# --------------------------------------------------------------------- #
-def test_bench_check_skips_missing_and_malformed_rows():
-    from repro.experiments.bench_backends import compare_to_baseline
-
-    row = {"n": 1024, "backend": "flat", "force_s": 1.0,
-           "build_s": 1.0, "interactions": 5.0}
-    current = {"results": [dict(row),
-                           {"n": 1024, "backend": "brand-new",
-                            "force_s": 1.0}]}
-    baseline = {"results": [dict(row),
-                            {"force_s": 2.0}]}  # malformed: no n/backend
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        failures = compare_to_baseline(current, baseline)  # used to KeyError
-    assert failures == []
-    messages = [str(w.message) for w in caught]
-    assert any("missing match keys" in m for m in messages)
-    assert any("brand-new" in m for m in messages)
-
-
-def test_bench_check_still_detects_regressions():
-    from repro.experiments.bench_backends import compare_to_baseline
-
-    base_row = {"n": 1024, "backend": "flat", "force_s": 1.0,
-                "interactions": 5.0}
-    cur_row = {"n": 1024, "backend": "flat", "force_s": 2.0,
-               "interactions": 6.0}
-    failures = compare_to_baseline({"results": [cur_row]},
-                                   {"results": [base_row]})
-    assert any("regressed" in f for f in failures)
-    assert any("drifted" in f for f in failures)
 
 
 # --------------------------------------------------------------------- #
@@ -154,7 +115,8 @@ def test_parse_spec_grammar():
     s = parse_spec("*:*:delay")
     assert s.step is None and s.matches(COFM, 7) and s.matches(FORCE, 0)
     assert not parse_spec("advance:2").matches(ADVANCE, 3)
-    for bad in ("", "bogus", "force:x", "force:1:bogus", "force:-1"):
+    for bad in ("", "bogus", "force:x", "force:1:bogus", "force:-1",
+                "force:1:backend"):
         with pytest.raises(ValueError):
             parse_spec(bad)
 
@@ -239,19 +201,20 @@ def uninjected():
 
 
 #: expected outcome per (phase, kind); "exact" = recovers bit-identical,
-#: "ladder" = recovers through the backend fallback (different roundoff),
+#: "refused" = the spec is rejected when the config is built (the
+#: ``backend`` kind went with the force-engine fallback ladder),
 #: otherwise the structured fault cause that must surface
 MATRIX = {
     (TREEBUILD, "raise"): "exact", (TREEBUILD, "corrupt"): "exact",
-    (TREEBUILD, "delay"): "exact", (TREEBUILD, "backend"): "exact",
+    (TREEBUILD, "delay"): "exact", (TREEBUILD, "backend"): "refused",
     (COFM, "raise"): "exact", (COFM, "corrupt"): "exact",
-    (COFM, "delay"): "exact", (COFM, "backend"): "exact",
+    (COFM, "delay"): "exact", (COFM, "backend"): "refused",
     (PARTITION, "raise"): "exact", (PARTITION, "corrupt"): "exact",
-    (PARTITION, "delay"): "exact", (PARTITION, "backend"): "exact",
+    (PARTITION, "delay"): "exact", (PARTITION, "backend"): "refused",
     (FORCE, "raise"): "exact", (FORCE, "corrupt"): "exact",
-    (FORCE, "delay"): "exact", (FORCE, "backend"): "ladder",
+    (FORCE, "delay"): "exact", (FORCE, "backend"): "refused",
     (ADVANCE, "raise"): "exact", (ADVANCE, "corrupt"): CAUSE_NON_FINITE,
-    (ADVANCE, "delay"): "exact", (ADVANCE, "backend"): CAUSE_INJECTED,
+    (ADVANCE, "delay"): "exact", (ADVANCE, "backend"): "refused",
 }
 
 
@@ -259,22 +222,16 @@ MATRIX = {
 def test_fault_matrix(phase, kind, uninjected):
     expected = MATRIX[(phase, kind)]
     spec = f"{phase}:1:{kind}"
-    if expected in ("exact", "ladder"):
+    if expected == "refused":
+        with pytest.raises(ValueError, match="unknown kind 'backend'"):
+            run_sim(guards=True, inject=(spec,))
+    elif expected == "exact":
         sim, res = run_sim(guards=True, inject=(spec,))
         counts = sim.resilience.counts
-        if expected == "exact":
-            assert np.array_equal(res.bodies.pos, uninjected.bodies.pos)
-            assert np.array_equal(res.bodies.vel, uninjected.bodies.vel)
-            if kind != "delay":  # a delay is absorbed without mediation
-                assert sum(v for (n, _), v in counts.items()
-                           if n in ("phase_retries",
-                                    "backend_fallbacks")) >= 1
-        else:
-            # survived through the fallback ladder: same physics to
-            # round-off, not bit-identical (summation order differs)
-            assert np.isfinite(res.bodies.pos).all()
-            assert counts.get(("backend_fallbacks",
-                               "flat->object-tree")) == 1
+        assert np.array_equal(res.bodies.pos, uninjected.bodies.pos)
+        assert np.array_equal(res.bodies.vel, uninjected.bodies.vel)
+        if kind != "delay":  # a delay is absorbed without mediation
+            assert counts.get(("phase_retries", phase), 0) >= 1
     else:
         with pytest.raises(SimulationFault) as ei:
             run_sim(guards=True, inject=(spec,))
@@ -287,9 +244,12 @@ def test_fault_matrix_redistribution():
     _, ref = run_sim(variant="redistribute")
     for kind, expected in [("raise", "exact"), ("delay", "exact"),
                            ("corrupt", CAUSE_BAD_AFFINITY),
-                           ("backend", CAUSE_INJECTED)]:
+                           ("backend", "refused")]:
         spec = (f"{REDISTRIBUTION}:1:{kind}",)
-        if expected == "exact":
+        if expected == "refused":
+            with pytest.raises(ValueError, match="unknown kind"):
+                run_sim(variant="redistribute", guards=True, inject=spec)
+        elif expected == "exact":
             _, res = run_sim(variant="redistribute", guards=True,
                              inject=spec)
             assert np.array_equal(res.bodies.pos, ref.bodies.pos)
@@ -318,14 +278,15 @@ def test_resilience_counters_reach_metrics():
 # --------------------------------------------------------------------- #
 # checkpoint -> kill -> restore                                         #
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend,build", [
-    ("flat", "morton"), ("object-tree", "morton"),
-])
-def test_kill_restore_bit_identical(tmp_path, backend, build):
+@pytest.mark.parametrize("backend", ["flat", "object-tree"])
+def test_kill_restore_bit_identical(tmp_path, backend, paper_path_15):
     # 15 steps; killed after 7 with checkpoints every 5 -> restore from
-    # step 4 and replay 10 further steps bit-identically
-    kw = dict(nsteps=15, force_backend=backend, flat_build=build)
+    # step 4 and replay 10 further steps bit-identically.  force_backend
+    # is read by no variant: a non-default name replays the paper path
+    # (tests/test_golden_sim.py runs every name against the golden rows)
+    kw = dict(nsteps=15, force_backend=backend)
     _, ref = run_sim(**kw)
+    assert np.array_equal(ref.bodies.pos, paper_path_15.bodies.pos)
     ck = tmp_path / "ck"
     with pytest.raises(SimulationKilled):
         run_sim(checkpoint_every=5, checkpoint_dir=str(ck),
@@ -337,6 +298,12 @@ def test_kill_restore_bit_identical(tmp_path, backend, build):
     res = sim.run()
     assert np.array_equal(res.bodies.pos, ref.bodies.pos)
     assert np.array_equal(res.bodies.vel, ref.bodies.vel)
+
+
+@pytest.fixture(scope="module")
+def paper_path_15():
+    _, res = run_sim(nsteps=15)
+    return res
 
 
 def _kill_restore_matches(tmp_path, **kw):
@@ -416,81 +383,38 @@ def test_v1_checkpoint_is_refused(tmp_path):
                                        dtype=np.uint8), **arrays)
     with pytest.raises(ValueError, match="unsupported checkpoint version"):
         load_checkpoint(old)
-    with pytest.raises(ValueError, match="repro-checkpoint/2"):
+    with pytest.raises(ValueError, match="repro-checkpoint/3"):
+        restore_simulation(old)
+
+
+def test_v2_checkpoint_is_refused(tmp_path):
+    # a v2 header carries the removed flat_build, kernel_threads and
+    # max_backend_fallbacks fields, on which BHConfig(**config) would die
+    # with a TypeError; the version check must refuse it first
+    ck = tmp_path / "ck"
+    with pytest.raises(SimulationKilled):
+        run_sim(checkpoint_every=2, checkpoint_dir=str(ck),
+                kill_at_step=1)
+    path = latest_checkpoint(ck)
+    with np.load(path) as data:
+        arrays = {k: np.array(data[k]) for k in data.files}
+    header = json.loads(bytes(arrays.pop("header")).decode("utf-8"))
+    assert header["version"] == "repro-checkpoint/3"
+    header["version"] = "repro-checkpoint/2"
+    header["config"].update(force_backend="flat", flat_build="morton",
+                            kernel_threads=0, max_backend_fallbacks=3)
+    old = tmp_path / "v2.npz"
+    np.savez(old, header=np.frombuffer(json.dumps(header).encode("utf-8"),
+                                       dtype=np.uint8), **arrays)
+    with pytest.raises(ValueError, match="unsupported checkpoint version"):
+        load_checkpoint(old)
+    with pytest.raises(ValueError, match="repro-checkpoint/3"):
         restore_simulation(old)
 
 
 def test_latest_checkpoint_empty_dir(tmp_path):
     with pytest.raises(FileNotFoundError):
         latest_checkpoint(tmp_path)
-
-
-# --------------------------------------------------------------------- #
-# graceful degradation ladder                                           #
-# --------------------------------------------------------------------- #
-def test_fallback_ladder_declared_by_backends():
-    from repro.backends import BACKENDS
-
-    assert BACKENDS["flat"].fallback_name == "object-tree"
-    assert BACKENDS["object-tree"].fallback_name == "direct"
-    assert BACKENDS["direct"].fallback_name is None
-
-
-def test_resilient_backend_recovers_and_reprobes():
-    from repro.backends import make_backend
-    from repro.nbody.distributions import make_distribution
-    from repro.nbody.bbox import compute_root
-    from repro.octree.build import build_tree
-    from repro.octree.cofm import compute_cofm
-
-    cfg = BHConfig(nbodies=96, force_backend="flat")
-    bodies = make_distribution("plummer", 96, seed=3)
-    box = compute_root(bodies.pos, 4.0)
-    root = build_tree(bodies.pos, box)
-    compute_cofm(root, bodies.pos, bodies.mass, bodies.cost)
-    idx = np.arange(96)
-
-    primary = make_backend("flat", cfg)
-    fails = {"n": 2}
-    original = primary.accelerations
-
-    def flaky(body_idx, bds):
-        if fails["n"] > 0:
-            fails["n"] -= 1
-            raise RuntimeError("transient engine fault")
-        return original(body_idx, bds)
-
-    primary.accelerations = flaky
-    wrapped = ResilientBackend(primary, cfg)
-    wrapped.begin_step(root, bodies)
-    res = wrapped.accelerations(idx, bodies)      # served by object-tree
-    assert np.isfinite(res.acc).all()
-    assert wrapped.fallbacks_served == 1 and not wrapped.permanent
-    wrapped.begin_step(root, bodies)              # re-probes the primary
-    res2 = wrapped.accelerations(idx, bodies)     # fails again -> rung 2
-    assert wrapped.fallbacks_served == 2
-    wrapped.begin_step(root, bodies)
-    res3 = wrapped.accelerations(idx, bodies)     # healthy primary again
-    assert wrapped.fallbacks_served == 2
-    # fallback rungs compute the same physics to round-off
-    assert np.allclose(res.acc, res3.acc, rtol=1e-10, atol=1e-12)
-    assert np.allclose(res2.acc, res3.acc, rtol=1e-10, atol=1e-12)
-
-
-def test_resilient_backend_ladder_bottom_is_structured():
-    from repro.backends import make_backend
-    from repro.nbody.distributions import make_distribution
-
-    cfg = BHConfig(nbodies=32, force_backend="direct")
-    bodies = make_distribution("plummer", 32, seed=3)
-    primary = make_backend("direct", cfg)
-    primary.accelerations = lambda *a: (_ for _ in ()).throw(
-        RuntimeError("engine gone"))
-    wrapped = ResilientBackend(primary, cfg)
-    wrapped.begin_step(None, bodies)
-    with pytest.raises(SimulationFault) as ei:
-        wrapped.accelerations(np.arange(32), bodies)
-    assert "no rung" in ei.value.detail
 
 
 # --------------------------------------------------------------------- #

@@ -356,13 +356,15 @@ class TestForceEngineStat:
         assert self._engine("async") == want
 
     def test_flat_c_without_kernel(self, no_kernel):
-        assert self._engine(backend="flat-c") == "flat (numpy fallback)"
+        # force_backend is read by no variant: the slot walk serves
+        assert self._engine(backend="flat-c") == PY_ENGINE
         assert make_backend("flat-c", BHConfig()).served_by \
             == "flat (numpy fallback)"
 
     @needs_kernel
     def test_flat_c_with_kernel(self):
-        assert self._engine(backend="flat-c") == "flat-c"
+        assert self._engine(backend="flat-c") == C_ENGINE
+        assert make_backend("flat-c", BHConfig()).served_by == "flat-c"
 
     def test_object_tree_backend_rung(self, bodies256):
         backend = make_backend("object-tree", BHConfig())
