@@ -30,7 +30,7 @@ tests against the standalone engines.
 from __future__ import annotations
 
 import functools
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -72,13 +72,15 @@ class SlotTree:
     row ``r``; ``parent[r]`` is the row of its parent (0 for the root) and
     ``leaf_parent[j]`` the row of the cell whose leaf holds
     ``flat.leaf_bodies[j]``.  ``rows`` is :func:`cell_rows` of ``root``
-    when the caller already flattened it.
+    when the caller already flattened it, and ``fields`` the per-row
+    arrays it already holds (:meth:`FlatTree.from_cell_rows`).
     """
 
     def __init__(self, root: Cell, bodies: BodySoA, cfg,
-                 rows: Optional[CellRows] = None):
+                 rows: Optional[CellRows] = None,
+                 fields: Optional[Dict[str, np.ndarray]] = None):
         self.root = root
-        self.flat, self.cells = FlatTree.from_cell_rows(root, rows)
+        self.flat, self.cells = FlatTree.from_cell_rows(root, rows, fields)
         flat = self.flat
         C = flat.ncells
         self.parent = np.zeros(C, dtype=np.int64)

@@ -19,7 +19,7 @@ exactly:
   cells in reverse creation order under ``run_waiting``'s schedule.  It
   reads the tree as :func:`repro.octree.flat.cell_rows` flattens it, with
   each row's ``Cell.seq`` as its creation rank; the force phase's
-  ``SlotTree`` reuses that flatten.
+  ``SlotTree`` reuses that flatten and the arrays the replay filled.
 
 Both replays use the relation-class charge tables of
 :meth:`UpcRuntime.class_tables` and do the Python hooks' float operations
@@ -122,7 +122,9 @@ def replay_build(variant, kernel, trace: List[Cell], tids: Sequence[int],
 def replay_cofm(variant, kernel, rows: CellRows) -> Optional[np.ndarray]:
     """The c-of-m phase over ``variant.root``, flattened as ``rows``
     (:func:`~repro.octree.flat.cell_rows`): charges every thread and
-    fills every cell's ``mass``/``cofm``/``nbodies``/``cost``.
+    fills every cell's ``mass``/``cofm``/``nbodies``/``cost``, and leaves
+    ``rows`` and those per-row arrays to the force phase
+    (``variant.tree_rows``/``tree_fields``).
 
     Returns each row's done time, or ``None``, having touched nothing,
     when the kernel declines.
@@ -134,6 +136,7 @@ def replay_cofm(variant, kernel, rows: CellRows) -> Optional[np.ndarray]:
     cells, child, leaf_ptr, leaf_bodies = rows
     node_of, classes, table = _charges(rt)
     n = len(cells)
+    center = np.array([c.center for c in cells], dtype=np.float64)
     mass = np.empty(n, dtype=np.float64)
     cofm = np.empty((n, 3), dtype=np.float64)
     nbodies = np.empty(n, dtype=np.int64)
@@ -143,8 +146,7 @@ def replay_cofm(variant, kernel, rows: CellRows) -> Optional[np.ndarray]:
     if not kernel.cofm_replay(
             np.fromiter(map(_SEQ, cells), dtype=np.int64, count=n),
             np.array([c.home for c in cells], dtype=np.int64), child,
-            leaf_ptr, leaf_bodies,
-            np.array([c.center for c in cells], dtype=np.float64),
+            leaf_ptr, leaf_bodies, center,
             np.ascontiguousarray(bodies.store, dtype=np.int64),
             np.ascontiguousarray(bodies.mass, dtype=np.float64),
             np.ascontiguousarray(bodies.pos, dtype=np.float64),
@@ -164,4 +166,7 @@ def replay_cofm(variant, kernel, rows: CellRows) -> Optional[np.ndarray]:
         cell.cost = cost[c]
     # no run_waiting ran: drop the last one's tokens, as it would have
     rt._done_tokens.clear()
+    variant.tree_rows = rows
+    variant.tree_fields = {"center": center, "mass": mass, "cofm": cofm,
+                           "nbodies": nbodies, "cost": cost}
     return done_at

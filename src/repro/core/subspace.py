@@ -20,6 +20,17 @@ The algorithm (a scalable derivative of Shan & Singh's):
    and hooks each subtree into thread 0's top tree with a single remote
    pointer write; the writes touch disjoint slots, so no locks are needed.
 5. **Top c-of-m** -- thread 0 finishes the O(#subspaces) top cells.
+
+The simulation charges phases 4-5 from counts: ``insert`` returns the
+cells it visited, a subtree's allocations are its creation-sequence
+count, and a subtree's local c-of-m pass touches each of its cells once.
+No charge depends on a cell's fields, so the fields themselves come from
+one c-of-m pass over the finished tree, after hooking: ``bh_cofm_rows``
+over its one flatten when the compiled kernel serves (engine
+``"c-cofm-rows"``, :func:`repro.octree.flat.cofm_rows`), else
+``compute_cofm`` (engine ``"compute-cofm"``).  Both give the same bits as
+the per-subtree passes they stand for, and the force phase reuses the
+flatten and its arrays (``VariantBase.slot_tree``).
 """
 
 from __future__ import annotations
@@ -30,9 +41,10 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..nbody.bbox import RootBox
-from ..octree.build import insert
+from ..octree.build import gc_paused, insert
 from ..octree.cell import Cell, Leaf
 from ..octree.cofm import compute_cofm
+from ..octree.flat import cell_rows, cofm_rows
 from ..upc.collectives import allreduce_scalar, allreduce_vector, alltoallv
 from ..upc.runtime import UpcRuntime
 
@@ -238,7 +250,12 @@ def exchange_bodies(rt: UpcRuntime, tree: SubspaceTree, body_ss: np.ndarray,
 CELL_COMPUTE = 100e-9
 CELL_VISIT_WORDS = 2
 
+#: engines of the subforest's c-of-m pass (``variant_stats["cofm_engine"]``)
+C_COFM = "c-cofm-rows"
+PY_COFM = "compute-cofm"
 
+
+@gc_paused()
 def build_subforest_and_hook(variant, tree: SubspaceTree,
                              body_ss: np.ndarray,
                              leaf_owner: np.ndarray) -> Cell:
@@ -254,12 +271,13 @@ def build_subforest_and_hook(variant, tree: SubspaceTree,
     # thread 0's top-tree cells, one per internal (split) subspace
     top: Dict[int, Cell] = {}
     internal = np.nonzero(tree.child_base >= 0)[0]
-    root_cell = Cell(tree.centers[0].copy(), float(tree.sizes[0]), home=0)
+    centers = tree.centers.tolist()
+    sizes = tree.sizes.tolist()
+    root_cell = Cell(tuple(centers[0]), sizes[0], home=0)
     top[0] = root_cell
-    for node in internal:
+    for node in internal.tolist():
         if node != 0 and node not in top:
-            top[int(node)] = Cell(tree.centers[node].copy(),
-                                  float(tree.sizes[node]), home=0)
+            top[node] = Cell(tuple(centers[node]), sizes[node], home=0)
     rt.charge_compute(0, len(top) * CELL_COMPUTE)
     for node in internal:
         base = int(tree.child_base[node])
@@ -269,64 +287,45 @@ def build_subforest_and_hook(variant, tree: SubspaceTree,
                 top[int(node)].children[o] = top[ch]
     variant.ncells = len(top)
 
-    # group bodies by leaf
+    # group bodies by leaf: the runs of the stable sort by subspace
     order = np.argsort(body_ss, kind="stable")
     sorted_ss = body_ss[order]
-    leaf_rank = {int(l): r for r, l in enumerate(tree.leaves)}
-
-    lo = 0
-    groups: Dict[int, np.ndarray] = {}
-    while lo < len(sorted_ss):
-        hi = lo
-        node = sorted_ss[lo]
-        while hi < len(sorted_ss) and sorted_ss[hi] == node:
-            hi += 1
-        groups[int(node)] = order[lo:hi]
-        lo = hi
+    starts = np.flatnonzero(np.diff(sorted_ss, prepend=-1))
+    ends = np.append(starts[1:], len(sorted_ss))
+    groups: Dict[int, np.ndarray] = {
+        node: order[lo:hi] for node, lo, hi in zip(
+            sorted_ss[starts].tolist(), starts.tolist(), ends.tolist())}
 
     local_times = np.zeros(P)
-    subtrees = set()  # hooked subtree roots, c-of-m already computed
+    pos = bodies.pos
     for t in range(P):
         start = float(rt.clock[t])
         my_leaves = tree.leaves[leaf_owner == t]
-        for leaf in my_leaves:
-            leaf = int(leaf)
+        for leaf in my_leaves.tolist():
             sel = groups.get(leaf)
             if sel is None or len(sel) == 0:
                 continue
             if len(sel) == 1 and leaf != 0:
                 node: "Cell | Leaf" = Leaf(int(sel[0]))
             else:
-                cell = Cell(tree.centers[leaf].copy(),
-                            float(tree.sizes[leaf]), home=t)
-                rt.heap.upc_alloc(t, m.cell_nbytes, cell)
-                counters = {"visits": 0, "allocs": 0}
-
-                def on_visit(c, cnt=counters):
-                    cnt["visits"] += 1
-
-                def on_alloc(c, cnt=counters, t=t):
-                    cnt["allocs"] += 1
-                    rt.heap.upc_alloc(t, m.cell_nbytes, c)
-
-                for b in sel:
-                    insert(cell, int(b), bodies.pos, home=t,
-                           on_visit=on_visit, on_alloc=on_alloc)
+                cell = Cell(tuple(centers[leaf]), sizes[leaf], home=t)
+                seq = [1]  # numbers the new cells: counts the allocations
+                visits = 0
+                for b in sel.tolist():
+                    visits += insert(cell, b, pos, home=t, seq_counter=seq)
+                # the subtree root and every cell its insertions made
+                ncells = seq[0]
+                rt.heap.upc_alloc_count(t, m.cell_nbytes, ncells)
                 rt.charge_compute(
                     t,
-                    counters["visits"] * CELL_VISIT_WORDS
-                    * m.local_word_cost
-                    + (counters["allocs"] + 1) * CELL_COMPUTE,
+                    visits * CELL_VISIT_WORDS * m.local_word_cost
+                    + ncells * CELL_COMPUTE,
                 )
-                variant.ncells += counters["allocs"] + 1
-                # local c-of-m for the subtree (no communication)
-                ncells = [0]
-                compute_cofm(cell, bodies.pos, bodies.mass, bodies.cost,
-                             on_cell=lambda c, nc=ncells: nc.__setitem__(
-                                 0, nc[0] + 1))
-                rt.charge_compute(t, ncells[0] * CELL_COMPUTE)
+                variant.ncells += ncells
+                # local c-of-m for the subtree (no communication): one
+                # combine per cell; the fields come from the pass below
+                rt.charge_compute(t, ncells * CELL_COMPUTE)
                 node = cell
-                subtrees.add(cell)
             if leaf == 0:
                 # degenerate: the root itself is a leaf subspace
                 root_cell.children = node.children
@@ -353,9 +352,29 @@ def build_subforest_and_hook(variant, tree: SubspaceTree,
     for src, cnt in per_source.items():
         rt.memget_ilist(0, src, cnt, m.cell_nbytes, key="top_cofm_gathers")
     rt.charge_compute(0, (len(top) + nchildren) * CELL_COMPUTE)
-    compute_cofm(root_cell, bodies.pos, bodies.mass, bodies.cost,
-                 done=subtrees)
+    subforest_cofm(variant, root_cell)
     variant.treebuild_subphases.append(
         {"local": local_times, "merge": np.zeros(P)}
     )
     return root_cell
+
+
+def subforest_cofm(variant, root: Cell) -> None:
+    """Fill the c-of-m fields of every cell under ``root``: one compiled
+    pass over its flatten, which the force phase then reuses, or
+    ``compute_cofm`` when no kernel serves or the kernel declines."""
+    from .build_replay import replay_kernel
+
+    bodies = variant.bodies
+    kernel = replay_kernel()
+    if kernel is not None:
+        rows = cell_rows(root)
+        fields = cofm_rows(kernel, rows, bodies.pos, bodies.mass,
+                           bodies.cost)
+        if fields is not None:
+            variant.tree_rows, variant.tree_fields = rows, fields
+            variant.cofm_engine = C_COFM
+            return
+    compute_cofm(root, bodies.pos, bodies.mass, bodies.cost)
+    variant.tree_rows = variant.tree_fields = None
+    variant.cofm_engine = PY_COFM

@@ -13,7 +13,7 @@ from typing import Dict
 
 import numpy as np
 
-from ...backends.object_tree import SlotTree, slot_kernel
+from ...backends.object_tree import slot_kernel
 from ...upc.nonblocking import AsyncEngine, source_fractions
 from ..frontier import C_ENGINE, PY_ENGINE, FrontierStats, frontier_force
 from .base import BODY_FORCE_WORDS
@@ -41,8 +41,9 @@ class AsyncAgg(LocalBuild):
         bodies = self.bodies
         engine = AsyncEngine(rt)
         self.async_engine = engine
-        # one flattened tree for every thread, when the kernel serves
-        tree = SlotTree(self.root, bodies, self.cfg) \
+        # one flattened tree for every thread, when the kernel serves:
+        # the subspace c-of-m pass's, or a fresh flatten
+        tree = self.slot_tree() \
             if self.root is not None and slot_kernel() is not None else None
         measured = self.step_index >= self.cfg.warmup_steps
         compiled = tree is not None

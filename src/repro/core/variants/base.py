@@ -36,7 +36,7 @@ from ...backends.object_tree import SlotTree, slot_walk
 from ...nbody.bbox import RootBox, compute_root
 from ...nbody.bodies import BodySoA
 from ...nbody.integrator import advance_indices, startup_half_kick
-from ...octree.build import insert, new_root
+from ...octree.build import gc_paused, insert, new_root
 from ...octree.cell import Cell, Leaf
 from ...octree.costzones import costzones
 from ...octree.flat import CellRows, cell_rows
@@ -116,9 +116,11 @@ class VariantBase:
         #: per step: the tree build's lock (acquires, contended acquires,
         #: sorted nonzero waits); see :meth:`treebuild_locks`
         self.lock_stats: Dict[int, Tuple[int, int, List[float]]] = {}
-        #: the c-of-m replay's flatten of ``root`` (octree.flat.cell_rows),
+        #: the c-of-m pass's flatten of ``root`` (octree.flat.cell_rows)
+        #: and the per-row FlatTree fields it already holds, by name;
         #: taken by the force phase's SlotTree (:meth:`slot_tree`)
         self.tree_rows: Optional[CellRows] = None
+        self.tree_fields: Optional[Dict[str, np.ndarray]] = None
         #: per-step migration fraction (section 5.2 claim)
         self.migration_fractions: List[float] = []
         #: per-step (local, merge) per-thread seconds (figure 8)
@@ -246,6 +248,7 @@ class VariantBase:
     # ------------------------------------------------------------------ #
     # phase: tree build (baseline: global insertion under locks)         #
     # ------------------------------------------------------------------ #
+    @gc_paused()
     def phase_treebuild(self) -> None:
         bodies = self.bodies
         idx_lists = []
@@ -284,7 +287,7 @@ class VariantBase:
         root is cell 0)."""
         self.root = new_root(self.box, home=0)
         self._locks.clear()
-        self.tree_rows = None
+        self.tree_rows = self.tree_fields = None
         return [1]
 
     def _set_tree(self, cells: List[Cell]) -> None:
@@ -337,7 +340,6 @@ class VariantBase:
         if kernel is not None:
             rows = cell_rows(self.root)
             if replay_cofm(self, kernel, rows) is not None:
-                self.tree_rows = rows
                 self.cofm_engine = C_COFM
                 return
         self._cofm_waiting()
@@ -390,7 +392,7 @@ class VariantBase:
                         cost += ch.cost
                 rt.charge_compute(t, CELL_COMPUTE)
                 cell.mass = mass
-                cell.cofm = cofm / mass if mass > 0 else cell.center.copy()
+                cell.cofm = cofm / mass if mass > 0 else np.array(cell.center)
                 cell.nbodies = nb
                 cell.cost = cost
                 rt.mark_done(cell, t)
@@ -428,11 +430,13 @@ class VariantBase:
     # ------------------------------------------------------------------ #
     def slot_tree(self) -> SlotTree:
         """The force phase's :class:`SlotTree` of ``root``, reusing the
-        c-of-m replay's flatten when it is of this tree."""
+        c-of-m pass's flatten (and the fields it holds) when it is of
+        this tree."""
         rows, self.tree_rows = self.tree_rows, None
+        fields, self.tree_fields = self.tree_fields, None
         if rows is not None and rows[0][0] is not self.root:
-            rows = None
-        return SlotTree(self.root, self.bodies, self.cfg, rows)
+            rows = fields = None
+        return SlotTree(self.root, self.bodies, self.cfg, rows, fields)
 
     def phase_force(self) -> None:
         rt = self.rt

@@ -20,7 +20,7 @@ from typing import List
 
 import numpy as np
 
-from ...octree.build import insert, new_root
+from ...octree.build import gc_paused, insert, new_root
 from ...octree.cell import Cell
 from ...octree.cofm import compute_cofm
 from .base import (
@@ -54,6 +54,7 @@ class LocalBuild(CacheTree):
         return plan
 
     # ------------------------------------------------------------------ #
+    @gc_paused()
     def phase_treebuild(self) -> None:
         rt = self.rt
         bodies = self.bodies
@@ -73,36 +74,26 @@ class LocalBuild(CacheTree):
             idx = self.assigned(t)
             self.charge_body_words(t, idx, BODY_POS_WORDS)
             lroot = new_root(self.box, home=t)
-            counters = {"visits": 0, "allocs": 0}
-
-            def on_visit(cell, c=counters):
-                c["visits"] += 1
-
-            def on_alloc(cell, c=counters, t=t):
-                c["allocs"] += 1
-                rt.heap.upc_alloc(t, rt.machine.cell_nbytes, cell)
-
-            for i in idx:
-                insert(lroot, int(i), bodies.pos, home=t,
-                       on_visit=on_visit, on_alloc=on_alloc)
+            seq = [1]  # numbers the new cells: counts the allocations
+            visits = 0
+            for i in idx.tolist():
+                visits += insert(lroot, i, bodies.pos, home=t,
+                                 seq_counter=seq)
+            allocs = seq[0] - 1
+            rt.heap.upc_alloc_count(t, rt.machine.cell_nbytes, allocs)
             # pointers to local cells are cast local: plain word accesses
             rt.charge_compute(
                 t,
-                counters["visits"] * CELL_VISIT_WORDS
-                * rt.machine.local_word_cost
-                + counters["allocs"] * CELL_COMPUTE,
+                visits * CELL_VISIT_WORDS * rt.machine.local_word_cost
+                + allocs * CELL_COMPUTE,
             )
-            # local center-of-mass pass: no communication (section 5.4)
-            ncells = [0]
-
-            def on_cell(cell, n=ncells):
-                n[0] += 1
-
-            compute_cofm(lroot, bodies.pos, bodies.mass, bodies.cost,
-                         on_cell=on_cell)
-            rt.charge_compute(t, ncells[0] * CELL_COMPUTE)
-            rt.count(t, "local_cells", ncells[0])
-            self.ncells += counters["allocs"]
+            # local center-of-mass pass: no communication (section 5.4),
+            # one combine per cell of the local tree
+            compute_cofm(lroot, bodies.pos, bodies.mass, bodies.cost)
+            ncells = allocs + 1
+            rt.charge_compute(t, ncells * CELL_COMPUTE)
+            rt.count(t, "local_cells", ncells)
+            self.ncells += allocs
             lroots.append(lroot)
             local_times[t] = float(rt.clock[t]) - start
 
@@ -193,21 +184,16 @@ class LocalBuild(CacheTree):
     def _insert_local_subtree(self, t: int, cell: Cell, b: int) -> None:
         """Insert a displaced body into the thread's own hooked subtree."""
         rt = self.rt
-        counters = {"visits": 0}
-
-        def on_visit(c, cnt=counters):
-            cnt["visits"] += 1
-
-        def on_alloc(c, t=t):
-            rt.heap.upc_alloc(t, rt.machine.cell_nbytes, c)
+        seq = [1]  # numbers the new cells: counts the allocations
+        visits = insert(cell, b, self.bodies.pos, home=t, seq_counter=seq)
+        allocs = seq[0] - 1
+        rt.heap.upc_alloc_count(t, rt.machine.cell_nbytes, allocs)
+        # one charge per allocation, in the order the insertion made them
+        for _ in range(allocs):
             rt.charge_compute(t, CELL_COMPUTE)
-            self.ncells += 1
-
-        insert(cell, b, self.bodies.pos, home=t, on_visit=on_visit,
-               on_alloc=on_alloc)
+        self.ncells += allocs
         rt.charge_compute(
             t,
-            counters["visits"]
-            * (CELL_VISIT_WORDS + ATOMIC_COFM_WORDS)
+            visits * (CELL_VISIT_WORDS + ATOMIC_COFM_WORDS)
             * rt.machine.local_word_cost,
         )

@@ -30,7 +30,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ...octree.build import insert, new_root
+from ...octree.build import gc_paused, insert, new_root
 from ...octree.cell import Cell, Leaf
 from ...octree.cofm import compute_cofm
 # see the note in base.py: bench/layers.py times this name here
@@ -89,6 +89,7 @@ class MpiLet(AsyncAgg):
         self._local_roots: List[Optional[Cell]] = []
 
     # ------------------------------------------------------------------ #
+    @gc_paused()
     def phase_treebuild(self) -> None:
         rt = self.rt
         bodies = self.bodies
@@ -105,26 +106,21 @@ class MpiLet(AsyncAgg):
             idx = self.assigned(t)
             self.charge_body_words(t, idx, BODY_POS_WORDS)
             lroot = new_root(self.box, home=t) if len(idx) else None
-            counters = {"visits": 0, "allocs": 0}
-
-            def on_visit(c, cnt=counters):
-                cnt["visits"] += 1
-
-            def on_alloc(c, cnt=counters, t=t):
-                cnt["allocs"] += 1
-                rt.heap.upc_alloc(t, m.cell_nbytes, c)
-
-            for i in idx:
-                insert(lroot, int(i), bodies.pos, home=t,
-                       on_visit=on_visit, on_alloc=on_alloc)
+            seq = [1]  # numbers the new cells: counts the allocations
+            visits = 0
+            for i in idx.tolist():
+                visits += insert(lroot, i, bodies.pos, home=t,
+                                 seq_counter=seq)
+            allocs = seq[0] - 1
+            rt.heap.upc_alloc_count(t, m.cell_nbytes, allocs)
             if lroot is not None:
                 compute_cofm(lroot, bodies.pos, bodies.mass, bodies.cost)
             rt.charge_compute(
                 t,
-                counters["visits"] * CELL_VISIT_WORDS * m.local_word_cost
-                + (counters["allocs"] * 2) * CELL_COMPUTE,
+                visits * CELL_VISIT_WORDS * m.local_word_cost
+                + (allocs * 2) * CELL_COMPUTE,
             )
-            self.ncells += counters["allocs"]
+            self.ncells += allocs
             self._local_roots.append(lroot)
             local_times[t] = float(rt.clock[t]) - start
 

@@ -1,7 +1,7 @@
 /* Iterative Barnes-Hut force walks over FlatTree arrays, and the
  * baseline's tree-build and c-of-m accounting replays.
  *
- * Five entry points:
+ * Six entry points:
  *
  *   - bh_force_walk, the compiled twin of repro.octree.flat.flat_gravity
  *     (the flat-c backend), one stack DFS per body;
@@ -17,7 +17,11 @@
  *     repro.core.variants.base: every UPC charge of the tree build,
  *     replayed from the recorded insertion trace, and the whole
  *     run_waiting schedule of the c-of-m phase, bit-identical in every
- *     clock, NIC time and counter.
+ *     clock, NIC time and counter;
+ *   - bh_cofm_rows, the compiled twin of repro.octree.cofm.compute_cofm
+ *     over every row of a flattened tree (the section-6 subspace
+ *     build's one c-of-m pass per step), with bh_cofm_replay's per-cell
+ *     combine and no charges.
  *
  * bh_force_walk walks the same contiguous arrays the numpy level loop reads (per-component cofm and
  * geometric centers, premultiplied size^2 and G*mass, compacted children
@@ -47,7 +51,7 @@
 #include <stdlib.h>
 
 /* ABI version checked by the loader; bump on any signature change. */
-#define BH_ABI_VERSION 5
+#define BH_ABI_VERSION 6
 
 /* Deepest possible walk: MAX_DEPTH (30) levels, each pushing at most
  * 8 children while popping one -- 4096 is an order of magnitude above
@@ -1055,10 +1059,58 @@ int bh_build_replay(
     return BH_OK;
 }
 
+/* One cell's c-of-m combine, shared by bh_cofm_replay and bh_cofm_rows:
+ * the partial sums of compute_cofm's per-cell loop, added in its order
+ * (a leaf's bodies in index order, a child cell's finished fields), and
+ * the finished fields, a massless cell taking its geometric centre. */
+typedef struct {
+    int64_t nb;
+    double mass, cofm[3], cost;
+} bh_sums;
+
+static void cf_add_bodies(bh_sums *s, const int64_t *leaf_bodies,
+                          int64_t b0, int64_t b1, const double *bmass,
+                          const double *bpos, const double *bcost)
+{
+    for (int64_t j = b0; j < b1; j++) {
+        const int64_t b = leaf_bodies[j];
+        const double m = bmass[b];
+        s->mass += m;
+        for (int d = 0; d < 3; d++)
+            s->cofm[d] += m * bpos[3 * b + d];
+        s->nb++;
+        s->cost += bcost[b];
+    }
+}
+
+static void cf_add_cell(bh_sums *s, int64_t r, const double *mass,
+                        const double *cofm, const int64_t *nbodies,
+                        const double *cost)
+{
+    const double m = mass[r];
+    s->mass += m;
+    for (int d = 0; d < 3; d++)
+        s->cofm[d] += m * cofm[3 * r + d];
+    s->nb += nbodies[r];
+    s->cost += cost[r];
+}
+
+static void cf_finish(const bh_sums *s, int64_t r, const double *center,
+                      double *mass, double *cofm, int64_t *nbodies,
+                      double *cost)
+{
+    mass[r] = s->mass;
+    for (int d = 0; d < 3; d++)
+        cofm[3 * r + d] = s->mass > 0 ? s->cofm[d] / s->mass
+                                      : center[3 * r + d];
+    nbodies[r] = s->nb;
+    cost[r] = s->cost;
+}
+
 /* one thread's c-of-m worker: its next cell, slot and partial sums */
 typedef struct {
-    int64_t cell, slot, nb, waiting;
-    double mass, cofm[3], cost;
+    int64_t cell, slot, waiting;
+    bh_sums s;
 } bh_cofm_worker;
 
 typedef struct {
@@ -1102,15 +1154,8 @@ static void cf_leaf(bh_cofm *f, int64_t t, bh_cofm_worker *w, int64_t leaf)
             tot[BH_F_REMOTE] += n * f->leaf_words * (o != t);
         }
     }
-    for (int64_t j = b0; j < b1; j++) {
-        const int64_t b = f->leaf_bodies[j];
-        const double m = f->bmass[b];
-        w->mass += m;
-        for (int d = 0; d < 3; d++)
-            w->cofm[d] += m * f->bpos[3 * b + d];
-        w->nb++;
-        w->cost += f->bcost[b];
-    }
+    cf_add_bodies(&w->s, f->leaf_bodies, b0, b1, f->bmass, f->bpos,
+                  f->bcost);
 }
 
 /* Run thread t's worker until it blocks on an unfinished child
@@ -1144,28 +1189,17 @@ static int cf_run(bh_cofm *f, int64_t t, bh_cofm_worker *w)
             rp_word(c, f->child_kind, t, ho, 1.0);
             tot[BH_F_CHILD]++;
             tot[BH_F_REMOTE] += f->child_words * (ho != t);
-            const double m = f->mass[code];
-            w->mass += m;
-            for (int d = 0; d < 3; d++)
-                w->cofm[d] += m * f->cofm[3 * code + d];
-            w->nb += f->nbodies[code];
-            w->cost += f->cost[code];
+            cf_add_cell(&w->s, code, f->mass, f->cofm, f->nbodies, f->cost);
         }
         c->clock[t] += f->cell_cost;
-        f->mass[cell] = w->mass;
-        for (int d = 0; d < 3; d++)
-            f->cofm[3 * cell + d] = w->mass > 0 ? w->cofm[d] / w->mass
-                                                : f->center[3 * cell + d];
-        f->nbodies[cell] = w->nb;
-        f->cost[cell] = w->cost;
+        cf_finish(&w->s, cell, f->center, f->mass, f->cofm, f->nbodies,
+                  f->cost);
         f->done_at[cell] = c->clock[t];
         f->done[cell] = 1;
         /* the next cell down the thread's creation order */
         w->cell = f->prev_same[cell];
         w->slot = 0;
-        w->nb = 0;
-        w->mass = w->cost = 0.0;
-        w->cofm[0] = w->cofm[1] = w->cofm[2] = 0.0;
+        w->s = (bh_sums){0};
     }
     return 0;
 }
@@ -1311,6 +1345,59 @@ int bh_cofm_replay(
     }
     free(ws);
     return rc;
+}
+
+/* compute_cofm over every row of a flattened tree, in one pass.
+ *
+ * ncells                 cells (FlatTree rows); every child cell's row
+ *                        is above its parent's (cell_rows' breadth-first
+ *                        order), so a sweep from the last row up finds
+ *                        each cell's children finished
+ * child[C * 8]           FlatTree.child (EMPTY = -1, leaf = -(id + 2))
+ * leaf_ptr[L+1], leaf_bodies   leaf body spans, in Leaf.indices order
+ * center[C * 3]          geometric centers (the cofm of a massless cell)
+ * bmass[n], bpos[n * 3], bcost[n]   body mass, position, cost
+ * mass[C], cofm[C * 3], nbodies[C], cost[C]   outputs
+ *
+ * Each cell's fields come from bh_cofm_replay's combine, so they are
+ * compute_cofm's bit for bit.  Nothing is charged.  Returns
+ * BH_ERR_DECLINED, before writing any output, on malformed input.
+ */
+int bh_cofm_rows(
+    int64_t ncells, const int64_t *child, int64_t nleaves,
+    const int64_t *leaf_ptr, const int64_t *leaf_bodies,
+    const double *center, int64_t nbodies_all, const double *bmass,
+    const double *bpos, const double *bcost, double *mass, double *cofm,
+    int64_t *nbodies, double *cost)
+{
+    if (ncells < 1 || nleaves < 0 || leaf_ptr[0] != 0)
+        return BH_ERR_DECLINED;
+    for (int64_t r = 0; r < ncells; r++)
+        for (int j = 0; j < 8; j++) {
+            const int64_t v = child[r * 8 + j];
+            if ((v >= 0 && (v <= r || v >= ncells))
+                || (v <= -2 && -v - 2 >= nleaves))
+                return BH_ERR_DECLINED;
+        }
+    for (int64_t l = 0; l < nleaves; l++)
+        if (leaf_ptr[l] >= leaf_ptr[l + 1])
+            return BH_ERR_DECLINED;
+    for (int64_t j = 0; j < leaf_ptr[nleaves]; j++)
+        if (leaf_bodies[j] < 0 || leaf_bodies[j] >= nbodies_all)
+            return BH_ERR_DECLINED;
+    for (int64_t r = ncells - 1; r >= 0; r--) {
+        bh_sums s = {0};
+        for (int j = 0; j < 8; j++) {
+            const int64_t v = child[r * 8 + j];
+            if (v <= -2)
+                cf_add_bodies(&s, leaf_bodies, leaf_ptr[-v - 2],
+                              leaf_ptr[-v - 1], bmass, bpos, bcost);
+            else if (v >= 0)
+                cf_add_cell(&s, v, mass, cofm, nbodies, cost);
+        }
+        cf_finish(&s, r, center, mass, cofm, nbodies, cost);
+    }
+    return BH_OK;
 }
 
 #ifdef BH_BUILD_PYEXT

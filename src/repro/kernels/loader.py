@@ -19,8 +19,10 @@ serving the numpy ``flat`` engine (see
 :class:`repro.backends.compiled.CompiledFlatBackend`), the object-tree
 force phase its Python traversal (see :mod:`repro.backends.object_tree`),
 the frontier force phase its Python loop (see
-:mod:`repro.core.frontier`) and the baseline's tree build and c-of-m
-phase their Python hooks (see :mod:`repro.core.build_replay`).
+:mod:`repro.core.frontier`), the baseline's tree build and c-of-m
+phase their Python hooks (see :mod:`repro.core.build_replay`) and the
+subspace build's c-of-m pass ``compute_cofm`` (see
+:mod:`repro.core.subspace`).
 
 Environment knobs (all read at load time):
 
@@ -54,7 +56,7 @@ from typing import List, Optional
 import numpy as np
 
 #: ABI this loader binds; must match BH_ABI_VERSION in ``_bh_kernel.c``
-ABI_VERSION = 5
+ABI_VERSION = 6
 
 #: aggregate-counter slots filled by ``bh_force_walk`` (see the C file)
 NCOUNTERS = 5
@@ -101,6 +103,7 @@ class CKernel:
             frontier = lib.bh_frontier_walk
             build = lib.bh_build_replay
             cofm = lib.bh_cofm_replay
+            rows = lib.bh_cofm_rows
         except AttributeError as exc:
             raise KernelUnavailable(
                 f"{path}: missing kernel symbols ({exc})") from None
@@ -172,6 +175,15 @@ class CKernel:
             + [_F64] * 2 + [_I64] + [_F64] * 2 + [_I64]
         )
         self._cofm = cofm
+        rows.restype = ctypes.c_int
+        rows.argtypes = (
+            [ctypes.c_int64, _I64]            # ncells child
+            + [ctypes.c_int64] + [_I64] * 2   # nleaves leaf_ptr leaf_bodies
+            + [_F64]                          # center
+            + [ctypes.c_int64] + [_F64] * 3   # n mass pos cost
+            + [_F64] * 2 + [_I64, _F64]       # mass cofm nbodies cost
+        )
+        self._cofm_rows = rows
 
     def force_walk(self, ids: np.ndarray,
                    px: np.ndarray, py: np.ndarray, pz: np.ndarray,
@@ -361,6 +373,30 @@ class CKernel:
         if rc == ERR_DECLINED:
             return False
         _check("bh_cofm_replay", rc)
+        return True
+
+    def cofm_rows(self, child: np.ndarray, leaf_ptr: np.ndarray,
+                  leaf_bodies: np.ndarray, center: np.ndarray,
+                  bmass: np.ndarray, bpos: np.ndarray, bcost: np.ndarray,
+                  mass: np.ndarray, cofm: np.ndarray, nbodies: np.ndarray,
+                  cost: np.ndarray) -> bool:
+        """``compute_cofm`` over every row of a flattened tree (rows in
+        :func:`~repro.octree.flat.cell_rows` order), filling ``mass``,
+        ``cofm`` ((C, 3)), ``nbodies`` and ``cost``.  Charges nothing.
+        Returns False, having written nothing, when the kernel declines.
+        """
+        rc = self._cofm_rows(
+            len(child), child.ctypes.data_as(_I64), len(leaf_ptr) - 1,
+            leaf_ptr.ctypes.data_as(_I64), leaf_bodies.ctypes.data_as(_I64),
+            center.ctypes.data_as(_F64), len(bmass),
+            bmass.ctypes.data_as(_F64), bpos.ctypes.data_as(_F64),
+            bcost.ctypes.data_as(_F64), mass.ctypes.data_as(_F64),
+            cofm.ctypes.data_as(_F64), nbodies.ctypes.data_as(_I64),
+            cost.ctypes.data_as(_F64),
+        )
+        if rc == ERR_DECLINED:
+            return False
+        _check("bh_cofm_rows", rc)
         return True
 
 

@@ -10,11 +10,17 @@ cell), ``localized``/``shadow`` for the caching schemes of section 5.3, and
 pointers directly).  A leaf normally holds one body; when bodies coincide
 beyond the maximum subdivision depth it degrades to a small bucket instead
 of recursing forever.
+
+A cell's geometric ``center`` is a tuple of three Python floats: the
+insertion build compares positions against it and derives child centres
+from it on every visit, without building an array per cell.  The float
+ops give the same bits as numpy's ``center + off`` (``cx - q`` is
+``cx + (-q)``), which ``repro.octree.morton_build`` relies on.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -26,6 +32,14 @@ NSUB = 8
 #: geometry invariants hold, while genuinely separated bodies never get
 #: this deep; anything closer shares a small bucket leaf.
 MAX_DEPTH = 30
+
+#: a cell's centre: three Python floats
+Center = Tuple[float, float, float]
+
+#: ``cofm`` of a cell whose c-of-m pass has not run (shared, read-only:
+#: every pass assigns a new array)
+_NO_COFM = np.zeros(3, dtype=np.float64)
+_NO_COFM.flags.writeable = False
 
 
 class Leaf:
@@ -48,13 +62,13 @@ class Cell:
         "localized", "shadow", "nbodies", "seq",
     )
 
-    def __init__(self, center: np.ndarray, size: float, home: int = 0):
+    def __init__(self, center: Center, size: float, home: int = 0):
         self.center = center
         self.size = size
         self.children: List[Optional[Union["Cell", Leaf]]] = [None] * NSUB
         self.home = home
         self.mass = 0.0
-        self.cofm = np.zeros(3, dtype=np.float64)
+        self.cofm = _NO_COFM
         self.cost = 0.0
         #: section 5.3: True when all children are cached on this thread
         self.localized = False
@@ -67,30 +81,27 @@ class Cell:
         self.seq = 0
 
     # -- geometry -----------------------------------------------------------
-    def octant_of(self, p: np.ndarray) -> int:
+    def octant_of(self, p) -> int:
         """Child slot index for a position (SPLASH-2 ``subindex``)."""
-        cx, cy, cz = self.center.tolist()
+        cx, cy, cz = self.center
         return (
             (1 if p[0] > cx else 0)
             | (2 if p[1] > cy else 0)
             | (4 if p[2] > cz else 0)
         )
 
-    def child_center(self, oct_idx: int) -> np.ndarray:
+    def child_center(self, oct_idx: int) -> Center:
+        """Centre of child slot ``oct_idx``: ``center +- size / 4`` per
+        axis (:func:`repro.octree.build.insert` inlines the same ops)."""
+        cx, cy, cz = self.center
         q = self.size / 4.0
-        off = np.array(
-            [
-                q if (oct_idx & 1) else -q,
-                q if (oct_idx & 2) else -q,
-                q if (oct_idx & 4) else -q,
-            ],
-            dtype=np.float64,
-        )
-        return self.center + off
+        return (cx + q if oct_idx & 1 else cx - q,
+                cy + q if oct_idx & 2 else cy - q,
+                cz + q if oct_idx & 4 else cz - q)
 
     def contains(self, p: np.ndarray) -> bool:
         half = self.size / 2.0 * (1.0 + 1e-12)
-        return bool(np.all(np.abs(p - self.center) <= half))
+        return bool(np.all(np.abs(np.subtract(p, self.center)) <= half))
 
     def iter_cells(self):
         """Yield this cell and every descendant cell (pre-order)."""
@@ -118,6 +129,6 @@ class Cell:
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
-            f"Cell(center={self.center.tolist()}, size={self.size}, "
+            f"Cell(center={list(self.center)}, size={self.size}, "
             f"home={self.home}, n={self.nbodies})"
         )

@@ -72,8 +72,8 @@ def compute_cofm(root: Cell, positions: np.ndarray, masses: np.ndarray,
                 nbodies += ch.nbodies
                 cost += ch.cost
         c.mass = mass
-        c.cofm = np.array((x / mass, y / mass, z / mass)) if mass > 0 \
-            else c.center.copy()
+        c.cofm = np.array((x / mass, y / mass, z / mass) if mass > 0
+                          else c.center)
         c.nbodies = nbodies
         c.cost = cost
         if on_cell is not None:

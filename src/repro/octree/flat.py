@@ -40,6 +40,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -102,6 +103,55 @@ def cell_rows(root: Cell) -> CellRows:
                               dtype=np.int64, count=int(leaf_ptr[-1]))
     child = np.array(codes, dtype=np.int64).reshape(len(order), NSUB)
     return order, child, leaf_ptr, leaf_bodies
+
+
+#: the ``FlatTree`` fields held by every ``Cell``: (name, dtype, width)
+_CELL_FIELDS = (
+    ("center", np.float64, 3), ("size", np.float64, 1),
+    ("mass", np.float64, 1), ("cofm", np.float64, 3),
+    ("nbodies", np.int64, 1), ("cost", np.float64, 1),
+    ("home", np.int32, 1),
+)
+
+
+def cofm_rows(kernel, rows: CellRows, positions: np.ndarray,
+              masses: np.ndarray, costs: np.ndarray
+              ) -> Optional[Dict[str, np.ndarray]]:
+    """:func:`compute_cofm` of every cell of a flattened tree, in one
+    compiled pass (``bh_cofm_rows``), bit for bit.
+
+    Fills every cell's ``mass``/``cofm``/``nbodies``/``cost`` and returns
+    them, with the cells' ``center``, as per-row ``FlatTree`` field
+    arrays for :meth:`FlatTree.from_cell_rows`.  Returns ``None``, having
+    touched nothing, when the kernel declines.
+    """
+    cells, child, leaf_ptr, leaf_bodies = rows
+    n = len(cells)
+    fields = {
+        "center": np.array([c.center for c in cells], dtype=np.float64
+                           ).reshape(n, 3),
+        "mass": np.empty(n, dtype=np.float64),
+        "cofm": np.empty((n, 3), dtype=np.float64),
+        "nbodies": np.empty(n, dtype=np.int64),
+        "cost": np.empty(n, dtype=np.float64),
+    }
+    if not kernel.cofm_rows(
+            child, leaf_ptr, leaf_bodies, fields["center"],
+            np.ascontiguousarray(masses, dtype=np.float64),
+            np.ascontiguousarray(positions, dtype=np.float64),
+            np.ascontiguousarray(costs, dtype=np.float64),
+            fields["mass"], fields["cofm"], fields["nbodies"],
+            fields["cost"]):
+        return None
+    # compute_cofm's types: float sums, int body counts, a cofm array
+    for cell, mass, cofm, nb, cost in zip(
+            cells, fields["mass"].tolist(), fields["cofm"],
+            fields["nbodies"].tolist(), fields["cost"].tolist()):
+        cell.mass = mass
+        cell.cofm = cofm
+        cell.nbodies = nb
+        cell.cost = cost
+    return fields
 
 
 def _ranges(base: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -214,31 +264,30 @@ class FlatTree:
         return cls.from_cell_rows(root)[0]
 
     @classmethod
-    def from_cell_rows(cls, root: Cell, rows: Optional["CellRows"] = None
+    def from_cell_rows(cls, root: Cell, rows: Optional["CellRows"] = None,
+                       fields: Optional[Dict[str, np.ndarray]] = None
                        ) -> Tuple["FlatTree", List[Cell]]:
         """:meth:`from_cell` plus the ``Cell`` of every row, in row order
         (the object-tree force phase charges its UPC accounting to them).
 
         ``rows`` is :func:`cell_rows` of ``root`` when the caller already
-        has it; the per-cell fields are read from the cells either way.
+        has it, and ``fields`` the per-row arrays it already holds, by
+        field name (:func:`cofm_rows`); the other fields are read from
+        the cells.
         """
         order, child, leaf_ptr, leaf_bodies = \
             rows if rows is not None else cell_rows(root)
         ncells = len(order)
-        tree = cls(
-            center=np.array([c.center for c in order], dtype=np.float64
-                            ).reshape(ncells, 3),
-            size=np.array([c.size for c in order], dtype=np.float64),
-            mass=np.array([c.mass for c in order], dtype=np.float64),
-            cofm=np.array([c.cofm for c in order], dtype=np.float64
-                          ).reshape(ncells, 3),
-            nbodies=np.array([c.nbodies for c in order], dtype=np.int64),
-            cost=np.array([c.cost for c in order], dtype=np.float64),
-            home=np.array([c.home for c in order], dtype=np.int32),
-            child=child,
-            leaf_ptr=leaf_ptr,
-            leaf_bodies=leaf_bodies,
-        )
+        fields = dict(fields or ())
+        for name, dtype, width in _CELL_FIELDS:
+            if name in fields:
+                continue
+            values = map(attrgetter(name), order)
+            fields[name] = np.fromiter(values, dtype=dtype, count=ncells) \
+                if width == 1 else np.array(list(values), dtype=dtype
+                                            ).reshape(ncells, width)
+        tree = cls(child=child, leaf_ptr=leaf_ptr, leaf_bodies=leaf_bodies,
+                   **fields)
         return tree, order
 
     @classmethod

@@ -202,9 +202,9 @@ class FaultInjector:
         elif phase == TREEBUILD:
             root = getattr(variant, "root", None)
             if root is not None:
-                root.center = np.asarray(root.center,
-                                         dtype=np.float64).copy()
-                root.center[int(self.rng.integers(0, 3))] = np.nan
+                center = list(root.center)
+                center[int(self.rng.integers(0, 3))] = np.nan
+                root.center = tuple(center)
 
 
 def _jsonable(obj):

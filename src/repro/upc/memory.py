@@ -39,6 +39,16 @@ class SharedHeap:
         self.live_objects[tid] += 1
         return GlobalPtr(tid, target, nbytes)
 
+    def upc_alloc_count(self, tid: int, nbytes: int, count: int) -> None:
+        """Book ``count`` allocations of ``nbytes`` each in thread
+        ``tid``'s shared space at once: the totals of ``count``
+        :meth:`upc_alloc` calls, for a caller that keeps no pointer."""
+        self._check_tid(tid)
+        if nbytes < 0 or count < 0:
+            raise ValueError("nbytes and count must be non-negative")
+        self.allocated[tid] += count * nbytes
+        self.live_objects[tid] += count
+
     def upc_free(self, ptr: GlobalPtr) -> None:
         """Release one allocation (bookkeeping only)."""
         self.allocated[ptr.thread] -= ptr.nbytes

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 import repro.core.build_replay as build_replay
+import repro.core.subspace as subspace
 import repro.core.variants.base as variant_base
 from repro.backends.object_tree import SlotTree
 from repro.core.app import BarnesHutSimulation, run_variant
@@ -212,8 +213,16 @@ class TestCompiledMatchesOracle:
         assert ran.cofm_engine == build_replay.C_COFM
         rows = ran.tree_rows
         assert rows[0][0] is ran.root
-        assert ran.slot_tree().cells is rows[0]
-        assert ran.tree_rows is None
+        assert sorted(ran.tree_fields) == ["center", "cofm", "cost", "mass",
+                                           "nbodies"]
+        reused = ran.slot_tree()
+        assert reused.cells is rows[0]
+        assert ran.tree_rows is None and ran.tree_fields is None
+        fresh = SlotTree(ran.root, ran.bodies, ran.cfg).flat
+        for name in ("center", "mass", "cofm", "nbodies", "cost", "gmass",
+                     "cx", "cy", "cz", "ctx", "cty", "ctz"):
+            a, b = getattr(reused.flat, name), getattr(fresh, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
     @pytest.mark.parametrize("variant", ["baseline", "redistribute"])
     def test_max_depth_bucket(self, monkeypatch, variant):
@@ -378,7 +387,12 @@ def test_lock_totals_cover_measured_steps(monkeypatch):
 def test_stats_are_none_without_the_phases():
     cfg = BHConfig(nbodies=128, nsteps=2, warmup_steps=1)
     res = run_variant("subspace", cfg, 4)
-    assert {k: res.variant_stats[k] for k in STATS} == dict.fromkeys(STATS)
+    # the subspace build has no baseline tree build; its own c-of-m pass
+    # records its engine (tests/test_subforest_cofm_c.py)
+    assert res.variant_stats["treebuild_engine"] is None
+    assert res.variant_stats["treebuild_locks"] is None
+    assert res.variant_stats["cofm_engine"] == (
+        subspace.C_COFM if replay_kernel() is not None else subspace.PY_COFM)
     # the local build's merge locks are section 5.4's evidence
     res = run_variant("localbuild", cfg, 4)
     assert res.variant_stats["treebuild_engine"] is None

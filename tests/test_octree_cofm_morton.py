@@ -72,7 +72,7 @@ class TestCofm:
                     cofm += ch.mass * ch.cofm
                     cost += ch.cost
             c.mass, c.cost = m_c, cost
-            c.cofm = cofm / m_c if m_c > 0 else c.center.copy()
+            c.cofm = cofm / m_c if m_c > 0 else np.array(c.center)
 
     @staticmethod
     def _bits(root):
