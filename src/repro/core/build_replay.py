@@ -21,8 +21,8 @@ exactly:
   each row's ``Cell.seq`` as its creation rank; the force phase's
   ``SlotTree`` reuses that flatten and the arrays the replay filled.
 
-Both replays use the relation-class charge tables of
-:meth:`UpcRuntime.class_tables` and do the Python hooks' float operations
+Both replays read the runtime's price store as relation-class tables
+(:meth:`UpcRuntime.class_tables`) and do the Python hooks' float operations
 in their order, so every clock, NIC time and cell field is bit-identical.
 Counters and heap bookkeeping come back as per-thread integer totals,
 added once each (exact: integer-valued floats far below 2**53).  The

@@ -23,8 +23,9 @@ charges (``docs/compiled-kernels.md``):
 * ``"c-frontier"`` -- ``bh_frontier_walk`` in :mod:`repro.kernels`, one C
   call per thread over the force phase's flattened tree.  It issues the
   gathers itself, with :class:`AsyncEngine`'s charges read from
-  :meth:`UpcRuntime.gather_table`, and calls back into the cost model
-  only for a piece larger than :data:`GATHER_TABLE_N` elements;
+  :meth:`UpcRuntime.gather_table`, and calls back into the runtime's
+  price store only for a piece larger than :data:`GATHER_TABLE_N`
+  elements;
 * ``"frontier"`` -- :func:`_walk_py`, the loop below: the oracle of the
   compiled loop, and the engine of a box without a compiler (or when the
   compiled loop declines its workspace).
@@ -65,7 +66,7 @@ PY_ENGINE = "frontier"
 C_WORKSPACE_CAP = 0
 
 #: elements per source a gather's charge table covers; the compiled
-#: loop asks the cost model for a larger piece.  A gather brings the
+#: loop asks the price store for a larger piece.  A gather brings the
 #: children of about ``n3`` cells, so no piece above 64 was measured on
 #: the benchmark's subspace workloads (n3 = 4) or the n1 = n2 = n3 sweep
 #: up to 16; the callback is for a larger ``n3`` (it has no upper bound)
@@ -157,7 +158,7 @@ def _walk_c(variant, engine: AsyncEngine, tid: int, idx: np.ndarray,
 
     def charge(src: int, n: int, nic) -> float:
         try:
-            ch = rt.cost.gather_ilist(tid, src, n, nbytes)
+            ch = rt.price(tid, src, ("gather", n, nbytes))
             nic[0] = ch.nic
             return ch.complete
         except BaseException as exc:  # re-raised after the C call

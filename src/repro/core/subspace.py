@@ -25,9 +25,9 @@ The simulation charges phases 4-5 from counts: ``insert`` returns the
 cells it visited, a subtree's allocations are its creation-sequence
 count, and a subtree's local c-of-m pass touches each of its cells once.
 No charge depends on a cell's fields, so the fields themselves come from
-one c-of-m pass over the finished tree, after hooking: ``bh_cofm_rows``
-over its one flatten when the compiled kernel serves (engine
-``"c-cofm-rows"``, :func:`repro.octree.flat.cofm_rows`), else
+one c-of-m pass over the finished tree, after hooking
+(``VariantBase.fill_cofm``): ``bh_cofm_rows`` over its one flatten when
+the compiled kernel serves (engine ``"c-cofm-rows"``), else
 ``compute_cofm`` (engine ``"compute-cofm"``).  Both give the same bits as
 the per-subtree passes they stand for, and the force phase reuses the
 flatten and its arrays (``VariantBase.slot_tree``).
@@ -43,8 +43,9 @@ import numpy as np
 from ..nbody.bbox import RootBox
 from ..octree.build import gc_paused, insert
 from ..octree.cell import Cell, Leaf
-from ..octree.cofm import compute_cofm
-from ..octree.flat import cell_rows, cofm_rows
+# the fields come from VariantBase.fill_cofm; the name stays importable
+# here, since bench/layers.py attributes time to it in this module
+from ..octree.cofm import compute_cofm  # noqa: F401
 from ..upc.collectives import allreduce_scalar, allreduce_vector, alltoallv
 from ..upc.runtime import UpcRuntime
 
@@ -250,10 +251,6 @@ def exchange_bodies(rt: UpcRuntime, tree: SubspaceTree, body_ss: np.ndarray,
 CELL_COMPUTE = 100e-9
 CELL_VISIT_WORDS = 2
 
-#: engines of the subforest's c-of-m pass (``variant_stats["cofm_engine"]``)
-C_COFM = "c-cofm-rows"
-PY_COFM = "compute-cofm"
-
 
 @gc_paused()
 def build_subforest_and_hook(variant, tree: SubspaceTree,
@@ -308,28 +305,33 @@ def build_subforest_and_hook(variant, tree: SubspaceTree,
             if len(sel) == 1 and leaf != 0:
                 node: "Cell | Leaf" = Leaf(int(sel[0]))
             else:
-                cell = Cell(tuple(centers[leaf]), sizes[leaf], home=t)
+                if leaf == 0:
+                    # degenerate: the root itself is a leaf subspace; its
+                    # subtree is built in place under the root cell, which
+                    # the top tree already holds and counts
+                    cell = root_cell
+                    cell.home = t
+                else:
+                    cell = Cell(tuple(centers[leaf]), sizes[leaf], home=t)
                 seq = [1]  # numbers the new cells: counts the allocations
                 visits = 0
                 for b in sel.tolist():
                     visits += insert(cell, b, pos, home=t, seq_counter=seq)
                 # the subtree root and every cell its insertions made
                 ncells = seq[0]
-                rt.heap.upc_alloc_count(t, m.cell_nbytes, ncells)
+                allocs = ncells - (leaf == 0)
+                rt.heap.upc_alloc_count(t, m.cell_nbytes, allocs)
                 rt.charge_compute(
                     t,
                     visits * CELL_VISIT_WORDS * m.local_word_cost
                     + ncells * CELL_COMPUTE,
                 )
-                variant.ncells += ncells
+                variant.ncells += allocs
                 # local c-of-m for the subtree (no communication): one
                 # combine per cell; the fields come from the pass below
                 rt.charge_compute(t, ncells * CELL_COMPUTE)
                 node = cell
             if leaf == 0:
-                # degenerate: the root itself is a leaf subspace
-                root_cell.children = node.children
-                root_cell.home = t
                 continue
             par = int(tree.parent[leaf])
             top[par].children[int(tree.oct[leaf])] = node
@@ -352,29 +354,9 @@ def build_subforest_and_hook(variant, tree: SubspaceTree,
     for src, cnt in per_source.items():
         rt.memget_ilist(0, src, cnt, m.cell_nbytes, key="top_cofm_gathers")
     rt.charge_compute(0, (len(top) + nchildren) * CELL_COMPUTE)
-    subforest_cofm(variant, root_cell)
+    variant.fill_cofm(root_cell)
     variant.treebuild_subphases.append(
         {"local": local_times, "merge": np.zeros(P)}
     )
     return root_cell
 
-
-def subforest_cofm(variant, root: Cell) -> None:
-    """Fill the c-of-m fields of every cell under ``root``: one compiled
-    pass over its flatten, which the force phase then reuses, or
-    ``compute_cofm`` when no kernel serves or the kernel declines."""
-    from .build_replay import replay_kernel
-
-    bodies = variant.bodies
-    kernel = replay_kernel()
-    if kernel is not None:
-        rows = cell_rows(root)
-        fields = cofm_rows(kernel, rows, bodies.pos, bodies.mass,
-                           bodies.cost)
-        if fields is not None:
-            variant.tree_rows, variant.tree_fields = rows, fields
-            variant.cofm_engine = C_COFM
-            return
-    compute_cofm(root, bodies.pos, bodies.mass, bodies.cost)
-    variant.tree_rows = variant.tree_fields = None
-    variant.cofm_engine = PY_COFM

@@ -38,8 +38,9 @@ from ...nbody.bodies import BodySoA
 from ...nbody.integrator import advance_indices, startup_half_kick
 from ...octree.build import gc_paused, insert, new_root
 from ...octree.cell import Cell, Leaf
+from ...octree.cofm import compute_cofm
 from ...octree.costzones import costzones
-from ...octree.flat import CellRows, cell_rows
+from ...octree.flat import CellRows, cell_rows, cofm_rows
 # the per-group recursion the slot walk reproduces; kept importable where
 # the force phase lives, since bench/layers.py attributes time to it here
 from ...octree.traverse import gravity_traversal  # noqa: F401
@@ -79,6 +80,10 @@ ATOMIC_COFM_WORDS = 8  #: read-modify-write of (mass, cofm) at merge time
 #: local computation charged per tree-cell bookkeeping operation
 CELL_COMPUTE = 100e-9
 ADVANCE_FLOPS = 60e-9
+
+#: engines of :meth:`VariantBase.fill_cofm` (``variant_stats["cofm_engine"]``)
+ROWS_COFM = "c-cofm-rows"
+TREE_COFM = "compute-cofm"
 
 
 class VariantBase:
@@ -344,6 +349,25 @@ class VariantBase:
                 return
         self._cofm_waiting()
         self.cofm_engine = PY_COFM
+
+    def fill_cofm(self, root: Cell) -> None:
+        """Fill the c-of-m fields of every cell under ``root``, uncharged:
+        one compiled pass over its flatten, which the force phase then
+        reuses (:meth:`slot_tree`), or ``compute_cofm`` when no kernel
+        serves or the kernel declines.  Both give the same bits."""
+        bodies = self.bodies
+        kernel = replay_kernel()
+        if kernel is not None:
+            rows = cell_rows(root)
+            fields = cofm_rows(kernel, rows, bodies.pos, bodies.mass,
+                               bodies.cost)
+            if fields is not None:
+                self.tree_rows, self.tree_fields = rows, fields
+                self.cofm_engine = ROWS_COFM
+                return
+        compute_cofm(root, bodies.pos, bodies.mass, bodies.cost)
+        self.tree_rows = self.tree_fields = None
+        self.cofm_engine = TREE_COFM
 
     def _cofm_waiting(self) -> None:
         """The c-of-m spin under :meth:`UpcRuntime.run_waiting`: the

@@ -22,7 +22,9 @@ import numpy as np
 
 from ...octree.build import gc_paused, insert, new_root
 from ...octree.cell import Cell
-from ...octree.cofm import compute_cofm
+# the fields come from VariantBase.fill_cofm; the name stays importable
+# here, since bench/layers.py attributes time to it in this module
+from ...octree.cofm import compute_cofm  # noqa: F401
 from .base import (
     ATOMIC_COFM_WORDS,
     BODY_POS_WORDS,
@@ -88,8 +90,8 @@ class LocalBuild(CacheTree):
                 + allocs * CELL_COMPUTE,
             )
             # local center-of-mass pass: no communication (section 5.4),
-            # one combine per cell of the local tree
-            compute_cofm(lroot, bodies.pos, bodies.mass, bodies.cost)
+            # one combine per cell of the local tree; the merge reads no
+            # field, so the fields come from the pass over the merged tree
             ncells = allocs + 1
             rt.charge_compute(t, ncells * CELL_COMPUTE)
             rt.count(t, "local_cells", ncells)
@@ -104,8 +106,8 @@ class LocalBuild(CacheTree):
             merge_times[t] = float(rt.clock[t]) - start
 
         # the real code maintains (mass, cofm) atomically during the merge;
-        # recompute functionally so downstream phases see exact values
-        compute_cofm(self.root, bodies.pos, bodies.mass, bodies.cost)
+        # fill them functionally so downstream phases see exact values
+        self.fill_cofm(self.root)
         self.treebuild_subphases.append(
             {"local": local_times, "merge": merge_times}
         )

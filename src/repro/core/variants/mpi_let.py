@@ -166,7 +166,7 @@ class MpiLet(AsyncAgg):
         self.root = new_root(self.box, home=0)
         for i in range(len(bodies)):
             insert(self.root, i, bodies.pos, home=int(bodies.assign[i]))
-        compute_cofm(self.root, bodies.pos, bodies.mass, bodies.cost)
+        self.fill_cofm(self.root)
 
     # ------------------------------------------------------------------ #
     def phase_partition(self) -> None:

@@ -21,8 +21,8 @@ force phase its Python traversal (see :mod:`repro.backends.object_tree`),
 the frontier force phase its Python loop (see
 :mod:`repro.core.frontier`), the baseline's tree build and c-of-m
 phase their Python hooks (see :mod:`repro.core.build_replay`) and the
-subspace build's c-of-m pass ``compute_cofm`` (see
-:mod:`repro.core.subspace`).
+one-pass c-of-m fill of the subspace, local and LET trees
+``compute_cofm`` (see ``VariantBase.fill_cofm``).
 
 Environment knobs (all read at load time):
 

@@ -196,22 +196,3 @@ class CostModel:
             m.collective_stage_cost + nbytes * m.byte_cost
         )
 
-    def alltoall_personalized(self, src: int, nthreads: int,
-                              bytes_per_peer: "list[float]") -> Charge:
-        """Thread ``src`` sends ``bytes_per_peer[j]`` to each peer ``j``.
-
-        Returns the issuing thread's cost; the caller charges NIC demand per
-        destination separately (the runtime has a helper for this).
-        """
-        m = self.machine
-        t = m.collective_base_cost
-        nic = 0.0
-        for j, nb in enumerate(bytes_per_peer):
-            if j == src or nb <= 0:
-                continue
-            if m.shared_memory_path(src, j):
-                t += self.compute(m.shm_copy_overhead + nb * m.shm_byte_cost)
-            else:
-                t += m.cpu_overhead + nb * m.byte_cost
-                nic += m.nic_gap + nb * m.byte_cost
-        return Charge(issuer=t, nic=nic, complete=t)

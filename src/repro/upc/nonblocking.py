@@ -4,7 +4,7 @@ The paper's section 5.5 framework issues one *gather* per batch of requested
 cells; the gather may pull from several source threads ("vlist") and returns
 a handle that is later tested (``bupc_trysync``) or waited on
 (``bupc_waitsync``).  Here an issue charges only CPU overhead to the caller;
-the transfer's completion time is computed from the cost model and the
+the transfer's completion time comes from the runtime's price store and the
 caller's clock only advances when it actually waits.
 """
 
@@ -61,7 +61,7 @@ class AsyncEngine:
         complete = now
         nelems = 0
         for src, n in per_source.items():
-            ch = rt.cost.gather_ilist(tid, src, n, elem_nbytes)
+            ch = rt.price(tid, src, ("gather", n, elem_nbytes))
             # one-way pipelined arrival: data lands `complete` after issue
             complete = max(complete, now + ch.complete)
             rt._add_nic(tid, src, ch.nic)

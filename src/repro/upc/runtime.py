@@ -28,38 +28,35 @@ recorded in a :class:`~repro.upc.stats.StatsLog`.
 Charging hot path
 -----------------
 The baseline replays millions of fine-grained shared accesses and per-cell
-lock operations, so :meth:`UpcRuntime.word_access`, :meth:`~UpcRuntime.lock`
-and :meth:`~UpcRuntime.unlock` are table lookups.  A charge depends only on
-(issuer, target, word width), so the runtime memoizes the
-:class:`~repro.upc.costmodel.CostModel` values: per word width in
-:data:`TABLE_WORDS` and per issuing thread, a row of ``(issuer, nic)``
-pairs is filled in on first use, and lock acquire/release rows sit
-alongside.  An entry *is* the cost model's value, not a re-derivation, and
-each charge then does the same float operations in the same order as
-costing it afresh: ``clock[tid] += issuer * count``, the NIC add under the
-same ``> 0`` guard, then the counters.  No accumulation may be reordered or
-batched on this path -- the golden outputs (``tests/golden_sim.json``) are
-held with exact equality.  A row is ``nthreads`` references to a few shared
-pairs (one per distinct cost: local, same-node, remote), never a fresh
-object per entry, so a table costs one pointer per (issuer, target) slot.
-Widths outside :data:`TABLE_WORDS` are costed directly, keeping the number
-of tables bounded.
+lock operations, and the cache variants hundreds of thousands of bulk
+gets, so every point-to-point charge is a lookup in one price store.  A
+charge depends only on the operation and on the *relation class* of the
+(issuer, target) pair: the thread itself, a same-node pair on the
+shared-memory path, a same-node pair through the adapter, or a remote
+pair -- the predicates :class:`~repro.upc.costmodel.CostModel` prices by.
+The runtime classifies the P x P pairs once, at construction, and keeps
+one entry per operation, keyed by kind and size (:meth:`UpcRuntime.prices`):
+the cost model's :class:`~repro.upc.costmodel.Charge` at a representative
+pair of each class, costed on first use.  Any word width, transfer size
+or gather length gets its entry the first time it is charged.
 
-The compiled replays of the baseline's tree build and c-of-m phase take
-their charges from :meth:`UpcRuntime.class_tables` instead.  Every charge
-they make depends only on the *relation class* of the (issuer, target)
-pair: the thread itself, a same-node pair on the shared-memory path, a
-same-node pair through the adapter, or a remote pair.  One entry per
-class and kind, costed at a representative pair, replaces a P x P row
-fill.
+An entry *is* the cost model's value, not a re-derivation, and each
+charge does the same float operations in the same order as costing it
+afresh: ``clock[tid] += issuer * count``, the NIC add under the same
+``> 0`` guard, then the counters.  No accumulation may be reordered or
+batched on this path -- the golden outputs (``tests/golden_sim.json``)
+are held with exact equality.
+
+The compiled replays of the baseline's tree build and c-of-m phase and
+the compiled frontier walk read the same store as arrays:
+:meth:`UpcRuntime.class_tables` and :meth:`UpcRuntime.gather_table`.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 from contextlib import contextmanager
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -70,17 +67,17 @@ from .memory import SharedHeap
 from .params import MachineConfig
 from .stats import Counters, PhaseRecord, StatsLog
 
-#: word widths whose charges are memoized: a single word, and every field
-#: width the variants charge (``core/variants/base.py``); any other width
-#: is costed directly
-TABLE_WORDS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0)
-
-#: relation classes of an (issuer, target) pair (:meth:`class_tables`)
+#: relation classes of an (issuer, target) pair (module docstring)
 REL_SELF, REL_SHM, REL_NODE, REL_REMOTE = range(4)
 #: word widths of the class tables, in the kind order of the compiled
 #: replays (``rp_word_kind`` in ``_bh_kernel.c``); lock acquire and
 #: release follow them
 CLASS_WORDS = (1.0, 2.0, 4.0)
+#: the store entries of :meth:`UpcRuntime.class_tables`, in kind order
+CLASS_OPS = tuple(("word", w) for w in CLASS_WORDS) + (("acquire",),
+                                                       ("release",))
+#: the price of a class without pairs (never looked up by a charge)
+NO_CHARGE = Charge(0.0, 0.0, 0.0)
 
 
 class UpcRuntime:
@@ -108,17 +105,26 @@ class UpcRuntime:
         self._node_of = [self.machine.node_of(t) for t in range(nthreads)]
         #: spin-wait tokens completed in the current run_waiting phase
         self._done_tokens: Dict[Hashable, float] = {}
-        # charge tables (module docstring, "Charging hot path"): per word
-        # width / lock op, one row of (issuer, nic) pairs per issuing
-        # thread, created on first use; _pairs shares equal pairs
-        self._word_rows: Dict[float, List[Optional[list]]] = {
-            w: [None] * nthreads for w in TABLE_WORDS
-        }
-        self._acquire_rows: List[Optional[list]] = [None] * nthreads
-        self._release_rows: List[Optional[list]] = [None] * nthreads
-        self._pairs: Dict[Tuple[float, float], Tuple[float, float]] = {}
-        self._class_tables: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._gather_tables: Dict[Tuple[int, int], np.ndarray] = {}
+        # the price store (module docstring, "Charging hot path"):
+        # _rel[s][d] is the relation class of the pair, _reps the first
+        # pair of each class in row-major order (None for an empty
+        # class), and _prices maps an operation to its charge per class
+        node_of = self._node_of
+        shm = self.machine.shared_memory_path
+        self._rel: List[List[int]] = [
+            [REL_SELF if s == d else REL_REMOTE if node_of[s] != node_of[d]
+             else REL_SHM if shm(s, d) else REL_NODE
+             for d in range(nthreads)] for s in range(nthreads)]
+        self._classes = np.array(self._rel, dtype=np.uint8).reshape(
+            nthreads, nthreads)
+        flat = self._classes.ravel()
+        self._reps: List[Optional[Tuple[int, int]]] = []
+        for c in range(REL_REMOTE + 1):
+            i = int(np.argmax(flat == c))
+            self._reps.append(divmod(i, nthreads) if flat[i] == c else None)
+        self._prices: Dict[tuple, List[Charge]] = {}
+        #: gather_table's arrays, by (elem_nbytes, nmax)
+        self._gather_views: Dict[Tuple[int, int], np.ndarray] = {}
 
     # ------------------------------------------------------------------ #
     # phases                                                             #
@@ -185,13 +191,6 @@ class UpcRuntime:
         if self._counters is not None:
             self._counters.add(tid, key, n)
 
-    def _apply(self, tid: int, owner: int, ch: Charge, count: float = 1.0,
-               key: Optional[str] = None) -> None:
-        self.clock[tid] += ch.issuer * count
-        self._add_nic(tid, owner, ch.nic * count)
-        if key is not None and self._counters is not None:
-            self._counters.add(tid, key, count)
-
     def _add_nic(self, src: int, dst: int, seconds: float) -> None:
         # Adapter occupancy is charged at the serving (target) node: for
         # small messages the dominant cost sits in the target's message
@@ -205,94 +204,74 @@ class UpcRuntime:
     # ------------------------------------------------------------------ #
     # shared-memory access operations                                    #
     # ------------------------------------------------------------------ #
-    def _table_pair(self, rows: List[Optional[list]],
-                    cost_fn: Callable[..., Charge], tid: int, target: int,
-                    *args) -> Tuple[float, float]:
-        """One table entry; costed and shared through ``_pairs`` on first
-        use."""
-        row = rows[tid]
-        if row is None:
-            row = rows[tid] = [None] * self.nthreads
-        pair = row[target]
-        if pair is None:
-            ch = cost_fn(tid, target, *args)
-            pair = (ch.issuer, ch.nic)
-            pair = row[target] = self._pairs.setdefault(pair, pair)
-        return pair
+    def prices(self, op: tuple) -> List[Charge]:
+        """The store entry of operation ``op``: the cost model's
+        :class:`Charge` for a pair of each relation class, indexed by
+        class, costed on first use.
+
+        ``op`` is ``("word", words)``, ``("acquire",)``, ``("release",)``,
+        ``("get", nbytes)``, ``("put", nbytes)`` or ``("gather", nelems,
+        elem_nbytes)``.
+        """
+        entry = self._prices.get(op)
+        if entry is None:
+            cost = self.cost
+            fn = {"word": cost.word_access, "get": cost.bulk_get,
+                  "put": cost.bulk_put, "gather": cost.gather_ilist,
+                  "acquire": cost.lock_acquire,
+                  "release": cost.lock_release}[op[0]]
+            entry = self._prices[op] = [
+                NO_CHARGE if rep is None else fn(*rep, *op[1:])
+                for rep in self._reps]
+        return entry
+
+    def price(self, tid: int, target: int, op: tuple) -> Charge:
+        """The charge of operation ``op`` (:meth:`prices`) issued by
+        ``tid`` at ``target``."""
+        return self.prices(op)[self._rel[tid][target]]
 
     def class_tables(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(classes, table)``: the charges by relation class.
+        """``(classes, table)``: the price store as arrays.
 
-        ``classes[s, d]`` (uint8, P x P) is the class of the pair:
-        :data:`REL_SELF`, :data:`REL_SHM`, :data:`REL_NODE` or
-        :data:`REL_REMOTE`.  ``table[k, c]`` is the cost model's
-        ``(issuer, nic)`` for every pair of class ``c`` and kind ``k``: a
-        word access of each width in :data:`CLASS_WORDS`, then lock
-        acquire, then lock release.  The classes come from
-        ``MachineConfig.shared_memory_path`` and ``same_node``, the
-        predicates the cost model prices by.  Each entry is costed at the
-        first pair of its class; a class without pairs holds zeros.
+        ``classes[s, d]`` (uint8, P x P) is the relation class of the
+        pair: :data:`REL_SELF`, :data:`REL_SHM`, :data:`REL_NODE` or
+        :data:`REL_REMOTE`.  ``table[k, c]`` is the ``(issuer, nic)`` of
+        every pair of class ``c`` for the ``k``-th operation of
+        :data:`CLASS_OPS`: a word access of each width in
+        :data:`CLASS_WORDS`, then lock acquire, then lock release.  A
+        class without pairs holds zeros.
         """
-        if self._class_tables is None:
-            m = self.machine
-            P = self.nthreads
-            classes = np.array(
-                [[REL_SELF if s == d
-                  else REL_SHM if m.shared_memory_path(s, d)
-                  else REL_NODE if m.same_node(s, d)
-                  else REL_REMOTE for d in range(P)] for s in range(P)],
-                dtype=np.uint8).reshape(P, P)
-            cost = self.cost
-            kinds = [functools.partial(cost.word_access, words=w)
-                     for w in CLASS_WORDS]
-            kinds += [cost.lock_acquire, cost.lock_release]
-            table = np.zeros((len(kinds), REL_REMOTE + 1, 2))
-            for c in range(REL_REMOTE + 1):
-                pairs = np.argwhere(classes == c)
-                if len(pairs):
-                    s, d = pairs[0].tolist()
-                    for k, fn in enumerate(kinds):
-                        ch = fn(s, d)
-                        table[k, c] = ch.issuer, ch.nic
-            self._class_tables = (classes, table)
-        return self._class_tables
+        table = np.array([[ch[:2] for ch in self.prices(op)]
+                          for op in CLASS_OPS])
+        return self._classes, table
 
     def gather_table(self, elem_nbytes: int, nmax: int) -> np.ndarray:
-        """``table[c, n]``: the cost model's ``(complete, nic)`` for an
-        ``n``-element indexed gather of ``elem_nbytes``-byte elements
-        (:meth:`CostModel.gather_ilist`), for every pair of relation class
-        ``c`` (:meth:`class_tables`) and ``n`` in ``1..nmax``; row 0 is
-        zeros.  Each entry is costed at the first pair of its class."""
+        """``table[c, n]``: the ``(complete, nic)`` of an ``n``-element
+        indexed gather of ``elem_nbytes``-byte elements (the store's
+        ``("gather", n, elem_nbytes)``), for every pair of relation class
+        ``c`` and ``n`` in ``1..nmax``; row 0 is zeros.
+
+        Store entries never change, so the array is assembled once per
+        ``(elem_nbytes, nmax)`` and reused: the frontier walk asks for it
+        on every call, once per thread and step.
+        """
         key = (elem_nbytes, nmax)
-        table = self._gather_tables.get(key)
+        table = self._gather_views.get(key)
         if table is None:
-            classes, _ = self.class_tables()
             table = np.zeros((REL_REMOTE + 1, nmax + 1, 2))
-            for c in range(REL_REMOTE + 1):
-                pairs = np.argwhere(classes == c)
-                if len(pairs):
-                    s, d = pairs[0].tolist()
-                    for n in range(1, nmax + 1):
-                        ch = self.cost.gather_ilist(s, d, n, elem_nbytes)
-                        table[c, n] = ch.complete, ch.nic
-            self._gather_tables[key] = table
+            for n in range(1, nmax + 1):
+                table[:, n] = [(ch.complete, ch.nic) for ch in
+                               self.prices(("gather", n, elem_nbytes))]
+            self._gather_views[key] = table
         return table
 
     def word_access(self, tid: int, owner: int, words: float = 1.0,
                     count: float = 1.0, key: str = "word_access") -> None:
         """``count`` fine-grained accesses of ``words`` shared words each."""
-        rows = self._word_rows.get(words)
-        if rows is None:
-            issuer, nic, _ = self.cost.word_access(tid, owner, words)
-        else:
-            # the hottest call of a baseline run: look up inline, and
-            # leave only a miss to _table_pair
-            row = rows[tid]
-            pair = None if row is None else row[owner]
-            if pair is None:
-                pair = self._table_pair(rows, self.cost.word_access, tid,
-                                        owner, words)
-            issuer, nic = pair
+        # the hottest call of a baseline run: look the entry up inline
+        op = ("word", words)
+        prices = self._prices.get(op) or self.prices(op)
+        issuer, nic, _ = prices[self._rel[tid][owner]]
         self.clock[tid] += issuer * count
         nic *= count
         if nic > 0.0:
@@ -305,31 +284,40 @@ class UpcRuntime:
             if owner != tid:
                 data["remote_words"][tid] += words * count
 
+    def _transfer(self, tid: int, owner: int, op: tuple, nbytes: float,
+                  key: Optional[str]) -> None:
+        """One blocking transfer of ``nbytes`` priced by ``op``."""
+        # a cache variant's every fetch: look the entry up inline
+        prices = self._prices.get(op) or self.prices(op)
+        issuer, nic, _ = prices[self._rel[tid][owner]]
+        self.clock[tid] += issuer
+        if nic > 0.0:
+            self._nic[self._node_of[owner]] += nic
+        counters = self._counters
+        if counters is not None:
+            data = counters._data
+            if key is not None:
+                data[key][tid] += 1.0
+            if owner != tid:
+                data["remote_bytes"][tid] += nbytes
+
     def memget(self, tid: int, owner: int, nbytes: float,
                key: str = "memget") -> None:
         """Blocking bulk get of ``nbytes`` from thread ``owner``."""
-        ch = self.cost.bulk_get(tid, owner, nbytes)
-        self._apply(tid, owner, ch, 1.0, key)
-        if owner != tid and self._counters is not None:
-            self._counters.add(tid, "remote_bytes", nbytes)
+        self._transfer(tid, owner, ("get", nbytes), nbytes, key)
 
     def memput(self, tid: int, owner: int, nbytes: float,
                key: str = "memput") -> None:
         """Blocking bulk put of ``nbytes`` to thread ``owner``."""
-        ch = self.cost.bulk_put(tid, owner, nbytes)
-        self._apply(tid, owner, ch, 1.0, key)
-        if owner != tid and self._counters is not None:
-            self._counters.add(tid, "remote_bytes", nbytes)
+        self._transfer(tid, owner, ("put", nbytes), nbytes, key)
 
     def memget_ilist(self, tid: int, owner: int, nelems: int,
                      elem_nbytes: int, key: str = "memget_ilist") -> None:
         """Indexed gather of ``nelems`` elements from one source thread."""
         if nelems <= 0:
             return
-        ch = self.cost.gather_ilist(tid, owner, nelems, elem_nbytes)
-        self._apply(tid, owner, ch, 1.0, key)
-        if owner != tid and self._counters is not None:
-            self._counters.add(tid, "remote_bytes", nelems * elem_nbytes)
+        self._transfer(tid, owner, ("gather", nelems, elem_nbytes),
+                       nelems * elem_nbytes, key)
 
     # ------------------------------------------------------------------ #
     # locks                                                              #
@@ -338,15 +326,13 @@ class UpcRuntime:
         return UpcLock(home)
 
     def lock(self, tid: int, lk: UpcLock) -> None:
-        issuer, nic = self._table_pair(self._acquire_rows,
-                                       self.cost.lock_acquire, tid, lk.home)
+        issuer, nic, _ = self.price(tid, lk.home, ("acquire",))
         self.clock[tid] = lk.acquire_at(tid, float(self.clock[tid]), issuer)
         self._add_nic(tid, lk.home, nic)
         self.count(tid, "lock_acquire")
 
     def unlock(self, tid: int, lk: UpcLock) -> None:
-        issuer, nic = self._table_pair(self._release_rows,
-                                       self.cost.lock_release, tid, lk.home)
+        issuer, nic, _ = self.price(tid, lk.home, ("release",))
         self.clock[tid] = lk.release_at(tid, float(self.clock[tid]), issuer)
         self._add_nic(tid, lk.home, nic)
 

@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 import repro.core.build_replay as build_replay
-import repro.core.subspace as subspace
 import repro.core.variants.base as variant_base
 from repro.backends.object_tree import SlotTree
 from repro.core.app import BarnesHutSimulation, run_variant
@@ -391,10 +390,12 @@ def test_stats_are_none_without_the_phases():
     # records its engine (tests/test_subforest_cofm_c.py)
     assert res.variant_stats["treebuild_engine"] is None
     assert res.variant_stats["treebuild_locks"] is None
-    assert res.variant_stats["cofm_engine"] == (
-        subspace.C_COFM if replay_kernel() is not None else subspace.PY_COFM)
-    # the local build's merge locks are section 5.4's evidence
+    fill_engine = variant_base.ROWS_COFM if replay_kernel() is not None \
+        else variant_base.TREE_COFM
+    assert res.variant_stats["cofm_engine"] == fill_engine
+    # the local build's merge locks are section 5.4's evidence; its
+    # merged tree's c-of-m fields come from the same one-pass fill
     res = run_variant("localbuild", cfg, 4)
     assert res.variant_stats["treebuild_engine"] is None
-    assert res.variant_stats["cofm_engine"] is None
+    assert res.variant_stats["cofm_engine"] == fill_engine
     assert res.variant_stats["treebuild_locks"]["acquires"] > 0

@@ -178,14 +178,14 @@ class TestCompiledMatchesOracle:
         def boom(*args):
             raise KeyError("boom")
 
-        monkeypatch.setattr(v.rt.cost, "gather_ilist", boom)
+        monkeypatch.setattr(v.rt, "price", boom)
         tree = SlotTree(v.root, v.bodies, v.cfg)
         with pytest.raises(KeyError, match="boom"):
             frontier_force(v, AsyncEngine(v.rt), 3, v.assigned(3), tree)
 
     @pytest.mark.parametrize("table_n", [0, 1])
     def test_pieces_beyond_the_charge_table(self, monkeypatch, table_n):
-        # the cost-model callback prices what the table does not hold
+        # the price-store callback prices what the table does not hold
         monkeypatch.setattr(frontier, "GATHER_TABLE_N", table_n)
         v = _at_force_phase("subspace", 16, n123=(2, 8, 4))
         got = _assert_identical(v, monkeypatch)

@@ -1,11 +1,13 @@
-"""The subspace build's c-of-m pass: compiled ``bh_cofm_rows`` vs
-``compute_cofm``.
+"""The one-pass c-of-m fill of a finished tree: compiled ``bh_cofm_rows``
+vs ``compute_cofm``.
 
 :func:`repro.core.subspace.build_subforest_and_hook` charges its
 subtrees from counts and fills every cell's c-of-m fields in one pass
-over the finished tree: ``bh_cofm_rows`` over its flatten when the
-kernel serves, ``compute_cofm`` otherwise.  One ``phase_subforest`` run
-both ways from deep-copied state must agree with ``np.array_equal`` on
+over the finished tree (``VariantBase.fill_cofm``): ``bh_cofm_rows``
+over its flatten when the kernel serves, ``compute_cofm`` otherwise.
+The local build's merged tree and the LET variant's global tree are
+filled the same way.  One tree build run both ways from deep-copied
+state must agree with ``np.array_equal`` on
 every cell's ``mass``/``cofm``/``nbodies``/``cost`` (and their types),
 every thread clock and NIC time, every counter row, the shared-heap
 bookkeeping, the cell count and the sub-phase times.  The force phase's
@@ -20,12 +22,12 @@ import copy
 import numpy as np
 import pytest
 
-import repro.core.subspace as subspace
 from repro.backends.object_tree import SlotTree
 from repro.core.app import BarnesHutSimulation
 from repro.core.build_replay import replay_kernel
 from repro.core.config import BHConfig
 from repro.core.phases import TREEBUILD
+from repro.core.variants.base import ROWS_COFM, TREE_COFM
 from repro.kernels.loader import CKernel
 from repro.nbody.distributions import make_distribution
 from repro.octree.cell import Leaf
@@ -40,10 +42,10 @@ FLAT_FIELDS = ("center", "size", "mass", "cofm", "nbodies", "cost", "home",
                "lb_ptr", "lb_data", "gmass", "cx", "cy", "cz")
 
 
-def _at_subforest(nthreads, dist="plummer", nbodies=512, alpha=2.0 / 3.0,
-                  coincident=False):
-    """A subspace variant after step 0 and step 1's split, leaf
-    allocation and exchange, with the subforest's TREEBUILD open."""
+def _at_build(variant, build, nthreads, dist="plummer", nbodies=512,
+              alpha=2.0 / 3.0, coincident=False):
+    """A ``variant`` after step 0 and step 1's phases before its tree
+    build ``build`` (a phase method name), with that TREEBUILD open."""
     cfg = BHConfig(nbodies=nbodies, nsteps=2, warmup_steps=1, seed=7,
                    distribution=dist, alpha=alpha)
     bodies = make_distribution(dist, nbodies, seed=7)
@@ -52,12 +54,12 @@ def _at_subforest(nthreads, dist="plummer", nbodies=512, alpha=2.0 / 3.0,
         bodies.pos[50:58] = bodies.pos[40]
         bodies.vel[50:58] = bodies.vel[40]
     sim = BarnesHutSimulation(cfg, nthreads, machine=paper_section5_machine(),
-                              variant="subspace", bodies=bodies)
+                              variant=variant, bodies=bodies)
     v = sim.variant
     v.step(0)
     v.step_index = v.rt.step = 1
     for name, method in v.phase_plan():
-        if method.__name__ == "phase_subforest":
+        if method.__name__ == build:
             break
         with v.rt.phase(name):
             method()
@@ -65,16 +67,22 @@ def _at_subforest(nthreads, dist="plummer", nbodies=512, alpha=2.0 / 3.0,
     return v
 
 
-def _run(v, monkeypatch, compiled: bool):
-    """``phase_subforest`` on a deep copy of ``v``, with or without the
-    kernel."""
+def _at_subforest(nthreads, *args, **kw):
+    """A subspace variant after step 0 and step 1's split, leaf
+    allocation and exchange, with the subforest's TREEBUILD open."""
+    return _at_build("subspace", "phase_subforest", nthreads, *args, **kw)
+
+
+def _run(v, monkeypatch, compiled: bool, build="phase_subforest"):
+    """The tree build ``build`` on a deep copy of ``v``, with or without
+    the kernel."""
     v = copy.deepcopy(v)
     if compiled:
-        v.phase_subforest()
+        getattr(v, build)()
     else:
         with monkeypatch.context() as mp:
             mp.setattr("repro.kernels.load_kernel", lambda: None)
-            v.phase_subforest()
+            getattr(v, build)()
     return v
 
 
@@ -104,9 +112,6 @@ def _assert_same_cells(got, want):
     assert np.array_equal(child, want_child)
     assert np.array_equal(leaf_ptr, want_ptr)
     assert np.array_equal(leaf_bodies, want_bodies)
-    # a root that is a leaf subspace takes over its subtree root's
-    # children, and that cell (counted and allocated) leaves the tree
-    assert len(cells) == got.ncells - (got._ss_tree.n_nodes == 1)
     for a, b in zip(cells, want_cells):
         assert a.center == b.center and a.size == b.size
         assert a.home == b.home
@@ -118,14 +123,22 @@ def _assert_same_cells(got, want):
     return cells
 
 
-def _assert_compiled_matches_oracle(v, monkeypatch):
-    got = _run(v, monkeypatch, compiled=True)
-    want = _run(v, monkeypatch, compiled=False)
-    assert got.cofm_engine == subspace.C_COFM
-    assert want.cofm_engine == subspace.PY_COFM
+def _assert_compiled_matches_oracle(v, monkeypatch, build="phase_subforest"):
+    got = _run(v, monkeypatch, True, build)
+    want = _run(v, monkeypatch, False, build)
+    assert got.cofm_engine == ROWS_COFM
+    assert want.cofm_engine == TREE_COFM
     assert want.tree_rows is None and want.tree_fields is None
     _assert_same_charges(got, want)
     cells = _assert_same_cells(got, want)
+    if v.subspace_build:
+        assert len(cells) == got.ncells
+        # the shared heap books every subtree cell; thread 0's top cells
+        # (one per split subspace, or the root alone) are not booked there
+        top = max(1, int((v._ss_tree.child_base >= 0).sum()))
+        booked = got.rt.heap.live_objects.sum() \
+            - v.rt.heap.live_objects.sum()
+        assert booked == len(cells) - top
     # the force phase takes the pass's flatten and arrays, once
     rows = got.tree_rows
     assert rows[0] == cells
@@ -169,13 +182,22 @@ class TestCompiledMatchesOracle:
         got = _assert_compiled_matches_oracle(v, monkeypatch)
         assert got.root.nbodies == len(got.bodies)
 
+    @pytest.mark.parametrize("variant", ["localbuild", "mpi-let"])
+    @pytest.mark.parametrize("nthreads", [1, 16])
+    def test_merged_and_let_trees_filled_alike(self, monkeypatch, variant,
+                                               nthreads):
+        # the local build's merged tree and the LET variant's uncharged
+        # global tree take their fields from the same one-pass fill
+        v = _at_build(variant, "phase_treebuild", nthreads)
+        _assert_compiled_matches_oracle(v, monkeypatch, "phase_treebuild")
+
     def test_declined_call_runs_compute_cofm(self, monkeypatch):
         v = _at_subforest(16)
         want = _run(v, monkeypatch, compiled=False)
         with monkeypatch.context() as mp:
             mp.setattr(CKernel, "cofm_rows", lambda self, *a: False)
             got = _run(v, monkeypatch, compiled=True)
-        assert got.cofm_engine == want.cofm_engine == subspace.PY_COFM
+        assert got.cofm_engine == want.cofm_engine == TREE_COFM
         assert got.tree_rows is None and got.tree_fields is None
         _assert_same_charges(got, want)
         _assert_same_cells(got, want)

@@ -19,6 +19,22 @@ def rt():
     return UpcRuntime(4, MachineConfig())
 
 
+def _one_sender(machine, nthreads, row0):
+    """(phase duration, NIC total) of an all-to-all where only thread 0
+    sends, ``row0[j]`` bytes to each thread ``j``."""
+    rt = UpcRuntime(nthreads, machine)
+    matrix = np.zeros((nthreads, nthreads))
+    matrix[0] = row0
+    with rt.phase("p"):
+        alltoallv(rt, matrix)
+    rec = rt.log.records[-1]
+    return rec.duration, float(rec.nic_times.sum())
+
+
+PROCESS = MachineConfig(threads_per_node=1, mode="process")
+PTHREAD = MachineConfig(threads_per_node=4, mode="pthread")
+
+
 class TestSynchronization:
     def test_collective_aligns_clocks(self, rt):
         with rt.phase("p"):
@@ -113,3 +129,19 @@ class TestAllToAll:
         with rt.phase("p"):
             alltoallv(rt, m)
         assert rt.log.records[-1].nic_times.sum() == 0.0
+
+    def test_skips_self_and_zero(self):
+        alone = _one_sender(PROCESS, 4, [100.0, 0.0, 0.0, 0.0])
+        assert alone == _one_sender(PROCESS, 4, [0.0] * 4)
+        assert alone[1] == 0.0
+
+    def test_charges_per_peer(self):
+        one = _one_sender(PROCESS, 4, [0.0, 100.0, 0.0, 0.0])
+        three = _one_sender(PROCESS, 4, [0.0, 100.0, 100.0, 100.0])
+        assert three[0] > one[0]
+        assert three[1] > one[1]
+
+    def test_pthread_same_node_peer_is_nicless(self):
+        near = _one_sender(PTHREAD, 8, [0, 100.0, 0, 0, 0, 0, 0, 0])
+        far = _one_sender(PTHREAD, 8, [0, 0, 0, 0, 100.0, 0, 0, 0])
+        assert near[1] == 0.0 < far[1]

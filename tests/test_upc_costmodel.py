@@ -122,19 +122,3 @@ class TestSynchronization:
     def test_broadcast_scales_with_bytes(self, cm):
         assert cm.broadcast(16, 1 << 20) > cm.broadcast(16, 8)
 
-
-class TestAllToAll:
-    def test_skips_self_and_zero(self, cm):
-        ch = cm.alltoall_personalized(0, 4, [100.0, 0.0, 0.0, 0.0])
-        base = cm.machine.collective_base_cost
-        assert ch.issuer == pytest.approx(base)
-
-    def test_charges_per_peer(self, cm):
-        one = cm.alltoall_personalized(0, 4, [0.0, 100.0, 0.0, 0.0])
-        three = cm.alltoall_personalized(0, 4, [0.0, 100.0, 100.0, 100.0])
-        assert three.issuer > one.issuer
-        assert three.nic > one.nic
-
-    def test_pthread_same_node_peer_is_nicless(self, cm_pth):
-        ch = cm_pth.alltoall_personalized(0, 8, [0, 100.0, 0, 0, 0, 0, 0, 0])
-        assert ch.nic == 0.0
