@@ -30,10 +30,11 @@ tests against the standalone engines.
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..kernels.pool import run_jobs
 from ..nbody.bodies import BodySoA
 from ..octree.cell import Cell
 from ..octree.flat import CellRows, FlatTree, decode_leaf, prepare_bodies
@@ -170,6 +171,19 @@ class _OpenRecorder(TraversalPolicy):
 
     def on_open(self, cell: Cell, n_near: int) -> None:
         self.opens[self.rows[id(cell)]] += n_near
+
+
+def slot_walks(tree: SlotTree, groups: Sequence[np.ndarray],
+               weights: Sequence[float]
+               ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """:func:`slot_walk` of every group, in order.  The compiled walks
+    run side by side (:mod:`repro.kernels.pool`), heaviest ``weights``
+    first: they write only their own outputs, so the results are those
+    of serial calls."""
+    if tree.kernel is None:
+        return [slot_walk(tree, idx) for idx in groups]
+    tree.prepared_bodies()  # once, before the walks share it
+    return run_jobs(functools.partial(slot_walk, tree), groups, weights)
 
 
 def slot_walk(tree: SlotTree, idx: np.ndarray

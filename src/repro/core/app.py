@@ -106,6 +106,7 @@ class BarnesHutSimulation:
             "force_engine": self.variant.force_engine,
             "treebuild_engine": self.variant.treebuild_engine,
             "cofm_engine": self.variant.cofm_engine,
+            "rows_engine": self.variant.rows_engine,
             "treebuild_locks": self.variant.treebuild_locks(),
             "migration_fractions": list(self.variant.migration_fractions),
             "treebuild_subphases": list(self.variant.treebuild_subphases),

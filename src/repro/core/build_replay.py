@@ -37,7 +37,7 @@ engines recorded in ``RunResult.variant_stats``:
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -119,12 +119,17 @@ def replay_build(variant, kernel, trace: List[Cell], tids: Sequence[int],
     return cells, (acquires, contended, total_wait)
 
 
-def replay_cofm(variant, kernel, rows: CellRows) -> Optional[np.ndarray]:
+def replay_cofm(variant, kernel, rows: CellRows,
+                fields: Optional[Dict[str, np.ndarray]] = None
+                ) -> Optional[np.ndarray]:
     """The c-of-m phase over ``variant.root``, flattened as ``rows``
     (:func:`~repro.octree.flat.cell_rows`): charges every thread and
     fills every cell's ``mass``/``cofm``/``nbodies``/``cost``, and leaves
     ``rows`` and those per-row arrays to the force phase
-    (``variant.tree_rows``/``tree_fields``).
+    (``variant.tree_rows``/``tree_fields``).  Each row's ``seq``,
+    ``home`` and ``center`` come from ``fields`` when it holds them (the
+    build record's flatten, :func:`~repro.octree.flat.record_rows`),
+    else from the cells.
 
     Returns each row's done time, or ``None``, having touched nothing,
     when the kernel declines.
@@ -136,7 +141,11 @@ def replay_cofm(variant, kernel, rows: CellRows) -> Optional[np.ndarray]:
     cells, child, leaf_ptr, leaf_bodies = rows
     node_of, classes, table = _charges(rt)
     n = len(cells)
-    center = np.array([c.center for c in cells], dtype=np.float64)
+    fields = dict(fields) if fields is not None else {
+        "seq": np.fromiter(map(_SEQ, cells), dtype=np.int64, count=n),
+        "home": np.array([c.home for c in cells], dtype=np.int32),
+        "center": np.array([c.center for c in cells], dtype=np.float64)}
+    center = fields["center"]
     mass = np.empty(n, dtype=np.float64)
     cofm = np.empty((n, 3), dtype=np.float64)
     nbodies = np.empty(n, dtype=np.int64)
@@ -144,8 +153,7 @@ def replay_cofm(variant, kernel, rows: CellRows) -> Optional[np.ndarray]:
     done_at = np.empty(n, dtype=np.float64)
     totals = np.empty((rt.nthreads, len(COFM_KEYS)), dtype=np.int64)
     if not kernel.cofm_replay(
-            np.fromiter(map(_SEQ, cells), dtype=np.int64, count=n),
-            np.array([c.home for c in cells], dtype=np.int64), child,
+            fields["seq"], fields["home"].astype(np.int64), child,
             leaf_ptr, leaf_bodies, center,
             np.ascontiguousarray(bodies.store, dtype=np.int64),
             np.ascontiguousarray(bodies.mass, dtype=np.float64),
@@ -167,6 +175,6 @@ def replay_cofm(variant, kernel, rows: CellRows) -> Optional[np.ndarray]:
     # no run_waiting ran: drop the last one's tokens, as it would have
     rt._done_tokens.clear()
     variant.tree_rows = rows
-    variant.tree_fields = {"center": center, "mass": mass, "cofm": cofm,
-                           "nbodies": nbodies, "cost": cost}
+    fields.update(mass=mass, cofm=cofm, nbodies=nbodies, cost=cost)
+    variant.tree_fields = fields
     return done_at

@@ -69,6 +69,7 @@ class CellCache:
         rt = self.rt
         tid = self.tid
         m = rt.machine
+        copies = 0  # cells fetched or copied: one upc_alloc each
         for ch in cell.children:
             if ch is None:
                 continue
@@ -88,15 +89,18 @@ class CellCache:
                 continue
             if ch.home != tid:
                 rt.memget(tid, ch.home, m.cell_nbytes, key="cache_fetch")
-                rt.heap.upc_alloc(tid, m.cell_nbytes, ch)
+                copies += 1
                 self.misses += 1
             elif self.merged:
                 # upc_threadof(ch) == MYTHREAD: shadowp[i] = ch
                 rt.charge_compute(tid, m.local_word_cost)
             else:
                 rt.memget(tid, tid, m.cell_nbytes, key="cache_local_copy")
-                rt.heap.upc_alloc(tid, m.cell_nbytes, ch)
+                copies += 1
                 self.local_copies += 1
+        if copies:
+            # the copies' pointers are never kept: book the totals only
+            rt.heap.upc_alloc_count(tid, m.cell_nbytes, copies)
         self._localized.add(id(cell))
 
     @property

@@ -25,7 +25,8 @@ charges (``docs/compiled-kernels.md``):
   gathers itself, with :class:`AsyncEngine`'s charges read from
   :meth:`UpcRuntime.gather_table`, and calls back into the runtime's
   price store only for a piece larger than :data:`GATHER_TABLE_N`
-  elements;
+  elements.  It logs its NIC adds instead of making them, so a phase's
+  walks run side by side (:func:`frontier_forces`);
 * ``"frontier"`` -- :func:`_walk_py`, the loop below: the oracle of the
   compiled loop, and the engine of a box without a compiler (or when the
   compiled loop declines its workspace).
@@ -35,15 +36,17 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..backends.object_tree import SlotTree, slot_kernel
 from ..kernels.loader import CHARGE_FN, FRONTIER_MAX_GROUP
+from ..kernels.pool import run_jobs
 from ..nbody.constants import G
 from ..octree.cell import Cell, Leaf
 from ..upc.nonblocking import AsyncEngine
+from ..upc.runtime import NicLog
 from .variants.base import (
     BODY_LEAF_WORDS,
     CELL_OPEN_WORDS,
@@ -112,96 +115,196 @@ def frontier_force(variant, engine: AsyncEngine, tid: int,
     ``tree`` is the force phase's flattened tree, shared by its threads;
     without one, a tree is flattened here when the kernel can serve.
     """
+    return frontier_forces(variant, engine, [(tid, idx)], tree)[0]
+
+
+def frontier_forces(variant, engine: AsyncEngine,
+                    jobs: Sequence[Tuple[int, np.ndarray]],
+                    tree: Optional[SlotTree] = None,
+                    before: Optional[Callable[[int, np.ndarray],
+                                              None]] = None
+                    ) -> List[Tuple[np.ndarray, np.ndarray, FrontierStats]]:
+    """:func:`frontier_force` of every ``(tid, idx)`` job, in job (thread)
+    order, with ``before(tid, idx)`` charged ahead of each.
+
+    The compiled walks run side by side (:mod:`repro.kernels.pool`):
+    each thread's charges ahead of its walk are made first, with their
+    NIC adds logged, then the walks run, then every thread's NIC log,
+    its walk's NIC log and its bookkeeping are applied in job order --
+    the adds of a serial phase, in its order.  A walk the kernel
+    declines runs the Python loop at its thread's turn.
+    """
+    rt = variant.rt
+    root = variant.root
+
+    def ahead(tid: int, idx: np.ndarray) -> None:
+        if before is not None:
+            before(tid, idx)
+        if len(idx) and root is not None:
+            _fetch_root(variant, tid)
+
+    if tree is None and root is not None and slot_kernel() is not None \
+            and any(len(idx) for _, idx in jobs):
+        tree = SlotTree(root, variant.bodies, variant.cfg)
+    # job index -> (NIC log of the charges ahead of its walk, the walk)
+    walks: Dict[int, Tuple[NicLog, Optional[_CWalk]]] = {}
+    if root is not None and tree is not None and tree.kernel is not None:
+        # read-only inputs every walk shares, made on this thread
+        shared = (variant.bodies.store[tree.flat.leaf_bodies].astype(
+                      np.int64),
+                  rt.gather_table(rt.machine.cell_nbytes, GATHER_TABLE_N),
+                  rt.class_tables()[0],
+                  np.asarray(rt._node_of, dtype=np.int64),
+                  tree.prepared_bodies())
+        for j, (tid, idx) in enumerate(jobs):
+            with rt.deferred_nic() as log:
+                ahead(tid, idx)
+            walks[j] = (log, _CWalk(variant, tid, idx, tree, shared)
+                        if len(idx) else None)
+        # a walk's work follows its bodies' interactions last step
+        cost = variant.bodies.cost
+        run_jobs(_CWalk.run,
+                 [walk for _, walk in walks.values() if walk is not None],
+                 [float(cost[idx].sum()) for _, idx in jobs if len(idx)])
+    out = []
+    for j, (tid, idx) in enumerate(jobs):
+        stats = FrontierStats()
+        k = len(idx)
+        walk = None
+        if j in walks:
+            log, walk = walks[j]
+            rt.add_nic_log(log.nodes, log.seconds)
+        else:
+            ahead(tid, idx)
+        if walk is not None and walk.served:
+            walk.apply(engine, stats)
+            out.append((walk.acc, walk.work, stats))
+            continue
+        acc = np.zeros((k, 3), dtype=np.float64)
+        work = np.zeros(k, dtype=np.float64)
+        if k and root is not None:
+            _walk_py(variant, engine, tid, idx, acc, work, stats)
+        out.append((acc, work, stats))
+    return out
+
+
+def _fetch_root(variant, tid: int) -> None:
+    """L_root: localize the root struct itself."""
     rt = variant.rt
     m = rt.machine
     root = variant.root
-    stats = FrontierStats()
-    k = len(idx)
-    acc = np.zeros((k, 3), dtype=np.float64)
-    work = np.zeros(k, dtype=np.float64)
-    if k == 0 or root is None:
-        return acc, work, stats
-
-    # L_root: localize the root struct itself
     if root.home != tid:
         rt.memget(tid, root.home, m.cell_nbytes, key="cache_fetch")
     else:
         rt.charge_compute(tid, 4 * m.local_word_cost)
 
-    if tree is None and slot_kernel() is not None:
-        tree = SlotTree(root, variant.bodies, variant.cfg)
-    if tree is not None and tree.kernel is not None \
-            and _walk_c(variant, engine, tid, idx, tree, acc, work, stats):
-        stats.engine = C_ENGINE
-    else:
-        _walk_py(variant, engine, tid, idx, acc, work, stats)
-    return acc, work, stats
 
+class _CWalk:
+    """One thread's :func:`_walk_py` as one ``bh_frontier_walk`` call.
 
-def _walk_c(variant, engine: AsyncEngine, tid: int, idx: np.ndarray,
-            tree: SlotTree, acc: np.ndarray, work: np.ndarray,
-            stats: FrontierStats) -> bool:
-    """:func:`_walk_py` as one ``bh_frontier_walk`` call; False, with
-    nothing touched, when the kernel declines."""
-    rt = variant.rt
-    cfg = variant.cfg
-    m = rt.machine
-    flat = tree.flat
-    px, py, pz, gmass = tree.prepared_bodies()
-    leaf_owner = variant.bodies.store[flat.leaf_bodies].astype(np.int64)
-    counters = rt._counters
-    stall_row = None if counters is None \
-        else counters._data.get("waitsync_stall")
-    stall = np.array([0.0 if stall_row is None else stall_row[tid]])
-    errors: List[BaseException] = []
-    nbytes = m.cell_nbytes
+    Set up on the calling thread; :meth:`run` makes the call, which
+    writes only this object's arrays (a copy of the thread's clock among
+    them) and logs its NIC adds, so walks of different threads may run
+    at once; :meth:`apply` then writes the clock back and makes the NIC
+    adds and the bookkeeping, on the calling thread.
+    """
 
-    def charge(src: int, n: int, nic) -> float:
+    def __init__(self, variant, tid: int, idx: np.ndarray,
+                 tree: SlotTree, shared: tuple):
+        rt = variant.rt
+        self.rt = rt
+        self.variant = variant
+        self.tid = tid
+        self.idx = np.ascontiguousarray(idx, dtype=np.int64)
+        self.tree = tree
+        k = len(idx)
+        self.acc = np.zeros((k, 3), dtype=np.float64)
+        self.work = np.zeros(k, dtype=np.float64)
+        self.served = False
+        (self.leaf_owner, self.gtab, classes, self.node_of,
+         self.prepared) = shared
+        self.classes = classes[tid]
+        counters = rt._counters
+        row = None if counters is None \
+            else counters._data.get("waitsync_stall")
+        self.stall = np.array([0.0 if row is None else row[tid]])
+        # charged in a private copy: two walks that charged neighbouring
+        # entries of rt.clock would share a cache line
+        self.clock = rt.clock[tid:tid + 1].copy()
+        self.hist = np.zeros(rt.nthreads + 1, dtype=np.int64)
+        self.out = np.zeros(9, dtype=np.int64)
+        self.nic_node = self.nic_sec = None
+
+    def run(self) -> None:
+        rt = self.rt
+        cfg = self.variant.cfg
+        m = rt.machine
+        tid = self.tid
+        tree = self.tree
+        px, py, pz, gmass = self.prepared
+        # every NIC add is one source of one gather (the C file's bound);
+        # only the part written is kept, so a phase holds one bound-sized
+        # log per worker, not per thread
+        flat = tree.flat
+        cap = flat.ncells + len(flat.leaf_bodies)
+        nic_node = np.empty(cap, dtype=np.int64)
+        nic_sec = np.empty(cap, dtype=np.float64)
+        errors: List[BaseException] = []
+        nbytes = m.cell_nbytes
+
+        def charge(src: int, n: int, nic) -> float:
+            try:
+                ch = rt.price(tid, src, ("gather", n, nbytes))
+                nic[0] = ch.nic
+                return ch.complete
+            except BaseException as exc:  # re-raised after the C call
+                errors.append(exc)
+                return math.nan
+
+        callback = CHARGE_FN(charge)  # referenced until the call returns
         try:
-            ch = rt.price(tid, src, ("gather", n, nbytes))
-            nic[0] = ch.nic
-            return ch.complete
-        except BaseException as exc:  # re-raised after the C call
-            errors.append(exc)
-            return math.nan
+            self.served = tree.kernel.frontier_walk(
+                self.idx, tid, rt.nthreads, GROUP_BODIES, px, py, pz, gmass,
+                tree.flat, self.leaf_owner, cfg.theta * cfg.theta,
+                cfg.eps * cfg.eps, cfg.open_self_cells, _WORDS, cfg.n1,
+                cfg.n2, cfg.n3, m.local_word_cost, m.interaction_cost,
+                rt.cost.compute(1.0),  # the factor
+                m.cpu_overhead * 0.25, self.clock, self.stall,
+                rt.cost.async_issue(), self.classes, self.gtab,
+                self.node_of, nic_node, nic_sec, self.hist,
+                callback, self.acc, self.work, self.out,
+                ws_cap=C_WORKSPACE_CAP)
+        except RuntimeError:
+            if errors:
+                raise errors[0]
+            raise
+        nic_adds = int(self.out[8])
+        self.nic_node = nic_node[:nic_adds].copy()
+        self.nic_sec = nic_sec[:nic_adds].copy()
 
-    callback = CHARGE_FN(charge)  # referenced until the call returns
-    classes, _ = rt.class_tables()
-    hist = np.zeros(rt.nthreads + 1, dtype=np.int64)
-    out = np.zeros(8, dtype=np.int64)
-    try:
-        served = tree.kernel.frontier_walk(
-            np.ascontiguousarray(idx, dtype=np.int64), tid, rt.nthreads,
-            GROUP_BODIES, px, py, pz, gmass, flat, leaf_owner,
-            cfg.theta * cfg.theta, cfg.eps * cfg.eps, cfg.open_self_cells,
-            _WORDS, cfg.n1, cfg.n2, cfg.n3, m.local_word_cost,
-            m.interaction_cost, rt.cost.compute(1.0),  # the factor
-            m.cpu_overhead * 0.25, rt.clock, stall, rt.cost.async_issue(),
-            classes[tid], rt.gather_table(nbytes, GATHER_TABLE_N),
-            np.asarray(rt._node_of, dtype=np.int64), rt._nic, hist,
-            callback, acc, work, out, ws_cap=C_WORKSPACE_CAP)
-    except RuntimeError:
-        if errors:
-            raise errors[0]
-        raise
-    if not served:
-        return False
-    (stats.gathers, stats.forced_gathers, stats.waits,
-     stats.cells_requested, interactions, interaction_adds,
-     stall_adds, elems) = out.tolist()
-    # the engine's per-gather bookkeeping, added once (exact integers)
-    for nsrc in np.flatnonzero(hist).tolist():
-        engine.source_histogram[nsrc] = \
-            engine.source_histogram.get(nsrc, 0) + int(hist[nsrc])
-    issued = int(hist.sum())
-    if issued:
-        rt.count(tid, "async_gathers", issued)
-        rt.count(tid, "async_elems", elems)
-    if interaction_adds:
-        rt.count(tid, "interactions", interactions)
-    if stall_adds and counters is not None:
-        counters._data["waitsync_stall"][tid] = float(stall[0])
-    return True
+    def apply(self, engine: AsyncEngine, stats: FrontierStats) -> None:
+        stats.engine = C_ENGINE
+        rt = self.rt
+        tid = self.tid
+        hist = self.hist
+        (stats.gathers, stats.forced_gathers, stats.waits,
+         stats.cells_requested, interactions, interaction_adds,
+         stall_adds, elems, _) = self.out.tolist()
+        rt.clock[tid] = self.clock[0]
+        rt.add_nic_log(self.nic_node, self.nic_sec)
+        # the engine's per-gather bookkeeping, added once (exact integers)
+        for nsrc in np.flatnonzero(hist).tolist():
+            engine.source_histogram[nsrc] = \
+                engine.source_histogram.get(nsrc, 0) + int(hist[nsrc])
+        issued = int(hist.sum())
+        if issued:
+            rt.count(tid, "async_gathers", issued)
+            rt.count(tid, "async_elems", elems)
+        if interaction_adds:
+            rt.count(tid, "interactions", interactions)
+        counters = rt._counters
+        if stall_adds and counters is not None:
+            counters._data["waitsync_stall"][tid] = float(self.stall[0])
 
 
 def _walk_py(variant, engine: AsyncEngine, tid: int, idx: np.ndarray,

@@ -30,7 +30,11 @@ one c-of-m pass over the finished tree, after hooking
 the compiled kernel serves (engine ``"c-cofm-rows"``), else
 ``compute_cofm`` (engine ``"compute-cofm"``).  Both give the same bits as
 the per-subtree passes they stand for, and the force phase reuses the
-flatten and its arrays (``VariantBase.slot_tree``).
+flatten and its arrays (``VariantBase.slot_tree``).  When the kernel
+serves, the whole subforest -- top cells, subtrees and hooks -- is built
+under one :class:`~repro.octree.build.BuildRecord`, and the flatten is
+``bh_tree_rows`` over it (:func:`~repro.octree.flat.record_rows`, engine
+``"c-tree-rows"``) instead of a walk over the cells.
 """
 
 from __future__ import annotations
@@ -41,13 +45,14 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..nbody.bbox import RootBox
-from ..octree.build import gc_paused, insert
+from ..octree.build import BuildRecord, gc_paused, insert
 from ..octree.cell import Cell, Leaf
 # the fields come from VariantBase.fill_cofm; the name stays importable
 # here, since bench/layers.py attributes time to it in this module
 from ..octree.cofm import compute_cofm  # noqa: F401
 from ..upc.collectives import allreduce_scalar, allreduce_vector, alltoallv
 from ..upc.runtime import UpcRuntime
+from .build_replay import replay_kernel
 
 #: local work per body examined in the split loop (cost scan / re-bucket)
 SCAN_COST = 10e-9
@@ -97,39 +102,50 @@ class SubspaceTree:
         return np.asarray(order, dtype=np.int64)
 
 
+#: child-centre offset signs per octant (bit 0: x, bit 1: y, bit 2: z)
+_OCTANT_SIGNS = np.array([[1 if o & 1 else -1, 1 if o & 2 else -1,
+                           1 if o & 4 else -1] for o in range(8)]) > 0
+
+
 def split_subspaces(rt: UpcRuntime, pos: np.ndarray, cost: np.ndarray,
                     store: np.ndarray, box: RootBox, alpha: float,
                     vector_reduction: bool) -> "tuple[SubspaceTree, np.ndarray]":
-    """Run the split loop; returns the subspace tree and body->leaf map."""
+    """Run the split loop; returns the subspace tree and body->leaf map.
+
+    Each level is a few whole-array operations: per-thread counts come
+    from one ``bincount``, and all fat subspaces' children from one
+    ``centre + offset`` (the float ops of ``centre +- size / 4`` per
+    child, so the same bits).
+    """
     P = rt.nthreads
     n = len(cost)
-    centers = [np.asarray(box.center, dtype=np.float64)]
-    sizes = [float(box.rsize)]
-    parent = [-1]
-    octs = [0]
-    child_base = [-1]
-    g_cost = [0.0]
-    g_count = [0]
+    centers = np.asarray(box.center, dtype=np.float64).reshape(1, 3)
+    sizes = np.array([float(box.rsize)])
+    parent = np.array([-1], dtype=np.int64)
+    octs = np.zeros(1, dtype=np.int64)
+    child_base = np.array([-1], dtype=np.int64)
+    g_cost = np.zeros(1)
+    g_count = np.zeros(1, dtype=np.int64)
     body_ss = np.zeros(n, dtype=np.int64)
     level = np.array([0], dtype=np.int64)
     levels: List[np.ndarray] = []
     tau: Optional[float] = None
 
-    per_thread = np.bincount(store, minlength=P).astype(np.float64)
-
     depth = 0
     while len(level) and depth < MAX_SPLIT_LEVELS:
         levels.append(level)
         depth += 1
-        in_level = np.isin(body_ss, level)
+        is_level = np.zeros(len(sizes), dtype=bool)
+        is_level[level] = True
+        in_level = is_level[body_ss]
         # local cost/count accumulation, then one reduction per level
         lvl_pos = np.searchsorted(level, body_ss[in_level])
         lcost = np.bincount(lvl_pos, weights=cost[in_level],
                             minlength=len(level))
         lcount = np.bincount(lvl_pos, minlength=len(level))
+        mine = np.bincount(store[in_level], minlength=P).tolist()
         for t in range(P):
-            mine = int((store[in_level] == t).sum())
-            rt.charge_compute(t, mine * SCAN_COST
+            rt.charge_compute(t, mine[t] * SCAN_COST
                               + len(level) * SUBSPACE_COST)
         if vector_reduction:
             # costs and counts in one vector reduction for the whole level
@@ -137,60 +153,53 @@ def split_subspaces(rt: UpcRuntime, pos: np.ndarray, cost: np.ndarray,
         else:
             for _ in range(len(level)):
                 allreduce_scalar(rt)
-        for j, node in enumerate(level):
-            g_cost[node] = float(lcost[j])
-            g_count[node] = int(lcount[j])
+        g_cost[level] = lcost
+        g_count[level] = lcount
         if tau is None:
-            total = g_cost[0]
-            tau = alpha * total / P
-        fat = [int(nd) for j, nd in enumerate(level)
-               if lcost[j] > tau and lcount[j] > 1]
-        if not fat:
+            tau = alpha * float(g_cost[0]) / P
+        fat = level[(lcost > tau) & (lcount > 1)]
+        if not len(fat):
             break
-        # allocate 8 children per fat node (contiguous, octant order)
-        base_of = np.full(len(centers) + 8 * len(fat), -1, dtype=np.int64)
-        new_level = np.empty(8 * len(fat), dtype=np.int64)
-        for j, f in enumerate(fat):
-            base = len(centers)
-            child_base[f] = base
-            base_of[f] = base
-            cf = centers[f]
-            q = sizes[f] / 4.0
-            for o in range(8):
-                off = np.array([q if (o & 1) else -q,
-                                q if (o & 2) else -q,
-                                q if (o & 4) else -q])
-                centers.append(cf + off)
-                sizes.append(sizes[f] / 2.0)
-                parent.append(f)
-                octs.append(o)
-                child_base.append(-1)
-                g_cost.append(0.0)
-                g_count.append(0)
-            new_level[8 * j: 8 * j + 8] = np.arange(base, base + 8)
+        # 8 children per fat node (contiguous, octant order)
+        base = len(sizes) + 8 * np.arange(len(fat), dtype=np.int64)
+        child_base[fat] = base
+        q = sizes[fat] / 4.0
+        off = np.where(_OCTANT_SIGNS, q[:, None, None], -q[:, None, None])
+        centers = np.concatenate(
+            [centers, (centers[fat][:, None, :] + off).reshape(-1, 3)])
+        sizes = np.concatenate([sizes, np.repeat(sizes[fat] / 2.0, 8)])
+        parent = np.concatenate([parent, np.repeat(fat, 8)])
+        octs = np.concatenate([octs, np.tile(np.arange(8), len(fat))])
+        nnew = 8 * len(fat)
+        child_base = np.concatenate(
+            [child_base, np.full(nnew, -1, dtype=np.int64)])
+        g_cost = np.concatenate([g_cost, np.zeros(nnew)])
+        g_count = np.concatenate([g_count, np.zeros(nnew, dtype=np.int64)])
         # re-bucket bodies living in fat subspaces (vectorized octant)
-        fat_arr = np.asarray(fat, dtype=np.int64)
-        sel = np.isin(body_ss, fat_arr)
+        is_fat = np.zeros(len(sizes), dtype=bool)
+        is_fat[fat] = True
+        sel = is_fat[body_ss]
         if sel.any():
-            ctr = np.asarray(centers)[body_ss[sel]]
+            ss = body_ss[sel]
+            ctr = centers[ss]
             p = pos[sel]
             o = ((p[:, 0] > ctr[:, 0]).astype(np.int64)
                  | ((p[:, 1] > ctr[:, 1]).astype(np.int64) << 1)
                  | ((p[:, 2] > ctr[:, 2]).astype(np.int64) << 2))
-            body_ss[sel] = base_of[body_ss[sel]] + o
+            body_ss[sel] = child_base[ss] + o
+            mine = np.bincount(store[sel], minlength=P).tolist()
             for t in range(P):
-                mine = int((store[sel] == t).sum())
-                rt.charge_compute(t, mine * 4 * SCAN_COST)
-        level = new_level
+                rt.charge_compute(t, mine[t] * 4 * SCAN_COST)
+        level = np.arange(base[0], base[0] + nnew, dtype=np.int64)
 
     tree = SubspaceTree(
-        centers=np.asarray(centers),
-        sizes=np.asarray(sizes),
-        parent=np.asarray(parent, dtype=np.int64),
-        oct=np.asarray(octs, dtype=np.int64),
-        child_base=np.asarray(child_base, dtype=np.int64),
-        global_cost=np.asarray(g_cost),
-        global_count=np.asarray(g_count, dtype=np.int64),
+        centers=centers,
+        sizes=sizes,
+        parent=parent,
+        oct=octs,
+        child_base=child_base,
+        global_cost=g_cost,
+        global_count=g_count,
         levels=levels,
     )
     tree.leaves = tree.leaves_in_order()
@@ -264,24 +273,32 @@ def build_subforest_and_hook(variant, tree: SubspaceTree,
     bodies = variant.bodies
     P = rt.nthreads
     m = rt.machine
+    # the build's record, for the compiled flatten (module docstring)
+    record = BuildRecord() if replay_kernel() is not None else None
 
     # thread 0's top-tree cells, one per internal (split) subspace
     top: Dict[int, Cell] = {}
-    internal = np.nonzero(tree.child_base >= 0)[0]
+    internal = np.nonzero(tree.child_base >= 0)[0].tolist()
     centers = tree.centers.tolist()
     sizes = tree.sizes.tolist()
+    child_base = tree.child_base.tolist()
     root_cell = Cell(tuple(centers[0]), sizes[0], home=0)
     top[0] = root_cell
-    for node in internal.tolist():
-        if node != 0 and node not in top:
+    for node in internal:
+        if node != 0:
             top[node] = Cell(tuple(centers[node]), sizes[node], home=0)
+    if record is not None:
+        for cell in top.values():
+            record.add(cell)
     rt.charge_compute(0, len(top) * CELL_COMPUTE)
     for node in internal:
-        base = int(tree.child_base[node])
+        base = child_base[node]
         for o in range(8):
-            ch = base + o
-            if tree.child_base[ch] >= 0:
-                top[int(node)].children[o] = top[ch]
+            ch = top.get(base + o)
+            if ch is not None:
+                top[node].children[o] = ch
+                if record is not None:
+                    record.hook(top[node], o, ch)
     variant.ncells = len(top)
 
     # group bodies by leaf: the runs of the stable sort by subspace
@@ -311,14 +328,27 @@ def build_subforest_and_hook(variant, tree: SubspaceTree,
                     # the top tree already holds and counts
                     cell = root_cell
                     cell.home = t
+                    if record is not None:
+                        record.homes[cell.seq] = t
                 else:
                     cell = Cell(tuple(centers[leaf]), sizes[leaf], home=t)
-                seq = [1]  # numbers the new cells: counts the allocations
+                    if record is not None:
+                        record.add(cell)
                 visits = 0
-                for b in sel.tolist():
-                    visits += insert(cell, b, pos, home=t, seq_counter=seq)
+                if record is None:
+                    seq = [1]  # numbers the new cells: counts the allocs
+                    for b in sel.tolist():
+                        visits += insert(cell, b, pos, home=t,
+                                         seq_counter=seq)
+                    made = seq[0] - 1
+                else:
+                    before = len(record.cells)
+                    for b in sel.tolist():
+                        visits += insert(cell, b, pos, home=t,
+                                         record=record)
+                    made = len(record.cells) - before
                 # the subtree root and every cell its insertions made
-                ncells = seq[0]
+                ncells = made + 1
                 allocs = ncells - (leaf == 0)
                 rt.heap.upc_alloc_count(t, m.cell_nbytes, allocs)
                 rt.charge_compute(
@@ -333,8 +363,11 @@ def build_subforest_and_hook(variant, tree: SubspaceTree,
                 node = cell
             if leaf == 0:
                 continue
-            par = int(tree.parent[leaf])
-            top[par].children[int(tree.oct[leaf])] = node
+            par = top[int(tree.parent[leaf])]
+            octant = int(tree.oct[leaf])
+            par.children[octant] = node
+            if record is not None:
+                record.hook(par, octant, node)
             rt.word_access(t, 0, words=1.0, key="subtree_hooks")
         local_times[t] = float(rt.clock[t]) - start
 
@@ -354,7 +387,7 @@ def build_subforest_and_hook(variant, tree: SubspaceTree,
     for src, cnt in per_source.items():
         rt.memget_ilist(0, src, cnt, m.cell_nbytes, key="top_cofm_gathers")
     rt.charge_compute(0, (len(top) + nchildren) * CELL_COMPUTE)
-    variant.fill_cofm(root_cell)
+    variant.fill_cofm(root_cell, record)
     variant.treebuild_subphases.append(
         {"local": local_times, "merge": np.zeros(P)}
     )

@@ -15,7 +15,15 @@ import numpy as np
 
 from ...backends.object_tree import slot_kernel
 from ...upc.nonblocking import AsyncEngine, source_fractions
-from ..frontier import C_ENGINE, PY_ENGINE, FrontierStats, frontier_force
+# frontier_force is a single thread's frontier_forces; the name stays
+# importable here, since bench/layers.py attributes time to it here
+from ..frontier import (  # noqa: F401
+    C_ENGINE,
+    PY_ENGINE,
+    FrontierStats,
+    frontier_force,
+    frontier_forces,
+)
 from .base import BODY_FORCE_WORDS
 from .local_build import LocalBuild
 
@@ -46,21 +54,23 @@ class AsyncAgg(LocalBuild):
         tree = self.slot_tree() \
             if self.root is not None and slot_kernel() is not None else None
         measured = self.step_index >= self.cfg.warmup_steps
+        jobs = [(t, idx) for t, idx in enumerate(map(self.assigned,
+                                                     range(self.P)))
+                if len(idx)]
+
+        def body_words(t: int, idx: np.ndarray) -> None:
+            self.charge_body_words(t, idx, BODY_FORCE_WORDS)
+
+        tr = rt.tracer
+        if tr.enabled:
+            tr.begin("async.frontier_force", "backend",
+                     nbodies=sum(len(idx) for _, idx in jobs))
+        results = frontier_forces(self, engine, jobs, tree, body_words)
+        if tr.enabled:
+            tr.end(interactions=float(sum(w.sum() for _, w, _ in results)))
         compiled = tree is not None
         new_cost = bodies.cost.copy()
-        for t in range(self.P):
-            idx = self.assigned(t)
-            if len(idx) == 0:
-                continue
-            self.charge_body_words(t, idx, BODY_FORCE_WORDS)
-            tr = rt.tracer
-            if tr.enabled:
-                tr.begin("async.frontier_force", "backend", tid=t,
-                         nbodies=len(idx))
-                acc, work, stats = frontier_force(self, engine, t, idx, tree)
-                tr.end(interactions=float(work.sum()))
-            else:
-                acc, work, stats = frontier_force(self, engine, t, idx, tree)
+        for (t, idx), (acc, work, stats) in zip(jobs, results):
             bodies.acc[idx] = acc
             new_cost[idx] = np.maximum(work, 1.0)
             compiled &= stats.engine == C_ENGINE

@@ -32,15 +32,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...backends.object_tree import SlotTree, slot_walk
+from ...backends.object_tree import SlotTree, slot_walks
 from ...nbody.bbox import RootBox, compute_root
 from ...nbody.bodies import BodySoA
 from ...nbody.integrator import advance_indices, startup_half_kick
-from ...octree.build import gc_paused, insert, new_root
+from ...octree.build import BuildRecord, gc_paused, insert, new_root
 from ...octree.cell import Cell, Leaf
 from ...octree.cofm import compute_cofm
 from ...octree.costzones import costzones
-from ...octree.flat import CellRows, cell_rows, cofm_rows
+from ...octree.flat import CellRows, cell_rows, cofm_rows, record_rows
 # the per-group recursion the slot walk reproduces; kept importable where
 # the force phase lives, since bench/layers.py attributes time to it here
 from ...octree.traverse import gravity_traversal  # noqa: F401
@@ -84,6 +84,11 @@ ADVANCE_FLOPS = 60e-9
 #: engines of :meth:`VariantBase.fill_cofm` (``variant_stats["cofm_engine"]``)
 ROWS_COFM = "c-cofm-rows"
 TREE_COFM = "compute-cofm"
+#: engines of the tree's flatten (``variant_stats["rows_engine"]``):
+#: ``bh_tree_rows`` over the build's record, or ``cell_rows`` over its
+#: cells
+C_ROWS = "c-tree-rows"
+PY_ROWS = "cell-rows"
 
 
 class VariantBase:
@@ -121,11 +126,15 @@ class VariantBase:
         #: per step: the tree build's lock (acquires, contended acquires,
         #: sorted nonzero waits); see :meth:`treebuild_locks`
         self.lock_stats: Dict[int, Tuple[int, int, List[float]]] = {}
-        #: the c-of-m pass's flatten of ``root`` (octree.flat.cell_rows)
-        #: and the per-row FlatTree fields it already holds, by name;
-        #: taken by the force phase's SlotTree (:meth:`slot_tree`)
+        #: the build's or c-of-m pass's flatten of ``root``
+        #: (octree.flat.cell_rows or record_rows) and the per-row arrays
+        #: it already holds, by name; taken by the force phase's SlotTree
+        #: (:meth:`slot_tree`)
         self.tree_rows: Optional[CellRows] = None
         self.tree_fields: Optional[Dict[str, np.ndarray]] = None
+        #: ``(root, bodies in tree order)`` from the build's record, for
+        #: the partition's costzones
+        self.tree_order: Optional[Tuple[Cell, np.ndarray]] = None
         #: per-step migration fraction (section 5.2 claim)
         self.migration_fractions: List[float] = []
         #: per-step (local, merge) per-thread seconds (figure 8)
@@ -140,6 +149,8 @@ class VariantBase:
         #: (:mod:`repro.core.build_replay`); None when the phase never ran
         self.treebuild_engine: Optional[str] = None
         self.cofm_engine: Optional[str] = None
+        #: engine of the latest flatten of the tree (C_ROWS / PY_ROWS)
+        self.rows_engine: Optional[str] = None
         #: resilience mediation (a ResilienceManager, attached by
         #: BarnesHutSimulation when the config enables any of it; None
         #: keeps the unmediated phase loop below)
@@ -269,20 +280,29 @@ class VariantBase:
         order, tids = _round_robin(idx_lists)
         kernel = replay_kernel()
         if kernel is not None:
-            # build once recording the visits; the kernel replays the
-            # charges (repro.core.build_replay)
-            seq = self._new_tree()
+            # build once recording the visits and the structure; the
+            # kernel replays the charges (repro.core.build_replay) and
+            # flattens the tree from the record
+            self._new_tree()
+            record = BuildRecord()
+            record.add(self.root)
             trace: List[Cell] = []
             visit = trace.append
             for i, t in zip(order, tids):
                 insert(self.root, i, bodies.pos, home=t, on_visit=visit,
-                       seq_counter=seq)
-            done = replay_build(self, kernel, trace, tids, seq[0])
+                       record=record)
+            done = replay_build(self, kernel, trace, tids,
+                                len(record.cells))
             if done is not None:
                 cells, locks = done
                 self._set_tree(cells)
                 self.record_treebuild_locks(*locks)
                 self.treebuild_engine = C_BUILD
+                flat = record_rows(kernel, record, self.root, len(bodies))
+                if flat is not None:
+                    self.tree_rows, self.tree_fields, body_order = flat
+                    self.tree_order = (self.root, body_order)
+                    self.rows_engine = C_ROWS
                 return
         self._build_with_hooks(order, tids)
         self.treebuild_engine = PY_BUILD
@@ -292,7 +312,7 @@ class VariantBase:
         root is cell 0)."""
         self.root = new_root(self.box, home=0)
         self._locks.clear()
-        self.tree_rows = self.tree_fields = None
+        self.tree_rows = self.tree_fields = self.tree_order = None
         return [1]
 
     def _set_tree(self, cells: List[Cell]) -> None:
@@ -343,24 +363,44 @@ class VariantBase:
     def phase_cofm(self) -> None:
         kernel = replay_kernel()
         if kernel is not None:
-            rows = cell_rows(self.root)
-            if replay_cofm(self, kernel, rows) is not None:
+            rows, fields = self._rows_of(self.root)
+            if replay_cofm(self, kernel, rows, fields) is not None:
                 self.cofm_engine = C_COFM
                 return
         self._cofm_waiting()
         self.cofm_engine = PY_COFM
 
-    def fill_cofm(self, root: Cell) -> None:
+    def _rows_of(self, root: Cell
+                 ) -> Tuple[CellRows, Optional[Dict[str, np.ndarray]]]:
+        """The flatten of ``root`` and its per-row arrays: the build's,
+        when it is of this tree, else ``cell_rows`` afresh."""
+        rows = self.tree_rows
+        if rows is not None and rows[0][0] is root:
+            return rows, self.tree_fields
+        self.rows_engine = PY_ROWS
+        return cell_rows(root), None
+
+    def fill_cofm(self, root: Cell,
+                  record: Optional[BuildRecord] = None) -> None:
         """Fill the c-of-m fields of every cell under ``root``, uncharged:
         one compiled pass over its flatten, which the force phase then
         reuses (:meth:`slot_tree`), or ``compute_cofm`` when no kernel
-        serves or the kernel declines.  Both give the same bits."""
+        serves or the kernel declines.  Both give the same bits.  The
+        flatten comes from the build's ``record`` when there is one
+        (``bh_tree_rows``), else from the cells."""
         bodies = self.bodies
         kernel = replay_kernel()
         if kernel is not None:
-            rows = cell_rows(root)
+            flat = None if record is None \
+                else record_rows(kernel, record, root, len(bodies))
+            if flat is not None:
+                rows, fields, _ = flat
+                self.rows_engine = C_ROWS
+            else:
+                rows, fields = cell_rows(root), None
+                self.rows_engine = PY_ROWS
             fields = cofm_rows(kernel, rows, bodies.pos, bodies.mass,
-                               bodies.cost)
+                               bodies.cost, fields)
             if fields is not None:
                 self.tree_rows, self.tree_fields = rows, fields
                 self.cofm_engine = ROWS_COFM
@@ -438,7 +478,11 @@ class VariantBase:
             for o in range(P):
                 rt.word_access(t, o, words=1.0, count=per_owner,
                                key="partition_reads")
-        new_assign = costzones(self.root, self.bodies.cost, P)
+        order = self.tree_order
+        new_assign = costzones(
+            self.root, self.bodies.cost, P,
+            order[1] if order is not None and order[0] is self.root
+            else None)
         changed = int((new_assign != self.bodies.assign).sum())
         rt.count(0, "partition_changed", changed)
         self.bodies.assign = new_assign
@@ -460,6 +504,8 @@ class VariantBase:
         fields, self.tree_fields = self.tree_fields, None
         if rows is not None and rows[0][0] is not self.root:
             rows = fields = None
+        if rows is None:
+            self.rows_engine = PY_ROWS
         return SlotTree(self.root, self.bodies, self.cfg, rows, fields)
 
     def phase_force(self) -> None:
@@ -469,18 +515,21 @@ class VariantBase:
         traced = tr.enabled
         tree = self.slot_tree()
         self.force_engine = tree.engine
+        jobs = [(t, idx) for t, idx in enumerate(map(self.assigned,
+                                                     range(self.P)))
+                if len(idx)]
+        # the walks charge nothing: they run side by side, and every
+        # charge follows in thread order
+        if traced:
+            tr.begin("object-tree.traversal", "backend",
+                     nbodies=sum(len(idx) for _, idx in jobs))
+        walks = slot_walks(tree, [idx for _, idx in jobs],
+                           [float(bodies.cost[idx].sum()) for _, idx in jobs])
+        if traced:
+            tr.end(interactions=float(sum(w.sum() for _, w, _ in walks)))
         new_cost = bodies.cost.copy()
-        for t in range(self.P):
-            idx = self.assigned(t)
-            if len(idx) == 0:
-                continue
+        for (t, idx), (acc, work, opens) in zip(jobs, walks):
             self.charge_body_words(t, idx, BODY_FORCE_WORDS)
-            if traced:
-                tr.begin("object-tree.traversal", "backend", tid=t,
-                         nbodies=len(idx))
-            acc, work, opens = slot_walk(tree, idx)
-            if traced:
-                tr.end(interactions=float(work.sum()))
             self.charge_force_walk(t, tree, opens, len(idx))
             bodies.acc[idx] = acc
             new_cost[idx] = np.maximum(work, 1.0)

@@ -63,7 +63,6 @@ class LocalBuild(CacheTree):
         P = self.P
         self.root = new_root(self.box, home=0)
         self._locks.clear()
-        self.ncells = 1
         local_times = np.zeros(P)
         merge_times = np.zeros(P)
         lroots: List[Cell] = []
@@ -95,7 +94,6 @@ class LocalBuild(CacheTree):
             ncells = allocs + 1
             rt.charge_compute(t, ncells * CELL_COMPUTE)
             rt.count(t, "local_cells", ncells)
-            self.ncells += allocs
             lroots.append(lroot)
             local_times[t] = float(rt.clock[t]) - start
 
@@ -108,6 +106,10 @@ class LocalBuild(CacheTree):
         # the real code maintains (mass, cofm) atomically during the merge;
         # fill them functionally so downstream phases see exact values
         self.fill_cofm(self.root)
+        # the merged tree's cells: the merge drops the local cells it
+        # folds into existing global ones
+        self.ncells = len(self.tree_rows[0]) if self.tree_rows is not None \
+            else self.root.count_cells()
         self.treebuild_subphases.append(
             {"local": local_times, "merge": merge_times}
         )
@@ -144,7 +146,6 @@ class LocalBuild(CacheTree):
                     sub = Cell(g.child_center(oct_idx), g.size / 2.0, home=t)
                     rt.heap.upc_alloc(t, rt.machine.cell_nbytes, sub)
                     rt.charge_compute(t, CELL_COMPUTE)
-                    self.ncells += 1
                     self._hook(t, g, oct_idx, sub)
                     for b in list(gch.indices) + list(lch.indices):
                         self._insert_local_subtree(t, sub, int(b))
@@ -172,7 +173,6 @@ class LocalBuild(CacheTree):
         def on_alloc(c, t=t):
             rt.heap.upc_alloc(t, rt.machine.cell_nbytes, c)
             rt.charge_compute(t, CELL_COMPUTE)
-            self.ncells += 1
 
         def on_modify(c, t=t):
             lk = self.lock_of(c)
@@ -193,7 +193,6 @@ class LocalBuild(CacheTree):
         # one charge per allocation, in the order the insertion made them
         for _ in range(allocs):
             rt.charge_compute(t, CELL_COMPUTE)
-        self.ncells += allocs
         rt.charge_compute(
             t,
             visits * (CELL_VISIT_WORDS + ATOMIC_COFM_WORDS)

@@ -6,7 +6,8 @@ per level -- one C stack walk per body over the exact same contiguous
 CSR arrays, so the whole force phase is native code.  The C extension
 ``_bh_kernel.c`` (see :mod:`.loader` for the build-or-load story) is
 bound via ctypes.  The same extension carries the compiled walks of the
-paper path (slot walk, frontier walk, build and c-of-m replays; see
+paper path (slot walk, frontier walk, build and c-of-m replays, the
+flatten of a recorded build; see
 ``docs/compiled-kernels.md``).
 
 Importing this package never raises on a box without a compiler: the

@@ -1,7 +1,8 @@
-/* Iterative Barnes-Hut force walks over FlatTree arrays, and the
- * baseline's tree-build and c-of-m accounting replays.
+/* Iterative Barnes-Hut force walks over FlatTree arrays, the
+ * baseline's tree-build and c-of-m accounting replays, and the flatten
+ * of a recorded insertion build.
  *
- * Six entry points:
+ * Seven entry points:
  *
  *   - bh_force_walk, the compiled twin of repro.octree.flat.flat_gravity
  *     (the flat-c backend), one stack DFS per body;
@@ -21,7 +22,15 @@
  *   - bh_cofm_rows, the compiled twin of repro.octree.cofm.compute_cofm
  *     over every row of a flattened tree (the section-6 subspace
  *     build's one c-of-m pass per step), with bh_cofm_replay's per-cell
- *     combine and no charges.
+ *     combine and no charges;
+ *   - bh_tree_rows, the compiled twin of repro.octree.flat.cell_rows
+ *     over the record repro.octree.build.insert keeps of its build: the
+ *     same breadth-first rows, plus each row's geometry and home.
+ *
+ * bh_slot_walk and bh_frontier_walk write only their own outputs and
+ * the calling thread's clock (the frontier walk logs its NIC adds
+ * instead of making them), so the force phase runs several emulated
+ * threads' walks at once, on different OS threads.
  *
  * bh_force_walk walks the same contiguous arrays the numpy level loop reads (per-component cofm and
  * geometric centers, premultiplied size^2 and G*mass, compacted children
@@ -51,7 +60,7 @@
 #include <stdlib.h>
 
 /* ABI version checked by the loader; bump on any signature change. */
-#define BH_ABI_VERSION 6
+#define BH_ABI_VERSION 7
 
 /* Deepest possible walk: MAX_DEPTH (30) levels, each pushing at most
  * 8 children while popping one -- 4096 is an order of magnitude above
@@ -344,14 +353,16 @@ typedef struct {
     double *clock, *stall, *acc, *work;
     /* AsyncEngine.memget_vlist_async's charges: issue cost per source,
      * per-source relation class, gtab[class][n] = (complete, nic) for
-     * n <= gmax, the runtime's NIC times by node, and the histogram of
-     * gathers by source count */
+     * n <= gmax, the log of NIC adds (node, seconds) in charge order,
+     * and the histogram of gathers by source count */
     double issue_cost;
     const uint8_t *gcls;
     const double *gtab;
     int64_t gmax;
     const int64_t *node_of;
-    double *nic;
+    int64_t *nic_node;
+    double *nic_sec;
+    int64_t nic_len, nic_cap;
     int64_t *hist;
     bh_charge_fn charge;
     /* per cell: children local or gathered; parked FIFO (head, tail) */
@@ -562,8 +573,12 @@ static int fw_issue(bh_frontier *f, int64_t lo, int64_t hi, int forced)
             const double at = now + complete;
             if (at > done)
                 done = at;
-            if (nic > 0.0)
-                f->nic[f->node_of[src]] += nic;
+            if (nic > 0.0) {
+                if (f->nic_len == f->nic_cap)
+                    return BH_ERR_STACK_OVERFLOW;
+                f->nic_node[f->nic_len] = f->node_of[src];
+                f->nic_sec[f->nic_len++] = nic;
+            }
             f->elems += n;
         }
         f->hist[npairs]++;
@@ -641,14 +656,21 @@ static void fw_activate(bh_frontier *f, int64_t s, int64_t g, int64_t k)
  * issue_cost          CostModel.async_issue (charged per source)
  * gcls[nthreads]       relation class of (tid, src), 0..3
  * gtab[4 * (gmax+1) * 2]  gather (complete, nic) by class and count
- * node_of[nthreads], nic   the runtime's node map and NIC times
+ * node_of[nthreads]    the runtime's node map
+ * nic_cap, nic_node[nic_cap], nic_sec[nic_cap]
+ *                      the walk's NIC adds, (node, seconds) in the
+ *                      order the gathers charge them; the caller adds
+ *                      them to the runtime's NIC times in that order.
+ *                      Every add is one source of one gather, so the
+ *                      tree's cells plus its leaf bodies bound them:
+ *                      each frontier cell is gathered once
  * hist[nthreads + 1]   += gathers by number of sources (pass zeros)
  * charge               callback for a count above gmax (bh_charge_fn)
  * ws_cap               workspace byte limit, 0 = none
  * acc[k * 3], work[k]  accumulated in place (pass zeros)
- * out[8]               gathers, forced gathers, waits, cells requested,
+ * out[9]               gathers, forced gathers, waits, cells requested,
  *                      interactions, interaction adds, stall adds,
- *                      gathered elements
+ *                      gathered elements, NIC adds logged
  *
  * Returns BH_ERR_DECLINED, before any side effect, when the workspace
  * cannot be allocated (or exceeds ws_cap) or an input is out of range;
@@ -674,12 +696,12 @@ int bh_frontier_walk(
     double local_word, double interaction, double factor,
     double sync_cost, double *clock, double *stall, double issue_cost,
     const uint8_t *gcls, const double *gtab, int64_t gmax,
-    const int64_t *node_of, double *nic, int64_t *hist,
-    bh_charge_fn charge, int64_t ws_cap, double *acc, double *work,
-    int64_t *out)
+    const int64_t *node_of, int64_t nic_cap, int64_t *nic_node,
+    double *nic_sec, int64_t *hist, bh_charge_fn charge, int64_t ws_cap,
+    double *acc, double *work, int64_t *out)
 {
     if (k <= 0 || group < 1 || group > BH_MAX_GROUP || n1 < 1 ||
-        ncells < 1 || ncells >= BH_EXPAND || gmax < 0)
+        ncells < 1 || ncells >= BH_EXPAND || gmax < 0 || nic_cap < 0)
         return BH_ERR_DECLINED;
     for (int64_t t = 0; t < nthreads; t++)
         if (gcls[t] > 3)
@@ -749,7 +771,8 @@ int bh_frontier_walk(
         .interaction = interaction, .factor = factor,
         .sync_cost = sync_cost, .clock = clock, .stall = stall,
         .acc = acc, .work = work, .issue_cost = issue_cost, .gcls = gcls,
-        .gtab = gtab, .gmax = gmax, .node_of = node_of, .nic = nic,
+        .gtab = gtab, .gmax = gmax, .node_of = node_of,
+        .nic_node = nic_node, .nic_sec = nic_sec, .nic_cap = nic_cap,
         .hist = hist, .charge = charge, .open_ok = open_ok,
         .park_head = park_head, .park_tail = park_tail,
     };
@@ -851,6 +874,7 @@ int bh_frontier_walk(
     out[5] = f->interaction_adds;
     out[6] = f->stall_adds;
     out[7] = f->elems;
+    out[8] = f->nic_len;
     free(ws);
     free(cell_ws);
     return rc;
@@ -1397,6 +1421,182 @@ int bh_cofm_rows(
         }
         cf_finish(&s, r, center, mass, cofm, nbodies, cost);
     }
+    return BH_OK;
+}
+
+/* ------------------------------------------------------------------ */
+/* The built tree flattened from the insertion build's own record.      */
+/* ------------------------------------------------------------------ */
+
+/* Event kinds of the build record (octree.build.BuildRecord), three
+ * int64 each:
+ *
+ *   (p, o, b), b >= 0   body b joins slot o of cell p: a new leaf when
+ *                       the slot is empty, the leaf's bucket otherwise
+ *   (p, o, -2 - s)      cell s is hooked into slot o of cell p; a leaf
+ *                       that held the slot is displaced
+ *   (s, o, -1)          the leaf displaced by the last hook moves into
+ *                       slot o of cell s
+ *
+ * Cells are named by creation seq (Cell.seq) throughout. */
+#define TR_MOVE (-1)
+
+/* The tree a build record describes, flattened exactly as
+ * repro.octree.flat.cell_rows flattens the linked tree.
+ *
+ * nevents, events[3 * nevents]   the record, in build order
+ * ncells, cell_home[ncells]      cells by seq, and their owning threads
+ * root, root_center[3], root_size   the root's seq and geometry
+ * nbodies                        body ids are below it; also the
+ *                                capacity of leaf_ptr - 1, leaf_bodies
+ *                                and order
+ * child[ncells * 8]              cell_rows' slot codes (row-major)
+ * leaf_ptr, leaf_bodies          leaf spans, in bucket order
+ * center[ncells * 3], size[ncells], home[ncells]   per row: the same
+ *                                float ops as insert (parent +- size/4,
+ *                                size/2 down from the root's)
+ * row_seq[ncells]                each row's cell seq
+ * order[nbodies]                 the leaf bodies in tree (Morton) order:
+ *                                morton.bodies_in_order of the root
+ * counts[3]                      rows, leaves and leaf bodies written
+ *
+ * Cells the root does not reach get no row.  Returns BH_ERR_DECLINED,
+ * before writing any output, when the record is malformed (an id out of
+ * range, a cell hooked twice or over a cell, a body added where a cell
+ * is, a displaced leaf not moved, or more bodies than nbodies).
+ */
+int bh_tree_rows(
+    int64_t nevents, const int64_t *events, int64_t ncells,
+    const int64_t *cell_home, int64_t root, const double *root_center,
+    double root_size, int64_t nbodies, int64_t *child, int64_t *leaf_ptr,
+    int64_t *leaf_bodies, double *center, double *size, int32_t *home,
+    int64_t *row_seq, int64_t *order, int64_t *counts)
+{
+    if (nevents < 0 || ncells < 1 || root < 0 || root >= ncells ||
+        nbodies < 0)
+        return BH_ERR_DECLINED;
+    /* slot codes by seq: -1 empty, a cell seq, or -2 - (leaf id in
+     * creation order); a leaf's bodies are a list over the add events */
+    const size_t bytes = (size_t)ncells * 8 * sizeof(int64_t)
+        + (size_t)ncells
+        + (size_t)(nbodies + 1) * 4 * sizeof(int64_t);
+    uint8_t *ws = malloc(bytes ? bytes : 1);
+    if (!ws)
+        return BH_ERR_DECLINED;
+    int64_t *slot = (int64_t *)ws;
+    int64_t *leaf_first = slot + ncells * 8;
+    int64_t *leaf_last = leaf_first + nbodies + 1;
+    int64_t *add_next = leaf_last + nbodies + 1;
+    int64_t *add_body = add_next + nbodies + 1;
+    uint8_t *hooked = (uint8_t *)(add_body + nbodies + 1);
+    for (int64_t i = 0; i < ncells * 8; i++)
+        slot[i] = -1;
+    for (int64_t i = 0; i < ncells; i++)
+        hooked[i] = 0;
+    hooked[root] = 1;
+
+    int64_t nleaves = 0, nadds = 0, pending = -1;
+    int bad = 0;
+    for (int64_t e = 0; e < nevents && !bad; e++) {
+        const int64_t p = events[3 * e], o = events[3 * e + 1],
+            c = events[3 * e + 2];
+        if (p < 0 || p >= ncells || o < 0 || o > 7) {
+            bad = 1;
+            break;
+        }
+        int64_t *v = slot + p * 8 + o;
+        if (c >= 0) {
+            if (c >= nbodies || nadds == nbodies || *v >= 0) {
+                bad = 1;
+                break;
+            }
+            add_body[nadds] = c;
+            add_next[nadds] = -1;
+            if (*v == -1) {
+                leaf_first[nleaves] = leaf_last[nleaves] = nadds;
+                *v = -2 - nleaves++;
+            } else {
+                const int64_t l = -2 - *v;
+                add_next[leaf_last[l]] = nadds;
+                leaf_last[l] = nadds;
+            }
+            nadds++;
+        } else if (c == TR_MOVE) {
+            if (pending == -1 || *v != -1) {
+                bad = 1;
+                break;
+            }
+            *v = pending;
+            pending = -1;
+        } else {
+            const int64_t s = -2 - c;
+            if (s >= ncells || hooked[s] || *v >= 0 || pending != -1) {
+                bad = 1;
+                break;
+            }
+            hooked[s] = 1;
+            pending = *v;
+            *v = s;
+        }
+    }
+    if (bad || pending != -1) {
+        free(ws);
+        return BH_ERR_DECLINED;
+    }
+
+    /* breadth-first rows, leaves numbered in row then slot order; the
+     * rows' seqs double as the queue */
+    int64_t nrows = 1, nl = 0, nb = 0;
+    row_seq[0] = root;
+    center[0] = root_center[0];
+    center[1] = root_center[1];
+    center[2] = root_center[2];
+    size[0] = root_size;
+    leaf_ptr[0] = 0;
+    for (int64_t r = 0; r < nrows; r++) {
+        const int64_t s = row_seq[r];
+        const double cx = center[3 * r], cy = center[3 * r + 1],
+            cz = center[3 * r + 2], q = size[r] / 4.0;
+        home[r] = (int32_t)cell_home[s];
+        for (int j = 0; j < 8; j++) {
+            const int64_t v = slot[s * 8 + j];
+            int64_t code = -1;
+            if (v >= 0) {
+                code = nrows;
+                row_seq[nrows] = v;
+                center[3 * nrows] = j & 1 ? cx + q : cx - q;
+                center[3 * nrows + 1] = j & 2 ? cy + q : cy - q;
+                center[3 * nrows + 2] = j & 4 ? cz + q : cz - q;
+                size[nrows++] = size[r] / 2.0;
+            } else if (v <= -2) {
+                for (int64_t a = leaf_first[-2 - v]; a >= 0; a = add_next[a])
+                    leaf_bodies[nb++] = add_body[a];
+                leaf_ptr[++nl] = nb;
+                code = -1 - nl;
+            }
+            child[r * 8 + j] = code;
+        }
+    }
+
+    /* tree order: depth first, children in slot order; a stack entry is
+     * a slot code, and every row and leaf is pushed once */
+    int64_t *stack = slot, sp = 0, no = 0;
+    stack[sp++] = 0;
+    while (sp > 0) {
+        const int64_t v = stack[--sp];
+        if (v <= -2) {
+            for (int64_t j = leaf_ptr[-v - 2]; j < leaf_ptr[-v - 1]; j++)
+                order[no++] = leaf_bodies[j];
+            continue;
+        }
+        for (int j = 7; j >= 0; j--)
+            if (child[v * 8 + j] != -1)
+                stack[sp++] = child[v * 8 + j];
+    }
+    counts[0] = nrows;
+    counts[1] = nl;
+    counts[2] = nb;
+    free(ws);
     return BH_OK;
 }
 

@@ -56,7 +56,7 @@ from typing import List, Optional
 import numpy as np
 
 #: ABI this loader binds; must match BH_ABI_VERSION in ``_bh_kernel.c``
-ABI_VERSION = 6
+ABI_VERSION = 7
 
 #: aggregate-counter slots filled by ``bh_force_walk`` (see the C file)
 NCOUNTERS = 5
@@ -76,14 +76,18 @@ COMPILE_FLAGS = ["-O3", "-ffp-contract=off", "-fPIC"]
 
 _SOURCE = Path(__file__).with_name("_bh_kernel.c")
 
-_F64 = ctypes.POINTER(ctypes.c_double)
-_I64 = ctypes.POINTER(ctypes.c_int64)
-_I32 = ctypes.POINTER(ctypes.c_int32)
-_U8 = ctypes.POINTER(ctypes.c_uint8)
+#: array arguments (float64, int64, int32, uint8 elements): the address
+#: of a C-contiguous numpy buffer, ``ndarray.ctypes.data``.  The numpy
+#: arrays are passed as plain addresses because ``ctypes.data_as`` builds
+#: a pointer object in a reference cycle that keeps the array alive until
+#: the cyclic collector runs: tens of thousands of them per benchmark
+#: pass, holding the walks' arrays
+_F64 = _I64 = _I32 = _U8 = ctypes.c_void_p
 
 #: ``bh_charge_fn``: (src, n, nic out) -> complete, NaN on error
 CHARGE_FN = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_int64,
-                             ctypes.c_int64, _F64)
+                             ctypes.c_int64,
+                             ctypes.POINTER(ctypes.c_double))
 
 
 class KernelUnavailable(Exception):
@@ -104,6 +108,7 @@ class CKernel:
             build = lib.bh_build_replay
             cofm = lib.bh_cofm_replay
             rows = lib.bh_cofm_rows
+            tree_rows = lib.bh_tree_rows
         except AttributeError as exc:
             raise KernelUnavailable(
                 f"{path}: missing kernel symbols ({exc})") from None
@@ -147,7 +152,9 @@ class CKernel:
             + [_F64, _F64]                    # clock stall
             + [ctypes.c_double, _U8, _F64, ctypes.c_int64]
                                               # issue_cost gcls gtab gmax
-            + [_I64, _F64, _I64, CHARGE_FN]   # node_of nic hist charge
+            + [_I64, ctypes.c_int64, _I64, _F64]  # node_of nic_cap
+                                              # nic_node nic_sec
+            + [_I64, CHARGE_FN]               # hist charge
             + [ctypes.c_int64, _F64, _F64, _I64]  # ws_cap acc work out
         )
         self._frontier = frontier
@@ -184,6 +191,17 @@ class CKernel:
             + [_F64] * 2 + [_I64, _F64]       # mass cofm nbodies cost
         )
         self._cofm_rows = rows
+        tree_rows.restype = ctypes.c_int
+        tree_rows.argtypes = (
+            [ctypes.c_int64, _I64]            # nevents events
+            + [ctypes.c_int64, _I64]          # ncells cell_home
+            + [ctypes.c_int64, _F64, ctypes.c_double]  # root center size
+            + [ctypes.c_int64] + [_I64] * 3   # nbodies child leaf_ptr
+                                              # leaf_bodies
+            + [_F64] * 2 + [_I32]             # center size home
+            + [_I64] * 3                      # row_seq order counts
+        )
+        self._tree_rows = tree_rows
 
     def force_walk(self, ids: np.ndarray,
                    px: np.ndarray, py: np.ndarray, pz: np.ndarray,
@@ -198,24 +216,24 @@ class CKernel:
         FlatTree arrays already are).
         """
         rc = self._walk(
-            len(ids), ids.ctypes.data_as(_I64),
-            px.ctypes.data_as(_F64), py.ctypes.data_as(_F64),
-            pz.ctypes.data_as(_F64), gmass.ctypes.data_as(_F64),
-            tree.cx.ctypes.data_as(_F64), tree.cy.ctypes.data_as(_F64),
-            tree.cz.ctypes.data_as(_F64),
-            tree.size_sq.ctypes.data_as(_F64),
-            tree.half.ctypes.data_as(_F64),
-            tree.ctx.ctypes.data_as(_F64), tree.cty.ctypes.data_as(_F64),
-            tree.ctz.ctypes.data_as(_F64),
-            tree.gmass.ctypes.data_as(_F64),
-            tree.cell_ptr.ctypes.data_as(_I64),
-            tree.cell_data.ctypes.data_as(_I64),
-            tree.lb_ptr.ctypes.data_as(_I64),
-            tree.lb_data.ctypes.data_as(_I64),
+            len(ids), ids.ctypes.data,
+            px.ctypes.data, py.ctypes.data,
+            pz.ctypes.data, gmass.ctypes.data,
+            tree.cx.ctypes.data, tree.cy.ctypes.data,
+            tree.cz.ctypes.data,
+            tree.size_sq.ctypes.data,
+            tree.half.ctypes.data,
+            tree.ctx.ctypes.data, tree.cty.ctypes.data,
+            tree.ctz.ctypes.data,
+            tree.gmass.ctypes.data,
+            tree.cell_ptr.ctypes.data,
+            tree.cell_data.ctypes.data,
+            tree.lb_ptr.ctypes.data,
+            tree.lb_data.ctypes.data,
             theta_sq, eps_sq, int(open_self),
-            accx.ctypes.data_as(_F64), accy.ctypes.data_as(_F64),
-            accz.ctypes.data_as(_F64), work.ctypes.data_as(_F64),
-            counters.ctypes.data_as(_F64),
+            accx.ctypes.data, accy.ctypes.data,
+            accz.ctypes.data, work.ctypes.data,
+            counters.ctypes.data,
         )
         _check("bh_force_walk", rc)
 
@@ -229,22 +247,22 @@ class CKernel:
         ``work`` (k), and add each body's cell opens into ``opens``
         (int64, one slot per FlatTree row)."""
         rc = self._slot(
-            len(ids), ids.ctypes.data_as(_I64),
-            px.ctypes.data_as(_F64), py.ctypes.data_as(_F64),
-            pz.ctypes.data_as(_F64), gmass.ctypes.data_as(_F64),
-            tree.cx.ctypes.data_as(_F64), tree.cy.ctypes.data_as(_F64),
-            tree.cz.ctypes.data_as(_F64),
-            tree.size_sq.ctypes.data_as(_F64),
-            tree.half.ctypes.data_as(_F64),
-            tree.ctx.ctypes.data_as(_F64), tree.cty.ctypes.data_as(_F64),
-            tree.ctz.ctypes.data_as(_F64),
-            tree.gmass.ctypes.data_as(_F64),
-            tree.child.ctypes.data_as(_I64),
-            tree.leaf_ptr.ctypes.data_as(_I64),
-            tree.leaf_bodies.ctypes.data_as(_I64),
+            len(ids), ids.ctypes.data,
+            px.ctypes.data, py.ctypes.data,
+            pz.ctypes.data, gmass.ctypes.data,
+            tree.cx.ctypes.data, tree.cy.ctypes.data,
+            tree.cz.ctypes.data,
+            tree.size_sq.ctypes.data,
+            tree.half.ctypes.data,
+            tree.ctx.ctypes.data, tree.cty.ctypes.data,
+            tree.ctz.ctypes.data,
+            tree.gmass.ctypes.data,
+            tree.child.ctypes.data,
+            tree.leaf_ptr.ctypes.data,
+            tree.leaf_bodies.ctypes.data,
             theta_sq, eps_sq, int(open_self),
-            acc.ctypes.data_as(_F64), work.ctypes.data_as(_F64),
-            opens.ctypes.data_as(_I64),
+            acc.ctypes.data, work.ctypes.data,
+            opens.ctypes.data,
         )
         _check("bh_slot_walk", rc)
 
@@ -258,15 +276,20 @@ class CKernel:
                       clock: np.ndarray, stall: np.ndarray,
                       issue_cost: float, gcls: np.ndarray,
                       gtab: np.ndarray, node_of: np.ndarray,
-                      nic: np.ndarray, hist: np.ndarray, charge,
+                      nic_node: np.ndarray, nic_sec: np.ndarray,
+                      hist: np.ndarray, charge,
                       acc: np.ndarray, work: np.ndarray, out: np.ndarray,
                       ws_cap: int = 0) -> bool:
         """The section-5.5 frontier loop for thread ``tid``'s bodies.
 
-        Charges ``clock[tid]`` and the gathers' ``nic`` times in place,
-        adds waitsync stalls to ``stall[0]``, counts gathers by source
-        count into ``hist``, accumulates into ``acc`` ((k, 3)) and
-        ``work``, and fills ``out`` (8 int64 results, see the C file).
+        Charges ``clock[0]`` (the thread's clock, best a private copy:
+        the walk updates it constantly) in place, logs the gathers' NIC
+        adds as
+        ``(nic_node[i], nic_sec[i])`` in charge order (``out[8]`` of
+        them; the arrays hold at most their length), adds waitsync
+        stalls to ``stall[0]``, counts gathers by source count into
+        ``hist``, accumulates into ``acc`` ((k, 3)) and ``work``, and
+        fills ``out`` (9 int64 results, see the C file).
         ``gtab`` ((4, gmax + 1, 2)) holds the gather charges by relation
         class (``gcls``, one per source thread) and element count;
         ``charge`` (a :data:`CHARGE_FN`) prices a larger count.  Returns
@@ -274,31 +297,32 @@ class CKernel:
         (workspace unavailable or above ``ws_cap`` bytes).
         """
         rc = self._frontier(
-            len(ids), ids.ctypes.data_as(_I64), tid, nthreads, group,
-            px.ctypes.data_as(_F64), py.ctypes.data_as(_F64),
-            pz.ctypes.data_as(_F64), gmass.ctypes.data_as(_F64),
-            tree.cx.ctypes.data_as(_F64), tree.cy.ctypes.data_as(_F64),
-            tree.cz.ctypes.data_as(_F64),
-            tree.size_sq.ctypes.data_as(_F64),
-            tree.half.ctypes.data_as(_F64),
-            tree.ctx.ctypes.data_as(_F64), tree.cty.ctypes.data_as(_F64),
-            tree.ctz.ctypes.data_as(_F64),
-            tree.gmass.ctypes.data_as(_F64),
-            tree.ncells, tree.child.ctypes.data_as(_I64),
-            tree.leaf_ptr.ctypes.data_as(_I64),
-            tree.leaf_bodies.ctypes.data_as(_I64),
-            tree.home.ctypes.data_as(_I32),
-            leaf_owner.ctypes.data_as(_I64),
+            len(ids), ids.ctypes.data, tid, nthreads, group,
+            px.ctypes.data, py.ctypes.data,
+            pz.ctypes.data, gmass.ctypes.data,
+            tree.cx.ctypes.data, tree.cy.ctypes.data,
+            tree.cz.ctypes.data,
+            tree.size_sq.ctypes.data,
+            tree.half.ctypes.data,
+            tree.ctx.ctypes.data, tree.cty.ctypes.data,
+            tree.ctz.ctypes.data,
+            tree.gmass.ctypes.data,
+            tree.ncells, tree.child.ctypes.data,
+            tree.leaf_ptr.ctypes.data,
+            tree.leaf_bodies.ctypes.data,
+            tree.home.ctypes.data,
+            leaf_owner.ctypes.data,
             theta_sq, eps_sq, int(open_self),
-            words.ctypes.data_as(_I64), n1, n2, n3,
+            words.ctypes.data, n1, n2, n3,
             local_word, interaction, factor, sync_cost,
-            clock[tid:].ctypes.data_as(_F64), stall.ctypes.data_as(_F64),
-            issue_cost, gcls.ctypes.data_as(_U8), gtab.ctypes.data_as(_F64),
-            gtab.shape[1] - 1, node_of.ctypes.data_as(_I64),
-            nic.ctypes.data_as(_F64), hist.ctypes.data_as(_I64), charge,
+            clock.ctypes.data, stall.ctypes.data,
+            issue_cost, gcls.ctypes.data, gtab.ctypes.data,
+            gtab.shape[1] - 1, node_of.ctypes.data,
+            len(nic_node), nic_node.ctypes.data,
+            nic_sec.ctypes.data, hist.ctypes.data, charge,
             ws_cap,
-            acc.ctypes.data_as(_F64), work.ctypes.data_as(_F64),
-            out.ctypes.data_as(_I64),
+            acc.ctypes.data, work.ctypes.data,
+            out.ctypes.data,
         )
         if rc == ERR_DECLINED:
             return False
@@ -320,14 +344,14 @@ class CKernel:
         Returns False, having touched nothing, when the kernel declines.
         """
         rc = self._build(
-            len(visits), visits.ctypes.data_as(_I64),
-            len(ins_tid), ins_tid.ctypes.data_as(_I64),
-            ncells, len(clock), node_of.ctypes.data_as(_I64),
-            classes.ctypes.data_as(_U8), table.ctypes.data_as(_F64),
-            visit_words, alloc_cost, clock.ctypes.data_as(_F64),
-            nic.ctypes.data_as(_F64), first.ctypes.data_as(_I64),
-            acquires.ctypes.data_as(_I64), contended.ctypes.data_as(_I64),
-            total_wait.ctypes.data_as(_F64), totals.ctypes.data_as(_I64),
+            len(visits), visits.ctypes.data,
+            len(ins_tid), ins_tid.ctypes.data,
+            ncells, len(clock), node_of.ctypes.data,
+            classes.ctypes.data, table.ctypes.data,
+            visit_words, alloc_cost, clock.ctypes.data,
+            nic.ctypes.data, first.ctypes.data,
+            acquires.ctypes.data, contended.ctypes.data,
+            total_wait.ctypes.data, totals.ctypes.data,
         )
         if rc == ERR_DECLINED:
             return False
@@ -354,21 +378,21 @@ class CKernel:
         deadlock, as ``run_waiting`` does.
         """
         rc = self._cofm(
-            len(home), len(clock), seq.ctypes.data_as(_I64),
-            home.ctypes.data_as(_I64), child.ctypes.data_as(_I64),
-            len(leaf_ptr) - 1, leaf_ptr.ctypes.data_as(_I64),
-            leaf_bodies.ctypes.data_as(_I64),
-            center.ctypes.data_as(_F64), len(store),
-            store.ctypes.data_as(_I64), bmass.ctypes.data_as(_F64),
-            bpos.ctypes.data_as(_F64), bcost.ctypes.data_as(_F64),
+            len(home), len(clock), seq.ctypes.data,
+            home.ctypes.data, child.ctypes.data,
+            len(leaf_ptr) - 1, leaf_ptr.ctypes.data,
+            leaf_bodies.ctypes.data,
+            center.ctypes.data, len(store),
+            store.ctypes.data, bmass.ctypes.data,
+            bpos.ctypes.data, bcost.ctypes.data,
             int(ptrs_local), leaf_words, child_words, leaf_word_cost,
-            factor, cell_cost, node_of.ctypes.data_as(_I64),
-            classes.ctypes.data_as(_U8),
-            table.ctypes.data_as(_F64), clock.ctypes.data_as(_F64),
-            nic.ctypes.data_as(_F64), mass.ctypes.data_as(_F64),
-            cofm.ctypes.data_as(_F64), nbodies.ctypes.data_as(_I64),
-            cost.ctypes.data_as(_F64),
-            done_at.ctypes.data_as(_F64), totals.ctypes.data_as(_I64),
+            factor, cell_cost, node_of.ctypes.data,
+            classes.ctypes.data,
+            table.ctypes.data, clock.ctypes.data,
+            nic.ctypes.data, mass.ctypes.data,
+            cofm.ctypes.data, nbodies.ctypes.data,
+            cost.ctypes.data,
+            done_at.ctypes.data, totals.ctypes.data,
         )
         if rc == ERR_DECLINED:
             return False
@@ -386,17 +410,48 @@ class CKernel:
         Returns False, having written nothing, when the kernel declines.
         """
         rc = self._cofm_rows(
-            len(child), child.ctypes.data_as(_I64), len(leaf_ptr) - 1,
-            leaf_ptr.ctypes.data_as(_I64), leaf_bodies.ctypes.data_as(_I64),
-            center.ctypes.data_as(_F64), len(bmass),
-            bmass.ctypes.data_as(_F64), bpos.ctypes.data_as(_F64),
-            bcost.ctypes.data_as(_F64), mass.ctypes.data_as(_F64),
-            cofm.ctypes.data_as(_F64), nbodies.ctypes.data_as(_I64),
-            cost.ctypes.data_as(_F64),
+            len(child), child.ctypes.data, len(leaf_ptr) - 1,
+            leaf_ptr.ctypes.data, leaf_bodies.ctypes.data,
+            center.ctypes.data, len(bmass),
+            bmass.ctypes.data, bpos.ctypes.data,
+            bcost.ctypes.data, mass.ctypes.data,
+            cofm.ctypes.data, nbodies.ctypes.data,
+            cost.ctypes.data,
         )
         if rc == ERR_DECLINED:
             return False
         _check("bh_cofm_rows", rc)
+        return True
+
+    def tree_rows(self, events: np.ndarray, cell_home: np.ndarray,
+                  root: int, root_center: np.ndarray, root_size: float,
+                  nbodies: int, child: np.ndarray, leaf_ptr: np.ndarray,
+                  leaf_bodies: np.ndarray, center: np.ndarray,
+                  size: np.ndarray, home: np.ndarray, row_seq: np.ndarray,
+                  order: np.ndarray, counts: np.ndarray) -> bool:
+        """Flatten the tree a build record describes (``events``:
+        (n, 3) int64, see the C file; ``cell_home``: each cell's home
+        by seq) as :func:`~repro.octree.flat.cell_rows` would: fill
+        ``child`` ((ncells, 8)), ``leaf_ptr`` (nbodies + 1),
+        ``leaf_bodies`` and ``order`` (nbodies), ``center``
+        ((ncells, 3)), ``size``, ``home`` (int32) and ``row_seq``
+        (ncells) from the top, and ``counts`` with the rows, leaves and
+        leaf bodies written.  Returns False, having written nothing,
+        when the kernel declines a malformed record.
+        """
+        rc = self._tree_rows(
+            len(events), events.ctypes.data, len(cell_home),
+            cell_home.ctypes.data, root,
+            root_center.ctypes.data, root_size, nbodies,
+            child.ctypes.data, leaf_ptr.ctypes.data,
+            leaf_bodies.ctypes.data, center.ctypes.data,
+            size.ctypes.data, home.ctypes.data,
+            row_seq.ctypes.data, order.ctypes.data,
+            counts.ctypes.data,
+        )
+        if rc == ERR_DECLINED:
+            return False
+        _check("bh_tree_rows", rc)
         return True
 
 

@@ -16,6 +16,11 @@ cells an insertion allocated.  ``insert`` returns the number of cells it
 visited (the ``on_visit`` calls it made or would have made), so a caller
 that only counts needs no hook at all.
 
+``record`` (a :class:`BuildRecord`) keeps the build's structural events
+as flat ints, for the compiled flatten ``bh_tree_rows``
+(:func:`repro.octree.flat.record_rows`); a recorded build numbers its
+cells through the record, across every tree it holds.
+
 The octant test and the child-centre arithmetic run inline on the cells'
 float-tuple centres (:mod:`repro.octree.cell`), with the same float ops
 as ``Cell.octant_of`` and ``Cell.child_center``.
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -33,6 +38,48 @@ from ..nbody.bbox import RootBox
 from .cell import Cell, Leaf, MAX_DEPTH
 
 Hook = Optional[Callable[[Cell], None]]
+
+
+class BuildRecord:
+    """What one or more insertion builds did, in order, as flat ints.
+
+    ``cells[s]`` is the cell of seq ``s`` and ``homes[s]`` its home
+    thread.  ``events`` holds three ints per event (``bh_tree_rows`` in
+    ``_bh_kernel.c`` reads them):
+
+    * ``(p, o, b)``, ``b >= 0`` -- body ``b`` joins slot ``o`` of cell
+      ``p``: a new leaf when the slot is empty, the leaf's bucket
+      otherwise;
+    * ``(p, o, -2 - s)`` -- cell ``s`` is hooked into slot ``o`` of cell
+      ``p``, displacing the leaf that held the slot, if any;
+    * ``(s, o, -1)`` -- that displaced leaf moves into slot ``o`` of
+      cell ``s``.
+
+    :func:`insert` records its splits and placements; a caller that
+    hooks trees or leaves together itself records it with :meth:`add`
+    and :meth:`hook`.
+    """
+
+    __slots__ = ("events", "cells", "homes")
+
+    def __init__(self) -> None:
+        self.events: List[int] = []
+        self.cells: List[Cell] = []
+        self.homes: List[int] = []
+
+    def add(self, cell: Cell) -> None:
+        """Number a cell no recorded insertion created (a root or a
+        subtree root) as the next seq."""
+        cell.seq = len(self.cells)
+        self.cells.append(cell)
+        self.homes.append(cell.home)
+
+    def hook(self, parent: Cell, octant: int, node: "Cell | Leaf") -> None:
+        """Record ``parent.children[octant] = node`` into an empty slot
+        (``node`` a recorded cell or a one-body leaf)."""
+        self.events += (parent.seq, octant,
+                        -2 - node.seq if isinstance(node, Cell)
+                        else node.indices[0])
 
 
 @contextmanager
@@ -45,6 +92,12 @@ def gc_paused():
     every hundredth time; none of it is garbage.  A tree holds no
     reference cycles, so reference counting frees it either way.  The
     collector's state is restored on exit.
+
+    On exit the objects the build made move to the oldest generation
+    unscanned (``gc.freeze`` then ``gc.unfreeze``): re-enabled as they
+    were, the collector's next young pass would walk the whole new tree
+    once.  That is skipped while anything else is frozen, so that no one
+    else's frozen objects are thawed.
     """
     if not gc.isenabled():
         yield
@@ -53,6 +106,9 @@ def gc_paused():
     try:
         yield
     finally:
+        if not gc.get_freeze_count():
+            gc.freeze()
+            gc.unfreeze()
         gc.enable()
 
 
@@ -65,7 +121,8 @@ def new_root(box: RootBox, home: int = 0) -> Cell:
 
 def insert(root: Cell, idx: int, positions: np.ndarray, home: int = 0,
            on_visit: Hook = None, on_alloc: Hook = None,
-           on_modify: Hook = None, seq_counter: Optional[list] = None) -> int:
+           on_modify: Hook = None, seq_counter: Optional[list] = None,
+           record: Optional[BuildRecord] = None) -> int:
     """Insert body ``idx`` (position looked up in ``positions``); returns
     the number of cells visited."""
     # one read as Python floats: the octant tests compare the same values
@@ -84,12 +141,16 @@ def insert(root: Cell, idx: int, positions: np.ndarray, home: int = 0,
             if on_modify is not None:
                 on_modify(cur)
             children[oct_idx] = Leaf(idx)
+            if record is not None:
+                record.events += (cur.seq, oct_idx, idx)
             return depth + 1
         if isinstance(slot, Leaf):
             if depth >= MAX_DEPTH:
                 if on_modify is not None:
                     on_modify(cur)
                 slot.indices.append(idx)
+                if record is not None:
+                    record.events += (cur.seq, oct_idx, idx)
                 return depth + 1
             # Cell.child_center, inline
             q = cur.size / 4.0
@@ -100,13 +161,20 @@ def insert(root: Cell, idx: int, positions: np.ndarray, home: int = 0,
             if seq_counter is not None:
                 sub.seq = seq_counter[0]
                 seq_counter[0] += 1
+            ox, oy, oz = positions[slot.indices[0]].tolist()
+            moved = ((1 if ox > sx else 0) | (2 if oy > sy else 0)
+                     | (4 if oz > sz else 0))
+            if record is not None:
+                sub.seq = seq = len(record.cells)
+                record.cells.append(sub)
+                record.homes.append(home)
+                record.events += (cur.seq, oct_idx, -2 - seq, seq, moved,
+                                  -1)
             if on_alloc is not None:
                 on_alloc(sub)
             if on_modify is not None:
                 on_modify(cur)
-            ox, oy, oz = positions[slot.indices[0]].tolist()
-            sub.children[(1 if ox > sx else 0) | (2 if oy > sy else 0)
-                         | (4 if oz > sz else 0)] = slot
+            sub.children[moved] = slot
             children[oct_idx] = sub
             cur = sub
         else:

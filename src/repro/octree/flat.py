@@ -47,7 +47,7 @@ import numpy as np
 
 from ..nbody.bbox import RootBox
 from ..nbody.constants import G
-from .build import build_tree
+from .build import BuildRecord, build_tree
 from .cell import NSUB, Cell, Leaf
 from .cofm import compute_cofm
 
@@ -105,6 +105,50 @@ def cell_rows(root: Cell) -> CellRows:
     return order, child, leaf_ptr, leaf_bodies
 
 
+def record_rows(kernel, record: BuildRecord, root: Cell, nbodies: int
+                ) -> Optional[Tuple[CellRows, Dict[str, np.ndarray],
+                                    np.ndarray]]:
+    """:func:`cell_rows` of ``root`` from the build ``record`` of its
+    tree, in one compiled pass (``bh_tree_rows``), without reading a
+    ``Cell``.
+
+    Returns ``(rows, fields, order)``: the rows exactly as
+    :func:`cell_rows` gives them, each row's ``center``, ``size`` and
+    ``home`` (computed with ``insert``'s float ops down from the root's
+    geometry) and ``seq`` (its cell's creation seq) as ``FlatTree``
+    field arrays, and the leaf bodies in tree order
+    (:func:`~repro.octree.morton.bodies_in_order`).  ``nbodies`` bounds
+    the body ids.  Returns ``None``, having touched nothing, when the
+    kernel declines.
+    """
+    ncells = len(record.cells)
+    events = np.fromiter(record.events, dtype=np.int64,
+                         count=len(record.events)).reshape(-1, 3)
+    child = np.empty((ncells, NSUB), dtype=np.int64)
+    leaf_ptr = np.empty(nbodies + 1, dtype=np.int64)
+    leaf_bodies = np.empty(nbodies, dtype=np.int64)
+    order = np.empty(nbodies, dtype=np.int64)
+    center = np.empty((ncells, 3), dtype=np.float64)
+    size = np.empty(ncells, dtype=np.float64)
+    home = np.empty(ncells, dtype=np.int32)
+    seq = np.empty(ncells, dtype=np.int64)
+    counts = np.zeros(3, dtype=np.int64)
+    if not kernel.tree_rows(
+            events, np.array(record.homes, dtype=np.int64), root.seq,
+            np.array(root.center, dtype=np.float64), root.size, nbodies,
+            child, leaf_ptr, leaf_bodies, center, size, home, seq, order,
+            counts):
+        return None
+    nrows, nleaves, nleaf_bodies = counts.tolist()
+    by_seq = record.cells
+    cells = [by_seq[s] for s in seq[:nrows].tolist()]
+    rows = (cells, child[:nrows], leaf_ptr[:nleaves + 1],
+            leaf_bodies[:nleaf_bodies])
+    fields = {"center": center[:nrows], "size": size[:nrows],
+              "home": home[:nrows], "seq": seq[:nrows]}
+    return rows, fields, order[:nleaf_bodies]
+
+
 #: the ``FlatTree`` fields held by every ``Cell``: (name, dtype, width)
 _CELL_FIELDS = (
     ("center", np.float64, 3), ("size", np.float64, 1),
@@ -115,26 +159,31 @@ _CELL_FIELDS = (
 
 
 def cofm_rows(kernel, rows: CellRows, positions: np.ndarray,
-              masses: np.ndarray, costs: np.ndarray
+              masses: np.ndarray, costs: np.ndarray,
+              fields: Optional[Dict[str, np.ndarray]] = None
               ) -> Optional[Dict[str, np.ndarray]]:
     """:func:`compute_cofm` of every cell of a flattened tree, in one
     compiled pass (``bh_cofm_rows``), bit for bit.
 
     Fills every cell's ``mass``/``cofm``/``nbodies``/``cost`` and returns
-    them, with the cells' ``center``, as per-row ``FlatTree`` field
-    arrays for :meth:`FlatTree.from_cell_rows`.  Returns ``None``, having
+    them as per-row ``FlatTree`` field arrays for
+    :meth:`FlatTree.from_cell_rows`, with the per-row arrays ``fields``
+    already holds (:func:`record_rows`); the cells' ``center`` is read
+    from them when ``fields`` lacks it.  Returns ``None``, having
     touched nothing, when the kernel declines.
     """
     cells, child, leaf_ptr, leaf_bodies = rows
     n = len(cells)
-    fields = {
-        "center": np.array([c.center for c in cells], dtype=np.float64
-                           ).reshape(n, 3),
+    fields = dict(fields or ())
+    if "center" not in fields:
+        fields["center"] = np.array([c.center for c in cells],
+                                    dtype=np.float64).reshape(n, 3)
+    fields.update({
         "mass": np.empty(n, dtype=np.float64),
         "cofm": np.empty((n, 3), dtype=np.float64),
         "nbodies": np.empty(n, dtype=np.int64),
         "cost": np.empty(n, dtype=np.float64),
-    }
+    })
     if not kernel.cofm_rows(
             child, leaf_ptr, leaf_bodies, fields["center"],
             np.ascontiguousarray(masses, dtype=np.float64),
@@ -272,22 +321,24 @@ class FlatTree:
 
         ``rows`` is :func:`cell_rows` of ``root`` when the caller already
         has it, and ``fields`` the per-row arrays it already holds, by
-        field name (:func:`cofm_rows`); the other fields are read from
-        the cells.
+        field name (:func:`record_rows`, :func:`cofm_rows`); the other
+        fields are read from the cells.
         """
         order, child, leaf_ptr, leaf_bodies = \
             rows if rows is not None else cell_rows(root)
         ncells = len(order)
-        fields = dict(fields or ())
+        fields = fields or {}
+        kw = {}
         for name, dtype, width in _CELL_FIELDS:
             if name in fields:
+                kw[name] = fields[name]
                 continue
             values = map(attrgetter(name), order)
-            fields[name] = np.fromiter(values, dtype=dtype, count=ncells) \
+            kw[name] = np.fromiter(values, dtype=dtype, count=ncells) \
                 if width == 1 else np.array(list(values), dtype=dtype
                                             ).reshape(ncells, width)
         tree = cls(child=child, leaf_ptr=leaf_ptr, leaf_bodies=leaf_bodies,
-                   **fields)
+                   **kw)
         return tree, order
 
     @classmethod

@@ -50,6 +50,13 @@ are held with exact equality.
 The compiled replays of the baseline's tree build and c-of-m phase and
 the compiled frontier walk read the same store as arrays:
 :meth:`UpcRuntime.class_tables` and :meth:`UpcRuntime.gather_table`.
+
+NIC times are sums, so their bits depend on the order of the adds.  A
+phase that runs several threads' work at once
+(:mod:`repro.kernels.pool`) keeps each thread's NIC adds in a log
+(:meth:`UpcRuntime.deferred_nic`, and the compiled frontier walk's own
+log) and adds the logs in thread order afterwards
+(:meth:`UpcRuntime.add_nic_log`): the same adds in the same order.
 """
 
 from __future__ import annotations
@@ -78,6 +85,28 @@ CLASS_OPS = tuple(("word", w) for w in CLASS_WORDS) + (("acquire",),
                                                        ("release",))
 #: the price of a class without pairs (never looked up by a charge)
 NO_CHARGE = Charge(0.0, 0.0, 0.0)
+
+
+class NicLog:
+    """Stands in for ``UpcRuntime._nic`` while NIC adds are deferred.
+
+    Every charge adds as ``nic[node] += seconds``: reading gives 0.0, so
+    the write is ``0.0 + seconds`` (exactly ``seconds``), and it is
+    logged as ``(node, seconds)`` instead of added.
+    """
+
+    __slots__ = ("nodes", "seconds")
+
+    def __init__(self) -> None:
+        self.nodes: List[int] = []
+        self.seconds: List[float] = []
+
+    def __getitem__(self, node: int) -> float:
+        return 0.0
+
+    def __setitem__(self, node: int, seconds: float) -> None:
+        self.nodes.append(node)
+        self.seconds.append(seconds)
 
 
 class UpcRuntime:
@@ -190,6 +219,21 @@ class UpcRuntime:
         """Bump a per-phase counter (no time charged)."""
         if self._counters is not None:
             self._counters.add(tid, key, n)
+
+    @contextmanager
+    def deferred_nic(self) -> Iterator[NicLog]:
+        """Log every NIC add made inside the block instead of making it
+        (point-to-point charges only); :meth:`add_nic_log` makes them."""
+        saved, self._nic = self._nic, NicLog()
+        try:
+            yield self._nic
+        finally:
+            self._nic = saved
+
+    def add_nic_log(self, nodes, seconds) -> None:
+        """Make logged NIC adds (node ids, seconds), in log order."""
+        # ufunc.at adds unbuffered, one element at a time, in order
+        np.add.at(self._nic, np.asarray(nodes, dtype=np.intp), seconds)
 
     def _add_nic(self, src: int, dst: int, seconds: float) -> None:
         # Adapter occupancy is charged at the serving (target) node: for

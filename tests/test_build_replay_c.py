@@ -212,8 +212,9 @@ class TestCompiledMatchesOracle:
         assert ran.cofm_engine == build_replay.C_COFM
         rows = ran.tree_rows
         assert rows[0][0] is ran.root
-        assert sorted(ran.tree_fields) == ["center", "cofm", "cost", "mass",
-                                           "nbodies"]
+        # the build record's flatten (geometry, home, seq) plus the pass's
+        assert sorted(ran.tree_fields) == ["center", "cofm", "cost", "home",
+                                           "mass", "nbodies", "seq", "size"]
         reused = ran.slot_tree()
         assert reused.cells is rows[0]
         assert ran.tree_rows is None and ran.tree_fields is None

@@ -9,11 +9,11 @@ from repro.core.config import BHConfig
 from repro.core.frontier import frontier_force
 from repro.nbody.bbox import compute_root
 from repro.octree.build import build_tree
-from repro.octree.cell import Cell
+from repro.octree.cell import Cell, Leaf
 from repro.octree.cofm import compute_cofm
 from repro.octree.traverse import gravity_traversal
 from repro.upc.nonblocking import AsyncEngine
-from repro.upc.params import MachineConfig
+from repro.upc.params import MachineConfig, paper_section5_machine
 from repro.upc.runtime import UpcRuntime
 
 
@@ -85,6 +85,71 @@ class TestCellCache:
         with rt.phase("f"):
             cache.ensure_children(root)
         assert cache.localized_count == 1
+
+
+def _ensure_children_one_alloc_each(self, cell):
+    """``CellCache.ensure_children`` as it booked every fetched or copied
+    cell: one ``heap.upc_alloc`` (and its discarded pointer) per cell."""
+    if id(cell) in self._localized:
+        self.hits += 1
+        return
+    rt = self.rt
+    tid = self.tid
+    m = rt.machine
+    for ch in cell.children:
+        if ch is None:
+            continue
+        if isinstance(ch, Leaf):
+            for b in ch.indices:
+                owner = int(self.store[b])
+                if owner != tid:
+                    rt.memget(tid, owner, m.body_nbytes, key="cache_fetch")
+                    self.misses += 1
+                elif not self.merged:
+                    rt.memget(tid, tid, m.body_nbytes,
+                              key="cache_local_copy")
+                    self.local_copies += 1
+                else:
+                    rt.charge_compute(tid, m.local_word_cost)
+            continue
+        if ch.home != tid:
+            rt.memget(tid, ch.home, m.cell_nbytes, key="cache_fetch")
+            rt.heap.upc_alloc(tid, m.cell_nbytes, ch)
+            self.misses += 1
+        elif self.merged:
+            rt.charge_compute(tid, m.local_word_cost)
+        else:
+            rt.memget(tid, tid, m.cell_nbytes, key="cache_local_copy")
+            rt.heap.upc_alloc(tid, m.cell_nbytes, ch)
+            self.local_copies += 1
+    self._localized.add(id(cell))
+
+
+@pytest.mark.parametrize("variant", ["cache", "cache-merged"])
+@pytest.mark.parametrize("nthreads", [4, 16])
+def test_cache_books_allocations_by_count(monkeypatch, variant, nthreads):
+    # counting the copies gives the heap totals of one upc_alloc each
+    cfg = BHConfig(nbodies=384, nsteps=2, warmup_steps=1, seed=3)
+    sims = []
+    for oracle in (False, True):
+        with monkeypatch.context() as mp:
+            if oracle:
+                mp.setattr(CellCache, "ensure_children",
+                           _ensure_children_one_alloc_each)
+            sim = BarnesHutSimulation(cfg, nthreads, variant=variant,
+                                      machine=paper_section5_machine())
+            sim.run()
+        sims.append(sim)
+    got, want = (s.rt for s in sims)
+    assert want.heap.live_objects.sum() > 0
+    assert np.array_equal(got.heap.allocated, want.heap.allocated)
+    assert np.array_equal(got.heap.live_objects, want.heap.live_objects)
+    assert np.array_equal(got.clock, want.clock)
+    for a, b in zip(got.log, want.log):
+        assert a.duration == b.duration
+        assert np.array_equal(a.thread_times, b.thread_times)
+        assert np.array_equal(a.nic_times, b.nic_times)
+        assert dict(a.counters._data) == dict(b.counters._data)
 
 
 class TestFrontier:

@@ -1,19 +1,27 @@
 """Subspace tree building (section 6): splitting, allocation, exchange."""
 
+from typing import List, Optional
+
 import numpy as np
 import pytest
 
 from repro.core.app import BarnesHutSimulation
 from repro.core.config import BHConfig
 from repro.core.subspace import (
+    MAX_SPLIT_LEVELS,
+    SCAN_COST,
+    SUBSPACE_COST,
+    SubspaceTree,
     allocate_leaves,
     exchange_bodies,
     split_subspaces,
 )
+from repro.nbody.distributions import make_distribution
+from repro.upc.collectives import allreduce_scalar, allreduce_vector
 from repro.nbody.bbox import compute_root
 from repro.nbody.plummer import plummer
 from repro.upc.memory import SharedArray
-from repro.upc.params import MachineConfig
+from repro.upc.params import MachineConfig, paper_section5_machine
 from repro.upc.runtime import UpcRuntime
 
 
@@ -120,6 +128,140 @@ class TestSplit:
             last = seen_parent_oct.get(par, -1)
             assert o > last
             seen_parent_oct[par] = o
+
+
+def _split_loop(rt, pos, cost, store, box, alpha, vector_reduction):
+    """The split loop before it was vectorized: per-thread and per-child
+    Python loops, ``np.isin`` membership."""
+    P = rt.nthreads
+    n = len(cost)
+    centers = [np.asarray(box.center, dtype=np.float64)]
+    sizes = [float(box.rsize)]
+    parent = [-1]
+    octs = [0]
+    child_base = [-1]
+    g_cost = [0.0]
+    g_count = [0]
+    body_ss = np.zeros(n, dtype=np.int64)
+    level = np.array([0], dtype=np.int64)
+    levels: List[np.ndarray] = []
+    tau: Optional[float] = None
+
+    depth = 0
+    while len(level) and depth < MAX_SPLIT_LEVELS:
+        levels.append(level)
+        depth += 1
+        in_level = np.isin(body_ss, level)
+        # local cost/count accumulation, then one reduction per level
+        lvl_pos = np.searchsorted(level, body_ss[in_level])
+        lcost = np.bincount(lvl_pos, weights=cost[in_level],
+                            minlength=len(level))
+        lcount = np.bincount(lvl_pos, minlength=len(level))
+        for t in range(P):
+            mine = int((store[in_level] == t).sum())
+            rt.charge_compute(t, mine * SCAN_COST
+                              + len(level) * SUBSPACE_COST)
+        if vector_reduction:
+            # costs and counts in one vector reduction for the whole level
+            allreduce_vector(rt, 2 * len(level))
+        else:
+            for _ in range(len(level)):
+                allreduce_scalar(rt)
+        for j, node in enumerate(level):
+            g_cost[node] = float(lcost[j])
+            g_count[node] = int(lcount[j])
+        if tau is None:
+            total = g_cost[0]
+            tau = alpha * total / P
+        fat = [int(nd) for j, nd in enumerate(level)
+               if lcost[j] > tau and lcount[j] > 1]
+        if not fat:
+            break
+        # allocate 8 children per fat node (contiguous, octant order)
+        base_of = np.full(len(centers) + 8 * len(fat), -1, dtype=np.int64)
+        new_level = np.empty(8 * len(fat), dtype=np.int64)
+        for j, f in enumerate(fat):
+            base = len(centers)
+            child_base[f] = base
+            base_of[f] = base
+            cf = centers[f]
+            q = sizes[f] / 4.0
+            for o in range(8):
+                off = np.array([q if (o & 1) else -q,
+                                q if (o & 2) else -q,
+                                q if (o & 4) else -q])
+                centers.append(cf + off)
+                sizes.append(sizes[f] / 2.0)
+                parent.append(f)
+                octs.append(o)
+                child_base.append(-1)
+                g_cost.append(0.0)
+                g_count.append(0)
+            new_level[8 * j: 8 * j + 8] = np.arange(base, base + 8)
+        # re-bucket bodies living in fat subspaces (vectorized octant)
+        fat_arr = np.asarray(fat, dtype=np.int64)
+        sel = np.isin(body_ss, fat_arr)
+        if sel.any():
+            ctr = np.asarray(centers)[body_ss[sel]]
+            p = pos[sel]
+            o = ((p[:, 0] > ctr[:, 0]).astype(np.int64)
+                 | ((p[:, 1] > ctr[:, 1]).astype(np.int64) << 1)
+                 | ((p[:, 2] > ctr[:, 2]).astype(np.int64) << 2))
+            body_ss[sel] = base_of[body_ss[sel]] + o
+            for t in range(P):
+                mine = int((store[sel] == t).sum())
+                rt.charge_compute(t, mine * 4 * SCAN_COST)
+        level = new_level
+
+    tree = SubspaceTree(
+        centers=np.asarray(centers),
+        sizes=np.asarray(sizes),
+        parent=np.asarray(parent, dtype=np.int64),
+        oct=np.asarray(octs, dtype=np.int64),
+        child_base=np.asarray(child_base, dtype=np.int64),
+        global_cost=np.asarray(g_cost),
+        global_count=np.asarray(g_count, dtype=np.int64),
+        levels=levels,
+    )
+    tree.leaves = tree.leaves_in_order()
+    return tree, body_ss
+
+
+class TestVectorizedSplit:
+    """``split_subspaces`` against the per-thread/per-child loop it
+    replaced: the same tree, body map and charges, bit for bit."""
+
+    @pytest.mark.parametrize("nthreads", [4, 16, 64])
+    @pytest.mark.parametrize("dist", ["plummer", "disk"])
+    @pytest.mark.parametrize("vector", [True, False])
+    def test_equals_the_loop(self, nthreads, dist, vector):
+        bodies = make_distribution(dist, 3000, seed=5)
+        cost = np.random.default_rng(5).integers(1, 400, 3000) * 1.0
+        store = SharedArray.block_distributed(nthreads, 3000)
+        box = compute_root(bodies.pos)
+        runs = []
+        for split in (split_subspaces, _split_loop):
+            rt = UpcRuntime(nthreads, paper_section5_machine())
+            with rt.phase("s"):
+                tree, body_ss = split(rt, bodies.pos, cost, store, box,
+                                      2 / 3, vector)
+                nic = rt._nic.copy()
+                counters = dict(rt._counters._data)
+            runs.append((rt, tree, body_ss, nic, counters))
+        (rt, tree, body_ss, nic, counters), want = runs[0], runs[1]
+        assert np.array_equal(body_ss, want[2])
+        assert body_ss.dtype == want[2].dtype
+        for name in ("centers", "sizes", "parent", "oct", "child_base",
+                     "global_cost", "global_count", "leaves"):
+            a, b = getattr(tree, name), getattr(want[1], name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert len(tree.levels) == len(want[1].levels)
+        for a, b in zip(tree.levels, want[1].levels):
+            assert np.array_equal(a, b)
+        assert tree.n_levels > 2
+        assert np.array_equal(rt.clock, want[0].clock)
+        assert np.array_equal(nic, want[3])
+        assert counters == want[4]
 
 
 class TestAllocation:

@@ -22,12 +22,14 @@ import numpy as np
 import pytest
 
 import repro.core.frontier as frontier
+import repro.kernels.pool as pool
 from repro.backends.object_tree import SlotTree, slot_kernel
 from repro.core.app import BarnesHutSimulation, run_variant
 from repro.core.config import BHConfig
-from repro.core.frontier import FrontierStats, frontier_force
+from repro.core.frontier import FrontierStats, frontier_force, frontier_forces
 from repro.core.phases import FORCE
 from repro.core.variants.async_agg import AsyncAgg
+from repro.core.variants.base import BODY_FORCE_WORDS
 from repro.nbody.distributions import make_distribution
 from repro.upc.nonblocking import AsyncEngine, source_fractions
 from repro.upc.params import paper_section5_machine, paper_section6_machine
@@ -82,13 +84,49 @@ def _force_phase(v, compiled: bool):
     return v, engine, calls
 
 
+def _phase_walks(v, monkeypatch, workers=None):
+    """The force phase's walks as ``AsyncAgg.phase_force`` runs them
+    (every thread's body words charged ahead of its walk) on a deep copy
+    of ``v``: the batch on ``workers`` walk workers, or, with ``None``,
+    thread after thread through the Python loop, as a serial phase."""
+    v = copy.deepcopy(v)
+    engine = AsyncEngine(v.rt)
+    jobs = [(t, v.assigned(t)) for t in range(v.P) if len(v.assigned(t))]
+
+    def body_words(t, idx):
+        v.charge_body_words(t, idx, BODY_FORCE_WORDS)
+
+    with monkeypatch.context() as mp:
+        if workers is None:
+            mp.setattr("repro.kernels.load_kernel", lambda: None)
+            calls = []
+            for t, idx in jobs:
+                body_words(t, idx)
+                calls.append(frontier_force(v, engine, t, idx))
+        else:
+            mp.setattr(pool, "_WORKERS", workers)
+            calls = frontier_forces(v, engine, jobs,
+                                    SlotTree(v.root, v.bodies, v.cfg),
+                                    body_words)
+    return v, engine, calls
+
+
 def _assert_identical(v, monkeypatch):
     """The compiled force phase equals the oracle's; its calls."""
-    got_v, got_eng, got = _force_phase(v, compiled=True)
+    got = _force_phase(v, compiled=True)
     with monkeypatch.context() as mp:
         mp.setattr("repro.kernels.load_kernel", lambda: None)
-        want_v, want_eng, want = _force_phase(v, compiled=False)
-    assert [s.engine for _, _, s in want] == [frontier.PY_ENGINE] * v.P
+        want = _force_phase(v, compiled=False)
+    assert [s.engine for _, _, s in want[2]] == [frontier.PY_ENGINE] * v.P
+    return _assert_same_calls(got, want)
+
+
+def _assert_same_calls(got_run, want_run):
+    """Two runs of a force phase's walks touched everything alike;
+    the first's calls."""
+    got_v, got_eng, got = got_run
+    want_v, want_eng, want = want_run
+    assert len(got) == len(want)
     for (acc, work, stats), (r_acc, r_work, r_stats) in zip(got, want):
         assert np.array_equal(acc, r_acc)
         assert np.array_equal(work, r_work)
@@ -137,6 +175,52 @@ class TestCompiledMatchesOracle:
         # the case exercises the remote path: something was gathered
         if nthreads > 1:
             assert sum(s.gathers for _, _, s in got) > 0
+
+    @pytest.mark.parametrize(
+        "variant,nthreads,dist,n123,open_self,machine", CASES,
+        ids=["-".join(map(str, c)) for c in CASES])
+    def test_walk_workers_bit_identical(self, monkeypatch, variant,
+                                        nthreads, dist, n123, open_self,
+                                        machine):
+        # one worker, two workers and the serial Python phase agree on
+        # every output, clock, NIC time (the logged adds, in thread
+        # order), counter row (the stall included) and histogram
+        v = _at_force_phase(variant, nthreads, dist, n123, open_self,
+                            machine)
+        one = _phase_walks(v, monkeypatch, workers=1)
+        two = _phase_walks(v, monkeypatch, workers=2)
+        got = _assert_same_calls(two, one)
+        _assert_same_calls(two, _phase_walks(v, monkeypatch))
+        assert all(s.engine == frontier.C_ENGINE for _, _, s in got)
+
+    def test_walk_workers_with_waits_and_callbacks(self, monkeypatch):
+        # stalls, forced gathers and callback-priced pieces, both ways
+        monkeypatch.setattr(frontier, "GATHER_TABLE_N", 1)
+        v = _at_force_phase("async", 16, n123=(8, 1, 8))
+        two = _phase_walks(v, monkeypatch, workers=2)
+        got = _assert_same_calls(two, _phase_walks(v, monkeypatch, 1))
+        _assert_same_calls(two, _phase_walks(v, monkeypatch))
+        assert sum(s.waits for _, _, s in got) > 0
+        assert two[0].rt._counters.total("waitsync_stall") > 0
+
+    @pytest.mark.parametrize("variant", ["async", "subspace"])
+    def test_force_phase_workers_bit_identical(self, monkeypatch, variant):
+        runs = []
+        for workers in (1, 2):
+            v = copy.deepcopy(_at_force_phase(variant, 16, dist="disk"))
+            with monkeypatch.context() as mp:
+                mp.setattr(pool, "_WORKERS", workers)
+                v.phase_force()
+            runs.append(v)
+        got, want = runs
+        assert got.force_engine == want.force_engine == frontier.C_ENGINE
+        assert np.array_equal(got.bodies.acc, want.bodies.acc)
+        assert np.array_equal(got.bodies.cost, want.bodies.cost)
+        assert np.array_equal(got.rt.clock, want.rt.clock)
+        assert np.array_equal(got.rt._nic, want.rt._nic)
+        assert dict(got.rt._counters._data) == dict(want.rt._counters._data)
+        assert got.frontier_totals == want.frontier_totals
+        assert got.source_histogram == want.source_histogram
 
     @pytest.mark.parametrize("open_self", [False, True])
     def test_max_depth_bucket(self, monkeypatch, open_self):

@@ -283,3 +283,22 @@ class TestGracefulDegradation:
         b.begin_step(None, bodies)
         res = b.accelerations(np.arange(64), bodies)
         assert np.isfinite(res.acc).all()
+
+
+@needs_kernel
+@pytest.mark.parametrize("variant", ["baseline", "cache", "subspace"])
+def test_kernel_calls_leave_no_cyclic_garbage(variant):
+    # arrays go to the kernel as plain addresses; ctypes.data_as would
+    # leave a pointer in a reference cycle per array, holding it alive
+    # until the cyclic collector ran
+    import gc
+
+    cfg = BHConfig(nbodies=256, nsteps=3, warmup_steps=1)
+    run_variant(variant, cfg, 4)
+    gc.collect()
+    gc.disable()
+    try:
+        run_variant(variant, cfg, 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -152,3 +152,52 @@ class TestValidator:
         with pytest.raises(TreeInvariantError):
             check_tree(tree256, bodies256.pos, bodies256.mass,
                        check_cofm=True)
+
+
+class TestGcPaused:
+    """``gc_paused`` restores the collector, and moves what the build
+    made to the oldest generation without a scan."""
+
+    def test_build_objects_skip_the_young_scans(self, bodies256):
+        import gc
+
+        from repro.octree.build import gc_paused
+
+        assert gc.isenabled() and not gc.get_freeze_count()
+        with gc_paused():
+            assert not gc.isenabled()
+            root = build_tree(bodies256.pos, compute_root(bodies256.pos))
+        assert gc.isenabled()
+        # in the oldest generation already: no young pass walks the tree
+        assert any(o is root for o in gc.get_objects(generation=2))
+        assert not gc.get_freeze_count()
+        check_tree(root, bodies256.pos,
+                   expected_indices=np.arange(len(bodies256)))
+
+    def test_foreign_frozen_objects_stay_frozen(self, bodies256):
+        import gc
+
+        from repro.octree.build import gc_paused
+
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            with gc_paused():
+                build_tree(bodies256.pos, compute_root(bodies256.pos))
+            assert gc.get_freeze_count() == frozen
+            assert gc.isenabled()
+        finally:
+            gc.unfreeze()
+
+    def test_disabled_collector_stays_disabled(self, bodies256):
+        import gc
+
+        from repro.octree.build import gc_paused
+
+        gc.disable()
+        try:
+            with gc_paused():
+                build_tree(bodies256.pos, compute_root(bodies256.pos))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()

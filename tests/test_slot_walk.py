@@ -14,9 +14,13 @@ kernel forced off (the Python traversal serves ``slot_walk`` then).
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro.kernels.pool as pool
 from repro.backends import make_backend
 from repro.backends.object_tree import (
     C_ENGINE,
@@ -24,6 +28,7 @@ from repro.backends.object_tree import (
     SlotTree,
     slot_kernel,
     slot_walk,
+    slot_walks,
 )
 from repro.core.app import BarnesHutSimulation, run_variant
 from repro.core.cache import CellCache
@@ -334,6 +339,84 @@ class TestAccountingMatchesPerNodeOracle:
 
     def test_kernel_forced_off(self, variant, nthreads, no_kernel):
         _check_against_oracle(variant, nthreads)
+
+
+@needs_kernel
+class TestWalkWorkers:
+    """The force phase's walks run side by side; no output may depend
+    on the worker count."""
+
+    def test_walks_equal_serial_calls(self, monkeypatch, bodies256):
+        tree = SlotTree(_tree(bodies256), bodies256, BHConfig())
+        groups = np.array_split(np.arange(256), 7)
+        want = [slot_walk(tree, idx) for idx in groups]
+        for workers in (1, 2):
+            monkeypatch.setattr(pool, "_WORKERS", workers)
+            got = slot_walks(tree, groups, [1.0, 9.0, 3.0, 3.0, 0.0, 2.0,
+                                            5.0])
+            for (acc, work, opens), (r_acc, r_work, r_opens) in zip(got,
+                                                                    want):
+                assert np.array_equal(acc, r_acc)
+                assert np.array_equal(work, r_work)
+                assert np.array_equal(opens, r_opens)
+
+    @pytest.mark.parametrize("nthreads", [4, 16])
+    @pytest.mark.parametrize("variant", ACCOUNTED)
+    def test_runs_equal_on_one_and_two_workers(self, monkeypatch, variant,
+                                               nthreads):
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(pool, "_WORKERS", workers)
+            runs.append(_simulate(get_variant(variant), nthreads))
+        _assert_same_simulation(*runs)
+        assert np.array_equal(runs[0].bodies.acc, runs[1].bodies.acc)
+        assert np.array_equal(runs[0].bodies.cost, runs[1].bodies.cost)
+
+
+class TestWalkPool:
+    def test_results_in_job_order(self, monkeypatch):
+        monkeypatch.setattr(pool, "_WORKERS", 2)
+        jobs = list(range(23))
+        assert pool.run_jobs(lambda j: j * j, jobs, jobs[::-1]) \
+            == [j * j for j in jobs]
+        assert pool.worker_count(1) == 1
+        assert pool.worker_count(5) == 2
+
+    def test_every_job_claimed_once_under_stress(self, monkeypatch):
+        # more workers than cores, threads switched as often as possible:
+        # a claim taken twice or lost shows up as a wrong count
+        monkeypatch.setattr(pool, "_WORKERS", 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                ran = []
+                jobs = list(range(200))
+                got = pool.run_jobs(lambda j: ran.append(j) or -j, jobs,
+                                    [j % 7 for j in jobs])
+                assert got == [-j for j in jobs]
+                assert sorted(ran) == jobs
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_first_error_is_raised(self, monkeypatch):
+        monkeypatch.setattr(pool, "_WORKERS", 2)
+
+        def job(j):
+            if j == 3:
+                raise ValueError("job 3")
+            return j
+
+        with pytest.raises(ValueError, match="job 3"):
+            pool.run_jobs(job, list(range(8)), [1.0] * 8)
+
+    def test_no_worker_starts_at_import(self):
+        code = ("import threading, repro, repro.kernels.pool as p; "
+                "from repro.core.app import run_variant; "
+                "assert p._POOL is None, p._POOL; "
+                "assert threading.active_count() == 1")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={"PYTHONPATH": ":".join(sys.path)})
 
 
 class TestForceEngineStat:
