@@ -45,6 +45,18 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _forget_pool() -> None:
+    """In a forked child: the parent's worker threads do not exist
+    there, so the next phase starts a pool of its own."""
+    global _POOL, _POOL_SIZE
+    _POOL = None
+    _POOL_SIZE = 0
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def worker_count(njobs: int) -> int:
     """Workers a phase of ``njobs`` walks runs on."""
     n = _WORKERS if _WORKERS is not None else _cpus()

@@ -373,6 +373,11 @@ class TestWalkWorkers:
         assert np.array_equal(runs[0].bodies.cost, runs[1].bodies.cost)
 
 
+def _run_jobs_in_child() -> None:
+    assert pool._POOL is None
+    assert pool.run_jobs(abs, [-4, -5, -6], [3, 2, 1]) == [4, 5, 6]
+
+
 class TestWalkPool:
     def test_results_in_job_order(self, monkeypatch):
         monkeypatch.setattr(pool, "_WORKERS", 2)
@@ -409,6 +414,25 @@ class TestWalkPool:
 
         with pytest.raises(ValueError, match="job 3"):
             pool.run_jobs(job, list(range(8)), [1.0] * 8)
+
+    @pytest.mark.skipif(not hasattr(__import__("os"), "fork"),
+                        reason="no fork here")
+    def test_forked_child_starts_its_own_workers(self, monkeypatch):
+        # the parent's worker threads do not survive a fork: a child that
+        # reused their pool would wait forever on its first phase
+        import multiprocessing
+
+        monkeypatch.setattr(pool, "_WORKERS", 2)
+        assert pool.run_jobs(abs, [-1, -2, -3], [1, 2, 3]) == [1, 2, 3]
+        assert pool._POOL is not None
+        ctx = multiprocessing.get_context("fork")
+        child = ctx.Process(target=_run_jobs_in_child)
+        child.start()
+        child.join(timeout=60)
+        alive = child.is_alive()
+        if alive:
+            child.kill()
+        assert not alive and child.exitcode == 0
 
     def test_no_worker_starts_at_import(self):
         code = ("import threading, repro, repro.kernels.pool as p; "
