@@ -8,13 +8,17 @@ that is scalar float arithmetic in a fixed order, so it can be replayed
 exactly:
 
 * **Tree build.**  :func:`repro.octree.build.insert` stays the one code
-  that builds the tree.  :meth:`VariantBase.phase_treebuild` records, per
-  insertion, the ``Cell.seq`` of every cell it visits.  That trace implies
-  every event of the hook-driven build: an insertion starts at the root
-  (seq 0), a seq not seen before is a cell the insertion created (its
-  allocation and a locked write to the previous cell come before its
-  visit), and every insertion ends with a locked write to its last
-  visited cell.  ``bh_build_replay`` charges them in trace order.
+  that builds the tree, and keeps its
+  :class:`~repro.octree.build.BuildRecord` (the same record
+  ``bh_tree_rows`` flattens).  Every insertion ends with exactly one
+  body event, into the cell that received its body, and cells are
+  numbered in creation order with the root as 0, so an insertion's
+  visits are the path from the root down to that cell.  The path implies
+  every event of the hook-driven build: a cell not seen before is one
+  the insertion created (its allocation and a locked write to the
+  previous cell come before its visit), and every insertion ends with a
+  locked write to its last visited cell.  ``bh_build_replay`` derives
+  the paths and charges them in order.
 * **C-of-m.**  ``bh_cofm_replay`` runs every thread's worker over its
   cells in reverse creation order under ``run_waiting``'s schedule.  It
   reads the tree as :func:`repro.octree.flat.cell_rows` flattens it, with
@@ -37,11 +41,10 @@ engines recorded in ``RunResult.variant_stats``:
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..octree.cell import Cell
 from ..octree.flat import CellRows
 
 #: engine names recorded in ``RunResult.variant_stats``
@@ -84,39 +87,35 @@ def _add_totals(rt, keys: Sequence[str], totals: np.ndarray) -> None:
                 counters.add(t, key, float(n))
 
 
-def replay_build(variant, kernel, trace: List[Cell], tids: Sequence[int],
-                 ncells: int
-                 ) -> Optional[Tuple[List[Cell], Tuple[np.ndarray, ...]]]:
-    """Charge the insertions recorded in ``trace`` (every visited cell, in
-    order; ``tids[j]`` inserted the j-th body).
+def replay_build(variant, kernel, events: np.ndarray, tids: Sequence[int],
+                 ncells: int) -> Optional[Tuple[np.ndarray, ...]]:
+    """Charge the insertions of a build's record (``events``:
+    :meth:`~repro.octree.build.BuildRecord.event_array` of a build of
+    ``ncells`` cells, the root seq 0; ``tids[j]`` inserted the j-th
+    body).
 
-    Returns the cells in creation order and their per-cell lock
-    ``(acquires, contended_acquires, total_wait)``, or ``None``, having
-    touched nothing, when the kernel declines.
+    Returns the per-cell lock ``(acquires, contended_acquires,
+    total_wait)``, indexed by seq, or ``None``, having touched nothing,
+    when the kernel declines.
     """
     from .variants.base import CELL_COMPUTE, CELL_VISIT_WORDS
 
     rt = variant.rt
     node_of, classes, table = _charges(rt)
-    visits = np.fromiter(map(_SEQ, trace), dtype=np.int64,
-                         count=len(trace))
-    first = np.empty(ncells, dtype=np.int64)
     acquires = np.empty(ncells, dtype=np.int64)
     contended = np.empty(ncells, dtype=np.int64)
     total_wait = np.empty(ncells, dtype=np.float64)
     totals = np.empty((rt.nthreads, len(BUILD_KEYS)), dtype=np.int64)
     if not kernel.build_replay(
-            visits, np.asarray(tids, dtype=np.int64), ncells, node_of,
+            events, np.asarray(tids, dtype=np.int64), ncells, node_of,
             classes, table, CELL_VISIT_WORDS, rt.cost.compute(CELL_COMPUTE),
-            rt.clock, rt._nic, first, acquires, contended, total_wait,
-            totals):
+            rt.clock, rt._nic, acquires, contended, total_wait, totals):
         return None
     _add_totals(rt, BUILD_KEYS, totals)
     allocs = totals[:, BUILD_KEYS.index("cells_alloc")]
     rt.heap.allocated += allocs * rt.machine.cell_nbytes
     rt.heap.live_objects += allocs
-    cells = [variant.root] + [trace[i] for i in first[1:].tolist()]
-    return cells, (acquires, contended, total_wait)
+    return acquires, contended, total_wait
 
 
 def replay_cofm(variant, kernel, rows: CellRows,

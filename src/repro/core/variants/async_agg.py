@@ -54,8 +54,7 @@ class AsyncAgg(LocalBuild):
         tree = self.slot_tree() \
             if self.root is not None and slot_kernel() is not None else None
         measured = self.step_index >= self.cfg.warmup_steps
-        jobs = [(t, idx) for t, idx in enumerate(map(self.assigned,
-                                                     range(self.P)))
+        jobs = [(t, idx) for t, idx in enumerate(self.assigned_all())
                 if len(idx)]
 
         def body_words(t: int, idx: np.ndarray) -> None:

@@ -16,11 +16,14 @@ by one, are:
 
 The object-tree force phase computes forces with one slot-order walk per
 body (:mod:`repro.backends.object_tree`) and charges every variant's UPC
-traffic afterwards from the walk's per-cell open counts
-(:meth:`VariantBase.charge_force_walk`).  The tree build's and c-of-m
-phase's charges are replayed by the compiled kernel from a recorded
-insertion trace (:mod:`repro.core.build_replay`); the hook-driven
-phases here are its oracle and its no-compiler path.
+traffic afterwards from the walks' per-cell open counts, tallied for
+every thread at once (:func:`force_tally`,
+:meth:`VariantBase.charge_force_walk`).  A thread's per-owner words of
+one call site are charged in one call
+(:meth:`~repro.upc.runtime.UpcRuntime.word_access_many`).  The tree
+build's and c-of-m phase's charges are replayed by the compiled kernel
+from the build's record (:mod:`repro.core.build_replay`); the
+hook-driven phases here are its oracle and its no-compiler path.
 
 Subclasses override the phase methods and/or flip the class flags.
 """
@@ -28,7 +31,8 @@ Subclasses override the phase methods and/or flip the class flags.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -81,6 +85,10 @@ ATOMIC_COFM_WORDS = 8  #: read-modify-write of (mass, cofm) at merge time
 CELL_COMPUTE = 100e-9
 ADVANCE_FLOPS = 60e-9
 
+#: walks per chunk of :func:`force_tally`: bounds its transient
+#: (walks x cells) arrays, whatever the thread count
+TALLY_CHUNK = 4
+
 #: engines of :meth:`VariantBase.fill_cofm` (``variant_stats["cofm_engine"]``)
 ROWS_COFM = "c-cofm-rows"
 TREE_COFM = "compute-cofm"
@@ -110,6 +118,9 @@ class VariantBase:
     async_force = False
     #: section 6 -- cost-based subspace tree building
     subspace_build = False
+    #: the force walk reads cells and leaf bodies where they live
+    #: (:meth:`charge_force_walk`); False where it reads local copies
+    remote_force_words = True
 
     def __init__(self, rt: UpcRuntime, bodies: BodySoA, cfg: BHConfig):
         self.rt = rt
@@ -194,6 +205,28 @@ class VariantBase:
     def assigned(self, tid: int) -> np.ndarray:
         return np.nonzero(self.bodies.assign == tid)[0]
 
+    def assigned_all(self) -> List[np.ndarray]:
+        """:meth:`assigned` of every thread, from one stable argsort:
+        the same ascending index arrays.  Valid while ``assign`` does
+        not change, as within every phase but the partition."""
+        assign = self.bodies.assign
+        order = np.argsort(assign, kind="stable")
+        ends = np.cumsum(np.bincount(assign, minlength=self.P))
+        return np.split(order, ends[:-1])
+
+    def owner_counts(self) -> List[Optional[np.ndarray]]:
+        """Per thread ``t``, the :meth:`charge_body_words` counts of its
+        assigned bodies: ``counts[o]`` of them stored by thread ``o``,
+        all from one ``bincount`` (None per thread when body pointers
+        are local).  Valid while ``assign`` and ``store`` do not
+        change."""
+        P = self.P
+        if self.body_ptrs_local():
+            return [None] * P
+        bodies = self.bodies
+        return list(np.bincount(bodies.assign * P + bodies.store,
+                                minlength=P * P).reshape(P, P))
+
     def record_treebuild_locks(self, acquires: Sequence[int],
                                contended: Sequence[int],
                                waits: Sequence[float]) -> None:
@@ -232,12 +265,14 @@ class VariantBase:
         pointers have been cast local (sections 5.2+)."""
         return self.redistribute_bodies
 
-    def charge_body_words(self, tid: int, idx: np.ndarray,
-                          words: int) -> None:
+    def charge_body_words(self, tid: int, idx: np.ndarray, words: int,
+                          counts: Optional[np.ndarray] = None) -> None:
         """Charge per-body field accesses for the bodies in ``idx``.
 
         The baseline reads/writes body structs wherever they are stored;
         redistribution makes them local and castable to plain pointers.
+        ``counts`` is the thread's :meth:`owner_counts` when the caller
+        has them (then ``idx`` must be the thread's assigned bodies).
         """
         rt = self.rt
         if len(idx) == 0:
@@ -247,12 +282,12 @@ class VariantBase:
                 tid, len(idx) * words * rt.machine.local_word_cost
             )
             return
-        owners = self.bodies.store[idx]
-        counts = np.bincount(owners, minlength=self.P)
-        for owner in np.nonzero(counts)[0]:
-            rt.word_access(tid, int(owner), words=1.0,
-                           count=float(counts[owner]) * words,
-                           key="body_words")
+        if counts is None:
+            counts = np.bincount(self.bodies.store[idx], minlength=self.P)
+        owners = np.flatnonzero(counts)
+        rt.word_access_many(tid, owners.tolist(),
+                            (counts[owners] * float(words)).tolist(),
+                            key="body_words")
 
     def read_shared_scalar(self, tid: int, count: float) -> None:
         """Read a thread-0 shared scalar ``count`` times (unless replicated)."""
@@ -267,38 +302,35 @@ class VariantBase:
     @gc_paused()
     def phase_treebuild(self) -> None:
         bodies = self.bodies
-        idx_lists = []
-        for t in range(self.P):
-            idx = self.assigned(t)
-            idx_lists.append(idx)
+        idx_lists = self.assigned_all()
+        counts = self.owner_counts()
+        for t, idx in enumerate(idx_lists):
             if self.replicate_scalars:
                 # one myrsize copy per thread per phase (section 5.1)
                 self.read_shared_scalar(t, 1)
             else:
                 self.read_shared_scalar(t, float(len(idx)))  # rsize/insert
-            self.charge_body_words(t, idx, BODY_POS_WORDS)
+            self.charge_body_words(t, idx, BODY_POS_WORDS, counts[t])
         order, tids = _round_robin(idx_lists)
         kernel = replay_kernel()
         if kernel is not None:
-            # build once recording the visits and the structure; the
-            # kernel replays the charges (repro.core.build_replay) and
-            # flattens the tree from the record
+            # build once recording the structure; the kernel replays the
+            # charges from the record (repro.core.build_replay) and
+            # flattens the tree from it
             self._new_tree()
             record = BuildRecord()
             record.add(self.root)
-            trace: List[Cell] = []
-            visit = trace.append
             for i, t in zip(order, tids):
-                insert(self.root, i, bodies.pos, home=t, on_visit=visit,
-                       record=record)
-            done = replay_build(self, kernel, trace, tids,
-                                len(record.cells))
-            if done is not None:
-                cells, locks = done
-                self._set_tree(cells)
+                insert(self.root, i, bodies.pos, home=t, record=record)
+            events = record.event_array()
+            locks = replay_build(self, kernel, events, tids,
+                                 len(record.cells))
+            if locks is not None:
+                self._set_tree(record.cells)
                 self.record_treebuild_locks(*locks)
                 self.treebuild_engine = C_BUILD
-                flat = record_rows(kernel, record, self.root, len(bodies))
+                flat = record_rows(kernel, record, self.root, len(bodies),
+                                   events)
                 if flat is not None:
                     self.tree_rows, self.tree_fields, body_order = flat
                     self.tree_order = (self.root, body_order)
@@ -471,13 +503,12 @@ class VariantBase:
         rt = self.rt
         P = self.P
         visits = min(max(self.ncells, 1), 64)
+        # the costzone walk touches O(P + depth) cells spread over all
+        # owners; charge an even spread
+        owners = list(range(P))
+        spread = [visits * CELL_VISIT_WORDS / P] * P
         for t in range(P):
-            # the costzone walk touches O(P + depth) cells spread over all
-            # owners; charge an even spread
-            per_owner = visits * CELL_VISIT_WORDS / P
-            for o in range(P):
-                rt.word_access(t, o, words=1.0, count=per_owner,
-                               key="partition_reads")
+            rt.word_access_many(t, owners, spread, key="partition_reads")
         order = self.tree_order
         new_assign = costzones(
             self.root, self.bodies.cost, P,
@@ -515,9 +546,9 @@ class VariantBase:
         traced = tr.enabled
         tree = self.slot_tree()
         self.force_engine = tree.engine
-        jobs = [(t, idx) for t, idx in enumerate(map(self.assigned,
-                                                     range(self.P)))
+        jobs = [(t, idx) for t, idx in enumerate(self.assigned_all())
                 if len(idx)]
+        counts = self.owner_counts()
         # the walks charge nothing: they run side by side, and every
         # charge follows in thread order
         if traced:
@@ -527,10 +558,16 @@ class VariantBase:
                            [float(bodies.cost[idx].sum()) for _, idx in jobs])
         if traced:
             tr.end(interactions=float(sum(w.sum() for _, w, _ in walks)))
+        tallies = force_tally(
+            tree, [opens for _, _, opens in walks],
+            [len(idx) for _, idx in jobs],
+            bodies.store[tree.flat.leaf_bodies]
+            if self.remote_force_words else None, self.P)
         new_cost = bodies.cost.copy()
-        for (t, idx), (acc, work, opens) in zip(jobs, walks):
-            self.charge_body_words(t, idx, BODY_FORCE_WORDS)
-            self.charge_force_walk(t, tree, opens, len(idx))
+        for (t, idx), (acc, work, opens), tally in zip(jobs, walks,
+                                                        tallies):
+            self.charge_body_words(t, idx, BODY_FORCE_WORDS, counts[t])
+            self.charge_force_walk(t, tree, opens, tally)
             bodies.acc[idx] = acc
             new_cost[idx] = np.maximum(work, 1.0)
             rt.charge_compute(
@@ -540,47 +577,36 @@ class VariantBase:
         bodies.cost = new_cost
 
     def charge_force_walk(self, tid: int, tree: SlotTree,
-                          opens: np.ndarray, k: int) -> None:
-        """The baseline's fine-grained force traffic for ``k`` bodies of
-        thread ``tid``, from the walk's per-cell open counts.
+                          opens: np.ndarray, tally: "WalkTally") -> None:
+        """The baseline's fine-grained force traffic of one walk of
+        thread ``tid``, from its :func:`force_tally` row.
 
         Every opening test reads the cell's cofm/mass/size fields *and*
         the shared scalar ``tol`` from thread 0; every opened cell reads
         its child pointers; every interaction reads ``eps`` from thread 0
         (section 5.1 explains why this murders scalability).  Words are
-        aggregated per owner thread and charged once per traversal.  All
-        totals are integer-valued floats far below 2**53, so they equal
-        the per-node sums of the group recursion exactly.
+        aggregated per owner thread and charged once per traversal.
         """
         rt = self.rt
-        tests = tree.tests(opens, k)
-        opened = opens.astype(np.float64)
-        leaf = tree.leaf_visits(opens)
-        words_to = np.bincount(
-            tree.flat.home,
-            weights=CELL_TEST_WORDS * tests + CELL_OPEN_WORDS * opened,
-            minlength=self.P)
-        words_to += np.bincount(
-            self.bodies.store[tree.flat.leaf_bodies],
-            weights=BODY_LEAF_WORDS * leaf, minlength=self.P)
-        for owner in np.flatnonzero(words_to > 0):
-            rt.word_access(tid, int(owner), words=1.0,
-                           count=float(words_to[owner]), key="force_words")
+        words = tally.words
+        owners = np.flatnonzero(words > 0)
+        rt.word_access_many(tid, owners.tolist(), words[owners].tolist(),
+                            key="force_words")
         if not self.replicate_scalars:
             # tol per test, eps per cell accept and per leaf interaction
-            scalar_reads = float(2.0 * tests.sum() - opened.sum()
-                                 + leaf.sum())
+            scalar_reads = float(2.0 * tally.tests - tally.opens
+                                 + tally.leaf)
             if scalar_reads > 0:
                 rt.word_access(tid, 0, words=1.0, count=scalar_reads,
                                key="scalar_reads")
 
-    def local_force_words(self, tree: SlotTree, opens: np.ndarray,
-                          k: int) -> float:
+    @staticmethod
+    def local_force_words(tally: "WalkTally") -> float:
         """Words a fully local (cached or LET) traversal touches: cell
         fields per test, child pointers per open, leaf bodies per visit."""
-        return float(CELL_TEST_WORDS * tree.tests(opens, k).sum()
-                     + CELL_OPEN_WORDS * opens.sum()
-                     + BODY_LEAF_WORDS * tree.leaf_visits(opens).sum())
+        return float(CELL_TEST_WORDS * tally.tests
+                     + CELL_OPEN_WORDS * tally.opens
+                     + BODY_LEAF_WORDS * tally.leaf)
 
     # ------------------------------------------------------------------ #
     # phase: body advance + new bounding box                             #
@@ -588,11 +614,11 @@ class VariantBase:
     def phase_advance(self) -> None:
         rt = self.rt
         bodies = self.bodies
-        for t in range(self.P):
-            idx = self.assigned(t)
+        counts = self.owner_counts()
+        for t, idx in enumerate(self.assigned_all()):
             if len(idx) == 0:
                 continue
-            self.charge_body_words(t, idx, BODY_ADV_WORDS)
+            self.charge_body_words(t, idx, BODY_ADV_WORDS, counts[t])
             rt.charge_compute(t, len(idx) * ADVANCE_FLOPS)
             if self.step_index == 0:
                 startup_half_kick(bodies.vel[idx], bodies.acc[idx],
@@ -600,8 +626,8 @@ class VariantBase:
             advance_indices(bodies.pos, bodies.vel, bodies.acc, idx,
                             self.cfg.dt)
         # thread 0 gathers per-thread bounding boxes and publishes rsize
-        for o in range(1, self.P):
-            rt.word_access(0, o, words=6.0, key="bbox_gather")
+        rt.word_access_many(0, range(1, self.P), [1.0] * (self.P - 1),
+                            words=6.0, key="bbox_gather")
         rt.charge_compute(0, self.P * ADVANCE_FLOPS)
         self.box = compute_root(bodies.pos, self.cfg.initial_rsize)
         if self.replicate_scalars and self.P > 1:
@@ -609,6 +635,65 @@ class VariantBase:
             from ...upc.collectives import broadcast
 
             broadcast(rt, rt.machine.word_nbytes)
+
+
+class WalkTally(NamedTuple):
+    """One force walk's traffic, from its per-cell open counts:
+    ``words[o]``, the cell and leaf-body words it reads at owner ``o``
+    (None when the variant reads no remote words), and its opening
+    tests, opens and leaf-body visits.  All are integers far below
+    2**53, so every sum is exact in any order and as a float."""
+
+    words: Optional[np.ndarray]
+    tests: int
+    opens: int
+    leaf: int
+
+
+def force_tally(tree: SlotTree, opens: Sequence[np.ndarray],
+                ks: Sequence[int], leaf_owner: Optional[np.ndarray],
+                nthreads: int) -> List[WalkTally]:
+    """The :class:`WalkTally` of every walk of a force phase over
+    ``tree``: ``opens[j]`` counts, per row, the bodies of walk ``j``'s
+    ``ks[j]`` that opened the cell.  ``leaf_owner`` (aligned with
+    ``tree.flat.leaf_bodies``) is the thread that stores each leaf body;
+    None skips the per-owner words.
+
+    A cell is tested by its parent's openers (the root by all ``k``
+    bodies) and read at its home, :data:`CELL_TEST_WORDS` per test and
+    :data:`CELL_OPEN_WORDS` per open; a leaf body is read
+    :data:`BODY_LEAF_WORDS` per visit at its owner.  :data:`TALLY_CHUNK`
+    walks are tallied at a time, the per-owner words with one weighted
+    ``bincount`` over walk-offset owner ids for the cells and one for
+    the leaf bodies, added afterwards.
+    """
+    out: List[WalkTally] = []
+    if leaf_owner is not None:
+        # walk-offset owner ids of a whole chunk
+        off = np.arange(0, TALLY_CHUNK * nthreads, nthreads)[:, None]
+        cell_ids, leaf_ids = off + tree.flat.home, off + leaf_owner
+    for lo in range(0, len(opens), TALLY_CHUNK):
+        opened = np.stack(opens[lo:lo + TALLY_CHUNK])
+        n = len(opened)
+        # np.take keeps the rows contiguous, unlike opened[:, rows]
+        tests = np.take(opened, tree.parent, axis=1)
+        tests[:, 0] = ks[lo:lo + n]
+        leaf = np.take(opened, tree.leaf_parent, axis=1)
+        words = [None] * n
+        if leaf_owner is not None:
+            size = n * nthreads
+            cell_part = np.bincount(
+                cell_ids[:n].ravel(),
+                weights=(CELL_TEST_WORDS * tests
+                         + CELL_OPEN_WORDS * opened).ravel(),
+                minlength=size)
+            leaf_part = np.bincount(
+                leaf_ids[:n].ravel(),
+                weights=(BODY_LEAF_WORDS * leaf).ravel(), minlength=size)
+            words = list((cell_part + leaf_part).reshape(n, nthreads))
+        out += map(WalkTally, words, tests.sum(1).tolist(),
+                   opened.sum(1).tolist(), leaf.sum(1).tolist())
+    return out
 
 
 def _round_robin(idx_lists: List[np.ndarray]) -> Tuple[List[int], List[int]]:

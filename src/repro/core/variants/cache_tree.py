@@ -20,8 +20,9 @@ class CacheTree(Redistribute):
     name = "cache"
     ladder_level = 3
     cache_mode = "separate"
+    remote_force_words = False
 
-    def charge_force_walk(self, tid, tree, opens, k) -> None:
+    def charge_force_walk(self, tid, tree, opens, tally) -> None:
         """Replay the walk's first opens through a :class:`CellCache`
         (one bulk get per remote child on first open), then charge the
         now-local cell and body reads as local words."""
@@ -31,7 +32,7 @@ class CacheTree(Redistribute):
         cache.localize_root(self.root)
         for cell in tree.open_order(opens):
             cache.ensure_children(cell)
-        rt.charge_compute(tid, self.local_force_words(tree, opens, k)
+        rt.charge_compute(tid, self.local_force_words(tally)
                           * rt.machine.local_word_cost)
         rt.count(tid, "cache_misses", cache.misses)
         rt.count(tid, "cache_hits", cache.hits)

@@ -68,11 +68,10 @@ class LocalBuild(CacheTree):
         lroots: List[Cell] = []
 
         # -- sub-phase 1: local builds (balanced, cheap) -------------------
-        for t in range(P):
+        for t, idx in enumerate(self.assigned_all()):
             start = float(rt.clock[t])
             if self.replicate_scalars:
                 self.read_shared_scalar(t, 1)
-            idx = self.assigned(t)
             self.charge_body_words(t, idx, BODY_POS_WORDS)
             lroot = new_root(self.box, home=t)
             seq = [1]  # numbers the new cells: counts the allocations

@@ -99,11 +99,10 @@ class MpiLet(AsyncAgg):
 
         # 1. local builds + local c-of-m (communication-free)
         self._local_roots = []
-        self.ncells = 1
         local_times = np.zeros(P)
-        for t in range(P):
+        idx_lists = self.assigned_all()
+        for t, idx in enumerate(idx_lists):
             start = float(rt.clock[t])
-            idx = self.assigned(t)
             self.charge_body_words(t, idx, BODY_POS_WORDS)
             lroot = new_root(self.box, home=t) if len(idx) else None
             seq = [1]  # numbers the new cells: counts the allocations
@@ -120,15 +119,13 @@ class MpiLet(AsyncAgg):
                 visits * CELL_VISIT_WORDS * m.local_word_cost
                 + (allocs * 2) * CELL_COMPUTE,
             )
-            self.ncells += allocs
             self._local_roots.append(lroot)
             local_times[t] = float(rt.clock[t]) - start
 
         # 2. LET exchange: one conservative walk per (sender, receiver)
         los = np.zeros((P, 3))
         his = np.zeros((P, 3))
-        for t in range(P):
-            idx = self.assigned(t)
+        for t, idx in enumerate(idx_lists):
             if len(idx):
                 los[t] = bodies.pos[idx].min(0)
                 his[t] = bodies.pos[idx].max(0)
@@ -167,6 +164,9 @@ class MpiLet(AsyncAgg):
         for i in range(len(bodies)):
             insert(self.root, i, bodies.pos, home=int(bodies.assign[i]))
         self.fill_cofm(self.root)
+        # the tree the force phase walks, as LocalBuild counts its merge
+        self.ncells = len(self.tree_rows[0]) if self.tree_rows is not None \
+            else self.root.count_cells()
 
     # ------------------------------------------------------------------ #
     def phase_partition(self) -> None:
@@ -217,9 +217,9 @@ class MpiLet(AsyncAgg):
     #: AsyncAgg's frontier engine
     phase_force = VariantBase.phase_force
 
-    def charge_force_walk(self, tid, tree, opens, k) -> None:
+    def charge_force_walk(self, tid, tree, opens, tally) -> None:
         """Force traversal on LET data: everything is a plain local
         access."""
         rt = self.rt
-        rt.charge_compute(tid, self.local_force_words(tree, opens, k)
+        rt.charge_compute(tid, self.local_force_words(tally)
                           * rt.machine.local_word_cost)

@@ -16,7 +16,7 @@
  *   - bh_build_replay and bh_cofm_replay, the compiled twins of the
  *     section-4 baseline's insertion hooks and c-of-m spin in
  *     repro.core.variants.base: every UPC charge of the tree build,
- *     replayed from the recorded insertion trace, and the whole
+ *     replayed from the insertion build's record, and the whole
  *     run_waiting schedule of the c-of-m phase, bit-identical in every
  *     clock, NIC time and counter;
  *   - bh_cofm_rows, the compiled twin of repro.octree.cofm.compute_cofm
@@ -60,7 +60,7 @@
 #include <stdlib.h>
 
 /* ABI version checked by the loader; bump on any signature change. */
-#define BH_ABI_VERSION 7
+#define BH_ABI_VERSION 8
 
 /* Deepest possible walk: MAX_DEPTH (30) levels, each pushing at most
  * 8 children while popping one -- 4096 is an order of magnitude above
@@ -954,12 +954,24 @@ static void rp_nic(const bh_charges *c, int64_t owner, double seconds)
         c->nic[c->node_of[owner]] += seconds;
 }
 
+/* Event kinds of the build record (octree.build.BuildRecord), three
+ * int64 each:
+ *
+ *   (p, o, b), b >= 0   body b joins slot o of cell p: a new leaf when
+ *                       the slot is empty, the leaf's bucket otherwise
+ *   (p, o, -2 - s)      cell s is hooked into slot o of cell p; a leaf
+ *                       that held the slot is displaced
+ *   (s, o, -1)          the leaf displaced by the last hook moves into
+ *                       slot o of cell s
+ *
+ * Cells are named by creation seq (Cell.seq) throughout. */
+#define TR_MOVE (-1)
+
 /* Replay the UPC charges of the baseline's insertion build.
  *
- * visits[nvisits]   Cell.seq of every cell the insertions visited, in
- *                   the order they visited them.  Each insertion starts
- *                   at the root (seq 0); a seq one above the highest so
- *                   far is a cell the current insertion created.
+ * nevents, events[3 * nevents]
+ *                   the build's record (event kinds above), its cells
+ *                   numbered in creation order with the root as 0
  * ins_tid[ninserts] inserting thread of each insertion, in order
  * ncells            cells in the tree, root included
  * node_of[P], cls[P * P], tab[5 * 4 * 2]
@@ -967,55 +979,99 @@ static void rp_nic(const bh_charges *c, int64_t owner, double seconds)
  * visit_words       CELL_VISIT_WORDS (1, 2 or 4)
  * alloc_cost        CostModel.compute(CELL_COMPUTE)
  * clock[P], nic[N]  rt.clock and rt._nic, charged in place
- * first[ncells]     trace position of each cell's first visit (out;
- *                   first[0] is 0)
  * acquires[ncells], contended[ncells], total_wait[ncells]
- *                   per-cell UpcLock statistics (out)
+ *                   per-cell UpcLock statistics, by seq (out)
  * totals[P * 5]     per-thread integer totals: cell visits, cell
  *                   writes, remote words, lock acquires, allocations
  *
- * The events follow from the trace: a visit charges visit_words words
- * at the cell's home; before a new cell's visit come its
- * allocation and then a locked 1-word write to the previous cell; every
- * insertion ends with a locked write to its last visited cell.  Each
- * charge does the float operations of the Python hooks in their order.
+ * Every insertion ends with exactly one body event, (p, o, b), into the
+ * cell p that received its body, and insert visits depth + 1 cells: its
+ * visits are the path from the root down to p.  Along the path, a cell
+ * not visited before is one the insertion created.  The events follow:
+ * a visit charges visit_words words at the cell's home; before a new
+ * cell's visit come its allocation and then a locked 1-word write to
+ * the previous cell; every insertion ends with a locked write to p.
+ * Each charge does the float operations of the Python hooks in their
+ * order.
  *
  * Returns BH_ERR_DECLINED, before any side effect, when an input is
- * malformed or the workspace cannot be allocated.
+ * malformed (an id or slot out of range, a cell hooked out of creation
+ * order, a displaced leaf moved anywhere but into the cell just hooked,
+ * an insertion's new cells not the end of its path, a cell created
+ * after the last insertion, or counts that disagree) or the workspace
+ * cannot be allocated.
  */
 int bh_build_replay(
-    int64_t nvisits, const int64_t *visits, int64_t ninserts,
+    int64_t nevents, const int64_t *events, int64_t ninserts,
     const int64_t *ins_tid, int64_t ncells, int64_t nthreads,
     const int64_t *node_of, const uint8_t *cls, const double *tab,
     int64_t visit_words, double alloc_cost, double *clock, double *nic,
-    int64_t *first, int64_t *acquires, int64_t *contended,
-    double *total_wait, int64_t *totals)
+    int64_t *acquires, int64_t *contended, double *total_wait,
+    int64_t *totals)
 {
     const int visit_kind = rp_word_kind(visit_words);
-    if (ncells < 1 || nthreads < 1 || nvisits < 0 || ninserts < 0
+    if (ncells < 1 || nthreads < 1 || nevents < 0 || ninserts < 0
         || visit_kind < 0)
-        return BH_ERR_DECLINED;
-    /* validate the whole trace first: no failure after a side effect */
-    int64_t created = 1, inserts = 0;
-    for (int64_t i = 0; i < nvisits; i++) {
-        const int64_t v = visits[i];
-        if (v < 0 || v > created || (i == 0 && v != 0))
-            return BH_ERR_DECLINED;
-        if (v == 0)
-            inserts++;
-        else if (v == created)
-            created++;
-    }
-    if (created != ncells || inserts != ninserts)
         return BH_ERR_DECLINED;
     for (int64_t j = 0; j < ninserts; j++)
         if (ins_tid[j] < 0 || ins_tid[j] >= nthreads)
             return BH_ERR_DECLINED;
-    uint8_t *ws = malloc((size_t)ncells * (sizeof(int64_t) + sizeof(double)));
+    uint8_t *ws = malloc((size_t)ncells
+                         * (3 * sizeof(int64_t) + sizeof(double)));
     if (!ws)
         return BH_ERR_DECLINED;
-    int64_t *home = (int64_t *)ws;
+    int64_t *parent = (int64_t *)ws;
+    int64_t *depth = parent + ncells;
+    int64_t *home = depth + ncells;
     double *free_at = (double *)(home + ncells);
+
+    /* validate the whole record first: no failure after a side effect;
+     * made is the first cell the current insertion created */
+    parent[0] = -1;
+    depth[0] = 0;
+    int64_t created = 1, made = 1, inserts = 0, max_depth = 0;
+    for (int64_t e = 0; e < nevents; e++) {
+        const int64_t p = events[3 * e], o = events[3 * e + 1],
+                      c = events[3 * e + 2];
+        int ok = o >= 0 && o < 8 && p >= 0 && p < created;
+        if (ok && c >= 0) {
+            /* the body ends the insertion: its new cells, if any, are
+             * a chain from an older cell down to p */
+            if (created > made) {
+                ok = p == created - 1;
+                for (int64_t s = made + 1; ok && s < created; s++)
+                    ok = parent[s] == s - 1;
+            }
+            made = created;
+            inserts++;
+        } else if (ok && c == TR_MOVE) {
+            ok = e > 0 && p == created - 1 && p >= made
+                 && events[3 * e - 1] == -2 - p;
+        } else if (ok) {
+            ok = -2 - c == created && created < ncells;
+            if (ok) {
+                parent[created] = p;
+                depth[created] = depth[p] + 1;
+                if (depth[created] > max_depth)
+                    max_depth = depth[created];
+                created++;
+            }
+        }
+        if (!ok) {
+            free(ws);
+            return BH_ERR_DECLINED;
+        }
+    }
+    if (created != ncells || made != created || inserts != ninserts) {
+        free(ws);
+        return BH_ERR_DECLINED;
+    }
+    /* one insertion's path, root first */
+    int64_t *path = malloc((size_t)(max_depth + 1) * sizeof(int64_t));
+    if (!path) {
+        free(ws);
+        return BH_ERR_DECLINED;
+    }
 
     const bh_charges C = {nthreads, node_of, cls, tab, clock, nic};
     const bh_charges *c = &C;
@@ -1026,59 +1082,67 @@ int bh_build_replay(
     for (int64_t r = 0; r < nthreads * BH_B_NTOTALS; r++)
         totals[r] = 0;
     home[0] = 0;
-    first[0] = 0;
     created = 1;
-    int64_t t = 0, ins = 0, prev = -1;
-    for (int64_t i = 0; i <= nvisits; i++) {
-        const int64_t v = i < nvisits ? visits[i] : 0;
-        const int new_cell = v == created;
-        if (prev >= 0 && (v == 0 || new_cell)) {
-            if (new_cell) {
-                /* on_alloc: upc_alloc, CELL_COMPUTE, cells_alloc */
-                home[v] = t;
-                first[v] = i;
-                created++;
-                clock[t] += alloc_cost;
-                totals[t * BH_B_NTOTALS + BH_B_ALLOCS]++;
+    int64_t ins = 0;
+    for (int64_t e = 0; e < nevents; e++) {
+        if (events[3 * e + 2] < 0)
+            continue;
+        const int64_t t = ins_tid[ins++];
+        int64_t n = depth[events[3 * e]] + 1;
+        for (int64_t k = n - 1, x = events[3 * e]; k >= 0; k--, x = parent[x])
+            path[k] = x;
+        /* prev is the cell visited last; n + 1 steps: the last one only
+         * writes to the receiving cell */
+        int64_t prev = -1;
+        for (int64_t k = 0; k <= n; k++) {
+            const int64_t v = k < n ? path[k] : -1;
+            const int new_cell = v == created;
+            if (prev >= 0 && (v < 0 || new_cell)) {
+                if (new_cell) {
+                    /* on_alloc: upc_alloc, CELL_COMPUTE, cells_alloc */
+                    home[v] = t;
+                    created++;
+                    clock[t] += alloc_cost;
+                    totals[t * BH_B_NTOTALS + BH_B_ALLOCS]++;
+                }
+                /* on_modify(prev): lock, 1-word write, unlock */
+                const int64_t h = home[prev];
+                const double *acq = rp_entry(c, BH_K_ACQUIRE, t, h);
+                const double now = clock[t];
+                const double grant =
+                    (free_at[prev] > now ? free_at[prev] : now) + acq[0];
+                const double wait = grant - now - acq[0];
+                acquires[prev]++;
+                if (wait > 1e-12) {
+                    contended[prev]++;
+                    total_wait[prev] += wait;
+                }
+                if (grant > free_at[prev])
+                    free_at[prev] = grant;
+                clock[t] = grant;
+                rp_nic(c, h, acq[1]);
+                rp_word(c, BH_K_WORD1, t, h, 1.0);
+                const double *rel = rp_entry(c, BH_K_RELEASE, t, h);
+                const double done = clock[t] + rel[0];
+                if (done > free_at[prev])
+                    free_at[prev] = done;
+                clock[t] = done;
+                rp_nic(c, h, rel[1]);
+                totals[t * BH_B_NTOTALS + BH_B_WRITES]++;
+                totals[t * BH_B_NTOTALS + BH_B_LOCKS]++;
+                totals[t * BH_B_NTOTALS + BH_B_REMOTE] += h != t;
             }
-            /* on_modify(prev): lock, 1-word write, unlock */
-            const int64_t h = home[prev];
-            const double *acq = rp_entry(c, BH_K_ACQUIRE, t, h);
-            const double now = clock[t];
-            const double grant = (free_at[prev] > now ? free_at[prev] : now)
-                                 + acq[0];
-            const double wait = grant - now - acq[0];
-            acquires[prev]++;
-            if (wait > 1e-12) {
-                contended[prev]++;
-                total_wait[prev] += wait;
-            }
-            if (grant > free_at[prev])
-                free_at[prev] = grant;
-            clock[t] = grant;
-            rp_nic(c, h, acq[1]);
-            rp_word(c, BH_K_WORD1, t, h, 1.0);
-            const double *rel = rp_entry(c, BH_K_RELEASE, t, h);
-            const double done = clock[t] + rel[0];
-            if (done > free_at[prev])
-                free_at[prev] = done;
-            clock[t] = done;
-            rp_nic(c, h, rel[1]);
-            totals[t * BH_B_NTOTALS + BH_B_WRITES]++;
-            totals[t * BH_B_NTOTALS + BH_B_LOCKS]++;
-            totals[t * BH_B_NTOTALS + BH_B_REMOTE] += h != t;
+            if (v < 0)
+                break;
+            /* on_visit: visit_words at the cell's home */
+            rp_word(c, visit_kind, t, home[v], 1.0);
+            totals[t * BH_B_NTOTALS + BH_B_VISITS]++;
+            totals[t * BH_B_NTOTALS + BH_B_REMOTE] +=
+                visit_words * (home[v] != t);
+            prev = v;
         }
-        if (i == nvisits)
-            break;
-        if (v == 0)
-            t = ins_tid[ins++];
-        /* on_visit: visit_words at the cell's home */
-        rp_word(c, visit_kind, t, home[v], 1.0);
-        totals[t * BH_B_NTOTALS + BH_B_VISITS]++;
-        totals[t * BH_B_NTOTALS + BH_B_REMOTE] +=
-            visit_words * (home[v] != t);
-        prev = v;
     }
+    free(path);
     free(ws);
     return BH_OK;
 }
@@ -1427,19 +1491,6 @@ int bh_cofm_rows(
 /* ------------------------------------------------------------------ */
 /* The built tree flattened from the insertion build's own record.      */
 /* ------------------------------------------------------------------ */
-
-/* Event kinds of the build record (octree.build.BuildRecord), three
- * int64 each:
- *
- *   (p, o, b), b >= 0   body b joins slot o of cell p: a new leaf when
- *                       the slot is empty, the leaf's bucket otherwise
- *   (p, o, -2 - s)      cell s is hooked into slot o of cell p; a leaf
- *                       that held the slot is displaced
- *   (s, o, -1)          the leaf displaced by the last hook moves into
- *                       slot o of cell s
- *
- * Cells are named by creation seq (Cell.seq) throughout. */
-#define TR_MOVE (-1)
 
 /* The tree a build record describes, flattened exactly as
  * repro.octree.flat.cell_rows flattens the linked tree.

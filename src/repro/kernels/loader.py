@@ -56,7 +56,7 @@ from typing import List, Optional
 import numpy as np
 
 #: ABI this loader binds; must match BH_ABI_VERSION in ``_bh_kernel.c``
-ABI_VERSION = 7
+ABI_VERSION = 8
 
 #: aggregate-counter slots filled by ``bh_force_walk`` (see the C file)
 NCOUNTERS = 5
@@ -160,12 +160,12 @@ class CKernel:
         self._frontier = frontier
         build.restype = ctypes.c_int
         build.argtypes = (
-            [ctypes.c_int64, _I64] * 2        # nvisits visits ninserts ins_tid
+            [ctypes.c_int64, _I64] * 2        # nevents events ninserts ins_tid
             + [ctypes.c_int64] * 2            # ncells nthreads
             + [_I64, _U8, _F64]               # node_of classes table
             + [ctypes.c_int64]                # visit_words
             + [ctypes.c_double, _F64, _F64]   # alloc_cost clock nic
-            + [_I64] * 3 + [_F64, _I64]       # first acquires contended
+            + [_I64] * 2 + [_F64, _I64]       # acquires contended
                                               # total_wait totals
         )
         self._build = build
@@ -330,26 +330,26 @@ class CKernel:
         return True
 
 
-    def build_replay(self, visits: np.ndarray, ins_tid: np.ndarray,
+    def build_replay(self, events: np.ndarray, ins_tid: np.ndarray,
                      ncells: int, node_of: np.ndarray, classes: np.ndarray,
                      table: np.ndarray, visit_words: int,
                      alloc_cost: float, clock: np.ndarray, nic: np.ndarray,
-                     first: np.ndarray, acquires: np.ndarray,
-                     contended: np.ndarray, total_wait: np.ndarray,
-                     totals: np.ndarray) -> bool:
-        """Replay the baseline insertion build's charges from its visit
-        trace (``visits``: ``Cell.seq`` per visit; ``ins_tid``: thread
-        per insertion), charging ``clock`` and ``nic`` in place and
-        filling the per-cell and per-thread outputs (see the C file).
-        Returns False, having touched nothing, when the kernel declines.
+                     acquires: np.ndarray, contended: np.ndarray,
+                     total_wait: np.ndarray, totals: np.ndarray) -> bool:
+        """Replay the baseline insertion build's charges from its
+        record (``events``: (n, 3) int64, ``BuildRecord.event_array``;
+        ``ins_tid``: thread per insertion), charging ``clock`` and
+        ``nic`` in place and filling the per-cell and per-thread outputs
+        (see the C file).  Returns False, having touched nothing, when
+        the kernel declines.
         """
         rc = self._build(
-            len(visits), visits.ctypes.data,
+            len(events), events.ctypes.data,
             len(ins_tid), ins_tid.ctypes.data,
             ncells, len(clock), node_of.ctypes.data,
             classes.ctypes.data, table.ctypes.data,
             visit_words, alloc_cost, clock.ctypes.data,
-            nic.ctypes.data, first.ctypes.data,
+            nic.ctypes.data,
             acquires.ctypes.data, contended.ctypes.data,
             total_wait.ctypes.data, totals.ctypes.data,
         )

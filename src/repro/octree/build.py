@@ -74,6 +74,11 @@ class BuildRecord:
         self.cells.append(cell)
         self.homes.append(cell.home)
 
+    def event_array(self) -> np.ndarray:
+        """``events`` as an (n, 3) int64 array."""
+        return np.fromiter(self.events, dtype=np.int64,
+                           count=len(self.events)).reshape(-1, 3)
+
     def hook(self, parent: Cell, octant: int, node: "Cell | Leaf") -> None:
         """Record ``parent.children[octant] = node`` into an empty slot
         (``node`` a recorded cell or a one-body leaf)."""

@@ -105,7 +105,8 @@ def cell_rows(root: Cell) -> CellRows:
     return order, child, leaf_ptr, leaf_bodies
 
 
-def record_rows(kernel, record: BuildRecord, root: Cell, nbodies: int
+def record_rows(kernel, record: BuildRecord, root: Cell, nbodies: int,
+                events: Optional[np.ndarray] = None
                 ) -> Optional[Tuple[CellRows, Dict[str, np.ndarray],
                                     np.ndarray]]:
     """:func:`cell_rows` of ``root`` from the build ``record`` of its
@@ -118,12 +119,13 @@ def record_rows(kernel, record: BuildRecord, root: Cell, nbodies: int
     geometry) and ``seq`` (its cell's creation seq) as ``FlatTree``
     field arrays, and the leaf bodies in tree order
     (:func:`~repro.octree.morton.bodies_in_order`).  ``nbodies`` bounds
-    the body ids.  Returns ``None``, having touched nothing, when the
-    kernel declines.
+    the body ids; ``events`` is :meth:`BuildRecord.event_array` when the
+    caller already made it.  Returns ``None``, having touched nothing,
+    when the kernel declines.
     """
     ncells = len(record.cells)
-    events = np.fromiter(record.events, dtype=np.int64,
-                         count=len(record.events)).reshape(-1, 3)
+    if events is None:
+        events = record.event_array()
     child = np.empty((ncells, NSUB), dtype=np.int64)
     leaf_ptr = np.empty(nbodies + 1, dtype=np.int64)
     leaf_bodies = np.empty(nbodies, dtype=np.int64)

@@ -43,9 +43,11 @@ or gather length gets its entry the first time it is charged.
 An entry *is* the cost model's value, not a re-derivation, and each
 charge does the same float operations in the same order as costing it
 afresh: ``clock[tid] += issuer * count``, the NIC add under the same
-``> 0`` guard, then the counters.  No accumulation may be reordered or
-batched on this path -- the golden outputs (``tests/golden_sim.json``)
-are held with exact equality.
+``> 0`` guard, then the counters.  No accumulation may be reordered on
+this path -- the golden outputs (``tests/golden_sim.json``) are held
+with exact equality.  :meth:`UpcRuntime.word_access_many` charges one
+thread's per-owner words of a call site in one call, with every add of
+the per-entry loop, in its order.
 
 The compiled replays of the baseline's tree build and c-of-m phase and
 the compiled frontier walk read the same store as arrays:
@@ -63,7 +65,7 @@ from __future__ import annotations
 
 import heapq
 from contextlib import contextmanager
-from typing import Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -327,6 +329,67 @@ class UpcRuntime:
                 data[key][tid] += count
             if owner != tid:
                 data["remote_words"][tid] += words * count
+
+    def word_access_many(self, tid: int, owners: Sequence[int],
+                         counts: Sequence[float], words: float = 1.0,
+                         key: str = "word_access") -> None:
+        """:meth:`word_access` of each ``(owners[i], counts[i])`` entry,
+        in order, in one call.
+
+        Ordering contract: every accumulation gets the adds of the
+        per-entry loop, in entry order, so every value keeps its bits.
+        ``clock[tid]`` adds ``issuer * count`` entry by entry; the NIC
+        adds ``nic * count`` at the owner's node when that is above 0,
+        entry by entry (into the :class:`NicLog` under
+        :meth:`deferred_nic`); the ``key`` row adds ``count`` and the
+        ``remote_words`` row ``words * count`` (for ``owner != tid``),
+        entry by entry, starting from the row's value.  Running values
+        are held as Python floats: the same IEEE adds.  A counter row is
+        created exactly when the loop would create it: none for an empty
+        batch, and no ``remote_words`` row when every owner is ``tid``.
+        ``key`` is not ``"remote_words"``.
+        """
+        if not len(owners):
+            return
+        op = ("word", words)
+        prices = self._prices.get(op) or self.prices(op)
+        rel = self._rel[tid]
+        node_of = self._node_of
+        counters = self._counters
+        rows = counters._data if counters is not None else None
+        row = rows.get(key) if rows is not None and key is not None \
+            else None
+        keyed = row[tid] if row is not None else 0.0
+        row = rows.get("remote_words") if rows is not None else None
+        remote = row[tid] if row is not None else 0.0
+        any_remote = False
+        clock = self.clock.item(tid)
+        nic_nodes: List[int] = []
+        nic_seconds: List[float] = []
+        for owner, count in zip(owners, counts):
+            issuer, nic, _ = prices[rel[owner]]
+            clock += issuer * count
+            nic *= count
+            if nic > 0.0:
+                nic_nodes.append(node_of[owner])
+                nic_seconds.append(nic)
+            keyed += count
+            if owner != tid:
+                remote += words * count
+                any_remote = True
+        self.clock[tid] = clock
+        if nic_nodes:
+            sink = self._nic
+            if isinstance(sink, NicLog):
+                sink.nodes += nic_nodes
+                sink.seconds += nic_seconds
+            else:
+                self.add_nic_log(nic_nodes, nic_seconds)
+        if rows is not None:
+            if key is not None:
+                rows[key][tid] = keyed
+            if any_remote:
+                rows["remote_words"][tid] = remote
 
     def _transfer(self, tid: int, owner: int, op: tuple, nbytes: float,
                   key: Optional[str]) -> None:

@@ -1,6 +1,6 @@
 """The baseline's tree build and c-of-m phase: compiled replays vs hooks.
 
-``bh_build_replay`` charges the insertion build from its visit trace and
+``bh_build_replay`` charges the insertion build from its record and
 ``bh_cofm_replay`` replays ``run_waiting``'s c-of-m schedule, so one
 phase run both ways from deep-copied state must agree with
 ``np.array_equal`` on everything it touches: every thread clock and NIC
@@ -32,6 +32,7 @@ from repro.core.config import BHConfig
 from repro.core.phases import COFM, TREEBUILD
 from repro.kernels.loader import CKernel
 from repro.nbody.distributions import make_distribution
+from repro.octree.build import BuildRecord, insert, new_root
 from repro.octree.cell import Leaf
 from repro.octree.flat import cell_rows
 from repro.upc.params import paper_section5_machine, paper_section6_machine
@@ -127,9 +128,8 @@ def _assert_treebuild_identical(v, monkeypatch):
     assert [[c.seq for c in tab] for tab in got.mycelltab] \
         == [[c.seq for c in tab] for tab in want.mycelltab]
     assert [c.home for c in cells] == [c.home for c in want_cells]
-    # per-cell lock statistics against the hooks' UpcLock objects
-    (replay_cells, locks), = replayed
-    assert [c.seq for c in replay_cells] == list(range(got.ncells))
+    # per-cell lock statistics (by seq) against the hooks' UpcLock objects
+    locks, = replayed
     hook = [want._locks.get(id(c)) for c in want_cells]
     for arr, field, dtype in zip(
             locks, ("acquires", "contended_acquires", "total_wait"),
@@ -256,29 +256,41 @@ class TestCompiledMatchesOracle:
         assert got.tree_rows is None
         _assert_same_charges(got, want)
 
-    def test_malformed_trace_declines_untouched(self):
+    def test_malformed_record_declines_untouched(self):
         kernel = replay_kernel()
         rt = _at_phase("baseline", 4, TREEBUILD).rt
         node_of = np.asarray(rt._node_of, dtype=np.int64)
         classes, table = rt.class_tables()
         clock, nic = rt.clock.copy(), rt._nic.copy()
+        # thread 0 puts body 0 in the root's slot 0; thread 1's body 1
+        # splits it twice (cells 1 and 2) and lands in cell 2's slot 1
+        good = [(0, 0, 0), (0, 0, -3), (1, 7, -1), (1, 7, -4), (2, 0, -1),
+                (2, 1, 1)]
 
-        def replay(visits, visit_words=2):
-            out = [np.zeros(3, dtype=np.int64) for _ in range(3)]
+        def replay(events, tids=(0, 1), ncells=3, visit_words=2):
+            out = [np.zeros(ncells, dtype=np.int64) for _ in range(2)]
             return kernel.build_replay(
-                np.array(visits, dtype=np.int64),
-                np.array([0, 1], dtype=np.int64), 3, node_of, classes,
+                np.array(events, dtype=np.int64).reshape(-1, 3),
+                np.array(tids, dtype=np.int64), ncells, node_of, classes,
                 table, visit_words, 1e-7, rt.clock, rt._nic, out[0],
-                out[1], out[2], np.zeros(3),
-                np.zeros((4, 5), dtype=np.int64))
+                out[1], np.zeros(ncells), np.zeros((4, 5), dtype=np.int64))
 
-        # the second insertion visits cell 3 before cell 2 exists
-        assert not replay([0, 1, 0, 3])
-        # no class table holds a 3-word access
-        assert not replay([0, 1, 0, 2], visit_words=3)
+        def swap(i, event):
+            return good[:i] + [event] + good[i + 1:]
+
+        assert not replay(swap(1, (0, 0, -4)))    # cell 2 before cell 1
+        assert not replay(swap(5, (1, 1, 1)))     # body not at the chain end
+        assert not replay(swap(4, (1, 0, -1)))    # moved to an older cell
+        assert not replay(swap(0, (0, 8, 0)))     # no slot 8
+        assert not replay(swap(0, (3, 0, 0)))     # no cell 3 yet
+        assert not replay(good + [(2, 2, -5)], ncells=4)  # a cell left over
+        assert not replay(good, tids=(0, 1, 2))   # one insertion too many
+        assert not replay(good, tids=(0, 4))      # no thread 4
+        assert not replay(good, visit_words=3)    # no 3-word class table
         assert np.array_equal(rt.clock, clock)
         assert np.array_equal(rt._nic, nic)
-        assert replay([0, 1, 0, 2])  # the well-formed trace replays
+        assert replay(good)  # the well-formed record replays
+        assert not np.array_equal(rt.clock, clock)
 
     def test_malformed_cofm_input_declines_untouched(self):
         kernel = replay_kernel()
@@ -333,6 +345,51 @@ class TestCompiledMatchesOracle:
                 1e-7, node_of, classes, table, rt.clock, rt._nic, z.copy(),
                 np.zeros((2, 3)), np.zeros(2, dtype=np.int64), z.copy(),
                 z.copy(), np.zeros((2, 4), dtype=np.int64))
+
+
+def _record_paths(events: np.ndarray):
+    """Every insertion's visits derived from its build record: the path
+    from the root down to the cell its body event names."""
+    parent = {0: None}
+    visits = []
+    for p, _, c in events.tolist():
+        if c <= -2:
+            parent[-2 - c] = p
+        elif c >= 0:
+            path = []
+            while p is not None:
+                path.append(p)
+                p = parent[p]
+            visits += reversed(path)
+    return visits
+
+
+@pytest.mark.parametrize("coincident", [False, True],
+                         ids=["plain", "bucket"])
+@pytest.mark.parametrize("dist", ["plummer", "disk"])
+@pytest.mark.parametrize("nthreads", [1, 4, 16, 64, 112])
+def test_record_paths_are_the_visit_trace(monkeypatch, nthreads, dist,
+                                          coincident):
+    """The replay's derivation holds: each insertion visits exactly the
+    root-to-receiving-cell path of its record; with a kernel, the replay
+    from the record charges what the hooks charge."""
+    v = _at_phase("baseline", nthreads, TREEBUILD, dist,
+                  coincident=coincident)
+    order, tids = variant_base._round_robin(v.assigned_all())
+    root = new_root(v.box, home=0)
+    record = BuildRecord()
+    record.add(root)
+    trace = []
+    for i, t in zip(order, tids):
+        insert(root, i, v.bodies.pos, home=t, on_visit=trace.append,
+               record=record)
+    assert _record_paths(record.event_array()) == [c.seq for c in trace]
+    assert record.cells == sorted(set(trace), key=lambda c: c.seq)
+    if coincident:
+        assert any(isinstance(ch, Leaf) and len(ch.indices) > 1
+                   for c in record.cells for ch in c.children)
+    if replay_kernel() is not None:
+        _assert_treebuild_identical(v, monkeypatch)
 
 
 STATS = ("treebuild_engine", "cofm_engine", "treebuild_locks")

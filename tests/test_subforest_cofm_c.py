@@ -131,10 +131,12 @@ def _assert_compiled_matches_oracle(v, monkeypatch, build="phase_subforest"):
     assert want.tree_rows is None and want.tree_fields is None
     _assert_same_charges(got, want)
     cells = _assert_same_cells(got, want)
-    if v.name in ("localbuild", "async", "subspace"):
-        # the subspace build's and the merge's cells, not the local
-        # cells the merge folds into global ones
-        assert len(cells) == got.ncells
+    # every variant here counts the tree it fills: the subspace build's
+    # and the merge's cells, not the local cells the merge folds into
+    # global ones, and mpi-let's uncharged global tree, not its local
+    # trees' allocations
+    assert v.name in ("localbuild", "async", "subspace", "mpi-let")
+    assert len(cells) == got.ncells
     if v.subspace_build:
         # the shared heap books every subtree cell; thread 0's top cells
         # (one per split subspace, or the root alone) are not booked there
