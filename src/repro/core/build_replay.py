@@ -172,7 +172,7 @@ def replay_cofm(variant, kernel, rows: CellRows,
         cell.nbodies = nb
         cell.cost = cost[c]
     # no run_waiting ran: drop the last one's tokens, as it would have
-    rt._done_tokens.clear()
+    rt.clear_done()
     variant.tree_rows = rows
     fields.update(mass=mass, cofm=cofm, nbodies=nbodies, cost=cost)
     variant.tree_fields = fields

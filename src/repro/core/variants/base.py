@@ -132,7 +132,8 @@ class VariantBase:
         bodies.assign = bodies.store.copy()
         self.box: RootBox = compute_root(bodies.pos, cfg.initial_rsize)
         self.root: Optional[Cell] = None
-        self.mycelltab: List[List[Cell]] = [[] for _ in range(self.P)]
+        #: the tree build's locks, by ``id`` of their cell: cleared with
+        #: the tree, so no later cell inherits a freed cell's lock
         self._locks: Dict[int, UpcLock] = {}
         #: per step: the tree build's lock (acquires, contended acquires,
         #: sorted nonzero waits); see :meth:`treebuild_locks`
@@ -326,7 +327,7 @@ class VariantBase:
             locks = replay_build(self, kernel, events, tids,
                                  len(record.cells))
             if locks is not None:
-                self._set_tree(record.cells)
+                self.ncells = len(record.cells)
                 self.record_treebuild_locks(*locks)
                 self.treebuild_engine = C_BUILD
                 flat = record_rows(kernel, record, self.root, len(bodies),
@@ -339,27 +340,40 @@ class VariantBase:
         self._build_with_hooks(order, tids)
         self.treebuild_engine = PY_BUILD
 
-    def _new_tree(self) -> List[int]:
-        """Start an empty global tree; its creation-sequence counter (the
-        root is cell 0)."""
-        self.root = new_root(self.box, home=0)
+    def release_tree(self) -> None:
+        """Drop every reference this variant and its runtime hold to the
+        current tree, so that its cells are freed before the next build
+        makes any: one step's tree at a time.  The ``id``-keyed locks go
+        first, as a new cell may take a freed cell's ``id``."""
         self._locks.clear()
+        # the hook-driven c-of-m's done tokens are the cells themselves
+        self.rt.clear_done()
+        self.root = None
         self.tree_rows = self.tree_fields = self.tree_order = None
+
+    def _new_tree(self) -> List[int]:
+        """Release the previous tree and start an empty global tree;
+        returns its creation-sequence counter (the root is cell 0)."""
+        self.release_tree()
+        self.root = new_root(self.box, home=0)
         return [1]
 
-    def _set_tree(self, cells: List[Cell]) -> None:
-        """Adopt a finished build's cells, in creation order."""
-        self.ncells = len(cells)
-        self.mycelltab = [[] for _ in range(self.P)]
+    def mycelltab(self) -> List[List[Cell]]:
+        """Each thread's cells of the global tree in creation order
+        (SPLASH-2's ``mycelltab``), from the cells' ``seq``."""
+        cells: List[Optional[Cell]] = [None] * self.ncells
+        for cell in self.root.iter_cells():
+            cells[cell.seq] = cell
+        tab: List[List[Cell]] = [[] for _ in range(self.P)]
         for cell in cells:
-            self.mycelltab[cell.home].append(cell)
+            tab[cell.home].append(cell)
+        return tab
 
     def _build_with_hooks(self, order: List[int], tids: List[int]) -> None:
         """The insertion build with every UPC charge made by its hooks:
         the oracle of :func:`~repro.core.build_replay.replay_build`."""
         rt = self.rt
         seq = self._new_tree()
-        cells = [self.root]
 
         def make_hooks(t: int):
             def on_visit(cell: Cell) -> None:
@@ -369,7 +383,6 @@ class VariantBase:
             def on_alloc(cell: Cell) -> None:
                 rt.heap.upc_alloc(t, rt.machine.cell_nbytes, cell)
                 rt.charge_compute(t, CELL_COMPUTE)
-                cells.append(cell)
                 rt.count(t, "cells_alloc")
 
             def on_modify(cell: Cell) -> None:
@@ -386,7 +399,7 @@ class VariantBase:
             insert(self.root, i, self.bodies.pos, home=t,
                    on_visit=on_visit, on_alloc=on_alloc,
                    on_modify=on_modify, seq_counter=seq)
-        self._set_tree(cells)
+        self.ncells = seq[0]
         self.record_upc_locks()
 
     # ------------------------------------------------------------------ #
@@ -448,9 +461,10 @@ class VariantBase:
         bodies = self.bodies
         P = self.P
         ptrs_local = self.body_ptrs_local()
+        mycelltab = self.mycelltab()
 
         def worker(t: int):
-            for cell in reversed(self.mycelltab[t]):
+            for cell in reversed(mycelltab[t]):
                 mass = 0.0
                 cofm = np.zeros(3)
                 nb = 0

@@ -61,8 +61,7 @@ class LocalBuild(CacheTree):
         rt = self.rt
         bodies = self.bodies
         P = self.P
-        self.root = new_root(self.box, home=0)
-        self._locks.clear()
+        self._new_tree()
         local_times = np.zeros(P)
         merge_times = np.zeros(P)
         lroots: List[Cell] = []

@@ -30,12 +30,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from ...octree.build import gc_paused, insert, new_root
+from ...octree.build import BuildRecord, gc_paused, insert, new_root
 from ...octree.cell import Cell, Leaf
 from ...octree.cofm import compute_cofm
 # see the note in base.py: bench/layers.py times this name here
 from ...octree.traverse import gravity_traversal  # noqa: F401
 from ...upc.collectives import allreduce_vector, alltoallv
+from ..build_replay import replay_kernel
 from .base import (
     BODY_POS_WORDS,
     CELL_COMPUTE,
@@ -86,7 +87,6 @@ class MpiLet(AsyncAgg):
         super().__init__(rt, bodies, cfg)
         #: (cells, bodies) shipped per step, for analysis
         self.let_traffic: List[dict] = []
-        self._local_roots: List[Optional[Cell]] = []
 
     # ------------------------------------------------------------------ #
     @gc_paused()
@@ -96,9 +96,11 @@ class MpiLet(AsyncAgg):
         P = self.P
         m = rt.machine
         theta = self.cfg.theta
+        # the partition has read the previous step's global tree
+        self.release_tree()
 
         # 1. local builds + local c-of-m (communication-free)
-        self._local_roots = []
+        local_roots: List[Optional[Cell]] = []
         local_times = np.zeros(P)
         idx_lists = self.assigned_all()
         for t, idx in enumerate(idx_lists):
@@ -119,7 +121,7 @@ class MpiLet(AsyncAgg):
                 visits * CELL_VISIT_WORDS * m.local_word_cost
                 + (allocs * 2) * CELL_COMPUTE,
             )
-            self._local_roots.append(lroot)
+            local_roots.append(lroot)
             local_times[t] = float(rt.clock[t]) - start
 
         # 2. LET exchange: one conservative walk per (sender, receiver)
@@ -133,7 +135,7 @@ class MpiLet(AsyncAgg):
         cells_total = 0
         bodies_total = 0
         for i in range(P):
-            lroot = self._local_roots[i]
+            lroot = local_roots[i]
             if lroot is None:
                 continue
             walk_nodes = 0
@@ -159,11 +161,17 @@ class MpiLet(AsyncAgg):
             {"local": local_times, "merge": np.zeros(P)})
 
         # The union of all LETs is the canonical global tree; build it
-        # functionally (uncharged) so the force phase has exact data.
+        # functionally (uncharged) so the force phase has exact data,
+        # under a record for the compiled flatten when the kernel serves.
+        # The local trees are freed first.
+        local_roots = lroot = None
         self.root = new_root(self.box, home=0)
-        for i in range(len(bodies)):
-            insert(self.root, i, bodies.pos, home=int(bodies.assign[i]))
-        self.fill_cofm(self.root)
+        record = BuildRecord() if replay_kernel() is not None else None
+        if record is not None:
+            record.add(self.root)
+        for i, home in enumerate(bodies.assign.tolist()):
+            insert(self.root, i, bodies.pos, home=home, record=record)
+        self.fill_cofm(self.root, record)
         # the tree the force phase walks, as LocalBuild counts its merge
         self.ncells = len(self.tree_rows[0]) if self.tree_rows is not None \
             else self.root.count_cells()

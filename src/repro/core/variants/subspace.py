@@ -49,6 +49,8 @@ class Subspace(AsyncAgg):
 
     # ------------------------------------------------------------------ #
     def phase_split(self) -> None:
+        # no phase before the subforest build reads the previous tree
+        self.release_tree()
         tree, body_map = split_subspaces(
             self.rt, self.bodies.pos, self.bodies.cost, self.bodies.store,
             self.box, self.cfg.alpha, self.cfg.vector_reduction,

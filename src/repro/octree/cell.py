@@ -76,8 +76,8 @@ class Cell:
         self.shadow: Optional[list] = None
         self.nbodies = 0
         #: creation sequence number across one build (the root is 0):
-        #: orders the baseline's mycelltab, which the c-of-m phase walks
-        #: in reverse, and names cells in the compiled replay's trace
+        #: orders the baseline's mycelltab, which the hook-driven c-of-m
+        #: phase walks in reverse, and indexes the build record's cells
         self.seq = 0
 
     # -- geometry -----------------------------------------------------------

@@ -26,10 +26,13 @@ Spec grammar (``BHConfig.inject`` / ``--inject``, repeatable)::
 
 Each spec fires **once per matching (phase, step) boundary** and never on
 retry attempts, so a recovered run re-executes the phase body against the
-same inputs an uninjected run saw.  Target indices for ``corrupt`` come
-from a ``numpy`` Generator seeded from the config seed; its state is part
-of the checkpoint payload, keeping kill-and-resume runs deterministic
-even mid-injection-campaign.
+same inputs an uninjected run saw.  A ``treebuild`` corruption stays
+armed until a ``treebuild`` phase of its step leaves a tree to damage:
+the subspace variant's first one (the split) releases the previous
+step's tree, so its subforest build takes the hit.  Target indices for
+``corrupt`` come from a ``numpy`` Generator seeded from the config seed;
+its state is part of the checkpoint payload, keeping kill-and-resume runs
+deterministic even mid-injection-campaign.
 """
 
 from __future__ import annotations
@@ -148,6 +151,10 @@ class FaultInjector:
             self.rng.bit_generator.state = rng_state
 
     # -- firing --------------------------------------------------------- #
+    @staticmethod
+    def _key(spec: FaultSpec, phase: str, step: int) -> str:
+        return f"{spec}@{phase}:{step}"
+
     def _take(self, phase: str, step: int,
               kinds: Tuple[str, ...]) -> List[FaultSpec]:
         """Matching, not-yet-fired specs of the given kinds; marks fired."""
@@ -155,7 +162,7 @@ class FaultInjector:
         for spec in self.specs:
             if spec.kind not in kinds or not spec.matches(phase, step):
                 continue
-            key = f"{spec}@{phase}:{step}"
+            key = self._key(spec, phase, step)
             if key in self.fired:
                 continue
             self.fired.add(key)
@@ -171,16 +178,23 @@ class FaultInjector:
 
     def after_phase(self, phase: str, step: int, variant) -> bool:
         """Fire ``corrupt`` points against the phase's output; True if any
-        damage was done (the guards are expected to notice)."""
+        damage was done (the guards are expected to notice).  A point
+        that found nothing to damage stays armed for the step's next
+        phase of the same name."""
         corrupted = False
-        for _ in self._take(phase, step, (KIND_CORRUPT,)):
-            self._corrupt(phase, variant)
-            corrupted = True
+        for spec in self._take(phase, step, (KIND_CORRUPT,)):
+            if self._corrupt(phase, variant):
+                corrupted = True
+            else:
+                self.fired.discard(self._key(spec, phase, step))
         return corrupted
 
     # -- corruption models ---------------------------------------------- #
-    def _corrupt(self, phase: str, variant) -> None:
-        """Damage the phase's primary output at a seeded location."""
+    def _corrupt(self, phase: str, variant) -> bool:
+        """Damage the phase's primary output at a seeded location; False
+        when there is none (a tree build phase that left no tree)."""
+        if phase == TREEBUILD and getattr(variant, "root", None) is None:
+            return False
         bodies = variant.bodies
         n = len(bodies)
         i = int(self.rng.integers(0, max(n, 1)))
@@ -200,11 +214,11 @@ class FaultInjector:
                 root.cofm = np.asarray(root.cofm, dtype=np.float64).copy()
                 root.cofm[int(self.rng.integers(0, 3))] = np.nan
         elif phase == TREEBUILD:
-            root = getattr(variant, "root", None)
-            if root is not None:
-                center = list(root.center)
-                center[int(self.rng.integers(0, 3))] = np.nan
-                root.center = tuple(center)
+            root = variant.root
+            center = list(root.center)
+            center[int(self.rng.integers(0, 3))] = np.nan
+            root.center = tuple(center)
+        return True
 
 
 def _jsonable(obj):

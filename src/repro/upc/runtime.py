@@ -456,7 +456,7 @@ class UpcRuntime:
         once the token is done, advancing the waiter's clock to the token's
         completion time (a spin wait).  Raises on deadlock.
         """
-        self._done_tokens.clear()
+        self.clear_done()
         runnable = [(float(self.clock[t]), t) for t in gens]
         heapq.heapify(runnable)
         blocked: Dict[Hashable, list] = {}
@@ -507,3 +507,8 @@ class UpcRuntime:
 
     def token_done(self, token: Hashable) -> bool:
         return token in self._done_tokens
+
+    def clear_done(self) -> None:
+        """Forget every done token (:meth:`run_waiting` starts from
+        none)."""
+        self._done_tokens.clear()

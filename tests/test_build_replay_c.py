@@ -5,12 +5,12 @@
 phase run both ways from deep-copied state must agree with
 ``np.array_equal`` on everything it touches: every thread clock and NIC
 time, every counter row and the key set, the shared-heap bookkeeping,
-every cell's lock statistics, the creation order (``mycelltab`` by
-``Cell.seq``), the cell count, every cell's ``mass``/``cofm``/
-``nbodies``/``cost`` and every c-of-m done time.  The oracle runs with
-the kernel lookup patched away, as on a box without a compiler.  The
-force phase's ``SlotTree`` built from the c-of-m replay's flatten must
-equal one flattened afresh.
+every cell's lock statistics, the creation order (the derived
+``mycelltab()`` by ``Cell.seq``), the cell count, every cell's
+``mass``/``cofm``/``nbodies``/``cost`` and every c-of-m done time.  The
+oracle runs with the kernel lookup patched away, as on a box without a
+compiler.  The force phase's ``SlotTree`` built from the c-of-m replay's
+flatten must equal one flattened afresh.
 
 The run-level tests at the bottom (``variant_stats`` engines and lock
 statistics, metrics export) hold with or without a kernel.
@@ -90,7 +90,7 @@ def _run(v, method: str, monkeypatch, compiled: bool):
 
 def _cells(v):
     """The global tree's cells in creation order."""
-    return sorted((c for tab in v.mycelltab for c in tab),
+    return sorted((c for tab in v.mycelltab() for c in tab),
                   key=lambda c: c.seq)
 
 
@@ -125,8 +125,8 @@ def _assert_treebuild_identical(v, monkeypatch):
     cells, want_cells = _cells(got), _cells(want)
     assert got.ncells == want.ncells == len(cells)
     assert [c.seq for c in cells] == list(range(got.ncells))
-    assert [[c.seq for c in tab] for tab in got.mycelltab] \
-        == [[c.seq for c in tab] for tab in want.mycelltab]
+    assert [[c.seq for c in tab] for tab in got.mycelltab()] \
+        == [[c.seq for c in tab] for tab in want.mycelltab()]
     assert [c.home for c in cells] == [c.home for c in want_cells]
     # per-cell lock statistics (by seq) against the hooks' UpcLock objects
     locks, = replayed

@@ -260,6 +260,24 @@ def test_fault_matrix_redistribution():
             assert ei.value.phase == REDISTRIBUTION
 
 
+@pytest.mark.parametrize("variant", ["baseline", "subspace"])
+def test_treebuild_corruption_damages_the_steps_tree_once(variant):
+    # the subspace split, the step's first treebuild phase, releases the
+    # previous tree and leaves none: the corruption waits for the
+    # subforest build, and the guards and one retry absorb it
+    kw = dict(nbodies=256, nsteps=4, threads=4)
+    _, clean = run_sim(variant, **kw)
+    sim, res = run_sim(variant, guards=True,
+                       inject=("treebuild:2:corrupt",), **kw)
+    assert np.array_equal(res.bodies.pos, clean.bodies.pos)
+    assert np.array_equal(res.bodies.vel, clean.bodies.vel)
+    assert sim.resilience.counts == {
+        ("injected_corruptions", TREEBUILD): 1,
+        ("faults", CAUSE_NON_FINITE): 1,
+        ("phase_retries", TREEBUILD): 1,
+    }
+
+
 def test_retry_exhaustion_surfaces_structured_fault():
     # a fault on *every* step exceeds max_phase_retries=0 immediately
     with pytest.raises(SimulationFault) as ei:
