@@ -1,4 +1,4 @@
-"""The baseline's tree-build and c-of-m accounting, replayed in C.
+"""The baseline's tree-build and c-of-m accounting, replayed.
 
 The section-4 baseline builds one global tree by concurrent insertion:
 every visited cell is a fine-grained remote read, every child-slot write
@@ -14,42 +14,45 @@ exactly:
   body event, into the cell that received its body, and cells are
   numbered in creation order with the root as 0, so an insertion's
   visits are the path from the root down to that cell.  The path implies
-  every event of the hook-driven build: a cell not seen before is one
-  the insertion created (its allocation and a locked write to the
+  every charge of the concurrent insertion: a cell not seen before is
+  one the insertion created (its allocation and a locked write to the
   previous cell come before its visit), and every insertion ends with a
   locked write to its last visited cell.  ``bh_build_replay`` derives
-  the paths and charges them in order.
+  the paths and charges them in order; :func:`mirror_build` is the same
+  replay in Python, for a box without the kernel or a declined call.
 * **C-of-m.**  ``bh_cofm_replay`` runs every thread's worker over its
   cells in reverse creation order under ``run_waiting``'s schedule.  It
   reads the tree as :func:`repro.octree.flat.cell_rows` flattens it, with
   each row's ``Cell.seq`` as its creation rank; the force phase's
   ``SlotTree`` reuses that flatten and the arrays the replay filled.
 
-Both replays read the runtime's price store as relation-class tables
-(:meth:`UpcRuntime.class_tables`) and do the Python hooks' float operations
-in their order, so every clock, NIC time and cell field is bit-identical.
-Counters and heap bookkeeping come back as per-thread integer totals,
-added once each (exact: integer-valued floats far below 2**53).  The
-engines recorded in ``RunResult.variant_stats``:
+Both compiled replays read the runtime's price store as relation-class
+tables (:meth:`UpcRuntime.class_tables`) and do the Python charges' float
+operations in their order, so every clock, NIC time and cell field is
+bit-identical.  Counters and heap bookkeeping come back as per-thread
+integer totals, added once each (exact: integer-valued floats far below
+2**53).  The engines recorded in ``RunResult.variant_stats``:
 
-* ``"c-build-replay"`` / ``"c-cofm-replay"`` -- the replays here;
-* ``"insert-hooks"`` / ``"run-waiting"`` -- the hook-driven phases in
-  :mod:`repro.core.variants.base`: the replays' oracles, and the engines
-  of a box without the kernel or of a declined call.
+* ``"c-build-replay"`` / ``"c-cofm-replay"`` -- the compiled replays;
+* ``"py-build-replay"`` -- :func:`mirror_build`;
+* ``"run-waiting"`` -- the c-of-m phase in
+  :mod:`repro.core.variants.base`: the compiled replay's oracle, and the
+  engine of a box without the kernel or of a declined call.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..octree.flat import CellRows
+from ..upc.locks import UpcLock
 
 #: engine names recorded in ``RunResult.variant_stats``
 C_BUILD = "c-build-replay"
-PY_BUILD = "insert-hooks"
+PY_BUILD = "py-build-replay"
 C_COFM = "c-cofm-replay"
 PY_COFM = "run-waiting"
 
@@ -76,7 +79,7 @@ def _charges(rt) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _add_totals(rt, keys: Sequence[str], totals: np.ndarray) -> None:
     """Add each nonzero per-thread total once: a counter key exists
-    exactly when one of the hooks' unit adds would have created it."""
+    exactly when one of the per-event unit adds would have created it."""
     counters = rt._counters
     if counters is None:
         return
@@ -116,6 +119,64 @@ def replay_build(variant, kernel, events: np.ndarray, tids: Sequence[int],
     rt.heap.allocated += allocs * rt.machine.cell_nbytes
     rt.heap.live_objects += allocs
     return acquires, contended, total_wait
+
+
+def lock_stats(locks: Iterable[UpcLock]
+               ) -> Tuple[List[int], List[int], List[float]]:
+    """Each lock's ``(acquires, contended_acquires, total_wait)``, as
+    three lists in the order of ``locks``."""
+    locks = list(locks)
+    return ([lk.acquires for lk in locks],
+            [lk.contended_acquires for lk in locks],
+            [lk.total_wait for lk in locks])
+
+
+def locked_write(rt, t: int, lk: UpcLock, key: str) -> None:
+    """Thread ``t`` writes one word at ``lk``'s home under ``lk``."""
+    rt.lock(t, lk)
+    rt.word_access(t, lk.home, words=1.0, key=key)
+    rt.unlock(t, lk)
+
+
+def mirror_build(variant, events: np.ndarray, tids: Sequence[int],
+                 ncells: int) -> Tuple[List[int], List[int], List[float]]:
+    """:func:`replay_build` in Python: the same charges from the same
+    record, through the runtime's word, lock and heap calls, with one
+    :class:`~repro.upc.locks.UpcLock` per seq.  Returns the per-cell lock
+    statistics, indexed by seq."""
+    from .variants.base import CELL_COMPUTE, CELL_VISIT_WORDS
+
+    rt = variant.rt
+    word_access = rt.word_access
+    parent = [-1] * ncells
+    locks = [UpcLock(home=0)]
+    tid_of = iter(tids)
+    path: List[int] = []
+    for p, _, c in events.tolist():
+        if c < -1:
+            parent[-2 - c] = p
+            continue
+        if c == -1:
+            continue
+        t = next(tid_of)
+        path.clear()
+        while p >= 0:
+            path.append(p)
+            p = parent[p]
+        prev = -1
+        for v in reversed(path):
+            if v == len(locks):
+                # a cell this insertion created, at its home
+                locks.append(UpcLock(home=t))
+                rt.heap.upc_alloc(t, rt.machine.cell_nbytes)
+                rt.charge_compute(t, CELL_COMPUTE)
+                rt.count(t, "cells_alloc")
+                locked_write(rt, t, locks[prev], "cell_writes")
+            word_access(t, locks[v].home, words=CELL_VISIT_WORDS,
+                        key="cell_visits")
+            prev = v
+        locked_write(rt, t, locks[prev], "cell_writes")
+    return lock_stats(locks)
 
 
 def replay_cofm(variant, kernel, rows: CellRows,
@@ -164,7 +225,7 @@ def replay_cofm(variant, kernel, rows: CellRows,
             rt.clock, rt._nic, mass, cofm, nbodies, cost, done_at, totals):
         return None
     _add_totals(rt, COFM_KEYS, totals)
-    # the hooks' types: numpy float64 sums, int body counts
+    # run_waiting's types: numpy float64 sums, int body counts
     for c, nb in enumerate(nbodies.tolist()):
         cell = cells[c]
         cell.mass = mass[c]

@@ -22,19 +22,20 @@ The algorithm (a scalable derivative of Shan & Singh's):
 5. **Top c-of-m** -- thread 0 finishes the O(#subspaces) top cells.
 
 The simulation charges phases 4-5 from counts: ``insert`` returns the
-cells it visited, a subtree's allocations are its creation-sequence
-count, and a subtree's local c-of-m pass touches each of its cells once.
+cells it visited, a subtree's allocations are the cells its insertions
+added to the build's record, and a subtree's local c-of-m pass touches
+each of its cells once.
 No charge depends on a cell's fields, so the fields themselves come from
 one c-of-m pass over the finished tree, after hooking
 (``VariantBase.fill_cofm``): ``bh_cofm_rows`` over its one flatten when
 the compiled kernel serves (engine ``"c-cofm-rows"``), else
 ``compute_cofm`` (engine ``"compute-cofm"``).  Both give the same bits as
 the per-subtree passes they stand for, and the force phase reuses the
-flatten and its arrays (``VariantBase.slot_tree``).  When the kernel
-serves, the whole subforest -- top cells, subtrees and hooks -- is built
-under one :class:`~repro.octree.build.BuildRecord`, and the flatten is
-``bh_tree_rows`` over it (:func:`~repro.octree.flat.record_rows`, engine
-``"c-tree-rows"``) instead of a walk over the cells.
+flatten and its arrays (``VariantBase.slot_tree``).  The whole
+subforest -- top cells, subtrees and hooks -- is built under one
+:class:`~repro.octree.build.BuildRecord`, and when the kernel serves the
+flatten is ``bh_tree_rows`` over it (:func:`~repro.octree.flat.record_rows`,
+engine ``"c-tree-rows"``) instead of a walk over the cells.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from ..octree.cell import Cell, Leaf
 from ..octree.cofm import compute_cofm  # noqa: F401
 from ..upc.collectives import allreduce_scalar, allreduce_vector, alltoallv
 from ..upc.runtime import UpcRuntime
-from .build_replay import replay_kernel
 
 #: local work per body examined in the split loop (cost scan / re-bucket)
 SCAN_COST = 10e-9
@@ -274,7 +274,7 @@ def build_subforest_and_hook(variant, tree: SubspaceTree,
     P = rt.nthreads
     m = rt.machine
     # the build's record, for the compiled flatten (module docstring)
-    record = BuildRecord() if replay_kernel() is not None else None
+    record = BuildRecord()
 
     # thread 0's top-tree cells, one per internal (split) subspace
     top: Dict[int, Cell] = {}
@@ -287,9 +287,8 @@ def build_subforest_and_hook(variant, tree: SubspaceTree,
     for node in internal:
         if node != 0:
             top[node] = Cell(tuple(centers[node]), sizes[node], home=0)
-    if record is not None:
-        for cell in top.values():
-            record.add(cell)
+    for cell in top.values():
+        record.add(cell)
     rt.charge_compute(0, len(top) * CELL_COMPUTE)
     for node in internal:
         base = child_base[node]
@@ -297,8 +296,7 @@ def build_subforest_and_hook(variant, tree: SubspaceTree,
             ch = top.get(base + o)
             if ch is not None:
                 top[node].children[o] = ch
-                if record is not None:
-                    record.hook(top[node], o, ch)
+                record.hook(top[node], o, ch)
     variant.ncells = len(top)
 
     # group bodies by leaf: the runs of the stable sort by subspace
@@ -327,26 +325,15 @@ def build_subforest_and_hook(variant, tree: SubspaceTree,
                     # subtree is built in place under the root cell, which
                     # the top tree already holds and counts
                     cell = root_cell
-                    cell.home = t
-                    if record is not None:
-                        record.homes[cell.seq] = t
+                    cell.home = record.homes[cell.seq] = t
                 else:
                     cell = Cell(tuple(centers[leaf]), sizes[leaf], home=t)
-                    if record is not None:
-                        record.add(cell)
+                    record.add(cell)
                 visits = 0
-                if record is None:
-                    seq = [1]  # numbers the new cells: counts the allocs
-                    for b in sel.tolist():
-                        visits += insert(cell, b, pos, home=t,
-                                         seq_counter=seq)
-                    made = seq[0] - 1
-                else:
-                    before = len(record.cells)
-                    for b in sel.tolist():
-                        visits += insert(cell, b, pos, home=t,
-                                         record=record)
-                    made = len(record.cells) - before
+                before = len(record.cells)
+                for b in sel.tolist():
+                    visits += insert(cell, b, pos, home=t, record=record)
+                made = len(record.cells) - before
                 # the subtree root and every cell its insertions made
                 ncells = made + 1
                 allocs = ncells - (leaf == 0)
@@ -366,8 +353,7 @@ def build_subforest_and_hook(variant, tree: SubspaceTree,
             par = top[int(tree.parent[leaf])]
             octant = int(tree.oct[leaf])
             par.children[octant] = node
-            if record is not None:
-                record.hook(par, octant, node)
+            record.hook(par, octant, node)
             rt.word_access(t, 0, words=1.0, key="subtree_hooks")
         local_times[t] = float(rt.clock[t]) - start
 

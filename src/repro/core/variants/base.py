@@ -22,8 +22,9 @@ every thread at once (:func:`force_tally`,
 one call site are charged in one call
 (:meth:`~repro.upc.runtime.UpcRuntime.word_access_many`).  The tree
 build's and c-of-m phase's charges are replayed by the compiled kernel
-from the build's record (:mod:`repro.core.build_replay`); the
-hook-driven phases here are its oracle and its no-compiler path.
+from the build's record (:mod:`repro.core.build_replay`); without the
+kernel, a Python mirror replays the same record, and the c-of-m phase
+runs under ``run_waiting`` here.
 
 Subclasses override the phase methods and/or flip the class flags.
 """
@@ -48,7 +49,6 @@ from ...octree.flat import CellRows, cell_rows, cofm_rows, record_rows
 # the per-group recursion the slot walk reproduces; kept importable where
 # the force phase lives, since bench/layers.py attributes time to it here
 from ...octree.traverse import gravity_traversal  # noqa: F401
-from ...upc.locks import UpcLock
 from ...upc.memory import SharedArray
 from ...upc.runtime import UpcRuntime
 from ..build_replay import (
@@ -56,6 +56,7 @@ from ..build_replay import (
     C_COFM,
     PY_BUILD,
     PY_COFM,
+    mirror_build,
     replay_build,
     replay_cofm,
     replay_kernel,
@@ -132,9 +133,6 @@ class VariantBase:
         bodies.assign = bodies.store.copy()
         self.box: RootBox = compute_root(bodies.pos, cfg.initial_rsize)
         self.root: Optional[Cell] = None
-        #: the tree build's locks, by ``id`` of their cell: cleared with
-        #: the tree, so no later cell inherits a freed cell's lock
-        self._locks: Dict[int, UpcLock] = {}
         #: per step: the tree build's lock (acquires, contended acquires,
         #: sorted nonzero waits); see :meth:`treebuild_locks`
         self.lock_stats: Dict[int, Tuple[int, int, List[float]]] = {}
@@ -196,13 +194,6 @@ class VariantBase:
                 with self.rt.phase(phase_name):
                     method()
 
-    def lock_of(self, cell: Cell) -> UpcLock:
-        lk = self._locks.get(id(cell))
-        if lk is None:
-            lk = UpcLock(home=cell.home)
-            self._locks[id(cell)] = lk
-        return lk
-
     def assigned(self, tid: int) -> np.ndarray:
         return np.nonzero(self.bodies.assign == tid)[0]
 
@@ -236,14 +227,6 @@ class VariantBase:
         self.lock_stats[self.step_index] = (
             int(sum(acquires)), int(sum(contended)),
             sorted(float(w) for w in waits if w))
-
-    def record_upc_locks(self) -> None:
-        """:meth:`record_treebuild_locks` of every lock in ``_locks``."""
-        locks = list(self._locks.values())
-        self.record_treebuild_locks(
-            [lk.acquires for lk in locks],
-            [lk.contended_acquires for lk in locks],
-            [lk.total_wait for lk in locks])
 
     def treebuild_locks(self) -> Optional[dict]:
         """Tree-build lock statistics summed over the measured steps
@@ -313,50 +296,45 @@ class VariantBase:
                 self.read_shared_scalar(t, float(len(idx)))  # rsize/insert
             self.charge_body_words(t, idx, BODY_POS_WORDS, counts[t])
         order, tids = _round_robin(idx_lists)
+        # build once recording the structure; the charges are replayed
+        # from the record (repro.core.build_replay), in C when the kernel
+        # serves, and the kernel flattens the tree from it
+        self._new_tree()
+        record = BuildRecord()
+        record.add(self.root)
+        for i, t in zip(order, tids):
+            insert(self.root, i, bodies.pos, home=t, record=record)
+        self.ncells = ncells = len(record.cells)
+        events = record.event_array()
         kernel = replay_kernel()
-        if kernel is not None:
-            # build once recording the structure; the kernel replays the
-            # charges from the record (repro.core.build_replay) and
-            # flattens the tree from it
-            self._new_tree()
-            record = BuildRecord()
-            record.add(self.root)
-            for i, t in zip(order, tids):
-                insert(self.root, i, bodies.pos, home=t, record=record)
-            events = record.event_array()
-            locks = replay_build(self, kernel, events, tids,
-                                 len(record.cells))
-            if locks is not None:
-                self.ncells = len(record.cells)
-                self.record_treebuild_locks(*locks)
-                self.treebuild_engine = C_BUILD
-                flat = record_rows(kernel, record, self.root, len(bodies),
-                                   events)
-                if flat is not None:
-                    self.tree_rows, self.tree_fields, body_order = flat
-                    self.tree_order = (self.root, body_order)
-                    self.rows_engine = C_ROWS
-                return
-        self._build_with_hooks(order, tids)
-        self.treebuild_engine = PY_BUILD
+        locks = None if kernel is None \
+            else replay_build(self, kernel, events, tids, ncells)
+        if locks is None:
+            self.record_treebuild_locks(
+                *mirror_build(self, events, tids, ncells))
+            self.treebuild_engine = PY_BUILD
+            return
+        self.record_treebuild_locks(*locks)
+        self.treebuild_engine = C_BUILD
+        flat = record_rows(kernel, record, self.root, len(bodies), events)
+        if flat is not None:
+            self.tree_rows, self.tree_fields, body_order = flat
+            self.tree_order = (self.root, body_order)
+            self.rows_engine = C_ROWS
 
     def release_tree(self) -> None:
         """Drop every reference this variant and its runtime hold to the
         current tree, so that its cells are freed before the next build
-        makes any: one step's tree at a time.  The ``id``-keyed locks go
-        first, as a new cell may take a freed cell's ``id``."""
-        self._locks.clear()
-        # the hook-driven c-of-m's done tokens are the cells themselves
+        makes any: one step's tree at a time."""
+        # the run_waiting c-of-m's done tokens are the cells themselves
         self.rt.clear_done()
         self.root = None
         self.tree_rows = self.tree_fields = self.tree_order = None
 
-    def _new_tree(self) -> List[int]:
-        """Release the previous tree and start an empty global tree;
-        returns its creation-sequence counter (the root is cell 0)."""
+    def _new_tree(self) -> None:
+        """Release the previous tree and start an empty global tree."""
         self.release_tree()
         self.root = new_root(self.box, home=0)
-        return [1]
 
     def mycelltab(self) -> List[List[Cell]]:
         """Each thread's cells of the global tree in creation order
@@ -368,39 +346,6 @@ class VariantBase:
         for cell in cells:
             tab[cell.home].append(cell)
         return tab
-
-    def _build_with_hooks(self, order: List[int], tids: List[int]) -> None:
-        """The insertion build with every UPC charge made by its hooks:
-        the oracle of :func:`~repro.core.build_replay.replay_build`."""
-        rt = self.rt
-        seq = self._new_tree()
-
-        def make_hooks(t: int):
-            def on_visit(cell: Cell) -> None:
-                rt.word_access(t, cell.home, words=CELL_VISIT_WORDS,
-                               key="cell_visits")
-
-            def on_alloc(cell: Cell) -> None:
-                rt.heap.upc_alloc(t, rt.machine.cell_nbytes, cell)
-                rt.charge_compute(t, CELL_COMPUTE)
-                rt.count(t, "cells_alloc")
-
-            def on_modify(cell: Cell) -> None:
-                lk = self.lock_of(cell)
-                rt.lock(t, lk)
-                rt.word_access(t, cell.home, words=1.0, key="cell_writes")
-                rt.unlock(t, lk)
-
-            return on_visit, on_alloc, on_modify
-
-        hooks = [make_hooks(t) for t in range(self.P)]
-        for i, t in zip(order, tids):
-            on_visit, on_alloc, on_modify = hooks[t]
-            insert(self.root, i, self.bodies.pos, home=t,
-                   on_visit=on_visit, on_alloc=on_alloc,
-                   on_modify=on_modify, seq_counter=seq)
-        self.ncells = seq[0]
-        self.record_upc_locks()
 
     # ------------------------------------------------------------------ #
     # phase: center of mass (baseline: spin on done flags)               #

@@ -16,15 +16,17 @@ figure 8.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 import numpy as np
 
-from ...octree.build import gc_paused, insert, new_root
+from ...octree.build import BuildRecord, gc_paused, insert, new_root
 from ...octree.cell import Cell
 # the fields come from VariantBase.fill_cofm; the name stays importable
 # here, since bench/layers.py attributes time to it in this module
 from ...octree.cofm import compute_cofm  # noqa: F401
+from ...upc.locks import UpcLock
+from ..build_replay import lock_stats, locked_write
 from .base import (
     ATOMIC_COFM_WORDS,
     BODY_POS_WORDS,
@@ -65,6 +67,10 @@ class LocalBuild(CacheTree):
         local_times = np.zeros(P)
         merge_times = np.zeros(P)
         lroots: List[Cell] = []
+        # numbers every cell of the step: the global root, the local
+        # trees, the merge's split cells and every insertion's
+        record = BuildRecord()
+        record.add(self.root)
 
         # -- sub-phase 1: local builds (balanced, cheap) -------------------
         for t, idx in enumerate(self.assigned_all()):
@@ -73,12 +79,12 @@ class LocalBuild(CacheTree):
                 self.read_shared_scalar(t, 1)
             self.charge_body_words(t, idx, BODY_POS_WORDS)
             lroot = new_root(self.box, home=t)
-            seq = [1]  # numbers the new cells: counts the allocations
+            record.add(lroot)
+            before = len(record.cells)
             visits = 0
             for i in idx.tolist():
-                visits += insert(lroot, i, bodies.pos, home=t,
-                                 seq_counter=seq)
-            allocs = seq[0] - 1
+                visits += insert(lroot, i, bodies.pos, home=t, record=record)
+            allocs = len(record.cells) - before
             rt.heap.upc_alloc_count(t, rt.machine.cell_nbytes, allocs)
             # pointers to local cells are cast local: plain word accesses
             rt.charge_compute(
@@ -96,9 +102,10 @@ class LocalBuild(CacheTree):
             local_times[t] = float(rt.clock[t]) - start
 
         # -- sub-phase 2: merge into the global tree ----------------------
+        locks: Dict[int, UpcLock] = {}
         for t in range(P):
             start = float(rt.clock[t])
-            self._merge_tree(t, self.root, lroots[t])
+            self._merge_tree(t, self.root, lroots[t], record, locks)
             merge_times[t] = float(rt.clock[t]) - start
 
         # the real code maintains (mass, cofm) atomically during the merge;
@@ -111,10 +118,11 @@ class LocalBuild(CacheTree):
         self.treebuild_subphases.append(
             {"local": local_times, "merge": merge_times}
         )
-        self.record_upc_locks()
+        self.record_treebuild_locks(*lock_stats(locks.values()))
 
     # ------------------------------------------------------------------ #
-    def _merge_tree(self, t: int, g: Cell, l: Cell) -> None:
+    def _merge_tree(self, t: int, g: Cell, l: Cell, record: BuildRecord,
+                    locks: Dict[int, UpcLock]) -> None:
         """Merge local cell ``l`` into global cell ``g`` (same region)."""
         rt = self.rt
         # commutative atomic (mass, cofm) merge
@@ -128,65 +136,77 @@ class LocalBuild(CacheTree):
             rt.word_access(t, g.home, words=1.0, key="merge_slot_reads")
             gch = g.children[oct_idx]
             if gch is None:
-                self._hook(t, g, oct_idx, lch)
+                self._hook(t, g, oct_idx, lch, locks)
             elif isinstance(gch, Cell):
                 if isinstance(lch, Cell):
-                    self._merge_tree(t, gch, lch)
+                    self._merge_tree(t, gch, lch, record, locks)
                 else:
                     for b in lch.indices:
-                        self._global_insert(t, gch, int(b))
+                        self._global_insert(t, gch, int(b), record, locks)
             else:  # global slot holds a leaf
                 if isinstance(lch, Cell):
-                    self._hook(t, g, oct_idx, lch)
+                    self._hook(t, g, oct_idx, lch, locks)
                     for b in gch.indices:
-                        self._insert_local_subtree(t, lch, int(b))
+                        self._insert_local_subtree(t, lch, int(b), record)
                 else:
                     sub = Cell(g.child_center(oct_idx), g.size / 2.0, home=t)
+                    record.add(sub)
                     rt.heap.upc_alloc(t, rt.machine.cell_nbytes, sub)
                     rt.charge_compute(t, CELL_COMPUTE)
-                    self._hook(t, g, oct_idx, sub)
+                    self._hook(t, g, oct_idx, sub, locks)
                     for b in list(gch.indices) + list(lch.indices):
-                        self._insert_local_subtree(t, sub, int(b))
+                        self._insert_local_subtree(t, sub, int(b), record)
 
-    def _hook(self, t: int, g: Cell, oct_idx: int, node) -> None:
+    def _locked_write(self, t: int, cell: Cell, locks: Dict[int, UpcLock],
+                      key: str) -> None:
+        """One word written to ``cell`` under its lock (``locks[seq]``)."""
+        lk = locks.get(cell.seq)
+        if lk is None:
+            lk = locks[cell.seq] = UpcLock(home=cell.home)
+        locked_write(self.rt, t, lk, key)
+
+    def _hook(self, t: int, g: Cell, oct_idx: int, node,
+              locks: Dict[int, UpcLock]) -> None:
         """Write one child pointer under a lock (the cheap 'winner' path)."""
-        rt = self.rt
-        lk = self.lock_of(g)
-        rt.lock(t, lk)
         g.children[oct_idx] = node
-        rt.word_access(t, g.home, words=1.0, key="merge_hooks")
-        rt.unlock(t, lk)
+        self._locked_write(t, g, locks, "merge_hooks")
 
-    def _global_insert(self, t: int, cell: Cell, b: int) -> None:
-        """Insert one body into a (generally remote) global subtree."""
+    def _global_insert(self, t: int, cell: Cell, b: int, record: BuildRecord,
+                       locks: Dict[int, UpcLock]) -> None:
+        """Insert one body into a (generally remote) global subtree.  It
+        visits the cells met descending from ``cell`` by the body's
+        octant, and created the last ``made`` of them."""
         rt = self.rt
-
-        def on_visit(c, t=t):
+        before = len(record.cells)
+        insert(cell, b, self.bodies.pos, home=t, record=record)
+        made = len(record.cells) - before
+        p = self.bodies.pos[b].tolist()
+        path = []
+        node = cell
+        while isinstance(node, Cell):
+            path.append(node)
+            node = node.children[node.octant_of(p)]
+        first_made = len(path) - made
+        for k, c in enumerate(path):
+            if k >= first_made:
+                rt.heap.upc_alloc(t, rt.machine.cell_nbytes, c)
+                rt.charge_compute(t, CELL_COMPUTE)
+                self._locked_write(t, path[k - 1], locks,
+                                   "merge_insert_writes")
             rt.word_access(t, c.home, words=CELL_VISIT_WORDS,
                            key="merge_insert_visits")
             # maintain (mass, cofm) along the path, atomically
             rt.word_access(t, c.home, words=ATOMIC_COFM_WORDS,
                            key="merge_cofm_updates")
+        self._locked_write(t, path[-1], locks, "merge_insert_writes")
 
-        def on_alloc(c, t=t):
-            rt.heap.upc_alloc(t, rt.machine.cell_nbytes, c)
-            rt.charge_compute(t, CELL_COMPUTE)
-
-        def on_modify(c, t=t):
-            lk = self.lock_of(c)
-            rt.lock(t, lk)
-            rt.word_access(t, c.home, words=1.0, key="merge_insert_writes")
-            rt.unlock(t, lk)
-
-        insert(cell, b, self.bodies.pos, home=t, on_visit=on_visit,
-               on_alloc=on_alloc, on_modify=on_modify)
-
-    def _insert_local_subtree(self, t: int, cell: Cell, b: int) -> None:
+    def _insert_local_subtree(self, t: int, cell: Cell, b: int,
+                              record: BuildRecord) -> None:
         """Insert a displaced body into the thread's own hooked subtree."""
         rt = self.rt
-        seq = [1]  # numbers the new cells: counts the allocations
-        visits = insert(cell, b, self.bodies.pos, home=t, seq_counter=seq)
-        allocs = seq[0] - 1
+        before = len(record.cells)
+        visits = insert(cell, b, self.bodies.pos, home=t, record=record)
+        allocs = len(record.cells) - before
         rt.heap.upc_alloc_count(t, rt.machine.cell_nbytes, allocs)
         # one charge per allocation, in the order the insertion made them
         for _ in range(allocs):

@@ -36,7 +36,6 @@ from ...octree.cofm import compute_cofm
 # see the note in base.py: bench/layers.py times this name here
 from ...octree.traverse import gravity_traversal  # noqa: F401
 from ...upc.collectives import allreduce_vector, alltoallv
-from ..build_replay import replay_kernel
 from .base import (
     BODY_POS_WORDS,
     CELL_COMPUTE,
@@ -106,16 +105,18 @@ class MpiLet(AsyncAgg):
         for t, idx in enumerate(idx_lists):
             start = float(rt.clock[t])
             self.charge_body_words(t, idx, BODY_POS_WORDS)
-            lroot = new_root(self.box, home=t) if len(idx) else None
-            seq = [1]  # numbers the new cells: counts the allocations
-            visits = 0
-            for i in idx.tolist():
-                visits += insert(lroot, i, bodies.pos, home=t,
-                                 seq_counter=seq)
-            allocs = seq[0] - 1
-            rt.heap.upc_alloc_count(t, m.cell_nbytes, allocs)
-            if lroot is not None:
+            lroot = None
+            visits = allocs = 0
+            if len(idx):
+                lroot = new_root(self.box, home=t)
+                record = BuildRecord()
+                record.add(lroot)
+                for i in idx.tolist():
+                    visits += insert(lroot, i, bodies.pos, home=t,
+                                     record=record)
+                allocs = len(record.cells) - 1
                 compute_cofm(lroot, bodies.pos, bodies.mass, bodies.cost)
+            rt.heap.upc_alloc_count(t, m.cell_nbytes, allocs)
             rt.charge_compute(
                 t,
                 visits * CELL_VISIT_WORDS * m.local_word_cost
@@ -164,11 +165,10 @@ class MpiLet(AsyncAgg):
         # functionally (uncharged) so the force phase has exact data,
         # under a record for the compiled flatten when the kernel serves.
         # The local trees are freed first.
-        local_roots = lroot = None
+        local_roots = lroot = record = None
         self.root = new_root(self.box, home=0)
-        record = BuildRecord() if replay_kernel() is not None else None
-        if record is not None:
-            record.add(self.root)
+        record = BuildRecord()
+        record.add(self.root)
         for i, home in enumerate(bodies.assign.tolist()):
             insert(self.root, i, bodies.pos, home=home, record=record)
         self.fill_cofm(self.root, record)

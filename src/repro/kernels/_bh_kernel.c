@@ -14,11 +14,11 @@
  *     outstanding gathers, bit-identical in forces and in every
  *     simulated charge;
  *   - bh_build_replay and bh_cofm_replay, the compiled twins of the
- *     section-4 baseline's insertion hooks and c-of-m spin in
- *     repro.core.variants.base: every UPC charge of the tree build,
- *     replayed from the insertion build's record, and the whole
- *     run_waiting schedule of the c-of-m phase, bit-identical in every
- *     clock, NIC time and counter;
+ *     section-4 baseline's build replay (repro.core.build_replay) and
+ *     c-of-m spin (repro.core.variants.base): every UPC charge of the
+ *     tree build, replayed from the insertion build's record, and the
+ *     whole run_waiting schedule of the c-of-m phase, bit-identical in
+ *     every clock, NIC time and counter;
  *   - bh_cofm_rows, the compiled twin of repro.octree.cofm.compute_cofm
  *     over every row of a flattened tree (the section-6 subspace
  *     build's one c-of-m pass per step), with bh_cofm_replay's per-cell
@@ -991,8 +991,8 @@ static void rp_nic(const bh_charges *c, int64_t owner, double seconds)
  * a visit charges visit_words words at the cell's home; before a new
  * cell's visit come its allocation and then a locked 1-word write to
  * the previous cell; every insertion ends with a locked write to p.
- * Each charge does the float operations of the Python hooks in their
- * order.
+ * Each charge does the float operations of the Python replay
+ * (mirror_build in repro/core/build_replay.py) in its order.
  *
  * Returns BH_ERR_DECLINED, before any side effect, when an input is
  * malformed (an id or slot out of range, a cell hooked out of creation
@@ -1099,13 +1099,13 @@ int bh_build_replay(
             const int new_cell = v == created;
             if (prev >= 0 && (v < 0 || new_cell)) {
                 if (new_cell) {
-                    /* on_alloc: upc_alloc, CELL_COMPUTE, cells_alloc */
+                    /* a created cell: upc_alloc, CELL_COMPUTE, cells_alloc */
                     home[v] = t;
                     created++;
                     clock[t] += alloc_cost;
                     totals[t * BH_B_NTOTALS + BH_B_ALLOCS]++;
                 }
-                /* on_modify(prev): lock, 1-word write, unlock */
+                /* a child-slot write to prev: lock, 1-word write, unlock */
                 const int64_t h = home[prev];
                 const double *acq = rp_entry(c, BH_K_ACQUIRE, t, h);
                 const double now = clock[t];
@@ -1134,7 +1134,7 @@ int bh_build_replay(
             }
             if (v < 0)
                 break;
-            /* on_visit: visit_words at the cell's home */
+            /* a visit: visit_words at the cell's home */
             rp_word(c, visit_kind, t, home[v], 1.0);
             totals[t * BH_B_NTOTALS + BH_B_VISITS]++;
             totals[t * BH_B_NTOTALS + BH_B_REMOTE] +=

@@ -2,24 +2,15 @@
 
 Bodies are inserted one at a time, splitting leaf slots into sub-cells until
 every body sits alone (or MAX_DEPTH is hit, where the leaf degrades to a
-bucket).  Callers that need communication accounting pass hooks:
+bucket).
 
-``on_visit(cell)``  -- invoked for every cell the insertion descends through
-                       (the baseline charges remote field reads here);
-``on_alloc(cell)``  -- invoked when a new cell is created (``upc_alloc``);
-``on_modify(cell)`` -- invoked when a child slot of ``cell`` is written
-                       (the baseline wraps this in a upc_lock).
-
-``seq_counter`` (a one-element list) numbers created cells: each takes its
-value as ``Cell.seq`` and increments it, so its growth is the number of
-cells an insertion allocated.  ``insert`` returns the number of cells it
-visited (the ``on_visit`` calls it made or would have made), so a caller
-that only counts needs no hook at all.
-
-``record`` (a :class:`BuildRecord`) keeps the build's structural events
-as flat ints, for the compiled flatten ``bh_tree_rows``
-(:func:`repro.octree.flat.record_rows`); a recorded build numbers its
-cells through the record, across every tree it holds.
+Every insertion writes into a :class:`BuildRecord`, which numbers the
+cells it creates (their ``Cell.seq``) and keeps its splits and placements
+as flat ints.  ``insert`` returns the number of cells it visited, and a
+build's allocations are the growth of ``len(record.cells)``.  A caller
+that charges every event derives the events from the record or from the
+insertion's path (:mod:`repro.core.build_replay`); ``bh_tree_rows``
+flattens the same record (:func:`repro.octree.flat.record_rows`).
 
 The octant test and the child-centre arithmetic run inline on the cells'
 float-tuple centres (:mod:`repro.octree.cell`), with the same float ops
@@ -30,14 +21,12 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from typing import Callable, List, Optional
+from typing import List
 
 import numpy as np
 
 from ..nbody.bbox import RootBox
 from .cell import Cell, Leaf, MAX_DEPTH
-
-Hook = Optional[Callable[[Cell], None]]
 
 
 class BuildRecord:
@@ -68,8 +57,9 @@ class BuildRecord:
         self.homes: List[int] = []
 
     def add(self, cell: Cell) -> None:
-        """Number a cell no recorded insertion created (a root or a
-        subtree root) as the next seq."""
+        """Number a cell no recorded insertion created as the next seq:
+        a root, a subtree root, or a cell the section-5.4 merge splits
+        off itself."""
         cell.seq = len(self.cells)
         self.cells.append(cell)
         self.homes.append(cell.home)
@@ -124,38 +114,32 @@ def new_root(box: RootBox, home: int = 0) -> Cell:
                 size=float(box.rsize), home=home)
 
 
-def insert(root: Cell, idx: int, positions: np.ndarray, home: int = 0,
-           on_visit: Hook = None, on_alloc: Hook = None,
-           on_modify: Hook = None, seq_counter: Optional[list] = None,
-           record: Optional[BuildRecord] = None) -> int:
-    """Insert body ``idx`` (position looked up in ``positions``); returns
-    the number of cells visited."""
+def insert(root: Cell, idx: int, positions: np.ndarray, home: int = 0, *,
+           record: BuildRecord) -> int:
+    """Insert body ``idx`` (position looked up in ``positions``) into the
+    tree under ``root``, a cell ``record`` numbers; cells it creates take
+    ``home`` and the record's next seqs.  Returns the number of cells
+    visited."""
     # one read as Python floats: the octant tests compare the same values
     px, py, pz = positions[idx].tolist()
+    cells = record.cells
+    events = record.events
     cur = root
     depth = 0
     while True:
-        if on_visit is not None:
-            on_visit(cur)
         cx, cy, cz = cur.center
         oct_idx = ((1 if px > cx else 0) | (2 if py > cy else 0)
                    | (4 if pz > cz else 0))
         children = cur.children
         slot = children[oct_idx]
         if slot is None:
-            if on_modify is not None:
-                on_modify(cur)
             children[oct_idx] = Leaf(idx)
-            if record is not None:
-                record.events += (cur.seq, oct_idx, idx)
+            events += (cur.seq, oct_idx, idx)
             return depth + 1
         if isinstance(slot, Leaf):
             if depth >= MAX_DEPTH:
-                if on_modify is not None:
-                    on_modify(cur)
                 slot.indices.append(idx)
-                if record is not None:
-                    record.events += (cur.seq, oct_idx, idx)
+                events += (cur.seq, oct_idx, idx)
                 return depth + 1
             # Cell.child_center, inline
             q = cur.size / 4.0
@@ -163,22 +147,13 @@ def insert(root: Cell, idx: int, positions: np.ndarray, home: int = 0,
             sy = cy + q if oct_idx & 2 else cy - q
             sz = cz + q if oct_idx & 4 else cz - q
             sub = Cell((sx, sy, sz), cur.size / 2.0, home=home)
-            if seq_counter is not None:
-                sub.seq = seq_counter[0]
-                seq_counter[0] += 1
             ox, oy, oz = positions[slot.indices[0]].tolist()
             moved = ((1 if ox > sx else 0) | (2 if oy > sy else 0)
                      | (4 if oz > sz else 0))
-            if record is not None:
-                sub.seq = seq = len(record.cells)
-                record.cells.append(sub)
-                record.homes.append(home)
-                record.events += (cur.seq, oct_idx, -2 - seq, seq, moved,
-                                  -1)
-            if on_alloc is not None:
-                on_alloc(sub)
-            if on_modify is not None:
-                on_modify(cur)
+            sub.seq = seq = len(cells)
+            cells.append(sub)
+            record.homes.append(home)
+            events += (cur.seq, oct_idx, -2 - seq, seq, moved, -1)
             sub.children[moved] = slot
             children[oct_idx] = sub
             cur = sub
@@ -189,11 +164,14 @@ def insert(root: Cell, idx: int, positions: np.ndarray, home: int = 0,
 
 @gc_paused()
 def build_tree(positions: np.ndarray, box: RootBox, indices=None,
-               home: int = 0, **hooks) -> Cell:
-    """Build a complete octree over ``indices`` (default: all bodies)."""
+               home: int = 0) -> Cell:
+    """Build a complete octree over ``indices`` (default: all bodies),
+    under a record of its own."""
     root = new_root(box, home=home)
+    record = BuildRecord()
+    record.add(root)
     if indices is None:
         indices = range(len(positions))
     for idx in indices:
-        insert(root, int(idx), positions, home=home, **hooks)
+        insert(root, int(idx), positions, home, record=record)
     return root

@@ -75,9 +75,9 @@ class Cell:
         #: section 5.3.2: shadow child pointers (merged local tree)
         self.shadow: Optional[list] = None
         self.nbodies = 0
-        #: creation sequence number across one build (the root is 0):
-        #: orders the baseline's mycelltab, which the hook-driven c-of-m
-        #: phase walks in reverse, and indexes the build record's cells
+        #: creation sequence number across one build record (the root
+        #: is 0): indexes the record's cells, and orders the baseline's
+        #: mycelltab, which the run_waiting c-of-m phase walks in reverse
         self.seq = 0
 
     # -- geometry -----------------------------------------------------------

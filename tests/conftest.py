@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import BHConfig
+from repro.kernels import load_kernel, pool
 from repro.nbody.bbox import compute_root
 from repro.nbody.plummer import plummer
 from repro.octree.build import build_tree
@@ -51,3 +52,20 @@ def rt8_pthread():
 def tiny_cfg():
     """Fast simulation config used across variant tests."""
     return BHConfig(nbodies=192, nsteps=2, warmup_steps=1, seed=7)
+
+
+
+@pytest.fixture()
+def two_walk_workers(monkeypatch):
+    """The compiled walks on two workers (:mod:`repro.kernels.pool`)."""
+    monkeypatch.setattr(pool, "_WORKERS", 2)
+
+
+@pytest.fixture()
+def one_walk_worker(monkeypatch):
+    """The compiled walks on one worker.  Skips without a kernel: then no
+    walk runs on the pool, and the test would only rerun the Python
+    engines."""
+    if load_kernel() is None:
+        pytest.skip("no compiled walks to run on the pool")
+    monkeypatch.setattr(pool, "_WORKERS", 1)

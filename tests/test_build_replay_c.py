@@ -1,16 +1,18 @@
-"""The baseline's tree build and c-of-m phase: compiled replays vs hooks.
+"""The baseline's tree build and c-of-m phase: the replays vs the hooks.
 
-``bh_build_replay`` charges the insertion build from its record and
-``bh_cofm_replay`` replays ``run_waiting``'s c-of-m schedule, so one
-phase run both ways from deep-copied state must agree with
+``bh_build_replay`` and its Python mirror (``mirror_build``) charge the
+insertion build from its record; ``tests/hook_oracle.py`` keeps the
+hook-driven build they replaced, which charged every event as ``insert``
+made it.  One phase run each way from deep-copied state must agree with
 ``np.array_equal`` on everything it touches: every thread clock and NIC
 time, every counter row and the key set, the shared-heap bookkeeping,
 every cell's lock statistics, the creation order (the derived
-``mycelltab()`` by ``Cell.seq``), the cell count, every cell's
-``mass``/``cofm``/``nbodies``/``cost`` and every c-of-m done time.  The
-oracle runs with the kernel lookup patched away, as on a box without a
-compiler.  The force phase's ``SlotTree`` built from the c-of-m replay's
-flatten must equal one flattened afresh.
+``mycelltab()`` by ``Cell.seq``) and the cell count.  ``bh_cofm_replay``
+replays ``run_waiting``'s c-of-m schedule and must agree with it the same
+way, and on every cell's ``mass``/``cofm``/``nbodies``/``cost`` and every
+c-of-m done time.  The Python engines run with the kernel lookup patched
+away, as on a box without a compiler.  The force phase's ``SlotTree``
+built from the c-of-m replay's flatten must equal one flattened afresh.
 
 The run-level tests at the bottom (``variant_stats`` engines and lock
 statistics, metrics export) hold with or without a kernel.
@@ -25,6 +27,7 @@ import pytest
 
 import repro.core.build_replay as build_replay
 import repro.core.variants.base as variant_base
+from hook_oracle import hook_insert, treebuild_with_hooks
 from repro.backends.object_tree import SlotTree
 from repro.core.app import BarnesHutSimulation, run_variant
 from repro.core.build_replay import replay_cofm, replay_kernel
@@ -32,7 +35,7 @@ from repro.core.config import BHConfig
 from repro.core.phases import COFM, TREEBUILD
 from repro.kernels.loader import CKernel
 from repro.nbody.distributions import make_distribution
-from repro.octree.build import BuildRecord, insert, new_root
+from repro.octree.build import BuildRecord, new_root
 from repro.octree.cell import Leaf
 from repro.octree.flat import cell_rows
 from repro.upc.params import paper_section5_machine, paper_section6_machine
@@ -107,38 +110,47 @@ def _assert_same_charges(got, want):
                           want.rt.heap.live_objects)
 
 
-def _assert_treebuild_identical(v, monkeypatch):
-    replayed = []
+def _assert_treebuild_identical(v, monkeypatch, compiled=(True, False)):
+    """The build's replays (the C one, the Python mirror, or both) against
+    the hook-driven build; returns the first replayed variant."""
+    want = copy.deepcopy(v)
+    hook = treebuild_with_hooks(want)
+    want_cells = _cells(want)
+    replays = []
+    for c in compiled:
+        name = "replay_build" if c else "mirror_build"
+        replay = getattr(build_replay, name)
+        replayed = []
 
-    def record(*args):
-        out = build_replay.replay_build(*args)
-        replayed.append(out)
-        return out
+        def record(*args):
+            out = replay(*args)
+            replayed.append(out)
+            return out
 
-    with monkeypatch.context() as mp:
-        mp.setattr(variant_base, "replay_build", record)
-        got = _run(v, "phase_treebuild", monkeypatch, compiled=True)
-    want = _run(v, "phase_treebuild", monkeypatch, compiled=False)
-    assert got.treebuild_engine == build_replay.C_BUILD
-    assert want.treebuild_engine == build_replay.PY_BUILD
-    _assert_same_charges(got, want)
-    cells, want_cells = _cells(got), _cells(want)
-    assert got.ncells == want.ncells == len(cells)
-    assert [c.seq for c in cells] == list(range(got.ncells))
-    assert [[c.seq for c in tab] for tab in got.mycelltab()] \
-        == [[c.seq for c in tab] for tab in want.mycelltab()]
-    assert [c.home for c in cells] == [c.home for c in want_cells]
-    # per-cell lock statistics (by seq) against the hooks' UpcLock objects
-    locks, = replayed
-    hook = [want._locks.get(id(c)) for c in want_cells]
-    for arr, field, dtype in zip(
-            locks, ("acquires", "contended_acquires", "total_wait"),
-            (np.int64, np.int64, np.float64)):
-        assert arr.dtype == dtype
-        assert np.array_equal(
-            arr, [getattr(lk, field) if lk else 0 for lk in hook]), field
-    assert got.lock_stats == want.lock_stats
-    return got
+        with monkeypatch.context() as mp:
+            mp.setattr(variant_base, name, record)
+            got = _run(v, "phase_treebuild", monkeypatch, compiled=c)
+        assert got.treebuild_engine == (build_replay.C_BUILD if c
+                                        else build_replay.PY_BUILD)
+        _assert_same_charges(got, want)
+        cells = _cells(got)
+        assert got.ncells == want.ncells == len(cells)
+        assert [c.seq for c in cells] == list(range(got.ncells))
+        assert [[c.seq for c in tab] for tab in got.mycelltab()] \
+            == [[c.seq for c in tab] for tab in want.mycelltab()]
+        assert [c.home for c in cells] == [c.home for c in want_cells]
+        # per-cell lock statistics (by seq) against the hooks' UpcLocks
+        locks, = replayed
+        if c:
+            assert [a.dtype for a in locks] == [np.int64, np.int64,
+                                                np.float64]
+        for arr, field in zip(locks, ("acquires", "contended_acquires",
+                                      "total_wait")):
+            assert np.array_equal(
+                arr, [getattr(lk, field) if lk else 0 for lk in hook]), field
+        assert got.lock_stats == want.lock_stats
+        replays.append(got)
+    return replays[0]
 
 
 def _assert_cofm_identical(v, monkeypatch):
@@ -240,6 +252,8 @@ class TestCompiledMatchesOracle:
         _assert_cofm_identical(got, monkeypatch)
 
     def test_declined_calls_run_the_hooks(self, monkeypatch):
+        """Declined compiled calls fall back to the Python engines: the
+        build's mirror replay and the c-of-m phase's ``run_waiting``."""
         v = _at_phase("baseline", 16, TREEBUILD)
         monkeypatch.setattr(CKernel, "build_replay",
                             lambda self, *a: False)
@@ -247,7 +261,8 @@ class TestCompiledMatchesOracle:
         got = copy.deepcopy(v)
         got.phase_treebuild()
         assert got.treebuild_engine == build_replay.PY_BUILD
-        want = _run(v, "phase_treebuild", monkeypatch, compiled=False)
+        want = copy.deepcopy(v)
+        treebuild_with_hooks(want)
         _assert_same_charges(got, want)
         assert got.lock_stats == want.lock_stats
         got.phase_cofm()
@@ -370,9 +385,10 @@ def _record_paths(events: np.ndarray):
 @pytest.mark.parametrize("nthreads", [1, 4, 16, 64, 112])
 def test_record_paths_are_the_visit_trace(monkeypatch, nthreads, dist,
                                           coincident):
-    """The replay's derivation holds: each insertion visits exactly the
-    root-to-receiving-cell path of its record; with a kernel, the replay
-    from the record charges what the hooks charge."""
+    """The replays' derivation holds: each insertion visits exactly the
+    root-to-receiving-cell path of its record, and the replays from the
+    record (the C one with a kernel, the mirror always) charge what the
+    hooks charge."""
     v = _at_phase("baseline", nthreads, TREEBUILD, dist,
                   coincident=coincident)
     order, tids = variant_base._round_robin(v.assigned_all())
@@ -381,15 +397,15 @@ def test_record_paths_are_the_visit_trace(monkeypatch, nthreads, dist,
     record.add(root)
     trace = []
     for i, t in zip(order, tids):
-        insert(root, i, v.bodies.pos, home=t, on_visit=trace.append,
-               record=record)
+        hook_insert(root, i, v.bodies.pos, home=t, on_visit=trace.append,
+                    record=record)
     assert _record_paths(record.event_array()) == [c.seq for c in trace]
     assert record.cells == sorted(set(trace), key=lambda c: c.seq)
     if coincident:
         assert any(isinstance(ch, Leaf) and len(ch.indices) > 1
                    for c in record.cells for ch in c.children)
-    if replay_kernel() is not None:
-        _assert_treebuild_identical(v, monkeypatch)
+    _assert_treebuild_identical(
+        v, monkeypatch, (True, False) if replay_kernel() else (False,))
 
 
 STATS = ("treebuild_engine", "cofm_engine", "treebuild_locks")

@@ -6,7 +6,7 @@ arithmetic inline on it.  Every centre must carry the same bits as the
 numpy 3-vector chain it replaced (``center + off``) and as
 :mod:`repro.octree.morton_build`'s per-level centres; ``insert`` must
 return the number of cells it visited on every path (empty slot, split,
-``MAX_DEPTH`` bucket) and grow ``seq_counter`` by the cells it made; and
+``MAX_DEPTH`` bucket) and add the cells it made to its record; and
 a NaN centre injected after a tree build must still be caught.
 """
 
@@ -19,7 +19,7 @@ from repro import BHConfig, BarnesHutSimulation, SimulationFault
 from repro.core.phases import TREEBUILD
 from repro.nbody.bbox import compute_root
 from repro.nbody.distributions import distribution_names, make_distribution
-from repro.octree.build import build_tree, insert, new_root
+from repro.octree.build import BuildRecord, build_tree, insert, new_root
 from repro.octree.cell import MAX_DEPTH, Cell, Leaf
 from repro.octree.flat import FlatTree
 from repro.octree.morton_build import build_flat_tree
@@ -76,39 +76,38 @@ def test_octant_of_matches_insert():
                     assert cell.octant_of(bodies.pos[b].tolist()) == o
 
 
-class _Counter:
-    def __init__(self):
-        self.visits = 0
-        self.allocs = 0
-
-    def on_visit(self, cell):
-        self.visits += 1
-
-    def on_alloc(self, cell):
-        self.allocs += 1
-
-
-def _insert_counted(root, idx, pos, seq):
-    cnt = _Counter()
-    start = seq[0]
-    visits = insert(root, idx, pos, on_visit=cnt.on_visit,
-                    on_alloc=cnt.on_alloc, seq_counter=seq)
-    assert visits == cnt.visits
-    assert seq[0] - start == cnt.allocs
-    return visits, cnt.allocs
+def _insert_counted(root, idx, pos, record):
+    """``insert``'s visits and the cells it added to ``record``, checked
+    against the record: the body lands in the last visited cell, and the
+    new cells are the last ones on the root-to-cell path."""
+    start = len(record.cells)
+    nevents = len(record.events)
+    visits = insert(root, idx, pos, record=record)
+    allocs = len(record.cells) - start
+    events = record.events[nevents:]
+    assert events[-1] == idx
+    path = [record.cells[events[-3]]]
+    while path[-1] is not root:
+        path.append(next(c for c in record.cells
+                         if path[-1] in c.children))
+    assert visits == len(path)
+    assert [c.seq for c in path[:allocs]] \
+        == list(range(len(record.cells) - 1, start - 1, -1))
+    return visits, allocs
 
 
 def test_insert_counts_the_empty_slot_and_split_paths():
     pos = np.array([[0.5, 0.5, 0.5], [0.25, 0.25, 0.25], [-0.5, 0.5, 0.5],
                     [1.5, 1.5, 1.5]])
     root = Cell((0.0, 0.0, 0.0), 4.0)
-    seq = [1]
-    assert _insert_counted(root, 0, pos, seq) == (1, 0)   # empty slot
-    assert _insert_counted(root, 2, pos, seq) == (1, 0)   # empty slot
+    record = BuildRecord()
+    record.add(root)
+    assert _insert_counted(root, 0, pos, record) == (1, 0)   # empty slot
+    assert _insert_counted(root, 2, pos, record) == (1, 0)   # empty slot
     # body 1 shares body 0's cell down to size 0.5: three splits
-    assert _insert_counted(root, 1, pos, seq) == (4, 3)
+    assert _insert_counted(root, 1, pos, record) == (4, 3)
     # body 3 lands in an empty slot of the first split cell
-    assert _insert_counted(root, 3, pos, seq) == (2, 0)
+    assert _insert_counted(root, 3, pos, record) == (2, 0)
     assert sorted(c.seq for c in root.iter_cells()) == [0, 1, 2, 3]
 
 
@@ -116,13 +115,14 @@ def test_insert_counts_the_bucket_path():
     pos = np.tile([[0.1, -0.2, 0.3]], (4, 1))
     pos = np.vstack([pos, [[-0.4, 0.4, -0.4]]])
     root = new_root(compute_root(pos))
-    seq = [1]
-    _insert_counted(root, 0, pos, seq)
-    visits, allocs = _insert_counted(root, 1, pos, seq)
+    record = BuildRecord()
+    record.add(root)
+    _insert_counted(root, 0, pos, record)
+    visits, allocs = _insert_counted(root, 1, pos, record)
     # coincident bodies split down to MAX_DEPTH, then share a bucket
     assert allocs == MAX_DEPTH and visits == MAX_DEPTH + 1
     for b in (2, 3):
-        assert _insert_counted(root, b, pos, seq) == (MAX_DEPTH + 1, 0)
+        assert _insert_counted(root, b, pos, record) == (MAX_DEPTH + 1, 0)
     buckets = [ch for c in root.iter_cells() for ch in c.children
                if isinstance(ch, Leaf) and len(ch.indices) > 1]
     assert [b.indices for b in buckets] == [[0, 1, 2, 3]]

@@ -6,7 +6,8 @@ the rest of :mod:`repro.experiments`: every driver in ``FIGURE_RUNNERS``
 (Figures 5-13) and the five ablation drivers of
 :mod:`repro.experiments.ablations`, at ``--scale test``.  Each result's
 x axis, series and notes are stored as JSON values (floats round-trip
-``repr`` exactly) and compared with ``==``.  Figures 10-13 run the
+``repr`` exactly) and compared with ``==``, with the compiled walks on
+two workers and again on one.  Figures 10-13 run the
 section-6 subspace build.  Regenerate only for an intended change to the
 simulated numbers, and say why::
 
@@ -77,8 +78,15 @@ def test_golden_covers_every_driver(golden):
     assert golden["scale"] == TEST.name
 
 
+@pytest.mark.usefixtures("two_walk_workers")
 @pytest.mark.parametrize("driver_id", sorted(DRIVERS))
 def test_golden_driver_output(golden, driver_id):
+    assert driver_output(driver_id) == golden["drivers"][driver_id]
+
+
+@pytest.mark.usefixtures("one_walk_worker")
+@pytest.mark.parametrize("driver_id", sorted(DRIVERS))
+def test_golden_driver_output_one_walk_worker(golden, driver_id):
     assert driver_output(driver_id) == golden["drivers"][driver_id]
 
 

@@ -12,6 +12,9 @@ by no variant, so every name in :data:`repro.backends.BACKENDS` must
 reproduce the object-tree row exactly: ``flat`` is checked against every
 row, and each other name against one row (:data:`SPOT_ROW`) per variant.
 
+Every row runs with the compiled walks on two workers and again on one
+(:mod:`repro.kernels.pool`): no output may depend on the worker count.
+
 The comparison is ``==`` with no tolerance: the UPC accounting path must
 keep every float operation in the same order.  A change that reorders
 sums on purpose has to regenerate the file and say why::
@@ -95,8 +98,12 @@ def test_golden_covers_every_case(golden):
     assert golden["nbodies"] == NBODIES and golden["nsteps"] == NSTEPS
 
 
-@pytest.mark.parametrize("variant,backend,nthreads,machine", CASES,
-                         ids=[case_id(*c) for c in CASES])
+PARAMS = pytest.mark.parametrize("variant,backend,nthreads,machine", CASES,
+                                 ids=[case_id(*c) for c in CASES])
+
+
+@pytest.mark.usefixtures("two_walk_workers")
+@PARAMS
 def test_golden_simulated_outputs(golden, variant, backend, nthreads,
                                   machine):
     want = golden["runs"][case_id(variant, GOLDEN_BACKEND, nthreads,
@@ -104,6 +111,14 @@ def test_golden_simulated_outputs(golden, variant, backend, nthreads,
     got = simulate(variant, backend, nthreads, machine)
     assert got["counters"] == want["counters"]
     assert got["phases"] == want["phases"]
+
+
+@pytest.mark.usefixtures("one_walk_worker")
+@PARAMS
+def test_golden_simulated_outputs_one_walk_worker(golden, variant, backend,
+                                                  nthreads, machine):
+    test_golden_simulated_outputs(golden, variant, backend, nthreads,
+                                  machine)
 
 
 def write_golden() -> None:

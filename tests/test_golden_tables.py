@@ -5,8 +5,9 @@ what the table drivers in :mod:`repro.experiments.tables` make of them:
 for ``table2``..``table9`` at ``--scale test``, every phase row, the
 totals and the thread counts of the :class:`TableResult`.  Floats are
 stored as JSON numbers, which round-trip ``repr`` exactly, and compared
-with ``==``.  Regenerate only for an intended change to the simulated
-numbers, and say why::
+with ``==``, with the compiled walks on two workers and again on one.
+Regenerate only for an intended change to the simulated numbers, and say
+why::
 
     PYTHONPATH=src python tests/test_golden_tables.py --write
 """
@@ -49,8 +50,15 @@ def test_golden_covers_every_table(golden):
     assert golden["scale"] == TEST.name
 
 
+@pytest.mark.usefixtures("two_walk_workers")
 @pytest.mark.parametrize("table_id", TABLES)
 def test_golden_table_rows(golden, table_id):
+    assert table_rows(table_id) == golden["tables"][table_id]
+
+
+@pytest.mark.usefixtures("one_walk_worker")
+@pytest.mark.parametrize("table_id", TABLES)
+def test_golden_table_rows_one_walk_worker(golden, table_id):
     assert table_rows(table_id) == golden["tables"][table_id]
 
 

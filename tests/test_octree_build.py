@@ -1,10 +1,10 @@
-"""Octree construction: invariants, hooks, degenerate inputs."""
+"""Octree construction: invariants, the build record, degenerate inputs."""
 
 import numpy as np
 import pytest
 
 from repro.nbody.bbox import RootBox, compute_root
-from repro.octree.build import build_tree, insert, new_root
+from repro.octree.build import BuildRecord, build_tree, insert, new_root
 from repro.octree.cell import MAX_DEPTH, Cell, Leaf
 from repro.octree.validate import TreeInvariantError, check_tree
 
@@ -69,40 +69,14 @@ class TestBuild:
     def test_home_follows_inserter(self, bodies256):
         box = compute_root(bodies256.pos)
         root = new_root(box, home=0)
+        record = BuildRecord()
+        record.add(root)
         for i in range(64):
-            insert(root, i, bodies256.pos, home=3)
+            insert(root, i, bodies256.pos, home=3, record=record)
+        assert record.homes == [0] + [3] * (len(record.cells) - 1)
         for c in root.iter_cells():
             if c is not root:
                 assert c.home == 3
-
-
-class TestHooks:
-    def test_visit_hook_fires_per_level(self, bodies256):
-        box = compute_root(bodies256.pos)
-        root = new_root(box)
-        visits = []
-        insert(root, 0, bodies256.pos, on_visit=visits.append)
-        assert visits == [root]
-        visits.clear()
-        insert(root, 1, bodies256.pos, on_visit=visits.append)
-        assert visits[0] is root
-        assert len(visits) >= 1
-
-    def test_alloc_hook_counts_cells(self, bodies256):
-        box = compute_root(bodies256.pos)
-        root = new_root(box)
-        allocs = []
-        for i in range(128):
-            insert(root, i, bodies256.pos, on_alloc=allocs.append)
-        ncells = sum(1 for _ in root.iter_cells()) - 1  # minus root
-        assert len(allocs) == ncells
-
-    def test_modify_hook_fires_on_writes(self, bodies256):
-        box = compute_root(bodies256.pos)
-        root = new_root(box)
-        mods = []
-        insert(root, 0, bodies256.pos, on_modify=mods.append)
-        assert mods == [root]
 
 
 class TestCellGeometry:
