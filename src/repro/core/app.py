@@ -107,6 +107,7 @@ class BarnesHutSimulation:
             "treebuild_engine": self.variant.treebuild_engine,
             "cofm_engine": self.variant.cofm_engine,
             "rows_engine": self.variant.rows_engine,
+            "insert_engine": self.variant.insert_engine,
             "treebuild_locks": self.variant.treebuild_locks(),
             "migration_fractions": list(self.variant.migration_fractions),
             "treebuild_subphases": list(self.variant.treebuild_subphases),

@@ -21,10 +21,11 @@ The algorithm (a scalable derivative of Shan & Singh's):
    pointer write; the writes touch disjoint slots, so no locks are needed.
 5. **Top c-of-m** -- thread 0 finishes the O(#subspaces) top cells.
 
-The simulation charges phases 4-5 from counts: ``insert`` returns the
-cells it visited, a subtree's allocations are the cells its insertions
-added to the build's record, and a subtree's local c-of-m pass touches
-each of its cells once.
+The simulation charges phases 4-5 from counts: the whole subforest is
+one ``insert`` batch, one job per subtree, which returns each subtree's
+visited and created cells, and a subtree's local c-of-m pass touches
+each of its cells once.  The charges and hooks follow the batch, in
+thread then leaf order.
 No charge depends on a cell's fields, so the fields themselves come from
 one c-of-m pass over the finished tree, after hooking
 (``VariantBase.fill_cofm``): ``bh_cofm_rows`` over its one flatten when
@@ -308,54 +309,63 @@ def build_subforest_and_hook(variant, tree: SubspaceTree,
         node: order[lo:hi] for node, lo, hi in zip(
             sorted_ss[starts].tolist(), starts.tolist(), ends.tolist())}
 
-    local_times = np.zeros(P)
-    pos = bodies.pos
+    # every subtree of the subforest in one batch, in thread, then leaf
+    # order: its root is numbered first, then the cells its insertions
+    # make; a leaf holding one body is hooked as that body's leaf
+    subtrees = []  # (thread, leaf, node) in that order
+    jobs = []
     for t in range(P):
-        start = float(rt.clock[t])
-        my_leaves = tree.leaves[leaf_owner == t]
-        for leaf in my_leaves.tolist():
+        for leaf in tree.leaves[leaf_owner == t].tolist():
             sel = groups.get(leaf)
             if sel is None or len(sel) == 0:
                 continue
             if len(sel) == 1 and leaf != 0:
-                node: "Cell | Leaf" = Leaf(int(sel[0]))
-            else:
-                if leaf == 0:
-                    # degenerate: the root itself is a leaf subspace; its
-                    # subtree is built in place under the root cell, which
-                    # the top tree already holds and counts
-                    cell = root_cell
-                    cell.home = record.homes[cell.seq] = t
-                else:
-                    cell = Cell(tuple(centers[leaf]), sizes[leaf], home=t)
-                    record.add(cell)
-                visits = 0
-                before = len(record.cells)
-                for b in sel.tolist():
-                    visits += insert(cell, b, pos, home=t, record=record)
-                made = len(record.cells) - before
-                # the subtree root and every cell its insertions made
-                ncells = made + 1
-                allocs = ncells - (leaf == 0)
-                rt.heap.upc_alloc_count(t, m.cell_nbytes, allocs)
-                rt.charge_compute(
-                    t,
-                    visits * CELL_VISIT_WORDS * m.local_word_cost
-                    + ncells * CELL_COMPUTE,
-                )
-                variant.ncells += allocs
-                # local c-of-m for the subtree (no communication): one
-                # combine per cell; the fields come from the pass below
-                rt.charge_compute(t, ncells * CELL_COMPUTE)
-                node = cell
-            if leaf == 0:
+                subtrees.append((t, leaf, Leaf(int(sel[0]))))
                 continue
+            if leaf == 0:
+                # degenerate: the root itself is a leaf subspace; its
+                # subtree is built in place under the root cell, which
+                # the top tree already holds and counts
+                cell = root_cell
+                cell.home = record.homes[cell.seq] = t
+            else:
+                cell = Cell(tuple(centers[leaf]), sizes[leaf], home=t)
+                record.add(cell)
+            subtrees.append((t, leaf, cell))
+            jobs.append((cell, sel, t))
+    built = insert(jobs, bodies.pos, record=record)
+    variant.insert_engine = built.engine
+    visits_of = iter(built.visits)
+    made_of = iter(built.made)
+
+    # each thread's charges, subtree by subtree, then its hook
+    local_times = np.zeros(P)
+    start = {}
+    for t, leaf, node in subtrees:
+        if t not in start:
+            start[t] = float(rt.clock[t])
+        if isinstance(node, Cell):
+            visits = next(visits_of)
+            # the subtree root and every cell its insertions made
+            ncells = next(made_of) + 1
+            allocs = ncells - (leaf == 0)
+            rt.heap.upc_alloc_count(t, m.cell_nbytes, allocs)
+            rt.charge_compute(
+                t,
+                visits * CELL_VISIT_WORDS * m.local_word_cost
+                + ncells * CELL_COMPUTE,
+            )
+            variant.ncells += allocs
+            # local c-of-m for the subtree (no communication): one
+            # combine per cell; the fields come from the pass below
+            rt.charge_compute(t, ncells * CELL_COMPUTE)
+        if leaf != 0:
             par = top[int(tree.parent[leaf])]
             octant = int(tree.oct[leaf])
             par.children[octant] = node
             record.hook(par, octant, node)
             rt.word_access(t, 0, words=1.0, key="subtree_hooks")
-        local_times[t] = float(rt.clock[t]) - start
+        local_times[t] = float(rt.clock[t]) - start[t]
 
     # thread 0 finishes the top cells: it gathers the (mass, cofm) of all
     # hooked subtree roots -- one indexed gather per source thread, using

@@ -161,6 +161,9 @@ class VariantBase:
         self.cofm_engine: Optional[str] = None
         #: engine of the latest flatten of the tree (C_ROWS / PY_ROWS)
         self.rows_engine: Optional[str] = None
+        #: engine of the latest fresh tree build's ``insert``
+        #: (``C_INSERT`` / ``PY_INSERT`` of :mod:`repro.octree.build`)
+        self.insert_engine: Optional[str] = None
         #: resilience mediation (a ResilienceManager, attached by
         #: BarnesHutSimulation when the config enables any of it; None
         #: keeps the unmediated phase loop below)
@@ -302,8 +305,8 @@ class VariantBase:
         self._new_tree()
         record = BuildRecord()
         record.add(self.root)
-        for i, t in zip(order, tids):
-            insert(self.root, i, bodies.pos, home=t, record=record)
+        self.insert_engine = insert([(self.root, order, tids)], bodies.pos,
+                                    record=record).engine
         self.ncells = ncells = len(record.cells)
         events = record.event_array()
         kernel = replay_kernel()

@@ -73,18 +73,22 @@ class LocalBuild(CacheTree):
         record.add(self.root)
 
         # -- sub-phase 1: local builds (balanced, cheap) -------------------
-        for t, idx in enumerate(self.assigned_all()):
+        # every thread's local tree in one batch; the charges follow in
+        # thread order
+        idx_lists = self.assigned_all()
+        for t in range(P):
+            lroot = new_root(self.box, home=t)
+            record.add(lroot)
+            lroots.append(lroot)
+        built = insert(list(zip(lroots, idx_lists, range(P))), bodies.pos,
+                       record=record)
+        self.insert_engine = built.engine
+        for t, (idx, visits, allocs) in enumerate(zip(
+                idx_lists, built.visits, built.made)):
             start = float(rt.clock[t])
             if self.replicate_scalars:
                 self.read_shared_scalar(t, 1)
             self.charge_body_words(t, idx, BODY_POS_WORDS)
-            lroot = new_root(self.box, home=t)
-            record.add(lroot)
-            before = len(record.cells)
-            visits = 0
-            for i in idx.tolist():
-                visits += insert(lroot, i, bodies.pos, home=t, record=record)
-            allocs = len(record.cells) - before
             rt.heap.upc_alloc_count(t, rt.machine.cell_nbytes, allocs)
             # pointers to local cells are cast local: plain word accesses
             rt.charge_compute(
@@ -98,7 +102,6 @@ class LocalBuild(CacheTree):
             ncells = allocs + 1
             rt.charge_compute(t, ncells * CELL_COMPUTE)
             rt.count(t, "local_cells", ncells)
-            lroots.append(lroot)
             local_times[t] = float(rt.clock[t]) - start
 
         # -- sub-phase 2: merge into the global tree ----------------------
@@ -177,9 +180,8 @@ class LocalBuild(CacheTree):
         visits the cells met descending from ``cell`` by the body's
         octant, and created the last ``made`` of them."""
         rt = self.rt
-        before = len(record.cells)
-        insert(cell, b, self.bodies.pos, home=t, record=record)
-        made = len(record.cells) - before
+        made = insert([(cell, [b], t)], self.bodies.pos,
+                      record=record).made[0]
         p = self.bodies.pos[b].tolist()
         path = []
         node = cell
@@ -204,9 +206,8 @@ class LocalBuild(CacheTree):
                               record: BuildRecord) -> None:
         """Insert a displaced body into the thread's own hooked subtree."""
         rt = self.rt
-        before = len(record.cells)
-        visits = insert(cell, b, self.bodies.pos, home=t, record=record)
-        allocs = len(record.cells) - before
+        built = insert([(cell, [b], t)], self.bodies.pos, record=record)
+        visits, allocs = built.visits[0], built.made[0]
         rt.heap.upc_alloc_count(t, rt.machine.cell_nbytes, allocs)
         # one charge per allocation, in the order the insertion made them
         for _ in range(allocs):

@@ -30,7 +30,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from ...octree.build import BuildRecord, gc_paused, insert, new_root
+from ...octree.build import (C_INSERT, PY_INSERT, BuildRecord, gc_paused,
+                              insert, new_root)
 from ...octree.cell import Cell, Leaf
 from ...octree.cofm import compute_cofm
 # see the note in base.py: bench/layers.py times this name here
@@ -98,23 +99,28 @@ class MpiLet(AsyncAgg):
         # the partition has read the previous step's global tree
         self.release_tree()
 
-        # 1. local builds + local c-of-m (communication-free)
-        local_roots: List[Optional[Cell]] = []
-        local_times = np.zeros(P)
+        # 1. local builds + local c-of-m (communication-free): every
+        # thread's local tree in one batch, then each thread's charges
         idx_lists = self.assigned_all()
-        for t, idx in enumerate(idx_lists):
+        local_roots: List[Optional[Cell]] = [
+            new_root(self.box, home=t) if len(idx) else None
+            for t, idx in enumerate(idx_lists)]
+        record = BuildRecord()
+        jobs = []
+        for t, lroot in enumerate(local_roots):
+            if lroot is not None:
+                record.add(lroot)
+                jobs.append((lroot, idx_lists[t], t))
+        built = insert(jobs, bodies.pos, record=record)
+        visits_of = iter(built.visits)
+        made_of = iter(built.made)
+        local_times = np.zeros(P)
+        for t, (idx, lroot) in enumerate(zip(idx_lists, local_roots)):
             start = float(rt.clock[t])
             self.charge_body_words(t, idx, BODY_POS_WORDS)
-            lroot = None
             visits = allocs = 0
-            if len(idx):
-                lroot = new_root(self.box, home=t)
-                record = BuildRecord()
-                record.add(lroot)
-                for i in idx.tolist():
-                    visits += insert(lroot, i, bodies.pos, home=t,
-                                     record=record)
-                allocs = len(record.cells) - 1
+            if lroot is not None:
+                visits, allocs = next(visits_of), next(made_of)
                 compute_cofm(lroot, bodies.pos, bodies.mass, bodies.cost)
             rt.heap.upc_alloc_count(t, m.cell_nbytes, allocs)
             rt.charge_compute(
@@ -122,7 +128,6 @@ class MpiLet(AsyncAgg):
                 visits * CELL_VISIT_WORDS * m.local_word_cost
                 + (allocs * 2) * CELL_COMPUTE,
             )
-            local_roots.append(lroot)
             local_times[t] = float(rt.clock[t]) - start
 
         # 2. LET exchange: one conservative walk per (sender, receiver)
@@ -169,8 +174,11 @@ class MpiLet(AsyncAgg):
         self.root = new_root(self.box, home=0)
         record = BuildRecord()
         record.add(self.root)
-        for i, home in enumerate(bodies.assign.tolist()):
-            insert(self.root, i, bodies.pos, home=home, record=record)
+        glob = insert([(self.root, range(len(bodies)), bodies.assign)],
+                      bodies.pos, record=record)
+        # a local batch's fallback shows, whatever served the global one
+        self.insert_engine = PY_INSERT if PY_INSERT in (
+            built.engine, glob.engine) else C_INSERT
         self.fill_cofm(self.root, record)
         # the tree the force phase walks, as LocalBuild counts its merge
         self.ncells = len(self.tree_rows[0]) if self.tree_rows is not None \

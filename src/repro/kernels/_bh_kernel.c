@@ -1,8 +1,8 @@
 /* Iterative Barnes-Hut force walks over FlatTree arrays, the
- * baseline's tree-build and c-of-m accounting replays, and the flatten
- * of a recorded insertion build.
+ * baseline's tree-build and c-of-m accounting replays, the insertion
+ * build itself and the flatten of its record.
  *
- * Seven entry points:
+ * Eight entry points (one of them in two calls):
  *
  *   - bh_force_walk, the compiled twin of repro.octree.flat.flat_gravity
  *     (the flat-c backend), one stack DFS per body;
@@ -25,7 +25,11 @@
  *     combine and no charges;
  *   - bh_tree_rows, the compiled twin of repro.octree.flat.cell_rows
  *     over the record repro.octree.build.insert keeps of its build: the
- *     same breadth-first rows, plus each row's geometry and home.
+ *     same breadth-first rows, plus each row's geometry and home;
+ *   - bh_insert_build and bh_insert_take, the compiled twin of
+ *     repro.octree.build.insert over a batch of empty target cells:
+ *     the same cells, leaves, record events and visit counts, as
+ *     arrays the Python side turns into Cell and Leaf objects.
  *
  * bh_slot_walk and bh_frontier_walk write only their own outputs and
  * the calling thread's clock (the frontier walk logs its NIC adds
@@ -60,7 +64,7 @@
 #include <stdlib.h>
 
 /* ABI version checked by the loader; bump on any signature change. */
-#define BH_ABI_VERSION 8
+#define BH_ABI_VERSION 9
 
 /* Deepest possible walk: MAX_DEPTH (30) levels, each pushing at most
  * 8 children while popping one -- 4096 is an order of magnitude above
@@ -1649,6 +1653,300 @@ int bh_tree_rows(
     counts[2] = nb;
     free(ws);
     return BH_OK;
+}
+
+/* ------------------------------------------------------------------ */
+/* The insertion build itself (repro.octree.build.insert), by batch.   */
+/* ------------------------------------------------------------------ */
+
+/* A batch built by bh_insert_build and handed over by bh_insert_take.
+ * Cells are the jobs' targets (0 .. njobs - 1, in job order), then the
+ * cells the insertions create, in creation order; a slot holds -1
+ * (empty), a cell, or -2 - l for leaf l (leaves in creation order).
+ * Insertion i is the i-th body of the batch and the i-th body to join a
+ * leaf: a leaf's bucket is a chain of insertions. */
+typedef struct {
+    int64_t njobs, nins, base, ncells, cap, nleaves, nevents;
+    const int64_t *job_seq;
+    int64_t *slot;       /* [cap * 8] */
+    double *center;      /* [cap * 3] */
+    double *size;        /* [cap] */
+    int64_t *home;       /* [cap] */
+    int64_t *events;     /* [3 * (nins + 2 * cap)] */
+    int64_t *body;       /* [nins] body of each insertion */
+    int64_t *leaf_first; /* [nins] first and last insertion of a leaf */
+    int64_t *leaf_last;
+    int64_t *add_next;   /* [nins] next insertion in the same bucket */
+    int64_t *visits;     /* [njobs] */
+    int64_t *made;       /* [njobs] */
+} bh_insert;
+
+static void ib_free(bh_insert *b)
+{
+    if (!b)
+        return;
+    free(b->slot);
+    free(b->center);
+    free(b->size);
+    free(b->home);
+    free(b->events);
+    free(b->body);
+    free(b->leaf_first);
+    free(b->leaf_last);
+    free(b->add_next);
+    free(b->visits);
+    free(b->made);
+    free(b);
+}
+
+/* Room for cap cells and their events; 0 when memory ran out. */
+static int ib_reserve(bh_insert *b, int64_t cap)
+{
+    void *p;
+    if ((p = realloc(b->slot, (size_t)cap * 8 * sizeof(int64_t))) == NULL)
+        return 0;
+    b->slot = p;
+    if ((p = realloc(b->center, (size_t)cap * 3 * sizeof(double))) == NULL)
+        return 0;
+    b->center = p;
+    if ((p = realloc(b->size, (size_t)cap * sizeof(double))) == NULL)
+        return 0;
+    b->size = p;
+    if ((p = realloc(b->home, (size_t)cap * sizeof(int64_t))) == NULL)
+        return 0;
+    b->home = p;
+    if ((p = realloc(b->events,
+                     (size_t)3 * (b->nins + 2 * cap) * sizeof(int64_t)))
+        == NULL)
+        return 0;
+    b->events = p;
+    b->cap = cap;
+    return 1;
+}
+
+static inline int64_t ib_seq(const bh_insert *b, int64_t k)
+{
+    return k < b->njobs ? b->job_seq[k] : b->base + k - b->njobs;
+}
+
+static inline void ib_event(bh_insert *b, int64_t p, int64_t o, int64_t c)
+{
+    int64_t *e = b->events + 3 * b->nevents++;
+    e[0] = p;
+    e[1] = o;
+    e[2] = c;
+}
+
+/* Insert a batch of bodies into empty cells, as repro.octree.build.insert
+ * does, job after job and body after body.
+ *
+ * njobs, job_seq[njobs], job_center[njobs * 3], job_size[njobs]
+ *                   each job's target: an empty cell, its seq in the
+ *                   record (below base) and its geometry
+ * job_start[njobs + 1]   job j inserts bodies[job_start[j] ..
+ *                   job_start[j + 1]) in order
+ * bodies[nins], homes[nins]   each insertion's body and the home of
+ *                   the cells it creates
+ * npos, pos[npos * 3]    body positions (body ids are below npos)
+ * base              the seq of the first cell created (the record's
+ *                   length)
+ * max_depth         MAX_DEPTH: below it, a leaf met is split; at or
+ *                   beyond it (counted from the job's target) the body
+ *                   joins the leaf's bucket
+ * ctx (out)         the built batch, for bh_insert_take
+ * counts[2] (out)   cells created, leaves created
+ *
+ * The float ops are insert's: octant bits from px > cx (and y, z), a
+ * child's centre cx +- size / 4.0 per axis, its size size / 2.0; a
+ * split moves the leaf by its first body's octant in the new cell.
+ * Events are the record's (see TR_MOVE above), in insert's order.
+ *
+ * Returns BH_ERR_DECLINED, having allocated and written nothing, when
+ * an input is malformed (a count or offset out of order, a body id out
+ * of range, a target seq not below base) or memory runs out.
+ */
+int bh_insert_build(
+    int64_t njobs, const int64_t *job_seq, const double *job_center,
+    const double *job_size, const int64_t *job_start, const int64_t *bodies,
+    const int64_t *homes, int64_t npos, const double *pos, int64_t base,
+    int64_t max_depth, void **ctx, int64_t *counts)
+{
+    if (njobs < 0 || base < 0 || npos < 0 || job_start[0] != 0)
+        return BH_ERR_DECLINED;
+    for (int64_t j = 0; j < njobs; j++)
+        if (job_start[j + 1] < job_start[j] || job_seq[j] < 0 ||
+            job_seq[j] >= base)
+            return BH_ERR_DECLINED;
+    const int64_t nins = job_start[njobs];
+    for (int64_t i = 0; i < nins; i++)
+        if (bodies[i] < 0 || bodies[i] >= npos)
+            return BH_ERR_DECLINED;
+
+    bh_insert *b = calloc(1, sizeof(bh_insert));
+    if (!b)
+        return BH_ERR_DECLINED;
+    b->njobs = njobs;
+    b->nins = nins;
+    b->base = base;
+    b->job_seq = job_seq;
+    const size_t n1 = (size_t)(nins ? nins : 1),
+        j1 = (size_t)(njobs ? njobs : 1);
+    b->body = malloc(n1 * sizeof(int64_t));
+    b->leaf_first = malloc(n1 * sizeof(int64_t));
+    b->leaf_last = malloc(n1 * sizeof(int64_t));
+    b->add_next = malloc(n1 * sizeof(int64_t));
+    b->visits = malloc(j1 * sizeof(int64_t));
+    b->made = malloc(j1 * sizeof(int64_t));
+    /* about one cell per two bodies in a tree; grown by half when short */
+    if (!b->body || !b->leaf_first || !b->leaf_last || !b->add_next ||
+        !b->visits || !b->made ||
+        !ib_reserve(b, njobs + nins / 2 + nins / 8 + 16)) {
+        ib_free(b);
+        return BH_ERR_DECLINED;
+    }
+    for (int64_t j = 0; j < njobs; j++) {
+        for (int o = 0; o < 8; o++)
+            b->slot[8 * j + o] = -1;
+        b->center[3 * j] = job_center[3 * j];
+        b->center[3 * j + 1] = job_center[3 * j + 1];
+        b->center[3 * j + 2] = job_center[3 * j + 2];
+        b->size[j] = job_size[j];
+        b->home[j] = 0;
+    }
+    b->ncells = njobs;
+
+    for (int64_t j = 0; j < njobs; j++) {
+        const int64_t made_before = b->ncells;
+        int64_t visits = 0;
+        for (int64_t i = job_start[j]; i < job_start[j + 1]; i++) {
+            const int64_t body = bodies[i];
+            const double px = pos[3 * body], py = pos[3 * body + 1],
+                pz = pos[3 * body + 2];
+            b->body[i] = body;
+            b->add_next[i] = -1;
+            int64_t cur = j, depth = 0;
+            for (;;) {
+                const double cx = b->center[3 * cur],
+                    cy = b->center[3 * cur + 1], cz = b->center[3 * cur + 2];
+                const int o = (px > cx ? 1 : 0) | (py > cy ? 2 : 0)
+                    | (pz > cz ? 4 : 0);
+                const int64_t v = b->slot[8 * cur + o];
+                if (v == -1 || (v <= -2 && depth >= max_depth)) {
+                    if (v == -1) {
+                        b->leaf_first[b->nleaves] = i;
+                        b->leaf_last[b->nleaves] = i;
+                        b->slot[8 * cur + o] = -2 - b->nleaves++;
+                    } else {
+                        const int64_t l = -2 - v;
+                        b->add_next[b->leaf_last[l]] = i;
+                        b->leaf_last[l] = i;
+                    }
+                    ib_event(b, ib_seq(b, cur), o, body);
+                    visits += depth + 1;
+                    break;
+                }
+                if (v <= -2) {
+                    if (b->ncells == b->cap &&
+                        !ib_reserve(b, b->cap + b->cap / 2)) {
+                        ib_free(b);
+                        return BH_ERR_DECLINED;
+                    }
+                    const int64_t s = b->ncells++;
+                    const double q = b->size[cur] / 4.0;
+                    const double sx = o & 1 ? cx + q : cx - q,
+                        sy = o & 2 ? cy + q : cy - q,
+                        sz = o & 4 ? cz + q : cz - q;
+                    b->center[3 * s] = sx;
+                    b->center[3 * s + 1] = sy;
+                    b->center[3 * s + 2] = sz;
+                    b->size[s] = b->size[cur] / 2.0;
+                    b->home[s] = homes[i];
+                    const int64_t first = b->body[b->leaf_first[-2 - v]];
+                    const int moved = (pos[3 * first] > sx ? 1 : 0)
+                        | (pos[3 * first + 1] > sy ? 2 : 0)
+                        | (pos[3 * first + 2] > sz ? 4 : 0);
+                    for (int k = 0; k < 8; k++)
+                        b->slot[8 * s + k] = -1;
+                    b->slot[8 * s + moved] = v;
+                    b->slot[8 * cur + o] = s;
+                    ib_event(b, ib_seq(b, cur), o, -2 - ib_seq(b, s));
+                    ib_event(b, ib_seq(b, s), moved, TR_MOVE);
+                    cur = s;
+                } else {
+                    cur = v;
+                }
+                depth++;
+            }
+        }
+        b->visits[j] = visits;
+        b->made[j] = b->ncells - made_before;
+    }
+    b->job_seq = NULL;
+    counts[0] = b->ncells - njobs;
+    counts[1] = b->nleaves;
+    *ctx = b;
+    return BH_OK;
+}
+
+/* Hand over a batch bh_insert_build made, and free it (only free it
+ * when events is NULL).  Each internal array is freed once copied, so
+ * that the batch is not held twice over.
+ *
+ * events[3 * nevents]    the record's events, nevents = nins + 2 * cells
+ *                        created
+ * center[3 * m], size[m], home[m]   the m created cells' geometry and
+ *                        homes, in creation order
+ * node[(njobs + m) * 8]  every cell's slots, the targets first, as
+ *                        indices into [empty, leaves..., cells...]: 0
+ *                        empty, 1 + l leaf l, 1 + nleaves + k cell k
+ *                        (k < njobs: job k's target, else created cell
+ *                        k - njobs)
+ * leaf_ptr[nleaves + 1], leaf_bodies[nins]   each leaf's bucket, in the
+ *                        order its bodies joined
+ * visits[njobs], made[njobs]   per job, the cells its insertions
+ *                        visited and the cells they created
+ */
+void bh_insert_take(void *ctx, int64_t *events, double *center,
+                    double *size, int64_t *home, int64_t *node,
+                    int64_t *leaf_ptr, int64_t *leaf_bodies,
+                    int64_t *visits, int64_t *made)
+{
+    bh_insert *b = ctx;
+    if (!b)
+        return;
+    if (events) {
+        const int64_t nj = b->njobs, m = b->ncells - nj;
+        for (int64_t k = 0; k < 3 * b->nevents; k++)
+            events[k] = b->events[k];
+        free(b->events);
+        b->events = NULL;
+        for (int64_t k = 0; k < 3 * m; k++)
+            center[k] = b->center[3 * nj + k];
+        free(b->center);
+        b->center = NULL;
+        for (int64_t k = 0; k < m; k++) {
+            size[k] = b->size[nj + k];
+            home[k] = b->home[nj + k];
+        }
+        for (int64_t k = 0; k < 8 * b->ncells; k++) {
+            const int64_t v = b->slot[k];
+            node[k] = v >= 0 ? 1 + b->nleaves + v : -1 - v;
+        }
+        free(b->slot);
+        b->slot = NULL;
+        int64_t nb = 0;
+        leaf_ptr[0] = 0;
+        for (int64_t l = 0; l < b->nleaves; l++) {
+            for (int64_t a = b->leaf_first[l]; a >= 0; a = b->add_next[a])
+                leaf_bodies[nb++] = b->body[a];
+            leaf_ptr[l + 1] = nb;
+        }
+        for (int64_t j = 0; j < nj; j++) {
+            visits[j] = b->visits[j];
+            made[j] = b->made[j];
+        }
+    }
+    ib_free(b);
 }
 
 #ifdef BH_BUILD_PYEXT

@@ -19,8 +19,9 @@ serving the numpy ``flat`` engine (see
 :class:`repro.backends.compiled.CompiledFlatBackend`), the object-tree
 force phase its Python traversal (see :mod:`repro.backends.object_tree`),
 the frontier force phase its Python loop (see
-:mod:`repro.core.frontier`), the baseline's tree build and c-of-m
-phase their Python hooks (see :mod:`repro.core.build_replay`) and the
+:mod:`repro.core.frontier`), every insertion build its Python loop (see
+:mod:`repro.octree.build`), the baseline's tree build and c-of-m
+phase their Python replays (see :mod:`repro.core.build_replay`) and the
 one-pass c-of-m fill of the subspace, local and LET trees
 ``compute_cofm`` (see ``VariantBase.fill_cofm``).
 
@@ -51,12 +52,12 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 #: ABI this loader binds; must match BH_ABI_VERSION in ``_bh_kernel.c``
-ABI_VERSION = 8
+ABI_VERSION = 9
 
 #: aggregate-counter slots filled by ``bh_force_walk`` (see the C file)
 NCOUNTERS = 5
@@ -109,6 +110,8 @@ class CKernel:
             cofm = lib.bh_cofm_replay
             rows = lib.bh_cofm_rows
             tree_rows = lib.bh_tree_rows
+            insert_build = lib.bh_insert_build
+            insert_take = lib.bh_insert_take
         except AttributeError as exc:
             raise KernelUnavailable(
                 f"{path}: missing kernel symbols ({exc})") from None
@@ -202,6 +205,25 @@ class CKernel:
             + [_I64] * 3                      # row_seq order counts
         )
         self._tree_rows = tree_rows
+        insert_build.restype = ctypes.c_int
+        insert_build.argtypes = (
+            [ctypes.c_int64, _I64, _F64, _F64, _I64]  # njobs job_seq
+                                              # job_center job_size job_start
+            + [_I64, _I64]                    # bodies homes
+            + [ctypes.c_int64, _F64]          # npos pos
+            + [ctypes.c_int64] * 2            # base max_depth
+            + [ctypes.POINTER(ctypes.c_void_p), _I64]  # ctx counts
+        )
+        self._insert_build = insert_build
+        insert_take.restype = None
+        insert_take.argtypes = (
+            [ctypes.c_void_p, _I64, _F64, _F64, _I64, _I64]
+                                              # ctx events center size
+                                              # home node
+            + [_I64] * 4                      # leaf_ptr leaf_bodies
+                                              # visits made
+        )
+        self._insert_take = insert_take
 
     def force_walk(self, ids: np.ndarray,
                    px: np.ndarray, py: np.ndarray, pz: np.ndarray,
@@ -453,6 +475,54 @@ class CKernel:
             return False
         _check("bh_tree_rows", rc)
         return True
+
+
+    def insert_build(self, job_seq: np.ndarray, job_center: np.ndarray,
+                     job_size: np.ndarray, job_start: np.ndarray,
+                     bodies: np.ndarray, homes: np.ndarray,
+                     pos: np.ndarray, base: int, max_depth: int
+                     ) -> Optional[Dict[str, np.ndarray]]:
+        """Insert a batch of bodies into empty target cells, as
+        :func:`~repro.octree.build.insert` does (job ``j``: the cell of
+        seq ``job_seq[j]`` at ``job_center[j]``/``job_size[j]`` takes
+        ``bodies[job_start[j]:job_start[j + 1]]`` in order; each
+        insertion's new cells take its ``homes`` entry and the seqs from
+        ``base`` on).  Returns the batch as exact-size arrays
+        (``events``, ``center``, ``size``, ``home``, ``node``,
+        ``leaf_ptr``, ``leaf_bodies``, ``visits``, ``made``; see the C
+        file), or None, having touched nothing, when the kernel
+        declines.
+        """
+        ctx = ctypes.c_void_p()
+        counts = np.empty(2, dtype=np.int64)
+        rc = self._insert_build(
+            len(job_seq), job_seq.ctypes.data, job_center.ctypes.data,
+            job_size.ctypes.data, job_start.ctypes.data,
+            bodies.ctypes.data, homes.ctypes.data, len(pos),
+            pos.ctypes.data, base, max_depth, ctypes.byref(ctx),
+            counts.ctypes.data)
+        if rc == ERR_DECLINED:
+            return None
+        _check("bh_insert_build", rc)
+        try:
+            m, nleaves = counts.tolist()
+            njobs = len(job_seq)
+            out = {
+                "events": np.empty((len(bodies) + 2 * m, 3), np.int64),
+                "center": np.empty((m, 3), np.float64),
+                "size": np.empty(m, np.float64),
+                "home": np.empty(m, np.int64),
+                "node": np.empty((njobs + m, 8), np.int64),
+                "leaf_ptr": np.empty(nleaves + 1, np.int64),
+                "leaf_bodies": np.empty(len(bodies), np.int64),
+                "visits": np.empty(njobs, np.int64),
+                "made": np.empty(njobs, np.int64),
+            }
+        except BaseException:
+            self._insert_take(ctx, *[None] * 9)
+            raise
+        self._insert_take(ctx, *[a.ctypes.data for a in out.values()])
+        return out
 
 
 def _check(name: str, rc: int) -> None:

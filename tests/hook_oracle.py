@@ -60,7 +60,7 @@ def hook_insert(root: Cell, idx: int, positions: np.ndarray, home: int = 0,
                 on_modify(cur)
             children[oct_idx] = Leaf(idx)
             if record is not None:
-                record.events += (cur.seq, oct_idx, idx)
+                record.pending += (cur.seq, oct_idx, idx)
             return depth + 1
         if isinstance(slot, Leaf):
             if depth >= MAX_DEPTH:
@@ -68,7 +68,7 @@ def hook_insert(root: Cell, idx: int, positions: np.ndarray, home: int = 0,
                     on_modify(cur)
                 slot.indices.append(idx)
                 if record is not None:
-                    record.events += (cur.seq, oct_idx, idx)
+                    record.pending += (cur.seq, oct_idx, idx)
                 return depth + 1
             q = cur.size / 4.0
             sx = cx + q if oct_idx & 1 else cx - q
@@ -85,7 +85,7 @@ def hook_insert(root: Cell, idx: int, positions: np.ndarray, home: int = 0,
                 sub.seq = seq = len(record.cells)
                 record.cells.append(sub)
                 record.homes.append(home)
-                record.events += (cur.seq, oct_idx, -2 - seq, seq, moved,
+                record.pending += (cur.seq, oct_idx, -2 - seq, seq, moved,
                                   -1)
             if on_alloc is not None:
                 on_alloc(sub)

@@ -81,10 +81,10 @@ def _insert_counted(root, idx, pos, record):
     against the record: the body lands in the last visited cell, and the
     new cells are the last ones on the root-to-cell path."""
     start = len(record.cells)
-    nevents = len(record.events)
-    visits = insert(root, idx, pos, record=record)
-    allocs = len(record.cells) - start
-    events = record.events[nevents:]
+    nevents = len(record.event_array())
+    (visits,), (allocs,), _ = insert([(root, [idx], 0)], pos, record=record)
+    assert allocs == len(record.cells) - start
+    events = record.event_array()[nevents:].ravel().tolist()
     assert events[-1] == idx
     path = [record.cells[events[-3]]]
     while path[-1] is not root:

@@ -71,8 +71,7 @@ class TestBuild:
         root = new_root(box, home=0)
         record = BuildRecord()
         record.add(root)
-        for i in range(64):
-            insert(root, i, bodies256.pos, home=3, record=record)
+        insert([(root, range(64), 3)], bodies256.pos, record=record)
         assert record.homes == [0] + [3] * (len(record.cells) - 1)
         for c in root.iter_cells():
             if c is not root:

@@ -14,7 +14,8 @@ address, and a cell alive since an earlier step cannot share its ``id``
 with a later one, so the check is exact; cells that other code made
 before the run are not counted.
 Every variant runs with and without the compiled kernel
-(``REPRO_DISABLE_KERNELS=1``).
+(``REPRO_DISABLE_KERNELS=1``); with it, every fresh tree is built by the
+compiled ``insert`` and its cells made from the builder's arrays.
 """
 
 from __future__ import annotations
@@ -78,7 +79,12 @@ def test_previous_tree_is_freed_before_the_next_build(variant, kernel,
     monkeypatch.setattr(VariantBase, "step", counted_step)
     for mod in _callers_of_insert():
         monkeypatch.setattr(mod, "insert", checked_insert)
-    run_variant(variant, CFG, nthreads=4)
+    res = run_variant(variant, CFG, nthreads=4)
 
     assert sorted(stale) == list(range(CFG.nsteps))
     assert stale == dict.fromkeys(range(CFG.nsteps), 0)
+    # with the kernel, the fresh trees' cells were made from the compiled
+    # builder's arrays: the check above covered them
+    compiled = kernel == "compiled" and loader.load_kernel() is not None
+    assert res.variant_stats["insert_engine"] == (
+        octree_build.C_INSERT if compiled else octree_build.PY_INSERT)

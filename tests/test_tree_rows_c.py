@@ -139,8 +139,8 @@ class TestRowsMatchCellRows:
         root = new_root(compute_root(pos))
         record = BuildRecord()
         record.add(root)
-        for i in range(len(pos)):
-            insert(root, i, pos, home=i % 3, record=record)
+        insert([(root, range(len(pos)), np.arange(len(pos)) % 3)], pos,
+               record=record)
         rows, fields, order = record_rows(replay_kernel(), record, root,
                                           len(pos))
         _assert_rows_of(root, rows, fields, order)
@@ -151,8 +151,7 @@ def _record(pos):
     root = new_root(compute_root(pos))
     record = BuildRecord()
     record.add(root)
-    for i in range(len(pos)):
-        insert(root, i, pos, record=record)
+    insert([(root, range(len(pos)), 0)], pos, record=record)
     return root, record
 
 
