@@ -4,8 +4,9 @@ Every variant that meters its force phase on the linked ``Cell``/``Leaf``
 tree (baseline through local-build, and mpi-let) computes forces here;
 the section-5.5 variants walk the same flattened tree in
 :mod:`repro.core.frontier`.
-Once per force phase the tree is flattened into a :class:`SlotTree`
-(:meth:`FlatTree.from_cell_rows`, keeping the row -> ``Cell`` list);
+Once per force phase the tree's flatten (its
+:class:`~repro.octree.flat.TreeRows`) becomes a :class:`SlotTree`, keeping
+the row -> ``Cell`` list;
 :func:`slot_walk` then maps a group of bodies to ``(acc, work, opens)``,
 where ``opens[r]`` counts the bodies that opened the cell of row ``r``.
 
@@ -30,14 +31,15 @@ tests against the standalone engines.
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..kernels.pool import run_jobs
 from ..nbody.bodies import BodySoA
 from ..octree.cell import Cell
-from ..octree.flat import CellRows, FlatTree, decode_leaf, prepare_bodies
+from ..octree.flat import (FlatTree, TreeRows, cell_rows, decode_leaf,
+                           prepare_bodies)
 from ..octree.traverse import TraversalPolicy, gravity_traversal
 from .base import ForceBackend, ForceResult
 
@@ -72,16 +74,18 @@ class SlotTree:
     ``flat`` holds the BFS-ordered arrays and ``cells[r]`` the ``Cell`` of
     row ``r``; ``parent[r]`` is the row of its parent (0 for the root) and
     ``leaf_parent[j]`` the row of the cell whose leaf holds
-    ``flat.leaf_bodies[j]``.  ``rows`` is :func:`cell_rows` of ``root``
-    when the caller already flattened it, and ``fields`` the per-row
-    arrays it already holds (:meth:`FlatTree.from_cell_rows`).
+    ``flat.leaf_bodies[j]``.  ``rows`` is the tree's record, c-of-m
+    arrays filled (a variant's ``rows``); without one, the tree is
+    flattened from its cells, c-of-m fields included.
     """
 
     def __init__(self, root: Cell, bodies: BodySoA, cfg,
-                 rows: Optional[CellRows] = None,
-                 fields: Optional[Dict[str, np.ndarray]] = None):
+                 rows: Optional[TreeRows] = None):
+        if rows is None:
+            rows = cell_rows(root).cofm_from_cells()
         self.root = root
-        self.flat, self.cells = FlatTree.from_cell_rows(root, rows, fields)
+        self.flat = FlatTree.from_rows(rows)
+        self.cells = rows.cells
         flat = self.flat
         C = flat.ncells
         self.parent = np.zeros(C, dtype=np.int64)

@@ -22,9 +22,9 @@ exactly:
   replay in Python, for a box without the kernel or a declined call.
 * **C-of-m.**  ``bh_cofm_replay`` runs every thread's worker over its
   cells in reverse creation order under ``run_waiting``'s schedule.  It
-  reads the tree as :func:`repro.octree.flat.cell_rows` flattens it, with
-  each row's ``Cell.seq`` as its creation rank; the force phase's
-  ``SlotTree`` reuses that flatten and the arrays the replay filled.
+  reads the build's flatten (:class:`~repro.octree.flat.TreeRows`), with
+  each row's ``seq`` as its creation rank, and fills the record's c-of-m
+  arrays, which the force phase's ``SlotTree`` reads.
 
 Both compiled replays read the runtime's price store as relation-class
 tables (:meth:`UpcRuntime.class_tables`) and do the Python charges' float
@@ -42,12 +42,11 @@ integer totals, added once each (exact: integer-valued floats far below
 
 from __future__ import annotations
 
-from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..octree.flat import CellRows
+from ..octree.flat import TreeRows
 from ..upc.locks import UpcLock
 
 #: engine names recorded in ``RunResult.variant_stats``
@@ -61,8 +60,6 @@ BUILD_KEYS = ("cell_visits", "cell_writes", "remote_words", "lock_acquire",
               "cells_alloc")
 COFM_KEYS = ("cofm_slot_reads", "body_words", "cofm_child_reads",
              "remote_words")
-
-_SEQ = attrgetter("seq")
 
 
 def replay_kernel():
@@ -179,17 +176,11 @@ def mirror_build(variant, events: np.ndarray, tids: Sequence[int],
     return lock_stats(locks)
 
 
-def replay_cofm(variant, kernel, rows: CellRows,
-                fields: Optional[Dict[str, np.ndarray]] = None
-                ) -> Optional[np.ndarray]:
-    """The c-of-m phase over ``variant.root``, flattened as ``rows``
-    (:func:`~repro.octree.flat.cell_rows`): charges every thread and
-    fills every cell's ``mass``/``cofm``/``nbodies``/``cost``, and leaves
-    ``rows`` and those per-row arrays to the force phase
-    (``variant.tree_rows``/``tree_fields``).  Each row's ``seq``,
-    ``home`` and ``center`` come from ``fields`` when it holds them (the
-    build record's flatten, :func:`~repro.octree.flat.record_rows`),
-    else from the cells.
+def replay_cofm(variant, kernel, rows: TreeRows) -> Optional[np.ndarray]:
+    """The c-of-m phase over ``variant.root``, flattened as ``rows`` (the
+    build's :class:`~repro.octree.flat.TreeRows`): charges every thread
+    and fills every cell's ``mass``/``cofm``/``nbodies``/``cost`` and the
+    record's c-of-m arrays, which the force phase reads.
 
     Returns each row's done time, or ``None``, having touched nothing,
     when the kernel declines.
@@ -198,14 +189,9 @@ def replay_cofm(variant, kernel, rows: CellRows,
 
     rt = variant.rt
     bodies = variant.bodies
-    cells, child, leaf_ptr, leaf_bodies = rows
+    cells = rows.cells
     node_of, classes, table = _charges(rt)
     n = len(cells)
-    fields = dict(fields) if fields is not None else {
-        "seq": np.fromiter(map(_SEQ, cells), dtype=np.int64, count=n),
-        "home": np.array([c.home for c in cells], dtype=np.int32),
-        "center": np.array([c.center for c in cells], dtype=np.float64)}
-    center = fields["center"]
     mass = np.empty(n, dtype=np.float64)
     cofm = np.empty((n, 3), dtype=np.float64)
     nbodies = np.empty(n, dtype=np.int64)
@@ -213,8 +199,8 @@ def replay_cofm(variant, kernel, rows: CellRows,
     done_at = np.empty(n, dtype=np.float64)
     totals = np.empty((rt.nthreads, len(COFM_KEYS)), dtype=np.int64)
     if not kernel.cofm_replay(
-            fields["seq"], fields["home"].astype(np.int64), child,
-            leaf_ptr, leaf_bodies, center,
+            rows.seq, rows.home.astype(np.int64), rows.child,
+            rows.leaf_ptr, rows.leaf_bodies, rows.center,
             np.ascontiguousarray(bodies.store, dtype=np.int64),
             np.ascontiguousarray(bodies.mass, dtype=np.float64),
             np.ascontiguousarray(bodies.pos, dtype=np.float64),
@@ -232,9 +218,5 @@ def replay_cofm(variant, kernel, rows: CellRows,
         cell.cofm = cofm[c]
         cell.nbodies = nb
         cell.cost = cost[c]
-    # no run_waiting ran: drop the last one's tokens, as it would have
-    rt.clear_done()
-    variant.tree_rows = rows
-    fields.update(mass=mass, cofm=cofm, nbodies=nbodies, cost=cost)
-    variant.tree_fields = fields
+    rows.mass, rows.cofm, rows.nbodies, rows.cost = mass, cofm, nbodies, cost
     return done_at

@@ -40,7 +40,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backends.object_tree import SlotTree, slot_kernel
+from ..backends.object_tree import SlotTree
 from ..kernels.loader import CHARGE_FN, FRONTIER_MAX_GROUP
 from ..kernels.pool import run_jobs
 from ..nbody.constants import G
@@ -113,7 +113,7 @@ def frontier_force(variant, engine: AsyncEngine, tid: int,
     """Force computation for thread ``tid``'s bodies, overlap-enabled.
 
     ``tree`` is the force phase's flattened tree, shared by its threads;
-    without one, a tree is flattened here when the kernel can serve.
+    without one, the variant's tree flatten is taken (its ``slot_tree``).
     """
     return frontier_forces(variant, engine, [(tid, idx)], tree)[0]
 
@@ -143,12 +143,11 @@ def frontier_forces(variant, engine: AsyncEngine,
         if len(idx) and root is not None:
             _fetch_root(variant, tid)
 
-    if tree is None and root is not None and slot_kernel() is not None \
-            and any(len(idx) for _, idx in jobs):
-        tree = SlotTree(root, variant.bodies, variant.cfg)
+    if tree is None and root is not None:
+        tree = variant.slot_tree()
     # job index -> (NIC log of the charges ahead of its walk, the walk)
     walks: Dict[int, Tuple[NicLog, Optional[_CWalk]]] = {}
-    if root is not None and tree is not None and tree.kernel is not None:
+    if tree is not None and tree.kernel is not None:
         # read-only inputs every walk shares, made on this thread
         shared = (variant.bodies.store[tree.flat.leaf_bodies].astype(
                       np.int64),

@@ -31,12 +31,12 @@ one c-of-m pass over the finished tree, after hooking
 (``VariantBase.fill_cofm``): ``bh_cofm_rows`` over its one flatten when
 the compiled kernel serves (engine ``"c-cofm-rows"``), else
 ``compute_cofm`` (engine ``"compute-cofm"``).  Both give the same bits as
-the per-subtree passes they stand for, and the force phase reuses the
+the per-subtree passes they stand for, and the force phase reads the
 flatten and its arrays (``VariantBase.slot_tree``).  The whole
 subforest -- top cells, subtrees and hooks -- is built under one
-:class:`~repro.octree.build.BuildRecord`, and when the kernel serves the
-flatten is ``bh_tree_rows`` over it (:func:`~repro.octree.flat.record_rows`,
-engine ``"c-tree-rows"``) instead of a walk over the cells.
+:class:`~repro.octree.build.BuildRecord`, and when the kernel loads the
+flatten is ``bh_tree_rows`` over it (``VariantBase.flatten``, engine
+``"c-tree-rows"``) instead of a walk over the cells (``"cell-rows"``).
 """
 
 from __future__ import annotations
@@ -298,7 +298,6 @@ def build_subforest_and_hook(variant, tree: SubspaceTree,
             if ch is not None:
                 top[node].children[o] = ch
                 record.hook(top[node], o, ch)
-    variant.ncells = len(top)
 
     # group bodies by leaf: the runs of the stable sort by subspace
     order = np.argsort(body_ss, kind="stable")
@@ -355,7 +354,6 @@ def build_subforest_and_hook(variant, tree: SubspaceTree,
                 visits * CELL_VISIT_WORDS * m.local_word_cost
                 + ncells * CELL_COMPUTE,
             )
-            variant.ncells += allocs
             # local c-of-m for the subtree (no communication): one
             # combine per cell; the fields come from the pass below
             rt.charge_compute(t, ncells * CELL_COMPUTE)
@@ -383,7 +381,8 @@ def build_subforest_and_hook(variant, tree: SubspaceTree,
     for src, cnt in per_source.items():
         rt.memget_ilist(0, src, cnt, m.cell_nbytes, key="top_cofm_gathers")
     rt.charge_compute(0, (len(top) + nchildren) * CELL_COMPUTE)
-    variant.fill_cofm(root_cell, record)
+    variant.flatten(root_cell, record)
+    variant.fill_cofm()
     variant.treebuild_subphases.append(
         {"local": local_times, "merge": np.zeros(P)}
     )

@@ -13,7 +13,6 @@ from typing import Dict
 
 import numpy as np
 
-from ...backends.object_tree import slot_kernel
 from ...upc.nonblocking import AsyncEngine, source_fractions
 # frontier_force is a single thread's frontier_forces; the name stays
 # importable here, since bench/layers.py attributes time to it here
@@ -49,10 +48,6 @@ class AsyncAgg(LocalBuild):
         bodies = self.bodies
         engine = AsyncEngine(rt)
         self.async_engine = engine
-        # one flattened tree for every thread, when the kernel serves:
-        # the subspace c-of-m pass's, or a fresh flatten
-        tree = self.slot_tree() \
-            if self.root is not None and slot_kernel() is not None else None
         measured = self.step_index >= self.cfg.warmup_steps
         jobs = [(t, idx) for t, idx in enumerate(self.assigned_all())
                 if len(idx)]
@@ -64,10 +59,10 @@ class AsyncAgg(LocalBuild):
         if tr.enabled:
             tr.begin("async.frontier_force", "backend",
                      nbodies=sum(len(idx) for _, idx in jobs))
-        results = frontier_forces(self, engine, jobs, tree, body_words)
+        results = frontier_forces(self, engine, jobs, before=body_words)
         if tr.enabled:
             tr.end(interactions=float(sum(w.sum() for _, w, _ in results)))
-        compiled = tree is not None
+        compiled = bool(results)
         new_cost = bodies.cost.copy()
         for (t, idx), (acc, work, stats) in zip(jobs, results):
             bodies.acc[idx] = acc

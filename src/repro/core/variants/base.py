@@ -45,7 +45,7 @@ from ...octree.build import BuildRecord, gc_paused, insert, new_root
 from ...octree.cell import Cell, Leaf
 from ...octree.cofm import compute_cofm
 from ...octree.costzones import costzones
-from ...octree.flat import CellRows, cell_rows, cofm_rows, record_rows
+from ...octree.flat import TreeRows, cell_rows, cofm_rows, record_rows
 # the per-group recursion the slot walk reproduces; kept importable where
 # the force phase lives, since bench/layers.py attributes time to it here
 from ...octree.traverse import gravity_traversal  # noqa: F401
@@ -136,22 +136,16 @@ class VariantBase:
         #: per step: the tree build's lock (acquires, contended acquires,
         #: sorted nonzero waits); see :meth:`treebuild_locks`
         self.lock_stats: Dict[int, Tuple[int, int, List[float]]] = {}
-        #: the build's or c-of-m pass's flatten of ``root``
-        #: (octree.flat.cell_rows or record_rows) and the per-row arrays
-        #: it already holds, by name; taken by the force phase's SlotTree
-        #: (:meth:`slot_tree`)
-        self.tree_rows: Optional[CellRows] = None
-        self.tree_fields: Optional[Dict[str, np.ndarray]] = None
-        #: ``(root, bodies in tree order)`` from the build's record, for
-        #: the partition's costzones
-        self.tree_order: Optional[Tuple[Cell, np.ndarray]] = None
+        #: the one flatten of ``root`` (:meth:`flatten`), from its build
+        #: until :meth:`release_tree`: the c-of-m pass fills its c-of-m
+        #: arrays, the partition reads its tree order and the force
+        #: phase's SlotTree its arrays
+        self.rows: Optional[TreeRows] = None
         #: per-step migration fraction (section 5.2 claim)
         self.migration_fractions: List[float] = []
         #: per-step (local, merge) per-thread seconds (figure 8)
         self.treebuild_subphases: List[dict] = []
         self.step_index = 0
-        #: cells in the current global tree (set by each build)
-        self.ncells = 1
         #: engine that served the latest force phase (RunResult's
         #: ``variant_stats["force_engine"]``)
         self.force_engine: Optional[str] = None
@@ -307,7 +301,7 @@ class VariantBase:
         record.add(self.root)
         self.insert_engine = insert([(self.root, order, tids)], bodies.pos,
                                     record=record).engine
-        self.ncells = ncells = len(record.cells)
+        ncells = len(record.cells)
         events = record.event_array()
         kernel = replay_kernel()
         locks = None if kernel is None \
@@ -316,14 +310,28 @@ class VariantBase:
             self.record_treebuild_locks(
                 *mirror_build(self, events, tids, ncells))
             self.treebuild_engine = PY_BUILD
-            return
-        self.record_treebuild_locks(*locks)
-        self.treebuild_engine = C_BUILD
-        flat = record_rows(kernel, record, self.root, len(bodies), events)
-        if flat is not None:
-            self.tree_rows, self.tree_fields, body_order = flat
-            self.tree_order = (self.root, body_order)
-            self.rows_engine = C_ROWS
+        else:
+            self.record_treebuild_locks(*locks)
+            self.treebuild_engine = C_BUILD
+        self.flatten(self.root, record, events)
+
+    def flatten(self, root: Cell, record: Optional[BuildRecord] = None,
+                events: Optional[np.ndarray] = None) -> None:
+        """Keep the one flatten of a step's tree in :attr:`rows`, made as
+        every build ends: ``bh_tree_rows`` over the build's ``record``
+        (``events``: its :meth:`~BuildRecord.event_array`, when made)
+        when the kernel loads and serves, else ``cell_rows`` over the
+        cells."""
+        kernel = replay_kernel()
+        rows = None if kernel is None or record is None \
+            else record_rows(kernel, record, root, len(self.bodies), events)
+        self.rows_engine = C_ROWS if rows is not None else PY_ROWS
+        self.rows = rows if rows is not None else cell_rows(root)
+
+    @property
+    def ncells(self) -> int:
+        """Cells in the current tree (0 when there is none)."""
+        return len(self.rows.cells) if self.rows is not None else 0
 
     def release_tree(self) -> None:
         """Drop every reference this variant and its runtime hold to the
@@ -332,7 +340,7 @@ class VariantBase:
         # the run_waiting c-of-m's done tokens are the cells themselves
         self.rt.clear_done()
         self.root = None
-        self.tree_rows = self.tree_fields = self.tree_order = None
+        self.rows = None
 
     def _new_tree(self) -> None:
         """Release the previous tree and start an empty global tree."""
@@ -341,65 +349,42 @@ class VariantBase:
 
     def mycelltab(self) -> List[List[Cell]]:
         """Each thread's cells of the global tree in creation order
-        (SPLASH-2's ``mycelltab``), from the cells' ``seq``."""
-        cells: List[Optional[Cell]] = [None] * self.ncells
-        for cell in self.root.iter_cells():
-            cells[cell.seq] = cell
-        tab: List[List[Cell]] = [[] for _ in range(self.P)]
-        for cell in cells:
-            tab[cell.home].append(cell)
-        return tab
+        (SPLASH-2's ``mycelltab``), from the flatten's ``seq`` and
+        ``home``."""
+        rows = self.rows
+        by_home = np.lexsort((rows.seq, rows.home))
+        ends = np.cumsum(np.bincount(rows.home, minlength=self.P))
+        cells = rows.cells
+        return [[cells[r] for r in part.tolist()]
+                for part in np.split(by_home, ends[:-1])]
 
     # ------------------------------------------------------------------ #
     # phase: center of mass (baseline: spin on done flags)               #
     # ------------------------------------------------------------------ #
     def phase_cofm(self) -> None:
         kernel = replay_kernel()
-        if kernel is not None:
-            rows, fields = self._rows_of(self.root)
-            if replay_cofm(self, kernel, rows, fields) is not None:
-                self.cofm_engine = C_COFM
-                return
+        if kernel is not None \
+                and replay_cofm(self, kernel, self.rows) is not None:
+            self.cofm_engine = C_COFM
+            return
         self._cofm_waiting()
+        self.rows.cofm_from_cells()
         self.cofm_engine = PY_COFM
 
-    def _rows_of(self, root: Cell
-                 ) -> Tuple[CellRows, Optional[Dict[str, np.ndarray]]]:
-        """The flatten of ``root`` and its per-row arrays: the build's,
-        when it is of this tree, else ``cell_rows`` afresh."""
-        rows = self.tree_rows
-        if rows is not None and rows[0][0] is root:
-            return rows, self.tree_fields
-        self.rows_engine = PY_ROWS
-        return cell_rows(root), None
-
-    def fill_cofm(self, root: Cell,
-                  record: Optional[BuildRecord] = None) -> None:
-        """Fill the c-of-m fields of every cell under ``root``, uncharged:
-        one compiled pass over its flatten, which the force phase then
-        reuses (:meth:`slot_tree`), or ``compute_cofm`` when no kernel
-        serves or the kernel declines.  Both give the same bits.  The
-        flatten comes from the build's ``record`` when there is one
-        (``bh_tree_rows``), else from the cells."""
+    def fill_cofm(self) -> None:
+        """Fill the c-of-m fields of every cell of the flattened tree and
+        of its :attr:`rows`, uncharged: one compiled pass over the
+        flatten, or ``compute_cofm`` when no kernel serves or the kernel
+        declines.  Both give the same bits."""
         bodies = self.bodies
+        rows = self.rows
         kernel = replay_kernel()
-        if kernel is not None:
-            flat = None if record is None \
-                else record_rows(kernel, record, root, len(bodies))
-            if flat is not None:
-                rows, fields, _ = flat
-                self.rows_engine = C_ROWS
-            else:
-                rows, fields = cell_rows(root), None
-                self.rows_engine = PY_ROWS
-            fields = cofm_rows(kernel, rows, bodies.pos, bodies.mass,
-                               bodies.cost, fields)
-            if fields is not None:
-                self.tree_rows, self.tree_fields = rows, fields
-                self.cofm_engine = ROWS_COFM
-                return
-        compute_cofm(root, bodies.pos, bodies.mass, bodies.cost)
-        self.tree_rows = self.tree_fields = None
+        if kernel is not None and cofm_rows(kernel, rows, bodies.pos,
+                                            bodies.mass, bodies.cost):
+            self.cofm_engine = ROWS_COFM
+            return
+        compute_cofm(rows.cells[0], bodies.pos, bodies.mass, bodies.cost)
+        rows.cofm_from_cells()
         self.cofm_engine = TREE_COFM
 
     def _cofm_waiting(self) -> None:
@@ -471,11 +456,7 @@ class VariantBase:
         spread = [visits * CELL_VISIT_WORDS / P] * P
         for t in range(P):
             rt.word_access_many(t, owners, spread, key="partition_reads")
-        order = self.tree_order
-        new_assign = costzones(
-            self.root, self.bodies.cost, P,
-            order[1] if order is not None and order[0] is self.root
-            else None)
+        new_assign = costzones(self.rows.order, self.bodies.cost, P)
         changed = int((new_assign != self.bodies.assign).sum())
         rt.count(0, "partition_changed", changed)
         self.bodies.assign = new_assign
@@ -490,16 +471,8 @@ class VariantBase:
     # phase: force computation                                           #
     # ------------------------------------------------------------------ #
     def slot_tree(self) -> SlotTree:
-        """The force phase's :class:`SlotTree` of ``root``, reusing the
-        c-of-m pass's flatten (and the fields it holds) when it is of
-        this tree."""
-        rows, self.tree_rows = self.tree_rows, None
-        fields, self.tree_fields = self.tree_fields, None
-        if rows is not None and rows[0][0] is not self.root:
-            rows = fields = None
-        if rows is None:
-            self.rows_engine = PY_ROWS
-        return SlotTree(self.root, self.bodies, self.cfg, rows, fields)
+        """The force phase's :class:`SlotTree` of the tree's flatten."""
+        return SlotTree(self.root, self.bodies, self.cfg, self.rows)
 
     def phase_force(self) -> None:
         rt = self.rt

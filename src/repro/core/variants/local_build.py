@@ -113,11 +113,8 @@ class LocalBuild(CacheTree):
 
         # the real code maintains (mass, cofm) atomically during the merge;
         # fill them functionally so downstream phases see exact values
-        self.fill_cofm(self.root)
-        # the merged tree's cells: the merge drops the local cells it
-        # folds into existing global ones
-        self.ncells = len(self.tree_rows[0]) if self.tree_rows is not None \
-            else self.root.count_cells()
+        self.flatten(self.root)
+        self.fill_cofm()
         self.treebuild_subphases.append(
             {"local": local_times, "merge": merge_times}
         )

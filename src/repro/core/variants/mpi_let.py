@@ -179,10 +179,8 @@ class MpiLet(AsyncAgg):
         # a local batch's fallback shows, whatever served the global one
         self.insert_engine = PY_INSERT if PY_INSERT in (
             built.engine, glob.engine) else C_INSERT
-        self.fill_cofm(self.root, record)
-        # the tree the force phase walks, as LocalBuild counts its merge
-        self.ncells = len(self.tree_rows[0]) if self.tree_rows is not None \
-            else self.root.count_cells()
+        self.flatten(self.root, record)
+        self.fill_cofm()
 
     # ------------------------------------------------------------------ #
     def phase_partition(self) -> None:
@@ -194,9 +192,9 @@ class MpiLet(AsyncAgg):
         allreduce_vector(rt, self.P, key="partition_reductions")
         for t in range(self.P):
             rt.charge_compute(t, self.P * CELL_COMPUTE)
-        if self.root is not None:  # step 0 keeps the initial distribution
-            self.bodies.assign = costzones(self.root, self.bodies.cost,
-                                           self.P)
+        if self.rows is not None:  # step 0 keeps the initial distribution
+            self.bodies.assign = costzones(self.rows.order,
+                                           self.bodies.cost, self.P)
 
     def phase_redistribution(self) -> None:
         rt = self.rt

@@ -9,28 +9,20 @@ paper (cheap, but essential for load balance and locality).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from .cell import Cell
-from .morton import bodies_in_order
 
-
-def costzones(root: Cell, costs: np.ndarray, nthreads: int,
-              order: Optional[np.ndarray] = None) -> np.ndarray:
+def costzones(order: np.ndarray, costs: np.ndarray,
+              nthreads: int) -> np.ndarray:
     """Assign each body to a thread; returns int32 ``assign`` array.
 
-    Bodies are taken in tree order; thread ``t`` receives the bodies whose
-    running-cost prefix falls in ``[t, t+1) * total / nthreads``.
-    ``order`` is that order when the caller already has it (the compiled
-    flatten's, :func:`repro.octree.flat.record_rows`), else it is read
-    from the tree (:func:`~repro.octree.morton.bodies_in_order`).
+    Bodies are taken in tree ``order`` (a tree flatten's ``order``, as
+    :func:`~repro.octree.morton.bodies_in_order` gives it); thread ``t``
+    receives the bodies whose running-cost prefix falls in
+    ``[t, t+1) * total / nthreads``.
     """
     if nthreads < 1:
         raise ValueError("need at least one thread")
-    if order is None:
-        order = bodies_in_order(root)
     assign = np.zeros(len(costs), dtype=np.int32)
     if nthreads == 1 or len(order) == 0:
         return assign

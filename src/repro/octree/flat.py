@@ -50,6 +50,7 @@ from ..nbody.constants import G
 from .build import BuildRecord, build_tree
 from .cell import NSUB, Cell, Leaf
 from .cofm import compute_cofm
+from .morton import bodies_in_order
 
 #: empty child-slot marker
 EMPTY = -1
@@ -65,26 +66,60 @@ def decode_leaf(value: "int | np.ndarray") -> "int | np.ndarray":
     return -value - 2
 
 
-#: :func:`cell_rows` of a linked tree: ``(cells, child, leaf_ptr,
-#: leaf_bodies)``
-CellRows = Tuple[List[Cell], np.ndarray, np.ndarray, np.ndarray]
+@dataclass
+class TreeRows:
+    """One tree, flattened breadth-first: every array a step's later
+    phases read, one row per cell (row 0 is the root).
 
-
-def cell_rows(root: Cell) -> CellRows:
-    """The structure of a linked tree, flattened breadth-first.
-
-    ``cells[r]`` is the ``Cell`` of row ``r`` (the root is row 0);
-    ``child`` ((C, 8) int64) holds the canonical slot codes, and leaf
-    ``i`` (numbered in row, then slot order) holds
-    ``leaf_bodies[leaf_ptr[i]:leaf_ptr[i + 1]]`` in ``Leaf.indices``
-    order.  Only child pointers and leaf indices are read, so the result
-    stays valid while the tree's shape does.
+    ``cells[r]`` is the ``Cell`` of row ``r``; ``child`` ((C, 8) int64)
+    holds the canonical slot codes, and leaf ``i`` (numbered in row, then
+    slot order) holds ``leaf_bodies[leaf_ptr[i]:leaf_ptr[i + 1]]`` in
+    ``Leaf.indices`` order.  ``center``, ``size``, ``home`` (int32) and
+    ``seq`` (the creation seq) are each row's cell's; ``order`` is the
+    leaf bodies in tree order (:func:`~repro.octree.morton.bodies_in_order`).
+    The c-of-m arrays (``mass``, ``cofm``, ``nbodies``, ``cost``) are
+    None until a c-of-m pass fills them.
     """
-    order = [root]
+
+    cells: List[Cell]
+    child: np.ndarray
+    leaf_ptr: np.ndarray
+    leaf_bodies: np.ndarray
+    center: np.ndarray
+    size: np.ndarray
+    home: np.ndarray
+    seq: np.ndarray
+    order: np.ndarray
+    mass: Optional[np.ndarray] = None
+    cofm: Optional[np.ndarray] = None
+    nbodies: Optional[np.ndarray] = None
+    cost: Optional[np.ndarray] = None
+
+    def cofm_from_cells(self) -> "TreeRows":
+        """Copy the c-of-m fields a pass left in the cells into the
+        record; returns it."""
+        cells = self.cells
+        n = len(cells)
+        self.mass = np.fromiter(map(attrgetter("mass"), cells),
+                                dtype=np.float64, count=n)
+        self.cofm = np.array([c.cofm for c in cells],
+                             dtype=np.float64).reshape(n, 3)
+        self.nbodies = np.fromiter(map(attrgetter("nbodies"), cells),
+                                   dtype=np.int64, count=n)
+        self.cost = np.fromiter(map(attrgetter("cost"), cells),
+                                dtype=np.float64, count=n)
+        return self
+
+
+def cell_rows(root: Cell) -> TreeRows:
+    """The :class:`TreeRows` of a linked tree, read off its cells.  Only
+    the cells' structure, geometry, homes and seqs are read, so the
+    result stays valid while the tree's shape does."""
+    cells = [root]
     codes = []  # the child slot codes, row-major
     leaf_lists = []
     # the loop also visits the cells it appends: a breadth-first walk
-    for cell in order:
+    for cell in cells:
         for ch in cell.children:
             if ch is None:
                 codes.append(EMPTY)
@@ -92,36 +127,41 @@ def cell_rows(root: Cell) -> CellRows:
                 codes.append(encode_leaf(len(leaf_lists)))
                 leaf_lists.append(ch.indices)
             else:
-                codes.append(len(order))
-                order.append(ch)
+                codes.append(len(cells))
+                cells.append(ch)
 
+    n = len(cells)
     counts = np.fromiter(map(len, leaf_lists), dtype=np.int64,
                          count=len(leaf_lists))
     leaf_ptr = np.zeros(len(leaf_lists) + 1, dtype=np.int64)
     np.cumsum(counts, out=leaf_ptr[1:])
-    leaf_bodies = np.fromiter(chain.from_iterable(leaf_lists),
-                              dtype=np.int64, count=int(leaf_ptr[-1]))
-    child = np.array(codes, dtype=np.int64).reshape(len(order), NSUB)
-    return order, child, leaf_ptr, leaf_bodies
+    return TreeRows(
+        cells=cells,
+        child=np.array(codes, dtype=np.int64).reshape(n, NSUB),
+        leaf_ptr=leaf_ptr,
+        leaf_bodies=np.fromiter(chain.from_iterable(leaf_lists),
+                                dtype=np.int64, count=int(leaf_ptr[-1])),
+        center=np.array([c.center for c in cells],
+                        dtype=np.float64).reshape(n, 3),
+        size=np.fromiter(map(attrgetter("size"), cells), dtype=np.float64,
+                         count=n),
+        home=np.fromiter(map(attrgetter("home"), cells), dtype=np.int32,
+                         count=n),
+        seq=np.fromiter(map(attrgetter("seq"), cells), dtype=np.int64,
+                        count=n),
+        order=bodies_in_order(root))
 
 
 def record_rows(kernel, record: BuildRecord, root: Cell, nbodies: int,
-                events: Optional[np.ndarray] = None
-                ) -> Optional[Tuple[CellRows, Dict[str, np.ndarray],
-                                    np.ndarray]]:
+                events: Optional[np.ndarray] = None) -> Optional[TreeRows]:
     """:func:`cell_rows` of ``root`` from the build ``record`` of its
     tree, in one compiled pass (``bh_tree_rows``), without reading a
-    ``Cell``.
+    ``Cell``: each row's ``center`` and ``size`` are computed with
+    ``insert``'s float ops down from the root's geometry.
 
-    Returns ``(rows, fields, order)``: the rows exactly as
-    :func:`cell_rows` gives them, each row's ``center``, ``size`` and
-    ``home`` (computed with ``insert``'s float ops down from the root's
-    geometry) and ``seq`` (its cell's creation seq) as ``FlatTree``
-    field arrays, and the leaf bodies in tree order
-    (:func:`~repro.octree.morton.bodies_in_order`).  ``nbodies`` bounds
-    the body ids; ``events`` is :meth:`BuildRecord.event_array` when the
-    caller already made it.  Returns ``None``, having touched nothing,
-    when the kernel declines.
+    ``nbodies`` bounds the body ids; ``events`` is
+    :meth:`BuildRecord.event_array` when the caller already made it.
+    Returns ``None``, having touched nothing, when the kernel declines.
     """
     ncells = len(record.cells)
     if events is None:
@@ -143,66 +183,44 @@ def record_rows(kernel, record: BuildRecord, root: Cell, nbodies: int,
         return None
     nrows, nleaves, nleaf_bodies = counts.tolist()
     by_seq = record.cells
-    cells = [by_seq[s] for s in seq[:nrows].tolist()]
-    rows = (cells, child[:nrows], leaf_ptr[:nleaves + 1],
-            leaf_bodies[:nleaf_bodies])
-    fields = {"center": center[:nrows], "size": size[:nrows],
-              "home": home[:nrows], "seq": seq[:nrows]}
-    return rows, fields, order[:nleaf_bodies]
+    return TreeRows(
+        cells=[by_seq[s] for s in seq[:nrows].tolist()],
+        child=child[:nrows], leaf_ptr=leaf_ptr[:nleaves + 1],
+        leaf_bodies=leaf_bodies[:nleaf_bodies], center=center[:nrows],
+        size=size[:nrows], home=home[:nrows], seq=seq[:nrows],
+        order=order[:nleaf_bodies])
 
 
-#: the ``FlatTree`` fields held by every ``Cell``: (name, dtype, width)
-_CELL_FIELDS = (
-    ("center", np.float64, 3), ("size", np.float64, 1),
-    ("mass", np.float64, 1), ("cofm", np.float64, 3),
-    ("nbodies", np.int64, 1), ("cost", np.float64, 1),
-    ("home", np.int32, 1),
-)
-
-
-def cofm_rows(kernel, rows: CellRows, positions: np.ndarray,
-              masses: np.ndarray, costs: np.ndarray,
-              fields: Optional[Dict[str, np.ndarray]] = None
-              ) -> Optional[Dict[str, np.ndarray]]:
+def cofm_rows(kernel, rows: TreeRows, positions: np.ndarray,
+              masses: np.ndarray, costs: np.ndarray) -> bool:
     """:func:`compute_cofm` of every cell of a flattened tree, in one
     compiled pass (``bh_cofm_rows``), bit for bit.
 
-    Fills every cell's ``mass``/``cofm``/``nbodies``/``cost`` and returns
-    them as per-row ``FlatTree`` field arrays for
-    :meth:`FlatTree.from_cell_rows`, with the per-row arrays ``fields``
-    already holds (:func:`record_rows`); the cells' ``center`` is read
-    from them when ``fields`` lacks it.  Returns ``None``, having
-    touched nothing, when the kernel declines.
+    Fills every cell's ``mass``/``cofm``/``nbodies``/``cost`` and the
+    record's c-of-m arrays.  Returns False, having touched nothing, when
+    the kernel declines.
     """
-    cells, child, leaf_ptr, leaf_bodies = rows
-    n = len(cells)
-    fields = dict(fields or ())
-    if "center" not in fields:
-        fields["center"] = np.array([c.center for c in cells],
-                                    dtype=np.float64).reshape(n, 3)
-    fields.update({
-        "mass": np.empty(n, dtype=np.float64),
-        "cofm": np.empty((n, 3), dtype=np.float64),
-        "nbodies": np.empty(n, dtype=np.int64),
-        "cost": np.empty(n, dtype=np.float64),
-    })
+    n = len(rows.cells)
+    mass = np.empty(n, dtype=np.float64)
+    cofm = np.empty((n, 3), dtype=np.float64)
+    nbodies = np.empty(n, dtype=np.int64)
+    cost = np.empty(n, dtype=np.float64)
     if not kernel.cofm_rows(
-            child, leaf_ptr, leaf_bodies, fields["center"],
+            rows.child, rows.leaf_ptr, rows.leaf_bodies, rows.center,
             np.ascontiguousarray(masses, dtype=np.float64),
             np.ascontiguousarray(positions, dtype=np.float64),
             np.ascontiguousarray(costs, dtype=np.float64),
-            fields["mass"], fields["cofm"], fields["nbodies"],
-            fields["cost"]):
-        return None
+            mass, cofm, nbodies, cost):
+        return False
     # compute_cofm's types: float sums, int body counts, a cofm array
-    for cell, mass, cofm, nb, cost in zip(
-            cells, fields["mass"].tolist(), fields["cofm"],
-            fields["nbodies"].tolist(), fields["cost"].tolist()):
-        cell.mass = mass
-        cell.cofm = cofm
+    for cell, m, c, nb, cs in zip(rows.cells, mass.tolist(), cofm,
+                                  nbodies.tolist(), cost.tolist()):
+        cell.mass = m
+        cell.cofm = c
         cell.nbodies = nb
-        cell.cost = cost
-    return fields
+        cell.cost = cs
+    rows.mass, rows.cofm, rows.nbodies, rows.cost = mass, cofm, nbodies, cost
+    return True
 
 
 def _ranges(base: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -306,42 +324,21 @@ class FlatTree:
     # construction                                                       #
     # ------------------------------------------------------------------ #
     @classmethod
+    def from_rows(cls, rows: TreeRows) -> "FlatTree":
+        """The flat tree of a record whose c-of-m arrays are filled."""
+        return cls(center=rows.center, size=rows.size, mass=rows.mass,
+                   cofm=rows.cofm, nbodies=rows.nbodies, cost=rows.cost,
+                   home=rows.home, child=rows.child, leaf_ptr=rows.leaf_ptr,
+                   leaf_bodies=rows.leaf_bodies)
+
+    @classmethod
     def from_cell(cls, root: Cell) -> "FlatTree":
         """Flatten a linked tree (c-of-m already computed) breadth-first.
 
         BFS order puts each level contiguously in memory, which is what
         the level-synchronous traversal touches together.
         """
-        return cls.from_cell_rows(root)[0]
-
-    @classmethod
-    def from_cell_rows(cls, root: Cell, rows: Optional["CellRows"] = None,
-                       fields: Optional[Dict[str, np.ndarray]] = None
-                       ) -> Tuple["FlatTree", List[Cell]]:
-        """:meth:`from_cell` plus the ``Cell`` of every row, in row order
-        (the object-tree force phase charges its UPC accounting to them).
-
-        ``rows`` is :func:`cell_rows` of ``root`` when the caller already
-        has it, and ``fields`` the per-row arrays it already holds, by
-        field name (:func:`record_rows`, :func:`cofm_rows`); the other
-        fields are read from the cells.
-        """
-        order, child, leaf_ptr, leaf_bodies = \
-            rows if rows is not None else cell_rows(root)
-        ncells = len(order)
-        fields = fields or {}
-        kw = {}
-        for name, dtype, width in _CELL_FIELDS:
-            if name in fields:
-                kw[name] = fields[name]
-                continue
-            values = map(attrgetter(name), order)
-            kw[name] = np.fromiter(values, dtype=dtype, count=ncells) \
-                if width == 1 else np.array(list(values), dtype=dtype
-                                            ).reshape(ncells, width)
-        tree = cls(child=child, leaf_ptr=leaf_ptr, leaf_bodies=leaf_bodies,
-                   **kw)
-        return tree, order
+        return cls.from_rows(cell_rows(root).cofm_from_cells())
 
     @classmethod
     def from_bodies(cls, positions: np.ndarray, masses: np.ndarray,

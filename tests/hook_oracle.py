@@ -154,7 +154,7 @@ def treebuild_with_hooks(v) -> List[Optional[UpcLock]]:
         on_visit, on_alloc, on_modify = hooks[t]
         hook_insert(v.root, i, bodies.pos, home=t, on_visit=on_visit,
                     on_alloc=on_alloc, on_modify=on_modify, seq_counter=seq)
-    v.ncells = seq[0]
+    v.flatten(v.root)
     v.record_treebuild_locks(*lock_stats(locks.by_id.values()))
     cells = sorted(v.root.iter_cells(), key=lambda c: c.seq)
     return [locks.by_id.get(id(c)) for c in cells]
@@ -273,8 +273,7 @@ def merge_treebuild_with_hooks(v) -> None:
         merge_tree(t, v.root, lroots[t])
         merge_times[t] = float(rt.clock[t]) - start
 
-    v.fill_cofm(v.root)
-    v.ncells = len(v.tree_rows[0]) if v.tree_rows is not None \
-        else v.root.count_cells()
+    v.flatten(v.root)
+    v.fill_cofm()
     v.treebuild_subphases.append({"local": local_times, "merge": merge_times})
     v.record_treebuild_locks(*lock_stats(locks.by_id.values()))

@@ -138,6 +138,11 @@ def _assert_treebuild_identical(v, monkeypatch, compiled=(True, False)):
         assert [c.seq for c in cells] == list(range(got.ncells))
         assert [[c.seq for c in tab] for tab in got.mycelltab()] \
             == [[c.seq for c in tab] for tab in want.mycelltab()]
+        # the flatten's mycelltab is the cells' own, by home and seq
+        walked = sorted(want.root.iter_cells(), key=lambda c: c.seq)
+        assert [[c.seq for c in tab] for tab in want.mycelltab()] \
+            == [[c.seq for c in walked if c.home == t]
+                for t in range(want.P)]
         assert [c.home for c in cells] == [c.home for c in want_cells]
         # per-cell lock statistics (by seq) against the hooks' UpcLocks
         locks, = replayed
@@ -158,11 +163,12 @@ def _assert_cofm_identical(v, monkeypatch):
     rows = cell_rows(got.root)
     done_at = replay_cofm(got, replay_kernel(), rows)
     assert done_at is not None
+    got.rows = rows
     want = _run(v, "phase_cofm", monkeypatch, compiled=False)
     assert want.cofm_engine == build_replay.PY_COFM
     _assert_same_charges(got, want)
     want_cells = _cells(want)
-    want_done = [want.rt._done_tokens[want_cells[c.seq]] for c in rows[0]]
+    want_done = [want.rt._done_tokens[want_cells[c.seq]] for c in rows.cells]
     assert np.array_equal(done_at, want_done)
     for a, b in zip(_cells(got), want_cells):
         assert a.seq == b.seq
@@ -171,7 +177,7 @@ def _assert_cofm_identical(v, monkeypatch):
         assert a.nbodies == b.nbodies
         assert a.cost == b.cost
     # the force phase's tree from the replay's flatten is a fresh one's
-    reused = SlotTree(got.root, got.bodies, got.cfg, rows).flat
+    reused = got.slot_tree().flat
     fresh = SlotTree(got.root, got.bodies, got.cfg).flat
     for name in ("center", "size", "mass", "cofm", "nbodies", "cost",
                  "home", "child", "leaf_ptr", "leaf_bodies", "cell_ptr",
@@ -219,17 +225,15 @@ class TestCompiledMatchesOracle:
                                 machine):
         v = _at_phase(variant, nthreads, COFM, dist, machine)
         _assert_cofm_identical(v, monkeypatch)
-        # the phase keeps its flatten for the force phase, which takes it
+        # the phase fills the build's flatten for the force phase
         ran = _run(v, "phase_cofm", monkeypatch, compiled=True)
         assert ran.cofm_engine == build_replay.C_COFM
-        rows = ran.tree_rows
-        assert rows[0][0] is ran.root
-        # the build record's flatten (geometry, home, seq) plus the pass's
-        assert sorted(ran.tree_fields) == ["center", "cofm", "cost", "home",
-                                           "mass", "nbodies", "seq", "size"]
+        rows = ran.rows
+        assert rows.cells[0] is ran.root
+        assert ran.rows_engine == variant_base.C_ROWS
         reused = ran.slot_tree()
-        assert reused.cells is rows[0]
-        assert ran.tree_rows is None and ran.tree_fields is None
+        assert reused.cells is rows.cells
+        assert ran.rows is rows
         fresh = SlotTree(ran.root, ran.bodies, ran.cfg).flat
         for name in ("center", "mass", "cofm", "nbodies", "cost", "gmass",
                      "cx", "cy", "cz", "ctx", "cty", "ctz"):
@@ -261,6 +265,8 @@ class TestCompiledMatchesOracle:
         got = copy.deepcopy(v)
         got.phase_treebuild()
         assert got.treebuild_engine == build_replay.PY_BUILD
+        # the build is still flattened from its record
+        assert got.rows_engine == variant_base.C_ROWS
         want = copy.deepcopy(v)
         treebuild_with_hooks(want)
         _assert_same_charges(got, want)
@@ -268,8 +274,11 @@ class TestCompiledMatchesOracle:
         got.phase_cofm()
         want.phase_cofm()
         assert got.cofm_engine == want.cofm_engine == build_replay.PY_COFM
-        assert got.tree_rows is None
         _assert_same_charges(got, want)
+        # run_waiting's fields, copied into each flatten
+        for name in ("mass", "cofm", "nbodies", "cost"):
+            assert np.array_equal(getattr(got.rows, name),
+                                  getattr(want.rows, name)), name
 
     def test_malformed_record_declines_untouched(self):
         kernel = replay_kernel()

@@ -86,9 +86,9 @@ def _snapshot(record, done, roots):
     }
     for k, root in enumerate(roots):
         rows = cell_rows(root)
-        snap[f"rows{k}.seq"] = np.array([c.seq for c in rows[0]])
-        for name, arr in zip(("child", "leaf_ptr", "leaf_bodies"), rows[1:]):
-            snap[f"rows{k}.{name}"] = arr
+        snap[f"rows{k}.seq"] = np.array([c.seq for c in rows.cells])
+        for name in ("child", "leaf_ptr", "leaf_bodies"):
+            snap[f"rows{k}.{name}"] = getattr(rows, name)
     return snap
 
 

@@ -9,6 +9,7 @@ from repro.octree.build import build_tree
 from repro.octree.cell import Cell, Leaf
 from repro.octree.cofm import compute_cofm
 from repro.octree.costzones import costzones, zone_costs
+from repro.octree.morton import bodies_in_order
 from repro.octree.traverse import TraversalPolicy, gravity_traversal
 
 
@@ -126,45 +127,43 @@ class TestPolicyHooks:
 class TestCostzones:
     def test_balanced_when_uniform(self, tree256):
         costs = np.ones(256)
-        assign = costzones(tree256, costs, 8)
+        assign = costzones(bodies_in_order(tree256), costs, 8)
         z = zone_costs(assign, costs, 8)
         assert z.max() <= 1.5 * z.mean()
 
     def test_balanced_with_skewed_costs(self, bodies256, tree256):
         rng = np.random.default_rng(3)
         costs = rng.exponential(1.0, 256)
-        assign = costzones(tree256, costs, 4)
+        assign = costzones(bodies_in_order(tree256), costs, 4)
         z = zone_costs(assign, costs, 4)
         assert z.max() <= 2.0 * z.mean()
 
     def test_single_thread(self, tree256):
-        assign = costzones(tree256, np.ones(256), 1)
+        assign = costzones(bodies_in_order(tree256), np.ones(256), 1)
         assert np.all(assign == 0)
 
     def test_zones_contiguous_in_tree_order(self, tree256):
-        from repro.octree.morton import bodies_in_order
-
-        assign = costzones(tree256, np.ones(256), 8)
+        assign = costzones(bodies_in_order(tree256), np.ones(256), 8)
         in_order = assign[bodies_in_order(tree256)]
         assert np.all(np.diff(in_order) >= 0)
 
     def test_zero_costs_fall_back_to_counts(self, tree256):
-        assign = costzones(tree256, np.zeros(256), 4)
+        assign = costzones(bodies_in_order(tree256), np.zeros(256), 4)
         counts = np.bincount(assign, minlength=4)
         assert counts.max() - counts.min() <= 1
 
     def test_all_threads_used(self, tree256):
-        assign = costzones(tree256, np.ones(256), 16)
+        assign = costzones(bodies_in_order(tree256), np.ones(256), 16)
         assert len(np.unique(assign)) == 16
 
     def test_rejects_zero_threads(self, tree256):
         with pytest.raises(ValueError):
-            costzones(tree256, np.ones(256), 0)
+            costzones(bodies_in_order(tree256), np.ones(256), 0)
 
     def test_spatial_locality_of_zones(self, bodies256, tree256):
         """Zone members are spatially clustered -- the property that makes
         redistribution (section 5.2) pay off."""
-        assign = costzones(tree256, np.ones(256), 8)
+        assign = costzones(bodies_in_order(tree256), np.ones(256), 8)
         spread_zone = []
         for t in range(8):
             sel = bodies256.pos[assign == t]

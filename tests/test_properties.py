@@ -92,7 +92,7 @@ class TestCostzonesProperties:
             st.floats(0.1, 100.0), min_size=n, max_size=n)))
         box = compute_root(pos)
         root = build_tree(pos, box)
-        assign = costzones(root, costs, nthreads)
+        assign = costzones(bodies_in_order(root), costs, nthreads)
         assert assign.min() >= 0 and assign.max() < nthreads
         z = zone_costs(assign, costs, nthreads)
         assert z.sum() == pytest.approx(costs.sum())

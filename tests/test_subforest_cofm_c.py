@@ -107,12 +107,11 @@ def _assert_same_charges(got, want):
 
 
 def _assert_same_cells(got, want):
-    cells, child, leaf_ptr, leaf_bodies = cell_rows(got.root)
-    want_cells, want_child, want_ptr, want_bodies = cell_rows(want.root)
-    assert np.array_equal(child, want_child)
-    assert np.array_equal(leaf_ptr, want_ptr)
-    assert np.array_equal(leaf_bodies, want_bodies)
-    for a, b in zip(cells, want_cells):
+    rows, want_rows = cell_rows(got.root), cell_rows(want.root)
+    for name in ("child", "leaf_ptr", "leaf_bodies"):
+        assert np.array_equal(getattr(rows, name), getattr(want_rows, name))
+    cells = rows.cells
+    for a, b in zip(cells, want_rows.cells):
         assert a.center == b.center and a.size == b.size
         assert a.home == b.home
         assert a.mass == b.mass and type(a.mass) is type(b.mass)
@@ -128,7 +127,6 @@ def _assert_compiled_matches_oracle(v, monkeypatch, build="phase_subforest"):
     want = _run(v, monkeypatch, False, build)
     assert got.cofm_engine == ROWS_COFM
     assert want.cofm_engine == TREE_COFM
-    assert want.tree_rows is None and want.tree_fields is None
     _assert_same_charges(got, want)
     cells = _assert_same_cells(got, want)
     # every variant here counts the tree it fills: the subspace build's
@@ -144,16 +142,18 @@ def _assert_compiled_matches_oracle(v, monkeypatch, build="phase_subforest"):
         booked = got.rt.heap.live_objects.sum() \
             - v.rt.heap.live_objects.sum()
         assert booked == len(cells) - top
-    # the force phase takes the pass's flatten and arrays, once
-    rows = got.tree_rows
-    assert rows[0] == cells
+    # the force phase reads the pass's flatten and arrays; without the
+    # kernel, compute_cofm's fields copied into the flatten are the same
+    rows = got.rows
+    assert rows.cells == cells
     reused = got.slot_tree()
-    assert reused.cells is rows[0]
-    assert got.tree_rows is None and got.tree_fields is None
+    assert reused.cells is rows.cells
     fresh = SlotTree(got.root, got.bodies, got.cfg)
     for name in FLAT_FIELDS:
         a, b = getattr(reused.flat, name), getattr(fresh.flat, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
+        c = getattr(want.slot_tree().flat, name)
+        assert c.dtype == b.dtype and np.array_equal(c, b), name
     return got
 
 
@@ -170,13 +170,13 @@ class TestCompiledMatchesOracle:
         if nthreads > 1:
             # the top tree gathers hooked roots from other threads
             assert got.rt._counters.total("subtree_hooks") > 0
-            assert len({c.home for c in cell_rows(got.root)[0]}) > 1
+            assert len({c.home for c in cell_rows(got.root).cells}) > 1
 
     @pytest.mark.parametrize("nthreads", [4, 64])
     def test_max_depth_bucket(self, monkeypatch, nthreads):
         v = _at_subforest(nthreads, coincident=True)
         got = _assert_compiled_matches_oracle(v, monkeypatch)
-        buckets = [ch for c in cell_rows(got.root)[0] for ch in c.children
+        buckets = [ch for c in cell_rows(got.root).cells for ch in c.children
                    if isinstance(ch, Leaf) and len(ch.indices) > 1]
         assert buckets
 
@@ -203,7 +203,6 @@ class TestCompiledMatchesOracle:
             mp.setattr(CKernel, "cofm_rows", lambda self, *a: False)
             got = _run(v, monkeypatch, compiled=True)
         assert got.cofm_engine == want.cofm_engine == TREE_COFM
-        assert got.tree_rows is None and got.tree_fields is None
         _assert_same_charges(got, want)
         _assert_same_cells(got, want)
 
@@ -211,9 +210,11 @@ class TestCompiledMatchesOracle:
         kernel = replay_kernel()
         v = _at_subforest(4)
         v.phase_subforest()
-        cells, child, leaf_ptr, leaf_bodies = v.tree_rows
+        rows = v.rows
+        child, leaf_ptr, leaf_bodies = rows.child, rows.leaf_ptr, \
+            rows.leaf_bodies
         bodies = v.bodies
-        n = len(cells)
+        n = len(rows.cells)
         center = np.zeros((n, 3))
 
         def run(child=child, leaf_ptr=leaf_ptr, leaf_bodies=leaf_bodies,

@@ -16,6 +16,12 @@ before the run are not counted.
 Every variant runs with and without the compiled kernel
 (``REPRO_DISABLE_KERNELS=1``); with it, every fresh tree is built by the
 compiled ``insert`` and its cells made from the builder's arrays.
+
+Each step's tree is flattened exactly once, as its build ends
+(``record_rows`` with the kernel, ``cell_rows`` without it or for the
+merged tree), and every later phase reads that one record: after each
+phase that leaves a tree, the variant's ``rows`` are of its ``root``,
+count its cells and hold its tree order.
 """
 
 from __future__ import annotations
@@ -23,33 +29,41 @@ from __future__ import annotations
 import gc
 import sys
 
+import numpy as np
 import pytest
 
 import repro.octree.build as octree_build
+import repro.octree.flat as octree_flat
 from repro import BHConfig, run_variant
 from repro.core.variants.base import VariantBase
 from repro.core.variants.registry import VARIANTS
 from repro.kernels import loader
 from repro.octree.cell import Cell
+from repro.octree.morton import bodies_in_order
 
 CFG = BHConfig(nbodies=256, nsteps=3, warmup_steps=1)
 
 
-def _callers_of_insert():
-    """Every loaded ``repro`` module that calls ``insert`` by name."""
-    return [mod for name, mod in sorted(sys.modules.items())
-            if name.startswith("repro.") and mod is not None
-            and getattr(mod, "insert", None) is octree_build.insert]
+def _callers_of(module, name):
+    """Every loaded ``repro`` module that binds ``module.name``."""
+    fn = getattr(module, name)
+    return [mod for modname, mod in sorted(sys.modules.items())
+            if modname.startswith("repro.") and mod is not None
+            and getattr(mod, name, None) is fn]
+
+
+def _kernel(kernel, monkeypatch):
+    if kernel == "disabled":
+        monkeypatch.setenv("REPRO_DISABLE_KERNELS", "1")
+        monkeypatch.setattr(loader, "_KERNEL", "unset")
+        monkeypatch.setattr(loader, "_WARNED", True)
 
 
 @pytest.mark.parametrize("kernel", ["compiled", "disabled"])
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_previous_tree_is_freed_before_the_next_build(variant, kernel,
                                                       monkeypatch):
-    if kernel == "disabled":
-        monkeypatch.setenv("REPRO_DISABLE_KERNELS", "1")
-        monkeypatch.setattr(loader, "_KERNEL", "unset")
-        monkeypatch.setattr(loader, "_WARNED", True)
+    _kernel(kernel, monkeypatch)
     made = {}        # id -> step of every cell the run has made
     state = {}       # the running step
     stale = {}       # step -> cells of earlier steps alive at its build
@@ -77,7 +91,7 @@ def test_previous_tree_is_freed_before_the_next_build(variant, kernel,
 
     monkeypatch.setattr(Cell, "__init__", counted_init)
     monkeypatch.setattr(VariantBase, "step", counted_step)
-    for mod in _callers_of_insert():
+    for mod in _callers_of(octree_build, "insert"):
         monkeypatch.setattr(mod, "insert", checked_insert)
     res = run_variant(variant, CFG, nthreads=4)
 
@@ -88,3 +102,59 @@ def test_previous_tree_is_freed_before_the_next_build(variant, kernel,
     compiled = kernel == "compiled" and loader.load_kernel() is not None
     assert res.variant_stats["insert_engine"] == (
         octree_build.C_INSERT if compiled else octree_build.PY_INSERT)
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "disabled"])
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_one_flatten_per_tree_read_by_every_phase(variant, kernel,
+                                                  monkeypatch):
+    _kernel(kernel, monkeypatch)
+    state = {"step": None}
+    flattens = {}    # step -> the flattens it ran, by name
+    checked = []     # (step, phase) after which a tree was checked
+
+    def counted(name):
+        fn = getattr(octree_flat, name)
+
+        def wrapper(*args, **kwargs):
+            flattens.setdefault(state["step"], []).append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("record_rows", "cell_rows"):
+        wrapped = counted(name)
+        for mod in _callers_of(octree_flat, name):
+            monkeypatch.setattr(mod, name, wrapped)
+
+    def after(v, phase, method):
+        def run():
+            method()
+            if v.root is None:
+                assert v.rows is None, phase
+                return
+            rows = v.rows
+            assert rows.cells[0] is v.root, phase
+            assert v.ncells == len(rows.cells), phase
+            assert np.array_equal(rows.order, bodies_in_order(v.root)), phase
+            checked.append((v.step_index, phase))
+        return run
+
+    cls = VARIANTS[variant]
+    plan = cls.phase_plan
+
+    def checked_plan(self):
+        state["step"] = self.step_index
+        return [(phase, after(self, phase, method))
+                for phase, method in plan(self)]
+
+    monkeypatch.setattr(cls, "phase_plan", checked_plan)
+    res = run_variant(variant, CFG, nthreads=4)
+
+    compiled = kernel == "compiled" and loader.load_kernel() is not None
+    # the merged tree is flattened from its cells
+    name = "record_rows" if compiled \
+        and variant not in ("localbuild", "async") else "cell_rows"
+    assert flattens == {s: [name] for s in range(CFG.nsteps)}
+    assert res.variant_stats["rows_engine"] == (
+        "c-tree-rows" if name == "record_rows" else "cell-rows")
+    assert {s for s, _ in checked} == set(range(CFG.nsteps))

@@ -38,23 +38,22 @@ needs_kernel = pytest.mark.skipif(replay_kernel() is None,
                                   reason="no compiled kernel here")
 
 
-def _assert_rows_of(root, rows, fields, order):
-    """``(rows, fields, order)`` are ``cell_rows(root)``, the cells'
+def _assert_rows_of(root, rows):
+    """``rows`` are ``cell_rows(root)``: the same structure, the cells'
     geometry, homes and seqs, and ``bodies_in_order(root)``."""
     want = cell_rows(root)
-    cells = rows[0]
-    assert len(cells) == len(want[0])
-    assert all(a is b for a, b in zip(cells, want[0]))
-    for got, ref in zip(rows[1:], want[1:]):
-        assert got.dtype == ref.dtype and np.array_equal(got, ref)
-    assert np.array_equal(fields["center"],
-                          np.array([c.center for c in cells]))
-    assert np.array_equal(fields["size"], np.array([c.size for c in cells]))
-    assert fields["home"].dtype == np.int32
-    assert np.array_equal(fields["home"], [c.home for c in cells])
-    assert np.array_equal(fields["seq"], [c.seq for c in cells])
-    if order is not None:
-        assert np.array_equal(order, bodies_in_order(root))
+    cells = rows.cells
+    assert len(cells) == len(want.cells)
+    assert all(a is b for a, b in zip(cells, want.cells))
+    for name in ("child", "leaf_ptr", "leaf_bodies"):
+        got, ref = getattr(rows, name), getattr(want, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+    assert np.array_equal(rows.center, np.array([c.center for c in cells]))
+    assert np.array_equal(rows.size, np.array([c.size for c in cells]))
+    assert rows.home.dtype == np.int32
+    assert np.array_equal(rows.home, [c.home for c in cells])
+    assert np.array_equal(rows.seq, [c.seq for c in cells])
+    assert np.array_equal(rows.order, bodies_in_order(root))
 
 
 def _bodies(dist, nbodies=512, coincident=False):
@@ -106,31 +105,30 @@ class TestRowsMatchCellRows:
     def test_baseline_global_build(self, nthreads, dist):
         v = _built("baseline", nthreads, dist)
         assert v.rows_engine == C_ROWS
-        order = v.tree_order
-        assert order[0] is v.root
-        _assert_rows_of(v.root, v.tree_rows, v.tree_fields, order[1])
+        assert v.rows.cells[0] is v.root
+        _assert_rows_of(v.root, v.rows)
         if nthreads > 1:
-            assert len(set(v.tree_fields["home"].tolist())) > 1
+            assert len(set(v.rows.home.tolist())) > 1
 
     @pytest.mark.parametrize("nthreads,dist", CASES, ids=IDS)
     def test_subspace_subforest(self, nthreads, dist):
         v = _built("subspace", nthreads, dist)
         assert v.rows_engine == C_ROWS
-        _assert_rows_of(v.root, v.tree_rows, v.tree_fields, None)
+        _assert_rows_of(v.root, v.rows)
 
     @pytest.mark.parametrize("variant", ["baseline", "subspace"])
     def test_max_depth_bucket(self, variant):
         v = _built(variant, 16, coincident=True)
-        cells = v.tree_rows[0]
+        cells = v.rows.cells
         assert any(isinstance(ch, Leaf) and len(ch.indices) > 1
                    for c in cells for ch in c.children)
-        _assert_rows_of(v.root, v.tree_rows, v.tree_fields, None)
+        _assert_rows_of(v.root, v.rows)
 
     def test_root_is_a_leaf_subspace(self):
         # alpha = 1 on one thread: the root's cost never exceeds tau
         v = _built("subspace", 1, alpha=1.0)
         assert v._ss_tree.n_nodes == 1
-        _assert_rows_of(v.root, v.tree_rows, v.tree_fields, None)
+        _assert_rows_of(v.root, v.rows)
 
     @pytest.mark.parametrize("dist", ["plummer", "uniform", "disk"])
     def test_plain_recorded_build(self, dist):
@@ -141,9 +139,8 @@ class TestRowsMatchCellRows:
         record.add(root)
         insert([(root, range(len(pos)), np.arange(len(pos)) % 3)], pos,
                record=record)
-        rows, fields, order = record_rows(replay_kernel(), record, root,
-                                          len(pos))
-        _assert_rows_of(root, rows, fields, order)
+        _assert_rows_of(root, record_rows(replay_kernel(), record, root,
+                                          len(pos)))
 
 
 def _record(pos):
@@ -213,11 +210,10 @@ class TestDeclined:
         assert np.array_equal(got.rt.clock, want.rt.clock)
         assert np.array_equal(got.rt._nic, want.rt._nic)
         assert got.ncells == want.ncells
-        for x, y in zip(got.tree_rows[1:], want.tree_rows[1:]):
-            assert np.array_equal(x, y)
-        for key in ("center", "mass", "cofm", "nbodies", "cost"):
-            assert np.array_equal(got.tree_fields[key],
-                                  want.tree_fields[key]), key
+        for key in ("child", "leaf_ptr", "leaf_bodies", "order", "center",
+                    "mass", "cofm", "nbodies", "cost"):
+            assert np.array_equal(getattr(got.rows, key),
+                                  getattr(want.rows, key)), key
 
 
 def test_rows_engine_stat():
