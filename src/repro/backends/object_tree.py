@@ -35,6 +35,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import kernels
 from ..kernels.pool import run_jobs
 from ..nbody.bodies import BodySoA
 from ..octree.cell import Cell
@@ -48,26 +49,6 @@ C_ENGINE = "c-slot-walk"
 PY_ENGINE = "traversal"
 
 
-@functools.lru_cache(maxsize=None)
-def _einsum_order_matches() -> bool:
-    """Whether this numpy sums ``np.einsum("ij,ij->i")`` over 3-vectors
-    as ``(x*x + z*z) + y*y`` -- the order ``bh_slot_walk`` hard-codes.
-    A numpy that reorders it gets the Python traversal instead."""
-    d = np.random.default_rng(0).standard_normal((4096, 3))
-    x, y, z = d.T
-    return bool(np.array_equal(np.einsum("ij,ij->i", d, d),
-                               (x * x + z * z) + y * y))
-
-
-def slot_kernel():
-    """The loaded C kernel if it can serve the slot walk, else ``None``."""
-    from ..kernels import load_kernel
-
-    kernel = load_kernel()
-    return kernel if kernel is not None and _einsum_order_matches() \
-        else None
-
-
 class SlotTree:
     """One force phase's object tree, flattened for :func:`slot_walk`.
 
@@ -76,7 +57,10 @@ class SlotTree:
     ``leaf_parent[j]`` the row of the cell whose leaf holds
     ``flat.leaf_bodies[j]``.  ``rows`` is the tree's record, c-of-m
     arrays filled (a variant's ``rows``); without one, the tree is
-    flattened from its cells, c-of-m fields included.
+    flattened from its cells, c-of-m fields included.  The kernel serves
+    the walk whenever it loads; only the Python engine reads ``root``'s
+    cells, and it runs only without the kernel, after a Python c-of-m
+    pass filled them.
     """
 
     def __init__(self, root: Cell, bodies: BodySoA, cfg,
@@ -100,7 +84,7 @@ class SlotTree:
         self.theta = float(cfg.theta)
         self.eps = float(cfg.eps)
         self.open_self = bool(cfg.open_self_cells)
-        self.kernel = slot_kernel()
+        self.kernel = kernels.load_kernel()
         self.engine = C_ENGINE if self.kernel is not None else PY_ENGINE
         self._prepared = None
         self._rows = None
@@ -119,23 +103,22 @@ class SlotTree:
         ``flat.leaf_bodies``), as float64."""
         return opens[self.leaf_parent].astype(np.float64)
 
-    def open_order(self, opens: np.ndarray) -> List[Cell]:
-        """The opened cells in the group recursion's first-open order:
-        pre-order DFS, children pushed in slot order and popped in
-        reverse, over the cells with ``opens > 0``."""
+    def open_order(self, opens: np.ndarray) -> List[int]:
+        """The rows of the opened cells in the group recursion's
+        first-open order: pre-order DFS, children pushed in slot order
+        and popped in reverse, over the cells with ``opens > 0``."""
         if self._kids is None:
             data = self.flat.cell_data.tolist()
             ptr = self.flat.cell_ptr.tolist()
             self._kids = [data[a:b] for a, b in zip(ptr, ptr[1:])]
         kids = self._kids
         opened = opens.tolist()
-        cells = self.cells
-        order: List[Cell] = []
+        order: List[int] = []
         stack = [0]
         while stack:
             r = stack.pop()
             if opened[r]:
-                order.append(cells[r])
+                order.append(r)
                 stack.extend(kids[r])
         return order
 

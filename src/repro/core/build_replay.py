@@ -23,12 +23,13 @@ exactly:
 * **C-of-m.**  ``bh_cofm_replay`` runs every thread's worker over its
   cells in reverse creation order under ``run_waiting``'s schedule.  It
   reads the build's flatten (:class:`~repro.octree.flat.TreeRows`), with
-  each row's ``seq`` as its creation rank, and fills the record's c-of-m
-  arrays, which the force phase's ``SlotTree`` reads.
+  each row's ``seq`` as its creation rank, and fills only the record's
+  c-of-m arrays: the partition, the force phase's ``SlotTree``, the cache
+  replay and the guards read the record, never a ``Cell``.
 
 Both compiled replays read the runtime's price store as relation-class
 tables (:meth:`UpcRuntime.class_tables`) and do the Python charges' float
-operations in their order, so every clock, NIC time and cell field is
+operations in their order, so every clock, NIC time and c-of-m field is
 bit-identical.  Counters and heap bookkeeping come back as per-thread
 integer totals, added once each (exact: integer-valued floats far below
 2**53).  The engines recorded in ``RunResult.variant_stats``:
@@ -177,10 +178,10 @@ def mirror_build(variant, events: np.ndarray, tids: Sequence[int],
 
 
 def replay_cofm(variant, kernel, rows: TreeRows) -> Optional[np.ndarray]:
-    """The c-of-m phase over ``variant.root``, flattened as ``rows`` (the
-    build's :class:`~repro.octree.flat.TreeRows`): charges every thread
-    and fills every cell's ``mass``/``cofm``/``nbodies``/``cost`` and the
-    record's c-of-m arrays, which the force phase reads.
+    """The c-of-m phase over the build's tree, read from its flatten
+    ``rows`` (:class:`~repro.octree.flat.TreeRows`): charges every thread
+    and fills the record's c-of-m arrays, which the later phases read.
+    No ``Cell`` is read or written.
 
     Returns each row's done time, or ``None``, having touched nothing,
     when the kernel declines.
@@ -189,9 +190,8 @@ def replay_cofm(variant, kernel, rows: TreeRows) -> Optional[np.ndarray]:
 
     rt = variant.rt
     bodies = variant.bodies
-    cells = rows.cells
     node_of, classes, table = _charges(rt)
-    n = len(cells)
+    n = len(rows.seq)
     mass = np.empty(n, dtype=np.float64)
     cofm = np.empty((n, 3), dtype=np.float64)
     nbodies = np.empty(n, dtype=np.int64)
@@ -211,12 +211,5 @@ def replay_cofm(variant, kernel, rows: TreeRows) -> Optional[np.ndarray]:
             rt.clock, rt._nic, mass, cofm, nbodies, cost, done_at, totals):
         return None
     _add_totals(rt, COFM_KEYS, totals)
-    # run_waiting's types: numpy float64 sums, int body counts
-    for c, nb in enumerate(nbodies.tolist()):
-        cell = cells[c]
-        cell.mass = mass[c]
-        cell.cofm = cofm[c]
-        cell.nbodies = nb
-        cell.cost = cost[c]
     rows.mass, rows.cofm, rows.nbodies, rows.cost = mass, cofm, nbodies, cost
     return done_at

@@ -24,19 +24,27 @@ from typing import Set
 
 import numpy as np
 
-from ..octree.cell import Cell, Leaf
+from ..octree.flat import EMPTY, TreeRows, decode_leaf
 from ..upc.runtime import UpcRuntime
 
 
 class CellCache:
-    """Per-thread, per-force-phase cache of octree cells."""
+    """Per-thread, per-force-phase cache of the cells of one tree, read
+    from its :class:`~repro.octree.flat.TreeRows` ``rows``: a cell is a
+    row, its children the row's ``child`` slots, a child cell's affinity
+    its ``home`` and a leaf's bodies its ``leaf_bodies`` span, stored
+    where ``store`` says."""
 
     def __init__(self, rt: UpcRuntime, tid: int, store: np.ndarray,
-                 merged: bool):
+                 merged: bool, rows: TreeRows):
         self.rt = rt
         self.tid = tid
-        self.store = store
         self.merged = merged
+        self.child = rows.child
+        self.home = rows.home.tolist()
+        self.leaf_ptr = rows.leaf_ptr.tolist()
+        #: the thread that stores each leaf body, aligned with leaf_bodies
+        self.leaf_owner = store[rows.leaf_bodies].tolist()
         self._localized: Set[int] = set()
         #: remote cells/bodies fetched (one bulk get each)
         self.misses = 0
@@ -45,11 +53,13 @@ class CellCache:
         #: opens satisfied from cache
         self.hits = 0
 
-    def localize_root(self, root: Cell) -> None:
-        """Make L_root, the local copy of the global root (listing 1)."""
+    def localize_root(self) -> None:
+        """Make L_root, the local copy of the global root (row 0,
+        listing 1)."""
         rt = self.rt
-        if root.home != self.tid:
-            rt.memget(self.tid, root.home, rt.machine.cell_nbytes,
+        home = self.home[0]
+        if home != self.tid:
+            rt.memget(self.tid, home, rt.machine.cell_nbytes,
                       key="cache_fetch")
             self.misses += 1
         elif not self.merged:
@@ -57,25 +67,23 @@ class CellCache:
                       key="cache_local_copy")
             self.local_copies += 1
 
-    def is_localized(self, cell: Cell) -> bool:
-        return id(cell) in self._localized
-
-    def ensure_children(self, cell: Cell) -> None:
-        """Fetch/copy all children of ``cell`` on first open (the
-        ``Localized`` flag test of listings 1 and 2)."""
-        if id(cell) in self._localized:
+    def ensure_children(self, row: int) -> None:
+        """Fetch/copy all children of the cell of ``row`` on first open
+        (the ``Localized`` flag test of listings 1 and 2)."""
+        if row in self._localized:
             self.hits += 1
             return
         rt = self.rt
         tid = self.tid
         m = rt.machine
         copies = 0  # cells fetched or copied: one upc_alloc each
-        for ch in cell.children:
-            if ch is None:
+        for code in self.child[row].tolist():
+            if code == EMPTY:
                 continue
-            if isinstance(ch, Leaf):
-                for b in ch.indices:
-                    owner = int(self.store[b])
+            if code < 0:
+                leaf = decode_leaf(code)
+                for owner in self.leaf_owner[self.leaf_ptr[leaf]:
+                                             self.leaf_ptr[leaf + 1]]:
                     if owner != tid:
                         rt.memget(tid, owner, m.body_nbytes,
                                   key="cache_fetch")
@@ -87,8 +95,9 @@ class CellCache:
                     else:
                         rt.charge_compute(tid, m.local_word_cost)
                 continue
-            if ch.home != tid:
-                rt.memget(tid, ch.home, m.cell_nbytes, key="cache_fetch")
+            home = self.home[code]
+            if home != tid:
+                rt.memget(tid, home, m.cell_nbytes, key="cache_fetch")
                 copies += 1
                 self.misses += 1
             elif self.merged:
@@ -101,7 +110,7 @@ class CellCache:
         if copies:
             # the copies' pointers are never kept: book the totals only
             rt.heap.upc_alloc_count(tid, m.cell_nbytes, copies)
-        self._localized.add(id(cell))
+        self._localized.add(row)
 
     @property
     def localized_count(self) -> int:

@@ -44,7 +44,8 @@ from ..backends.object_tree import SlotTree
 from ..kernels.loader import CHARGE_FN, FRONTIER_MAX_GROUP
 from ..kernels.pool import run_jobs
 from ..nbody.constants import G
-from ..octree.cell import Cell, Leaf
+from ..octree.flat import EMPTY, decode_leaf
+from ..octree.traverse import sq_norms
 from ..upc.nonblocking import AsyncEngine
 from ..upc.runtime import NicLog
 from .variants.base import (
@@ -135,16 +136,15 @@ def frontier_forces(variant, engine: AsyncEngine,
     declines runs the Python loop at its thread's turn.
     """
     rt = variant.rt
-    root = variant.root
+    if tree is None and variant.rows is not None:
+        tree = variant.slot_tree()
 
     def ahead(tid: int, idx: np.ndarray) -> None:
         if before is not None:
             before(tid, idx)
-        if len(idx) and root is not None:
-            _fetch_root(variant, tid)
+        if len(idx) and tree is not None:
+            _fetch_root(rt, tree, tid)
 
-    if tree is None and root is not None:
-        tree = variant.slot_tree()
     # job index -> (NIC log of the charges ahead of its walk, the walk)
     walks: Dict[int, Tuple[NicLog, Optional[_CWalk]]] = {}
     if tree is not None and tree.kernel is not None:
@@ -181,19 +181,18 @@ def frontier_forces(variant, engine: AsyncEngine,
             continue
         acc = np.zeros((k, 3), dtype=np.float64)
         work = np.zeros(k, dtype=np.float64)
-        if k and root is not None:
-            _walk_py(variant, engine, tid, idx, acc, work, stats)
+        if k and tree is not None:
+            _walk_py(variant, engine, tree, tid, idx, acc, work, stats)
         out.append((acc, work, stats))
     return out
 
 
-def _fetch_root(variant, tid: int) -> None:
-    """L_root: localize the root struct itself."""
-    rt = variant.rt
+def _fetch_root(rt, tree: SlotTree, tid: int) -> None:
+    """L_root: localize the root struct itself (row 0)."""
     m = rt.machine
-    root = variant.root
-    if root.home != tid:
-        rt.memget(tid, root.home, m.cell_nbytes, key="cache_fetch")
+    home = int(tree.flat.home[0])
+    if home != tid:
+        rt.memget(tid, home, m.cell_nbytes, key="cache_fetch")
     else:
         rt.charge_compute(tid, 4 * m.local_word_cost)
 
@@ -306,17 +305,22 @@ class _CWalk:
             counters._data["waitsync_stall"][tid] = float(self.stall[0])
 
 
-def _walk_py(variant, engine: AsyncEngine, tid: int, idx: np.ndarray,
-             acc: np.ndarray, work: np.ndarray,
+def _walk_py(variant, engine: AsyncEngine, tree: SlotTree, tid: int,
+             idx: np.ndarray, acc: np.ndarray, work: np.ndarray,
              stats: FrontierStats) -> None:
     """The frontier loop in Python: the oracle of ``bh_frontier_walk``
-    and the engine of a box without the kernel."""
+    and the engine of a box without the kernel.  It reads the arrays of
+    ``tree.flat`` that the compiled loop reads: a cell is its row, a
+    child its slot code (a row, or a leaf's body span)."""
     rt = variant.rt
     cfg = variant.cfg
     m = rt.machine
     bodies = variant.bodies
-    store = bodies.store
-    root = variant.root
+    flat = tree.flat
+    child, home = flat.child, flat.home
+    leaf_ptr, leaf_bodies = flat.leaf_ptr, flat.leaf_bodies
+    # the thread that stores each leaf body, aligned with leaf_bodies
+    leaf_owner = bodies.store[leaf_bodies]
     k = len(idx)
     pos = bodies.pos[idx]
     ids = np.asarray(idx, dtype=np.int64)
@@ -328,73 +332,73 @@ def _walk_py(variant, engine: AsyncEngine, tid: int, idx: np.ndarray,
     interaction = m.interaction_cost
 
     localized: set = set()
-    parked: Dict[int, Tuple[Cell, List[Tuple[_Group, np.ndarray]]]] = {}
-    pool: List[Cell] = []  # frontier cells whose children are needed
+    parked: Dict[int, List[Tuple[_Group, np.ndarray]]] = {}
+    pool: List[int] = []  # frontier cells whose children are needed
     pool_nodes = 0  # pending child nodes across the pool (the n3 unit)
-    outstanding: Deque[Tuple[object, List[Cell]]] = deque()
+    outstanding: Deque[Tuple[object, List[int]]] = deque()
 
-    def nchildren(cell: Cell) -> int:
-        return sum(1 for ch in cell.children if ch is not None)
+    def kids(row: int) -> List[int]:
+        """The non-empty slot codes of a cell, in slot order."""
+        return [code for code in child[row].tolist() if code != EMPTY]
+
+    def span(code: int) -> slice:
+        """A leaf's span of ``leaf_bodies``."""
+        leaf = decode_leaf(code)
+        return slice(leaf_ptr[leaf], leaf_ptr[leaf + 1])
 
     groups: List[_Group] = []
     for lo in range(0, k, GROUP_BODIES):
         g = _Group()
-        g.stack.append((root, np.arange(lo, min(lo + GROUP_BODIES, k),
-                                        dtype=np.int64)))
+        g.stack.append((0, np.arange(lo, min(lo + GROUP_BODIES, k),
+                                     dtype=np.int64)))
         groups.append(g)
     active: Deque[_Group] = deque(groups[: cfg.n1])
     next_group = len(active)
     finished = 0
 
     # ------------------------------------------------------------------ #
-    def children_all_local(cell: Cell) -> bool:
-        for ch in cell.children:
-            if ch is None:
-                continue
-            if isinstance(ch, Leaf):
-                if any(store[b] != tid for b in ch.indices):
+    def children_all_local(row: int) -> bool:
+        for code in kids(row):
+            if code < 0:
+                if (leaf_owner[span(code)] != tid).any():
                     return False
-            elif ch.home != tid:
+            elif home[code] != tid:
                 return False
         return True
 
-    def issue(cells: List[Cell], forced: bool) -> None:
+    def issue(rows: List[int], forced: bool) -> None:
         per_source: Dict[int, int] = {}
-        for c in cells:
-            for ch in c.children:
-                if ch is None:
-                    continue
-                if isinstance(ch, Leaf):
-                    for b in ch.indices:
-                        o = int(store[b])
+        for row in rows:
+            for code in kids(row):
+                if code < 0:
+                    for o in leaf_owner[span(code)].tolist():
                         if o != tid:
                             per_source[o] = per_source.get(o, 0) + 1
-                elif ch.home != tid:
-                    per_source[ch.home] = per_source.get(ch.home, 0) + 1
+                    continue
+                h = int(home[code])
+                if h != tid:
+                    per_source[h] = per_source.get(h, 0) + 1
         handle = engine.memget_vlist_async(tid, per_source, m.cell_nbytes)
-        outstanding.append((handle, cells))
+        outstanding.append((handle, rows))
         stats.gathers += 1
-        stats.cells_requested += len(cells)
+        stats.cells_requested += len(rows)
         if forced:
             stats.forced_gathers += 1
 
-    def complete(cells: List[Cell]) -> None:
-        for c in cells:
-            localized.add(id(c))
-            entry = parked.pop(id(c), None)
-            if entry is None:
-                continue
-            for g, active_set in entry[1]:
-                g.stack.append((("expand", c), active_set))
+    def complete(rows: List[int]) -> None:
+        for row in rows:
+            localized.add(row)
+            for g, active_set in parked.pop(row, ()):
+                g.stack.append((("expand", row), active_set))
                 g.parked -= 1
 
     def drain_ready_handles() -> bool:
         any_done = False
         while outstanding:
-            handle, cells = outstanding[0]
+            handle, rows = outstanding[0]
             if engine.trysync(tid, handle):
                 outstanding.popleft()
-                complete(cells)
+                complete(rows)
                 any_done = True
             else:
                 break
@@ -404,12 +408,12 @@ def _walk_py(variant, engine: AsyncEngine, tid: int, idx: np.ndarray,
         """Issue gathers while >= n3 nodes are pending (listing 3)."""
         nonlocal pool_nodes
         while pool_nodes >= cfg.n3 and len(outstanding) < cfg.n2:
-            chunk: List[Cell] = []
+            chunk: List[int] = []
             cnt = 0
             while pool and cnt < cfg.n3:
-                c = pool.pop(0)
-                cnt += nchildren(c)
-                chunk.append(c)
+                row = pool.pop(0)
+                cnt += len(kids(row))
+                chunk.append(row)
             pool_nodes -= cnt
             issue(chunk, forced=False)
 
@@ -417,23 +421,22 @@ def _walk_py(variant, engine: AsyncEngine, tid: int, idx: np.ndarray,
     def process(g: _Group, node, active_set: np.ndarray) -> None:
         nonlocal pool_nodes
         n_active = len(active_set)
-        if isinstance(node, tuple):  # ("expand", cell): children now local
-            cell = node[1]
+        if isinstance(node, tuple):  # ("expand", row): children now local
             rt.charge_compute(tid, CELL_OPEN_WORDS * n_active * local_word)
-            for ch in cell.children:
-                if ch is not None:
-                    g.stack.append((ch, active_set))
+            for code in kids(node[1]):
+                g.stack.append((code, active_set))
             return
-        if isinstance(node, Leaf):
+        if node < 0:  # a leaf
+            members = leaf_bodies[span(node)].tolist()
             rt.charge_compute(
                 tid,
-                BODY_LEAF_WORDS * n_active * len(node.indices) * local_word,
+                BODY_LEAF_WORDS * n_active * len(members) * local_word,
             )
             p_act = pos[active_set]
             n_int = 0
-            for b in node.indices:
+            for b in members:
                 d = bodies.pos[b] - p_act
-                dsq = np.einsum("ij,ij->i", d, d) + eps_sq
+                dsq = sq_norms(d) + eps_sq
                 inv = (G * bodies.mass[b]) / (dsq * np.sqrt(dsq))
                 notself = ids[active_set] != b
                 inv *= notself
@@ -444,15 +447,16 @@ def _walk_py(variant, engine: AsyncEngine, tid: int, idx: np.ndarray,
             rt.count(tid, "interactions", n_int)
             return
 
-        cell = node
+        row = node
         rt.charge_compute(tid, CELL_TEST_WORDS * n_active * local_word)
-        d = cell.cofm - pos[active_set]
-        dsq = np.einsum("ij,ij->i", d, d)
-        far = (cell.size * cell.size) < theta_sq * dsq
+        d = flat.cofm[row] - pos[active_set]
+        dsq = sq_norms(d)
+        size = flat.size[row]
+        far = (size * size) < theta_sq * dsq
         if open_self and far.any():
-            half = cell.size / 2.0
+            half = size / 2.0
             inside = np.all(
-                np.abs(pos[active_set] - cell.center) <= half, axis=1
+                np.abs(pos[active_set] - flat.center[row]) <= half, axis=1
             )
             far &= ~inside
         n_far = int(far.sum())
@@ -460,7 +464,7 @@ def _walk_py(variant, engine: AsyncEngine, tid: int, idx: np.ndarray,
             sel = active_set[far]
             dd = d[far]
             dq = dsq[far] + eps_sq
-            inv = (G * cell.mass) / (dq * np.sqrt(dq))
+            inv = (G * flat.mass[row]) / (dq * np.sqrt(dq))
             acc[sel] += dd * inv[:, None]
             work[sel] += 1.0
             rt.charge_compute(tid, n_far * interaction)
@@ -468,27 +472,20 @@ def _walk_py(variant, engine: AsyncEngine, tid: int, idx: np.ndarray,
         if n_far == n_active:
             return
         near = active_set if n_far == 0 else active_set[~far]
-        if id(cell) in localized:
+        if row in localized or children_all_local(row):
+            localized.add(row)
             rt.charge_compute(tid, CELL_OPEN_WORDS * len(near) * local_word)
-            for ch in cell.children:
-                if ch is not None:
-                    g.stack.append((ch, near))
-            return
-        if children_all_local(cell):
-            localized.add(id(cell))
-            rt.charge_compute(tid, CELL_OPEN_WORDS * len(near) * local_word)
-            for ch in cell.children:
-                if ch is not None:
-                    g.stack.append((ch, near))
+            for code in kids(row):
+                g.stack.append((code, near))
             return
         # frontier cell: park this item, request the cell's children
-        entry = parked.get(id(cell))
+        entry = parked.get(row)
         if entry is None:
-            parked[id(cell)] = (cell, [(g, near)])
-            pool.append(cell)
-            pool_nodes += nchildren(cell)
+            parked[row] = [(g, near)]
+            pool.append(row)
+            pool_nodes += len(kids(row))
         else:
-            entry[1].append((g, near))
+            entry.append((g, near))
         g.parked += 1
 
     # ------------------------------------------------------------------ #
@@ -514,10 +511,10 @@ def _walk_py(variant, engine: AsyncEngine, tid: int, idx: np.ndarray,
             continue
         # stalled: everything active is waiting on data
         if outstanding:
-            handle, cells = outstanding.popleft()
+            handle, rows = outstanding.popleft()
             engine.waitsync(tid, handle)
             stats.waits += 1
-            complete(cells)
+            complete(rows)
         elif pool:
             chunk = list(pool)
             pool.clear()

@@ -54,6 +54,7 @@ from ..octree.cell import Cell, Leaf
 from ..octree.cofm import compute_cofm  # noqa: F401
 from ..upc.collectives import allreduce_scalar, allreduce_vector, alltoallv
 from ..upc.runtime import UpcRuntime
+from .variants.base import CELL_COMPUTE, CELL_VISIT_WORDS
 
 #: local work per body examined in the split loop (cost scan / re-bucket)
 SCAN_COST = 10e-9
@@ -255,11 +256,6 @@ def exchange_bodies(rt: UpcRuntime, tree: SubspaceTree, body_ss: np.ndarray,
     assign[:] = new_assign
     store[:] = new_assign
     return frac
-
-
-#: local computation per cell during subforest building
-CELL_COMPUTE = 100e-9
-CELL_VISIT_WORDS = 2
 
 
 @gc_paused()

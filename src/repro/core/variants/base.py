@@ -372,10 +372,10 @@ class VariantBase:
         self.cofm_engine = PY_COFM
 
     def fill_cofm(self) -> None:
-        """Fill the c-of-m fields of every cell of the flattened tree and
-        of its :attr:`rows`, uncharged: one compiled pass over the
-        flatten, or ``compute_cofm`` when no kernel serves or the kernel
-        declines.  Both give the same bits."""
+        """Fill the c-of-m arrays of :attr:`rows`, uncharged: one
+        compiled pass over the flatten, or ``compute_cofm`` over the
+        cells, copied into the record, when no kernel serves or the
+        kernel declines.  Both give the same bits."""
         bodies = self.bodies
         rows = self.rows
         kernel = replay_kernel()

@@ -24,14 +24,15 @@ class CacheTree(Redistribute):
 
     def charge_force_walk(self, tid, tree, opens, tally) -> None:
         """Replay the walk's first opens through a :class:`CellCache`
-        (one bulk get per remote child on first open), then charge the
-        now-local cell and body reads as local words."""
+        over the tree's record (one bulk get per remote child on first
+        open), then charge the now-local cell and body reads as local
+        words."""
         rt = self.rt
         cache = CellCache(rt, tid, self.bodies.store,
-                          merged=self.cache_mode == "merged")
-        cache.localize_root(self.root)
-        for cell in tree.open_order(opens):
-            cache.ensure_children(cell)
+                          self.cache_mode == "merged", self.rows)
+        cache.localize_root()
+        for row in tree.open_order(opens):
+            cache.ensure_children(row)
         rt.charge_compute(tid, self.local_force_words(tally)
                           * rt.machine.local_word_cost)
         rt.count(tid, "cache_misses", cache.misses)

@@ -224,12 +224,12 @@ int bh_force_walk(
  * order of gravity_traversal's group stack restricted to one body, so
  * each body's acceleration sums the same terms in the same order.
  *
- * Every float operation mirrors the numpy expression it replaces:
- * np.einsum("ij,ij->i", d, d) sums a 3-vector as (x*x + z*z) + y*y
- * (numpy's SIMD sum-of-products loop; repro.backends.object_tree checks the
- * running numpy at first use), the leaf softening is added after the
- * dot product, and the self term is multiplied by 0.0 rather than
- * skipped, exactly as the numpy mask does.
+ * Every float operation mirrors the numpy expression it replaces: a
+ * squared distance is summed as (x*x + z*z) + y*y, as gravity_traversal
+ * writes it out (repro.octree.traverse.sq_norms; it is also the order of
+ * numpy's SIMD np.einsum("ij,ij->i", d, d)), the leaf softening is added
+ * after the dot product, and the self term is multiplied by 0.0 rather
+ * than skipped, exactly as the numpy mask does.
  *
  * ids[k]                  body indices to evaluate
  * px/py/pz/gmass[n]       per-component positions, G * body mass

@@ -4,7 +4,7 @@ invariant validation."""
 
 from .build import build_tree, insert, new_root
 from .cell import MAX_DEPTH, NSUB, Cell, Leaf
-from .cofm import compute_cofm, merge_cofm
+from .cofm import compute_cofm
 from .costzones import costzones, zone_costs
 from .flat import EMPTY, FlatTree, check_flat_tree, flat_gravity, prepare_bodies
 from .morton import bodies_in_order, leaves_in_order, morton_key, morton_keys
@@ -33,7 +33,6 @@ __all__ = [
     "gravity_traversal",
     "insert",
     "leaves_in_order",
-    "merge_cofm",
     "morton_key",
     "morton_keys",
     "new_root",

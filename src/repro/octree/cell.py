@@ -3,8 +3,7 @@
 ``Cell`` mirrors the SPLASH-2 cell struct the paper manipulates: eight child
 slots (``subp[]``), mass and center of mass, plus the fields the
 optimizations add -- ``home`` (the UPC thread whose shared memory holds the
-cell), ``localized``/``shadow`` for the caching schemes of section 5.3, and
-``cost`` for costzones/subspace partitioning.
+cell) and ``cost`` for costzones/subspace partitioning.
 
 ``Leaf`` stands for a body stored in a child slot (SPLASH-2 stores body
 pointers directly).  A leaf normally holds one body; when bodies coincide
@@ -59,7 +58,7 @@ class Cell:
 
     __slots__ = (
         "center", "size", "children", "home", "mass", "cofm", "cost",
-        "localized", "shadow", "nbodies", "seq",
+        "nbodies", "seq",
     )
 
     def __init__(self, center: Center, size: float, home: int = 0):
@@ -70,10 +69,6 @@ class Cell:
         self.mass = 0.0
         self.cofm = _NO_COFM
         self.cost = 0.0
-        #: section 5.3: True when all children are cached on this thread
-        self.localized = False
-        #: section 5.3.2: shadow child pointers (merged local tree)
-        self.shadow: Optional[list] = None
         self.nbodies = 0
         #: creation sequence number across one build record (the root
         #: is 0): indexes the record's cells, and orders the baseline's
@@ -98,10 +93,6 @@ class Cell:
         return (cx + q if oct_idx & 1 else cx - q,
                 cy + q if oct_idx & 2 else cy - q,
                 cz + q if oct_idx & 4 else cz - q)
-
-    def contains(self, p: np.ndarray) -> bool:
-        half = self.size / 2.0 * (1.0 + 1e-12)
-        return bool(np.all(np.abs(np.subtract(p, self.center)) <= half))
 
     def iter_cells(self):
         """Yield this cell and every descendant cell (pre-order)."""

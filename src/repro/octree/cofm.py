@@ -1,11 +1,11 @@
 """Bottom-up center-of-mass computation.
 
-``compute_cofm`` is the sequential reference used for local trees and for
-validation; the parallel variants (baseline done-flag waiting, section-5.4
-merge-time weighted averaging) live in the variant code and reuse
-``merge_cofm`` for the commutative weighted-average update the paper relies
-on ("this weighted average computation is associative and commutative, so
-the merges can occur in any order").
+``compute_cofm`` is the sequential pass over a linked tree: the oracle of
+the compiled ``bh_cofm_rows``, and the pass of ``mpi-let``'s local trees
+and of a box without the kernel.  The baseline's done-flag c-of-m phase
+lives in the variant code (:mod:`repro.core.variants.base`); the
+section-5.4 merge charges its atomic (mass, cofm) updates but leaves the
+fields to one pass over the merged tree.
 """
 
 from __future__ import annotations
@@ -79,11 +79,3 @@ def compute_cofm(root: Cell, positions: np.ndarray, masses: np.ndarray,
         if on_cell is not None:
             on_cell(c)
 
-
-def merge_cofm(mass_a: float, cofm_a: np.ndarray,
-               mass_b: float, cofm_b: np.ndarray) -> "tuple[float, np.ndarray]":
-    """Weighted-average merge of two (mass, cofm) pairs (section 5.4)."""
-    m = mass_a + mass_b
-    if m == 0.0:
-        return 0.0, cofm_a.copy()
-    return m, (mass_a * cofm_a + mass_b * cofm_b) / m

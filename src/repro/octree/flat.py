@@ -196,9 +196,8 @@ def cofm_rows(kernel, rows: TreeRows, positions: np.ndarray,
     """:func:`compute_cofm` of every cell of a flattened tree, in one
     compiled pass (``bh_cofm_rows``), bit for bit.
 
-    Fills every cell's ``mass``/``cofm``/``nbodies``/``cost`` and the
-    record's c-of-m arrays.  Returns False, having touched nothing, when
-    the kernel declines.
+    Fills the record's c-of-m arrays; no ``Cell`` is read or written.
+    Returns False, having touched nothing, when the kernel declines.
     """
     n = len(rows.cells)
     mass = np.empty(n, dtype=np.float64)
@@ -212,13 +211,6 @@ def cofm_rows(kernel, rows: TreeRows, positions: np.ndarray,
             np.ascontiguousarray(costs, dtype=np.float64),
             mass, cofm, nbodies, cost):
         return False
-    # compute_cofm's types: float sums, int body counts, a cofm array
-    for cell, m, c, nb, cs in zip(rows.cells, mass.tolist(), cofm,
-                                  nbodies.tolist(), cost.tolist()):
-        cell.mass = m
-        cell.cofm = c
-        cell.nbodies = nb
-        cell.cost = cs
     rows.mass, rows.cofm, rows.nbodies, rows.cost = mass, cofm, nbodies, cost
     return True
 

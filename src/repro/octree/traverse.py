@@ -29,6 +29,13 @@ from ..nbody.constants import G
 from .cell import Cell, Leaf
 
 
+def sq_norms(d: np.ndarray) -> np.ndarray:
+    """Each row's squared length of an ``(n, 3)`` array, summed as
+    ``(x*x + z*z) + y*y``: the order of the compiled walks."""
+    x, y, z = d.T
+    return (x * x + z * z) + y * y
+
+
 class TraversalPolicy:
     """Cost/caching hooks; the default is a free shared-memory machine."""
 
@@ -89,7 +96,7 @@ def gravity_traversal(
             p_act = pos[active]
             for b in node.indices:
                 d = positions[b] - p_act
-                dsq = np.einsum("ij,ij->i", d, d) + eps_sq
+                dsq = sq_norms(d) + eps_sq
                 inv = (G * masses[b]) / (dsq * np.sqrt(dsq))
                 notself = ids[active] != b
                 inv *= notself
@@ -100,7 +107,7 @@ def gravity_traversal(
         cell = node
         policy.on_test(cell, n_active)
         d = cell.cofm - pos[active]
-        dsq = np.einsum("ij,ij->i", d, d)
+        dsq = sq_norms(d)
         far = (cell.size * cell.size) < theta_sq * dsq
         if open_self_cells and far.any():
             half = cell.size / 2.0

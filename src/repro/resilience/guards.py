@@ -146,9 +146,12 @@ class HealthGuards:
             self.check_affinity(bodies.assign, "assign", variant.P,
                                 phase, step)
         elif phase in (TREEBUILD, COFM):
-            root = getattr(variant, "root", None)
-            if root is not None:
-                agg = np.array([root.mass, *np.asarray(root.cofm),
-                                *np.asarray(root.center), root.size],
-                               dtype=np.float64)
-                self.check_finite(agg, "root cell aggregates", phase, step)
+            # row 0 of the tree's record: its geometry, and its c-of-m
+            # once a pass has filled it
+            rows = getattr(variant, "rows", None)
+            if rows is not None:
+                agg = [rows.center[0], rows.size[:1]]
+                if rows.mass is not None:
+                    agg += [rows.mass[:1], rows.cofm[0]]
+                self.check_finite(np.concatenate(agg), "root cell aggregates",
+                                  phase, step)

@@ -18,9 +18,9 @@ Spec grammar (``BHConfig.inject`` / ``--inject``, repeatable)::
     *before* boundary -- the phase body never runs, so a retry replays
     it from pristine inputs (transient-error model);
   - ``corrupt``: after the phase body runs, damage its primary output
-    (NaN into ``acc``/``pos``, out-of-range affinity, poisoned root
-    aggregates, scrambled Morton splice state) at a seeded index --
-    only the numerical-health guards can see this one;
+    (NaN into ``acc``/``pos``, out-of-range affinity, a poisoned root
+    row of the tree's record, scrambled Morton splice state) at a seeded
+    index -- only the numerical-health guards can see this one;
   - ``delay``: sleep a few milliseconds at the before boundary (models
     a stall; must be absorbed with zero trajectory effect).
 
@@ -193,7 +193,8 @@ class FaultInjector:
     def _corrupt(self, phase: str, variant) -> bool:
         """Damage the phase's primary output at a seeded location; False
         when there is none (a tree build phase that left no tree)."""
-        if phase == TREEBUILD and getattr(variant, "root", None) is None:
+        rows = getattr(variant, "rows", None)
+        if phase == TREEBUILD and rows is None:
             return False
         bodies = variant.bodies
         n = len(bodies)
@@ -207,17 +208,12 @@ class FaultInjector:
         elif phase == REDISTRIBUTION:
             bodies.store[i] = variant.P + 7
         elif phase == COFM:
-            root = getattr(variant, "root", None)
-            if root is None:
+            if rows is None:
                 bodies.acc[i] = np.nan
             else:
-                root.cofm = np.asarray(root.cofm, dtype=np.float64).copy()
-                root.cofm[int(self.rng.integers(0, 3))] = np.nan
+                rows.cofm[0, int(self.rng.integers(0, 3))] = np.nan
         elif phase == TREEBUILD:
-            root = variant.root
-            center = list(root.center)
-            center[int(self.rng.integers(0, 3))] = np.nan
-            root.center = tuple(center)
+            rows.center[0, int(self.rng.integers(0, 3))] = np.nan
         return True
 
 

@@ -171,10 +171,10 @@ def _thread_charge(v, tid, tree, opens, k):
         return
     if v.cache_mode is not None:
         cache = CellCache(rt, tid, v.bodies.store,
-                          merged=v.cache_mode == "merged")
-        cache.localize_root(v.root)
-        for cell in tree.open_order(opens):
-            cache.ensure_children(cell)
+                          v.cache_mode == "merged", v.rows)
+        cache.localize_root()
+        for row in tree.open_order(opens):
+            cache.ensure_children(row)
         rt.charge_compute(tid, _local_words(tree, opens, k)
                           * rt.machine.local_word_cost)
         rt.count(tid, "cache_misses", cache.misses)

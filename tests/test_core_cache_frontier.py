@@ -3,105 +3,105 @@
 import numpy as np
 import pytest
 
+from repro.backends.object_tree import slot_walk
 from repro.core.app import BarnesHutSimulation
 from repro.core.cache import CellCache
 from repro.core.config import BHConfig
 from repro.core.frontier import frontier_force
 from repro.nbody.bbox import compute_root
 from repro.octree.build import build_tree
-from repro.octree.cell import Cell, Leaf
 from repro.octree.cofm import compute_cofm
-from repro.octree.traverse import gravity_traversal
+from repro.octree.flat import EMPTY, cell_rows, decode_leaf
 from repro.upc.nonblocking import AsyncEngine
 from repro.upc.params import MachineConfig, paper_section5_machine
 from repro.upc.runtime import UpcRuntime
 
 
 def _two_thread_tree(bodies):
-    """A tree whose cells alternate between two homes."""
+    """A tree whose cells alternate between two homes, and its record."""
     box = compute_root(bodies.pos)
     root = build_tree(bodies.pos, box, home=0)
     for i, cell in enumerate(root.iter_cells()):
         cell.home = i % 2
     root.home = 0
     compute_cofm(root, bodies.pos, bodies.mass, bodies.cost)
-    return root
+    return root, cell_rows(root)
 
 
 class TestCellCache:
     def test_first_open_fetches_then_hits(self, bodies256):
-        root = _two_thread_tree(bodies256)
+        _, rows = _two_thread_tree(bodies256)
         rt = UpcRuntime(2, MachineConfig())
         store = np.zeros(256, dtype=np.int32)
-        cache = CellCache(rt, 0, store, merged=False)
+        cache = CellCache(rt, 0, store, False, rows)
         with rt.phase("f"):
-            cache.localize_root(root)
-            cache.ensure_children(root)
+            cache.localize_root()
+            cache.ensure_children(0)
             m0 = cache.misses
-            cache.ensure_children(root)  # second open: hit
+            cache.ensure_children(0)  # second open: hit
         assert m0 > 0
         assert cache.misses == m0
         assert cache.hits == 1
 
     def test_merged_skips_local_copies(self, bodies256):
-        root = _two_thread_tree(bodies256)
+        _, rows = _two_thread_tree(bodies256)
         store = np.zeros(256, dtype=np.int32)
         rt1 = UpcRuntime(2, MachineConfig())
-        sep = CellCache(rt1, 0, store, merged=False)
+        sep = CellCache(rt1, 0, store, False, rows)
         rt2 = UpcRuntime(2, MachineConfig())
-        mrg = CellCache(rt2, 0, store, merged=True)
+        mrg = CellCache(rt2, 0, store, True, rows)
         with rt1.phase("f"):
-            sep.localize_root(root)
-            for c in root.iter_cells():
-                sep.ensure_children(c)
+            sep.localize_root()
+            for r in range(len(rows.cells)):
+                sep.ensure_children(r)
         with rt2.phase("f"):
-            mrg.localize_root(root)
-            for c in root.iter_cells():
-                mrg.ensure_children(c)
+            mrg.localize_root()
+            for r in range(len(rows.cells)):
+                mrg.ensure_children(r)
         # same remote misses, but the merged scheme makes no local copies
         assert sep.misses == mrg.misses
         assert mrg.local_copies == 0
         assert sep.local_copies > 0
 
     def test_remote_misses_bounded_by_remote_cells(self, bodies256):
-        root = _two_thread_tree(bodies256)
+        root, rows = _two_thread_tree(bodies256)
         rt = UpcRuntime(2, MachineConfig())
         store = np.zeros(256, dtype=np.int32)  # bodies local to thread 0
-        cache = CellCache(rt, 0, store, merged=True)
+        cache = CellCache(rt, 0, store, True, rows)
         with rt.phase("f"):
-            cache.localize_root(root)
-            for c in root.iter_cells():
-                cache.ensure_children(c)
+            cache.localize_root()
+            for r in range(len(rows.cells)):
+                cache.ensure_children(r)
         remote_cells = sum(
             1 for c in root.iter_cells() if c.home != 0 and c is not root
         )
         assert cache.misses == remote_cells
 
     def test_localized_count(self, bodies256):
-        root = _two_thread_tree(bodies256)
+        _, rows = _two_thread_tree(bodies256)
         rt = UpcRuntime(2, MachineConfig())
-        cache = CellCache(rt, 0, np.zeros(256, dtype=np.int32),
-                          merged=False)
+        cache = CellCache(rt, 0, np.zeros(256, dtype=np.int32), False, rows)
         with rt.phase("f"):
-            cache.ensure_children(root)
+            cache.ensure_children(0)
         assert cache.localized_count == 1
 
 
-def _ensure_children_one_alloc_each(self, cell):
+def _ensure_children_one_alloc_each(self, row):
     """``CellCache.ensure_children`` as it booked every fetched or copied
     cell: one ``heap.upc_alloc`` (and its discarded pointer) per cell."""
-    if id(cell) in self._localized:
+    if row in self._localized:
         self.hits += 1
         return
     rt = self.rt
     tid = self.tid
     m = rt.machine
-    for ch in cell.children:
-        if ch is None:
+    for code in self.child[row].tolist():
+        if code == EMPTY:
             continue
-        if isinstance(ch, Leaf):
-            for b in ch.indices:
-                owner = int(self.store[b])
+        if code < 0:
+            leaf = decode_leaf(code)
+            for owner in self.leaf_owner[self.leaf_ptr[leaf]:
+                                         self.leaf_ptr[leaf + 1]]:
                 if owner != tid:
                     rt.memget(tid, owner, m.body_nbytes, key="cache_fetch")
                     self.misses += 1
@@ -112,17 +112,18 @@ def _ensure_children_one_alloc_each(self, cell):
                 else:
                     rt.charge_compute(tid, m.local_word_cost)
             continue
-        if ch.home != tid:
-            rt.memget(tid, ch.home, m.cell_nbytes, key="cache_fetch")
-            rt.heap.upc_alloc(tid, m.cell_nbytes, ch)
+        home = self.home[code]
+        if home != tid:
+            rt.memget(tid, home, m.cell_nbytes, key="cache_fetch")
+            rt.heap.upc_alloc(tid, m.cell_nbytes, code)
             self.misses += 1
         elif self.merged:
             rt.charge_compute(tid, m.local_word_cost)
         else:
             rt.memget(tid, tid, m.cell_nbytes, key="cache_local_copy")
-            rt.heap.upc_alloc(tid, m.cell_nbytes, ch)
+            rt.heap.upc_alloc(tid, m.cell_nbytes, code)
             self.local_copies += 1
-    self._localized.add(id(cell))
+    self._localized.add(row)
 
 
 @pytest.mark.parametrize("variant", ["cache", "cache-merged"])
@@ -169,9 +170,7 @@ class TestFrontier:
         idx = v.assigned(1)
         with rt.phase("f"):
             acc, work, stats = frontier_force(v, engine, 1, idx)
-        ref, ref_work = gravity_traversal(
-            v.root, idx, v.bodies.pos, v.bodies.mass,
-            v.cfg.theta, v.cfg.eps)
+        ref, ref_work, _ = slot_walk(v.slot_tree(), idx)
         assert np.allclose(acc, ref, rtol=1e-9, atol=1e-12)
         assert np.array_equal(work, ref_work)
 
@@ -204,8 +203,7 @@ class TestFrontier:
         idx = v.assigned(1)
         with rt.phase("f"):
             acc, work, _ = frontier_force(v, engine, 1, idx)
-        ref, _ = gravity_traversal(v.root, idx, v.bodies.pos,
-                                   v.bodies.mass, v.cfg.theta, v.cfg.eps)
+        ref, _, _ = slot_walk(v.slot_tree(), idx)
         assert np.allclose(acc, ref, rtol=1e-9, atol=1e-12)
 
     def test_outstanding_bounded_by_n2(self):

@@ -23,18 +23,18 @@ import pytest
 
 import repro.core.frontier as frontier
 import repro.kernels.pool as pool
-from repro.backends.object_tree import SlotTree, slot_kernel
 from repro.core.app import BarnesHutSimulation, run_variant
 from repro.core.config import BHConfig
 from repro.core.frontier import FrontierStats, frontier_force, frontier_forces
 from repro.core.phases import FORCE
 from repro.core.variants.async_agg import AsyncAgg
 from repro.core.variants.base import BODY_FORCE_WORDS
+from repro.kernels import load_kernel
 from repro.nbody.distributions import make_distribution
 from repro.upc.nonblocking import AsyncEngine, source_fractions
 from repro.upc.params import paper_section5_machine, paper_section6_machine
 
-needs_kernel = pytest.mark.skipif(slot_kernel() is None,
+needs_kernel = pytest.mark.skipif(load_kernel() is None,
                                   reason="no compiled frontier walk here")
 
 MACHINES = {
@@ -75,7 +75,7 @@ def _force_phase(v, compiled: bool):
     """Every thread's frontier force on a deep copy of ``v``."""
     v = copy.deepcopy(v)
     engine = AsyncEngine(v.rt)
-    tree = SlotTree(v.root, v.bodies, v.cfg) if compiled else None
+    tree = v.slot_tree() if compiled else None
     calls = []
     for t in range(v.P):
         acc, work, stats = frontier_force(v, engine, t, v.assigned(t), tree)
@@ -106,7 +106,7 @@ def _phase_walks(v, monkeypatch, workers=None):
         else:
             mp.setattr(pool, "_WORKERS", workers)
             calls = frontier_forces(v, engine, jobs,
-                                    SlotTree(v.root, v.bodies, v.cfg),
+                                    v.slot_tree(),
                                     body_words)
     return v, engine, calls
 
@@ -226,7 +226,7 @@ class TestCompiledMatchesOracle:
     def test_max_depth_bucket(self, monkeypatch, open_self):
         v = _at_force_phase("subspace", 16, open_self=open_self,
                             coincident=True)
-        leaf_sizes = np.diff(SlotTree(v.root, v.bodies, v.cfg).flat.leaf_ptr)
+        leaf_sizes = np.diff(v.slot_tree().flat.leaf_ptr)
         assert leaf_sizes.max() > 1
         _assert_identical(v, monkeypatch)
 
@@ -263,7 +263,7 @@ class TestCompiledMatchesOracle:
             raise KeyError("boom")
 
         monkeypatch.setattr(v.rt, "price", boom)
-        tree = SlotTree(v.root, v.bodies, v.cfg)
+        tree = v.slot_tree()
         with pytest.raises(KeyError, match="boom"):
             frontier_force(v, AsyncEngine(v.rt), 3, v.assigned(3), tree)
 

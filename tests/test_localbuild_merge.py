@@ -36,12 +36,23 @@ def _merged_tree(nbodies, nthreads, seed=3, steps=1, build_only=False):
     return sim
 
 
+def _with_record_cofm(v):
+    """The merged tree's root, every cell given the c-of-m fields of the
+    variant's record: the one copy of them the build leaves."""
+    rows = v.rows
+    for r, cell in enumerate(rows.cells):
+        cell.mass = float(rows.mass[r])
+        cell.cofm = rows.cofm[r]
+        cell.nbodies = int(rows.nbodies[r])
+    return v.root
+
+
 class TestMergeProducesCanonicalTree:
     @pytest.mark.parametrize("nthreads", [2, 3, 7, 16])
     def test_merged_equals_sequential_build(self, nthreads):
         sim = _merged_tree(200, nthreads, build_only=True)
         v = sim.variant
-        check_tree(v.root, v.bodies.pos, v.bodies.mass,
+        check_tree(_with_record_cofm(v), v.bodies.pos, v.bodies.mass,
                    expected_indices=np.arange(200), check_cofm=True)
         # canonical shape: compare against a fresh sequential build
         ref = build_tree(v.bodies.pos, v.box)
@@ -63,7 +74,7 @@ class TestMergeProducesCanonicalTree:
         """Forces the leaf-leaf split case across threads."""
         sim = _merged_tree(2, 2, build_only=True)
         v = sim.variant
-        check_tree(v.root, v.bodies.pos, v.bodies.mass,
+        check_tree(_with_record_cofm(v), v.bodies.pos, v.bodies.mass,
                    expected_indices=np.arange(2), check_cofm=True)
 
     def test_cell_homes_preserved_after_merge(self):

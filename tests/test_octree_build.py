@@ -92,11 +92,6 @@ class TestCellGeometry:
         assert c.child_center(7) == pytest.approx([1, 1, 1])
         assert c.child_center(0) == pytest.approx([-1, -1, -1])
 
-    def test_contains(self):
-        c = Cell(np.zeros(3), 2.0)
-        assert c.contains(np.array([0.99, 0, 0]))
-        assert not c.contains(np.array([1.5, 0, 0]))
-
     def test_count_cells(self, tree256):
         n = tree256.count_cells()
         assert n == sum(1 for _ in tree256.iter_cells())

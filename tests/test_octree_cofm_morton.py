@@ -6,7 +6,7 @@ import pytest
 from repro.nbody.bbox import RootBox, compute_root
 from repro.octree.build import build_tree
 from repro.octree.cell import Leaf
-from repro.octree.cofm import compute_cofm, merge_cofm
+from repro.octree.cofm import compute_cofm
 from repro.octree.morton import (
     bodies_in_order,
     leaves_in_order,
@@ -109,34 +109,6 @@ class TestCofm:
         sub.mass += 1.0
         compute_cofm(root, bodies256.pos, bodies256.mass, done={sub})
         assert root.mass == pytest.approx(bodies256.mass.sum() + 1.0)
-
-
-class TestMergeCofm:
-    def test_weighted_average(self):
-        m, c = merge_cofm(1.0, np.array([0.0, 0, 0]),
-                          3.0, np.array([4.0, 0, 0]))
-        assert m == 4.0
-        assert c == pytest.approx([3.0, 0, 0])
-
-    def test_commutative(self):
-        a = (2.0, np.array([1.0, 2.0, 3.0]))
-        b = (5.0, np.array([-1.0, 0.5, 2.0]))
-        m1, c1 = merge_cofm(*a, *b)
-        m2, c2 = merge_cofm(*b, *a)
-        assert m1 == m2 and np.allclose(c1, c2)
-
-    def test_associative(self):
-        parts = [(1.0, np.array([0.0, 0, 0])),
-                 (2.0, np.array([3.0, 0, 0])),
-                 (4.0, np.array([-1.0, 2.0, 0]))]
-        m1, c1 = merge_cofm(*merge_cofm(*parts[0], *parts[1]), *parts[2])
-        m2, c2 = merge_cofm(*parts[0], *merge_cofm(*parts[1], *parts[2]))
-        assert m1 == pytest.approx(m2)
-        assert np.allclose(c1, c2)
-
-    def test_zero_mass(self):
-        m, c = merge_cofm(0.0, np.zeros(3), 0.0, np.zeros(3))
-        assert m == 0.0
 
 
 class TestMorton:

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 from repro.nbody.bbox import RootBox, compute_root
 from repro.nbody.direct import direct_acc
 from repro.octree.build import build_tree
-from repro.octree.cofm import compute_cofm, merge_cofm
+from repro.octree.cofm import compute_cofm
 from repro.octree.costzones import costzones, zone_costs
 from repro.octree.morton import bodies_in_order
 from repro.octree.traverse import gravity_traversal

@@ -26,7 +26,6 @@ from repro.backends.object_tree import (
     C_ENGINE,
     PY_ENGINE,
     SlotTree,
-    slot_kernel,
     slot_walk,
     slot_walks,
 )
@@ -41,6 +40,7 @@ from repro.core.variants.base import (
     CELL_TEST_WORDS,
 )
 from repro.core.variants.registry import get_variant
+from repro.kernels import load_kernel
 from repro.nbody.bbox import compute_root
 from repro.nbody.bodies import BodySoA
 from repro.nbody.distributions import distribution_names, make_distribution
@@ -50,7 +50,7 @@ from repro.octree.cofm import compute_cofm
 from repro.octree.traverse import TraversalPolicy, gravity_traversal
 from repro.upc.params import paper_section5_machine
 
-needs_kernel = pytest.mark.skipif(slot_kernel() is None,
+needs_kernel = pytest.mark.skipif(load_kernel() is None,
                                   reason="no compiled slot walk here")
 
 
@@ -178,7 +178,7 @@ class TestOpenCountAggregates:
         gravity_traversal(root, idx, bodies256.pos, bodies256.mass, 1.0,
                           0.05, Order())
         got = tree.open_order(opens)
-        assert [id(c) for c in got] == [id(c) for c in seen]
+        assert [id(tree.cells[r]) for r in got] == [id(c) for c in seen]
 
 
 # ---------------------------------------------------------------------- #
@@ -251,12 +251,14 @@ class CachedPolicy(LocalPolicy):
 
     def __init__(self, variant, tid):
         super().__init__(variant, tid)
+        rows = variant.rows
+        self.row = {id(c): r for r, c in enumerate(rows.cells)}
         self.cache = CellCache(variant.rt, tid, variant.bodies.store,
-                               variant.cache_mode == "merged")
-        self.cache.localize_root(variant.root)
+                               variant.cache_mode == "merged", rows)
+        self.cache.localize_root()
 
     def on_open(self, cell, n_near):
-        self.cache.ensure_children(cell)
+        self.cache.ensure_children(self.row[id(cell)])
         super().on_open(cell, n_near)
 
     def flush(self):
@@ -279,6 +281,9 @@ def oracle_phase_force(self):
         make = BaselinePolicy
     body_words = BODY_POS_WORDS * 2 if make is LocalPolicy \
         else BODY_FORCE_WORDS
+    # the hooks walk the cells; with the kernel only the record holds
+    # the c-of-m, so fill the cells' fields (the same bits) first
+    compute_cofm(self.root, bodies.pos, bodies.mass, bodies.cost)
     new_cost = bodies.cost.copy()
     for t in range(self.P):
         idx = self.assigned(t)
@@ -458,7 +463,7 @@ class TestForceEngineStat:
         assert self._engine() == PY_ENGINE
 
     def test_frontier_variants(self):
-        want = "c-frontier" if slot_kernel() is not None else "frontier"
+        want = "c-frontier" if load_kernel() is not None else "frontier"
         assert self._engine("subspace") == want
         assert self._engine("async") == want
 

@@ -2,17 +2,17 @@
 vs ``compute_cofm``.
 
 :func:`repro.core.subspace.build_subforest_and_hook` charges its
-subtrees from counts and fills every cell's c-of-m fields in one pass
+subtrees from counts and fills its record's c-of-m arrays in one pass
 over the finished tree (``VariantBase.fill_cofm``): ``bh_cofm_rows``
 over its flatten when the kernel serves, ``compute_cofm`` otherwise.
 The local build's merged tree and the LET variant's global tree are
 filled the same way.  One tree build run both ways from deep-copied
-state must agree with ``np.array_equal`` on
-every cell's ``mass``/``cofm``/``nbodies``/``cost`` (and their types),
-every thread clock and NIC time, every counter row, the shared-heap
+state must agree with ``np.array_equal`` on the tree, its record's
+``mass``/``cofm``/``nbodies``/``cost`` arrays (and their dtypes), every
+thread clock and NIC time, every counter row, the shared-heap
 bookkeeping, the cell count and the sub-phase times.  The force phase's
 ``SlotTree`` built from the compiled pass's flatten and arrays must
-equal one flattened afresh from the cells.
+equal one flattened afresh from the oracle's cells.
 """
 
 from __future__ import annotations
@@ -107,19 +107,18 @@ def _assert_same_charges(got, want):
 
 
 def _assert_same_cells(got, want):
+    """Both builds made the same tree, and their records hold the same
+    c-of-m arrays; the tree's cells, in row order."""
     rows, want_rows = cell_rows(got.root), cell_rows(want.root)
-    for name in ("child", "leaf_ptr", "leaf_bodies"):
-        assert np.array_equal(getattr(rows, name), getattr(want_rows, name))
-    cells = rows.cells
-    for a, b in zip(cells, want_rows.cells):
-        assert a.center == b.center and a.size == b.size
-        assert a.home == b.home
-        assert a.mass == b.mass and type(a.mass) is type(b.mass)
-        assert np.array_equal(a.cofm, b.cofm)
-        assert a.cofm.dtype == b.cofm.dtype and a.cofm.shape == (3,)
-        assert a.nbodies == b.nbodies and type(a.nbodies) is int
-        assert a.cost == b.cost and type(a.cost) is type(b.cost)
-    return cells
+    for name in ("child", "leaf_ptr", "leaf_bodies", "center", "size",
+                 "home"):
+        assert np.array_equal(getattr(rows, name),
+                              getattr(want_rows, name)), name
+    for name in ("mass", "cofm", "nbodies", "cost"):
+        a, b = getattr(got.rows, name), getattr(want.rows, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.rows.cofm.shape == (len(rows.cells), 3)
+    return rows.cells
 
 
 def _assert_compiled_matches_oracle(v, monkeypatch, build="phase_subforest"):
@@ -148,7 +147,8 @@ def _assert_compiled_matches_oracle(v, monkeypatch, build="phase_subforest"):
     assert rows.cells == cells
     reused = got.slot_tree()
     assert reused.cells is rows.cells
-    fresh = SlotTree(got.root, got.bodies, got.cfg)
+    # the oracle's cells hold compute_cofm's fields
+    fresh = SlotTree(want.root, want.bodies, want.cfg)
     for name in FLAT_FIELDS:
         a, b = getattr(reused.flat, name), getattr(fresh.flat, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -185,7 +185,7 @@ class TestCompiledMatchesOracle:
         v = _at_subforest(1, alpha=1.0)
         assert v._ss_tree.n_nodes == 1
         got = _assert_compiled_matches_oracle(v, monkeypatch)
-        assert got.root.nbodies == len(got.bodies)
+        assert got.rows.nbodies[0] == len(got.bodies)
 
     @pytest.mark.parametrize("variant", ["localbuild", "async", "mpi-let"])
     @pytest.mark.parametrize("nthreads", [1, 16])
@@ -228,7 +228,7 @@ class TestCompiledMatchesOracle:
             return ok, out
 
         ok, out = run()
-        assert ok and out[0][0] == v.root.mass
+        assert ok and out[0][0] == v.rows.mass[0]
         rows, slots = np.nonzero(child >= 0)
         upward = child.copy()
         upward[rows[-1], slots[-1]] = rows[-1]  # a child not below its row

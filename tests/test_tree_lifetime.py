@@ -22,23 +22,30 @@ Each step's tree is flattened exactly once, as its build ends
 merged tree), and every later phase reads that one record: after each
 phase that leaves a tree, the variant's ``rows`` are of its ``root``,
 count its cells and hold its tree order.
+
+With the kernel, that record is the only copy of the tree the later
+phases read: a run whose cells are all poisoned right after the flatten
+gives every output of an unpoisoned run, with the guards on too, and
+with the frontier variants' Python loop serving the force phase.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import sys
 
 import numpy as np
 import pytest
 
+import repro.core.frontier as frontier
 import repro.octree.build as octree_build
 import repro.octree.flat as octree_flat
 from repro import BHConfig, run_variant
 from repro.core.variants.base import VariantBase
 from repro.core.variants.registry import VARIANTS
-from repro.kernels import loader
-from repro.octree.cell import Cell
+from repro.kernels import load_kernel, loader
+from repro.octree.cell import NSUB, Cell
 from repro.octree.morton import bodies_in_order
 
 CFG = BHConfig(nbodies=256, nsteps=3, warmup_steps=1)
@@ -158,3 +165,73 @@ def test_one_flatten_per_tree_read_by_every_phase(variant, kernel,
     assert res.variant_stats["rows_engine"] == (
         "c-tree-rows" if name == "record_rows" else "cell-rows")
     assert {s for s, _ in checked} == set(range(CFG.nsteps))
+
+
+def _poison(cells, nthreads):
+    """Make every field the later phases could read off a cell unusable."""
+    nan = float("nan")
+    for cell in cells:
+        cell.center = (nan, nan, nan)
+        cell.size = nan
+        cell.mass = nan
+        cell.cofm = np.full(3, nan)
+        cell.home = nthreads + 7
+        cell.children = [None] * NSUB
+
+
+def _assert_same(a, b, where=""):
+    """``a`` equals ``b``, arrays elementwise, containers recursively."""
+    if isinstance(a, dict):
+        assert sorted(a) == sorted(b), where
+        for key in a:
+            _assert_same(a[key], b[key], f"{where}.{key}")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_same(x, y, f"{where}[{i}]")
+    elif isinstance(a, np.ndarray):
+        assert np.array_equal(a, b), where
+    else:
+        assert a == b, where
+
+
+POISON_CASES = [(v, mode) for v in sorted(VARIANTS)
+                for mode in ("plain", "guards")] \
+    + [(v, "python-frontier") for v in ("async", "subspace")]
+
+
+@pytest.mark.skipif(load_kernel() is None, reason="no compiled kernel here")
+@pytest.mark.parametrize("variant,mode", POISON_CASES,
+                         ids=[f"{v}-{m}" for v, m in POISON_CASES])
+def test_kernel_path_reads_no_cell_after_flatten(variant, mode,
+                                                 monkeypatch):
+    cfg = dataclasses.replace(CFG, guards=mode == "guards")
+    if mode == "python-frontier":
+        # the compiled loop declines its workspace: the Python loop serves
+        monkeypatch.setattr(frontier, "C_WORKSPACE_CAP", 1)
+    runs = []
+    for poisoned in (False, True):
+        with monkeypatch.context() as mp:
+            if poisoned:
+                flatten = VariantBase.flatten
+
+                def poisoning_flatten(self, *args, **kwargs):
+                    flatten(self, *args, **kwargs)
+                    _poison(self.rows.cells, self.P)
+
+                mp.setattr(VariantBase, "flatten", poisoning_flatten)
+            runs.append(run_variant(variant, cfg, nthreads=4))
+    want, got = runs
+    assert got.variant_stats["force_engine"] in (
+        ("frontier",) if mode == "python-frontier"
+        else ("c-slot-walk", "c-frontier"))
+    for name in ("pos", "vel", "acc"):
+        assert np.array_equal(getattr(got.bodies, name),
+                              getattr(want.bodies, name)), name
+    assert len(got.log.records) == len(want.log.records)
+    for a, b in zip(got.log.records, want.log.records):
+        assert (a.name, a.step, a.duration) == (b.name, b.step, b.duration)
+        assert np.array_equal(a.thread_times, b.thread_times), a.name
+        assert np.array_equal(a.nic_times, b.nic_times), a.name
+        _assert_same(dict(a.counters._data), dict(b.counters._data), a.name)
+    _assert_same(got.variant_stats, want.variant_stats, "variant_stats")
